@@ -7,7 +7,29 @@ stay readable in a diff.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+
+from .errors import DocumentError
+
+
+def check_format(doc, fmt: str, what: str) -> None:
+    """Raise DocumentError unless ``doc`` is a JSON object tagged ``fmt``."""
+    got = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
+    if got != fmt:
+        raise DocumentError(f"unsupported {what} format {got!r}")
+
+
+@contextmanager
+def parsing(what: str):
+    """Report a missing key or a wrong-typed entry in the block as DocumentError."""
+    try:
+        yield
+    except DocumentError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise DocumentError(f"malformed {what} document: {exc!r}") from exc
 
 
 def encode_matrix(matrix: np.ndarray) -> dict:
@@ -17,8 +39,11 @@ def encode_matrix(matrix: np.ndarray) -> dict:
 
 
 def decode_matrix(doc: dict) -> np.ndarray:
-    shape = tuple(int(s) for s in doc["shape"])
-    flat = [complex(float.fromhex(re), float.fromhex(im)) for re, im in doc["entries"]]
+    with parsing("matrix"):
+        shape = tuple(int(s) for s in doc["shape"])
+        flat = [complex(float.fromhex(re), float.fromhex(im)) for re, im in doc["entries"]]
     if len(flat) != int(np.prod(shape)):
-        raise ValueError(f"matrix document has {len(flat)} entries, expected {np.prod(shape)}")
+        raise DocumentError(
+            f"matrix document has {len(flat)} entries, expected {np.prod(shape)}"
+        )
     return np.array(flat, dtype=complex).reshape(shape, order="C")

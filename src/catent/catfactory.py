@@ -23,24 +23,24 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _io
 from .errors import (
     BoundViolationError,
     DimensionCapError,
     LayoutMismatchError,
     NotPureError,
 )
-from .locc import (
-    Channel,
+from .locc import (  # noqa: F401  (apply is re-exported as catfactory.apply)
     LoccProtocol,
+    _run_matrix,
     apply,
-    apply_to_factors,
     controlled_on_register,
     embed_protocol,
-    flatten,
     local_channel,
     perm_unitary,
     protocol_from_dict,
     protocol_to_dict,
+    run_protocol,
 )
 from .qstate import (
     DIM_CAP,
@@ -139,7 +139,7 @@ def build_catalyst(lambda_n: LoccProtocol, rho: QState, n: int) -> CatalystAssem
     if joint_dim > DIM_CAP:
         raise DimensionCapError(f"joint dimension {joint_dim} exceeds cap {DIM_CAP}")
 
-    gamma = apply(flatten(lambda_n), n_copies(rho, n))
+    gamma = run_protocol(lambda_n, n_copies(rho, n))
     gamma_marginals = tuple(gamma.marginal(range(k * f, (k + 1) * f)) for k in range(n))
 
     register = SystemLayout([(0, n)])
@@ -177,7 +177,7 @@ def build_catalyst(lambda_n: LoccProtocol, rho: QState, n: int) -> CatalystAssem
     )
 
     assembly = CatalystAssembly(n, tau, embedding, gamma_marginals)
-    mu = apply(flatten(embedding), tensor(rho, tau))
+    mu = run_protocol(embedding, tensor(rho, tau))
     drift = trace_norm_dist(mu.marginal(range(f, n * f + 1)), tau)
     out_err = trace_norm_dist(mu.marginal(range(f)), assembly.expected_output())
     if drift > EXACTNESS_TOL or out_err > EXACTNESS_TOL:
@@ -196,7 +196,7 @@ def verify_catalysis(
         raise LayoutMismatchError(
             f"protocol input {lam.input_layout!r} is not system + catalyst"
         )
-    mu = apply(flatten(lam), tensor(rho, tau))
+    mu = run_protocol(lam, tensor(rho, tau))
     f = len(rho.layout)
     if len(mu.layout) != f + len(tau.layout):
         raise LayoutMismatchError("protocol must keep the system+catalyst split")
@@ -220,28 +220,18 @@ def _herm_dist(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _induced_step(
-    ch: Channel, rho_m: np.ndarray, x: np.ndarray, ds: int, dc: int
+    lam: LoccProtocol, rho_m: np.ndarray, x: np.ndarray, ds: int, dc: int
 ) -> np.ndarray:
-    """One catalyst update: feed rho beside x, apply, trace out the system."""
-    src = np.kron(rho_m, x)
-    out = np.zeros((dc, dc), dtype=complex)
-    for k in ch.kraus:
-        y = (k @ src @ k.conj().T).reshape(ds, dc, ds, dc)
-        out += np.einsum("tetf->ef", y)
-    return out
+    """One catalyst update: feed rho beside x, run lam, trace out the system.
 
-
-def _induced_superop(ch: Channel, rho_m: np.ndarray, ds: int, dc: int) -> np.ndarray:
-    m = np.zeros((dc * dc, dc * dc), dtype=complex)
-    for k in ch.kraus:
-        k4 = k.reshape(ds, dc, ds, dc)
-        b = np.einsum("tesc,sr->terc", k4, rho_m)
-        m += np.einsum("terc,tfrd->efcd", b, k4.conj()).reshape(dc * dc, dc * dc)
-    return m
+    Linear in x, so x need not be a state.
+    """
+    y = _run_matrix(lam, np.kron(rho_m, x)).reshape(ds, dc, ds, dc)
+    return np.einsum("tetf->ef", y)
 
 
 def _fixed_point(
-    ch: Channel, rho: QState, dc: int, start: np.ndarray
+    lam: LoccProtocol, rho: QState, dc: int, start: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Ergodic fixed point of the induced catalyst update, seeded at start.
 
@@ -252,12 +242,9 @@ def _fixed_point(
     """
     ds = rho.total_dim
     rho_m = rho.matrix
-    sup = _induced_superop(ch, rho_m, ds, dc) if dc <= 48 else None
 
     def advance(x: np.ndarray) -> np.ndarray:
-        if sup is not None:
-            return (sup @ x.reshape(-1)).reshape(dc, dc)
-        return _induced_step(ch, rho_m, x, ds, dc)
+        return _induced_step(lam, rho_m, x, ds, dc)
 
     x = np.asarray(start, dtype=complex)
     res = _herm_dist(advance(x), x)
@@ -317,19 +304,18 @@ def iterate_reuse(
             f"joint tracking of {copies} copies needs dimension "
             f"{ds**copies * dc} > cap {DIM_CAP}"
         )
-    ch = flatten(lam)
     cat_idx = tuple(range(f, f + len(tau_eps.layout)))
 
     if tau is None:
-        tau_m, residual = _fixed_point(ch, rho, dc, tau_eps.matrix)
+        tau_m, residual = _fixed_point(lam, rho, dc, tau_eps.matrix)
         tau = QState(tau_eps.layout, tau_m)
     else:
         if tau.layout != tau_eps.layout:
             raise LayoutMismatchError("tau and tau_eps layouts differ")
         residual = _herm_dist(
-            _induced_step(ch, rho.matrix, tau.matrix, ds, dc), tau.matrix
+            _induced_step(lam, rho.matrix, tau.matrix, ds, dc), tau.matrix
         )
-    s_star = apply(ch, tensor(rho, tau)).marginal(range(f))
+    s_star = run_protocol(lam, tensor(rho, tau)).marginal(range(f))
     if sigma is None:
         sigma = s_star
     delta = trace_norm_dist(s_star, sigma)
@@ -341,7 +327,7 @@ def iterate_reuse(
     cat = tau_eps
     joint = tau_eps if track_joint else None
     for _ in range(copies):
-        mu = apply(ch, tensor(rho, cat))
+        mu = run_protocol(lam, tensor(rho, cat))
         out_i = mu.marginal(range(f))
         cat = mu.marginal(cat_idx)
         errors.append(trace_norm_dist(out_i, sigma))
@@ -352,7 +338,7 @@ def iterate_reuse(
             sel = tuple(range(f)) + tuple(
                 range(len(joint.layout) - len(cat_idx), len(joint.layout))
             )
-            joint = apply_to_factors(ch, joint, sel)
+            joint = run_protocol(embed_protocol(lam, joint.layout, sel), joint)
 
     if track_joint:
         body = joint.marginal(range(copies * f))
@@ -399,7 +385,7 @@ def verify_marginal_reduction(
         raise LayoutMismatchError(
             f"protocol output {lam.output_layout()!r} is not {m} copies of {sigma.layout!r}"
         )
-    out = apply(flatten(lam), n_copies(rho, n))
+    out = run_protocol(lam, n_copies(rho, n))
     fs = len(sigma.layout)
     errs = tuple(
         trace_norm_dist(out.marginal(range(j * fs, (j + 1) * fs)), sigma)
@@ -443,11 +429,14 @@ def assembly_to_dict(assembly: CatalystAssembly) -> dict:
 
 
 def assembly_from_dict(doc: dict) -> CatalystAssembly:
-    if doc.get("format") != ASSEMBLY_FORMAT:
-        raise ValueError(f"unsupported assembly format {doc.get('format')!r}")
+    _io.check_format(doc, ASSEMBLY_FORMAT, "assembly")
+    with _io.parsing("assembly"):
+        n = int(doc["n"])
+        tau, embedding = doc["tau"], doc["embedding"]
+        marginals = list(doc["gamma_marginals"])
     return CatalystAssembly(
-        int(doc["n"]),
-        state_from_dict(doc["tau"]),
-        protocol_from_dict(doc["embedding"]),
-        tuple(state_from_dict(g) for g in doc["gamma_marginals"]),
+        n,
+        state_from_dict(tau),
+        protocol_from_dict(embedding),
+        tuple(state_from_dict(g) for g in marginals),
     )

@@ -53,6 +53,7 @@ from .errors import (
     BoundViolationError,
     BudgetError,
     DivergingRateError,
+    DocumentError,
     MissingSeriesError,
     ScenarioError,
 )
@@ -587,7 +588,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
         return 0 if passed else 1
-    except (ScenarioError, MissingSeriesError, OSError, json.JSONDecodeError) as exc:
+    except (
+        ScenarioError,
+        DocumentError,
+        MissingSeriesError,
+        OSError,
+        json.JSONDecodeError,
+    ) as exc:
         print(f"catent: error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

@@ -42,6 +42,10 @@ class BoundViolationError(RuntimeError):
     """A bound that holds for all valid inputs failed numerically."""
 
 
+class DocumentError(ValueError):
+    """A serialized document has missing keys, wrong types or an unsupported format."""
+
+
 class ScenarioError(ValueError):
     """A scenario file is malformed or contains unknown keys."""
 

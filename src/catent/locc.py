@@ -15,9 +15,18 @@ whose operators touch factors the acting party does not own.  Classical
 communication is therefore free by construction and never tracked as a
 quantum resource.
 
+``run_protocol`` executes a protocol step by step on the density matrix
+reshaped to one tensor axis per factor: each local Kraus set is
+contracted on the axes it touches, instrument outcomes run their
+continuations and are summed, and register branches run on the
+register's diagonal blocks.  No full-dimension operator is built.
+Terminal bookkeeping (discarding ancilla factors, relabeling the
+survivors) is part of the protocol and is applied last.
+
 ``flatten`` composes a protocol into a single :class:`Channel` (Kraus
-form).  Terminal bookkeeping (discarding ancilla factors, relabeling
-the survivors) is part of the protocol and applied by ``flatten``.
+form).  It is the Kraus-form export and the reference oracle the
+executor is tested against; its Kraus count grows as the product of the
+step counts and is bounded by ``KRAUS_CAP``.
 """
 
 from __future__ import annotations
@@ -30,8 +39,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import _io
-from .errors import LayoutMismatchError, LocalityError
-from .qstate import QState, SystemLayout
+from .errors import DocumentError, LayoutMismatchError, LocalityError
+from .qstate import QState, SystemLayout, _permute_matrix, _reduce_matrix
 
 TP_TOL = 1e-9
 KRAUS_CAP = 65536
@@ -170,11 +179,9 @@ def apply_to_factors(channel: Channel, state: QState, factors: Sequence[int]) ->
         )
     if not channel.is_trace_preserving():
         raise ValueError("apply_to_factors() requires a trace-preserving channel")
-    acc = np.zeros((state.total_dim,) * 2, dtype=complex)
-    for k in channel.kraus:
-        ke = _embed_operator(state.layout, factors, k)
-        acc += ke @ state.matrix @ ke.conj().T
-    return QState(state.layout, acc)
+    dims = state.layout.dims
+    t = _contract(state.matrix.reshape(dims + dims), channel.kraus, factors)
+    return QState(state.layout, t.reshape(state.matrix.shape))
 
 
 def teleport_channel(resource_fidelity: float, dim: int, party: int = 1) -> Channel:
@@ -592,36 +599,147 @@ def embed_protocol(
             )
     if protocol.discard or protocol.relabel is not None:
         raise ValueError("cannot embed a protocol with terminal discard or relabeling")
-
-    def remap(steps: tuple[Step, ...]) -> tuple[Step, ...]:
-        out = []
-        for s in steps:
-            if isinstance(s, LocalChannel):
-                out.append(LocalChannel(s.party, tuple(fmap[i] for i in s.factors), s.kraus))
-            elif isinstance(s, LocalInstrument):
-                out.append(
-                    LocalInstrument(
-                        s.party,
-                        tuple(fmap[i] for i in s.factors),
-                        s.instrument,
-                        tuple((lab, remap(cont)) for lab, cont in s.cases),
-                    )
-                )
-            else:
-                out.append(
-                    RegisterControlled(
-                        fmap[s.register],
-                        tuple(remap(b) for b in s.branches),
-                        s.updates,
-                    )
-                )
-        return tuple(out)
-
     return LoccProtocol(
         target_layout,
-        remap(protocol.steps),
+        _remap_steps(protocol.steps, fmap),
         classical_factors=tuple(fmap[i] for i in protocol.classical_factors),
     )
+
+
+def tensor_protocols(first: LoccProtocol, second: LoccProtocol) -> LoccProtocol:
+    """Run two protocols side by side: ``first`` on the leading factors.
+
+    Each side keeps its own discard and relabeling; the output layout is
+    ``first``'s output followed by ``second``'s.
+    """
+    f1 = len(first.input_layout)
+    f2 = len(second.input_layout)
+    kept1 = f1 - len(first.discard)
+    relabel = None
+    if first.relabel is not None or second.relabel is not None:
+        r1 = first.relabel if first.relabel is not None else range(kept1)
+        r2 = second.relabel if second.relabel is not None else range(f2 - len(second.discard))
+        relabel = tuple(r1) + tuple(kept1 + j for j in r2)
+    return LoccProtocol(
+        first.input_layout + second.input_layout,
+        first.steps + _remap_steps(second.steps, range(f1, f1 + f2)),
+        discard=first.discard + tuple(f1 + i for i in second.discard),
+        relabel=relabel,
+        classical_factors=first.classical_factors
+        + tuple(f1 + i for i in second.classical_factors),
+    )
+
+
+def _remap_steps(steps: Sequence[Step], fmap: Sequence[int]) -> tuple[Step, ...]:
+    """Re-index steps through ``fmap`` (old factor index -> new index)."""
+    out = []
+    for s in steps:
+        if isinstance(s, LocalChannel):
+            out.append(LocalChannel(s.party, tuple(fmap[i] for i in s.factors), s.kraus))
+        elif isinstance(s, LocalInstrument):
+            out.append(
+                LocalInstrument(
+                    s.party,
+                    tuple(fmap[i] for i in s.factors),
+                    s.instrument,
+                    tuple((lab, _remap_steps(cont, fmap)) for lab, cont in s.cases),
+                )
+            )
+        else:
+            out.append(
+                RegisterControlled(
+                    fmap[s.register],
+                    tuple(_remap_steps(b, fmap) for b in s.branches),
+                    s.updates,
+                )
+            )
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# step executor
+
+
+def _contract(t: np.ndarray, kraus: Sequence[np.ndarray], axes: Sequence[int]) -> np.ndarray:
+    """sum_k K t K^dag on a density tensor t of shape dims + dims.
+
+    Each K acts on the factors ``axes`` (in that order) and is contracted
+    with those row and column axes only.
+    """
+    n = t.ndim // 2
+    m = len(axes)
+    sub = tuple(t.shape[a] for a in axes)
+    rows = tuple(axes)
+    cols = tuple(n + a for a in axes)
+    ins = tuple(range(m, 2 * m))
+    acc = None
+    for k in kraus:
+        kt = k.reshape(sub + sub)
+        y = np.moveaxis(np.tensordot(kt, t, axes=(ins, rows)), range(m), rows)
+        y = np.tensordot(y, kt.conj(), axes=(cols, ins))
+        y = np.moveaxis(y, range(2 * n - m, 2 * n), cols)
+        acc = y if acc is None else acc + y
+    return acc
+
+
+def _register_block(n: int, register: int, value: int) -> tuple[slice, ...]:
+    """Index of the diagonal block where the register holds ``value``."""
+    idx = [slice(None)] * (2 * n)
+    idx[register] = idx[n + register] = slice(value, value + 1)
+    return tuple(idx)
+
+
+def _run_steps(steps: Sequence[Step], t: np.ndarray) -> np.ndarray:
+    for s in steps:
+        if isinstance(s, LocalChannel):
+            t = _contract(t, s.kraus, s.factors)
+        elif isinstance(s, LocalInstrument):
+            cases = s.case_map()
+            t = sum(
+                _run_steps(cases.get(lab, ()), _contract(t, ch.kraus, s.factors))
+                for lab, ch in s.instrument.outcomes
+            )
+        elif isinstance(s, RegisterControlled):
+            # branches never touch the register, so a size-1 slice of its
+            # axis keeps every factor index of the branch valid
+            n = t.ndim // 2
+            out = np.zeros(t.shape, dtype=complex)
+            for k, branch in enumerate(s.branches):
+                block = _run_steps(branch, t[_register_block(n, s.register, k)])
+                out[_register_block(n, s.register, s.updates[k])] += block
+            t = out
+        else:
+            raise TypeError(f"unknown step {type(s).__name__}")
+    return t
+
+
+def _run_matrix(protocol: LoccProtocol, matrix: np.ndarray) -> np.ndarray:
+    """Run ``protocol`` on a raw square matrix of its input dimension; no validation.
+
+    Linear in ``matrix``, so it also evaluates the protocol's map on
+    operators that are not states.
+    """
+    dims = protocol.input_layout.dims
+    out = _run_steps(protocol.steps, matrix.reshape(dims + dims)).reshape(matrix.shape)
+    # each step was checked trace-preserving when the protocol was built
+    if abs(np.trace(out) - np.trace(matrix)) > TP_TOL:
+        raise RuntimeError("protocol run did not preserve the trace (internal bug)")
+    if protocol.discard:
+        keep = [i for i in range(len(dims)) if i not in protocol.discard]
+        out = _reduce_matrix(out, dims, keep)
+        dims = tuple(dims[i] for i in keep)
+    if protocol.relabel is not None:
+        out = _permute_matrix(out, dims, protocol.relabel)
+    return out
+
+
+def run_protocol(protocol: LoccProtocol, state: QState) -> QState:
+    """Run a protocol on a state step by step; only the output is validated."""
+    if protocol.input_layout != state.layout:
+        raise LayoutMismatchError(
+            f"protocol input {protocol.input_layout!r} != state layout {state.layout!r}"
+        )
+    return QState(protocol.output_layout(), _run_matrix(protocol, state.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +796,12 @@ def _steps_kraus(layout: SystemLayout, steps: Sequence[Step]) -> list[np.ndarray
 
 
 def flatten(protocol: LoccProtocol, *, keep_classical: bool = True) -> Channel:
-    """Compose a protocol into a single trace-preserving channel."""
+    """Compose a protocol into a single trace-preserving channel.
+
+    This is the Kraus-form export and the reference oracle for
+    ``run_protocol``; its Kraus count, the product of the step counts,
+    is capped at ``KRAUS_CAP``.
+    """
     layout = protocol.input_layout
     ops = _steps_kraus(layout, protocol.steps)
     drop = set(protocol.discard)
@@ -755,32 +878,46 @@ def _encode_step(step: Step) -> dict:
 
 
 def _decode_step(doc: dict, layout: SystemLayout) -> Step:
-    kind = doc.get("type")
-    if kind == "channel":
-        return LocalChannel(
-            int(doc["party"]),
-            tuple(doc["factors"]),
-            tuple(_io.decode_matrix(k) for k in doc["kraus"]),
-        )
-    if kind == "instrument":
-        factors = tuple(doc["factors"])
-        sub = layout.subset(factors)
-        outcomes = []
-        cases = []
-        for o in doc["outcomes"]:
-            ks = tuple(_io.decode_matrix(k) for k in o["kraus"])
-            outcomes.append((o["label"], ks))
-            if o.get("then") is not None:
-                cases.append((o["label"], tuple(_decode_step(t, layout) for t in o["then"])))
-        inst = Instrument.from_kraus(sub, outcomes)
-        return LocalInstrument(int(doc["party"]), factors, inst, tuple(cases))
+    # nested steps are decoded outside the parsing block, so their domain
+    # errors (say, an incomplete instrument) keep their own types
+    with _io.parsing("protocol step"):
+        kind = doc["type"]
+        if kind == "channel":
+            return LocalChannel(
+                int(doc["party"]),
+                tuple(int(i) for i in doc["factors"]),
+                tuple(_io.decode_matrix(k) for k in doc["kraus"]),
+            )
+        if kind == "instrument":
+            party = int(doc["party"])
+            factors = tuple(int(i) for i in doc["factors"])
+            outcomes = [
+                (str(o["label"]), tuple(_io.decode_matrix(k) for k in o["kraus"]))
+                for o in doc["outcomes"]
+            ]
+            then = [
+                (str(o["label"]), list(o["then"]))
+                for o in doc["outcomes"]
+                if o.get("then") is not None
+            ]
+        elif kind == "controlled":
+            register = int(doc["register"])
+            branches = [list(b) for b in doc["branches"]]
+            updates = tuple(int(u) for u in doc["updates"])
+        else:
+            raise DocumentError(f"unknown step type {kind!r}")
     if kind == "controlled":
         return RegisterControlled(
-            int(doc["register"]),
-            tuple(tuple(_decode_step(t, layout) for t in b) for b in doc["branches"]),
-            tuple(doc["updates"]),
+            register,
+            tuple(tuple(_decode_step(t, layout) for t in b) for b in branches),
+            updates,
         )
-    raise ValueError(f"unknown step type {kind!r}")
+    cases = tuple((lab, tuple(_decode_step(t, layout) for t in steps)) for lab, steps in then)
+    for i in factors:
+        if not 0 <= i < len(layout):
+            raise LayoutMismatchError(f"factor index {i} out of range")
+    inst = Instrument.from_kraus(layout.subset(factors), outcomes)
+    return LocalInstrument(party, factors, inst, cases)
 
 
 def protocol_to_dict(protocol: LoccProtocol) -> dict:
@@ -795,16 +932,17 @@ def protocol_to_dict(protocol: LoccProtocol) -> dict:
 
 
 def protocol_from_dict(doc: dict) -> LoccProtocol:
-    if doc.get("format") != PROTOCOL_FORMAT:
-        raise ValueError(f"unsupported protocol format {doc.get('format')!r}")
-    layout = SystemLayout([(int(p), int(d)) for p, d in doc["factors"]])
-    steps = tuple(_decode_step(s, layout) for s in doc["steps"])
+    _io.check_format(doc, PROTOCOL_FORMAT, "protocol")
+    with _io.parsing("protocol"):
+        layout = SystemLayout([(int(p), int(d)) for p, d in doc["factors"]])
+        step_docs = list(doc["steps"])
+        discard = tuple(int(i) for i in doc.get("discard") or ())
+        relabel = doc.get("relabel")
+        relabel = tuple(int(i) for i in relabel) if relabel is not None else None
+        classical = tuple(int(i) for i in doc.get("classical_factors") or ())
+    steps = tuple(_decode_step(s, layout) for s in step_docs)
     return LoccProtocol(
-        layout,
-        steps,
-        discard=tuple(doc.get("discard") or ()),
-        relabel=tuple(doc["relabel"]) if doc.get("relabel") is not None else None,
-        classical_factors=tuple(doc.get("classical_factors") or ()),
+        layout, steps, discard=discard, relabel=relabel, classical_factors=classical
     )
 
 

@@ -21,7 +21,7 @@ from .errors import (
     LayoutMismatchError,
     NotPureError,
 )
-from .locc import Channel, LoccProtocol, apply, flatten
+from .locc import Channel, LoccProtocol, apply, run_protocol, tensor_protocols
 from .qstate import (
     EIG_CUTOFF,
     QState,
@@ -402,14 +402,12 @@ def compose_superadditive(
     mu2 = partial_trace(mu12, range(f1, f12))
     budget = eps * eps / 100.0
 
-    ch1 = flatten(lambda1)
-    ch2 = flatten(lambda2)
-    m1 = _copies_of(ch1.output_layout, phi.layout)
-    m2 = _copies_of(ch2.output_layout, phi.layout)
+    m1 = _copies_of(lambda1.output_layout(), phi.layout)
+    m2 = _copies_of(lambda2.output_layout(), phi.layout)
 
     errors = []
-    for side, (ch, mu, m) in enumerate(((ch1, mu1, m1), (ch2, mu2, m2)), start=1):
-        e = trace_norm_dist(apply(ch, n_copies(mu, n)), n_copies(phi, m))
+    for side, (lam, mu, m) in enumerate(((lambda1, mu1, m1), (lambda2, mu2, m2)), start=1):
+        e = trace_norm_dist(run_protocol(lam, n_copies(mu, n)), n_copies(phi, m))
         if not e < budget:
             raise BudgetError(
                 f"side {side} error {e:.6g} is not below the budget "
@@ -422,7 +420,8 @@ def compose_superadditive(
         order = [c * f12 + j for c in range(n) for j in range(f1)]
         order += [c * f12 + j for c in range(n) for j in range(f1, f12)]
         big = permute_factors(big, order)
-    combined = trace_norm_dist(apply(ch1.tensor(ch2), big), n_copies(phi, m1 + m2))
+    both = tensor_protocols(lambda1, lambda2)
+    combined = trace_norm_dist(run_protocol(both, big), n_copies(phi, m1 + m2))
     if not combined < eps:
         raise BoundViolationError(
             f"combined error {combined:.6g} >= eps = {eps:.6g} despite per-side "

@@ -269,15 +269,7 @@ def partial_trace(state: QState, keep: Sequence[int]) -> QState:
         raise LayoutMismatchError(f"keep indices {keep} out of range for {n} factors")
     if len(keep) == n:
         return state
-    drop = [i for i in range(n) if i not in keep]
-    dims = state.layout.dims
-    t = state.matrix.reshape(dims + dims)
-    perm = keep + drop + [i + n for i in keep] + [i + n for i in drop]
-    t = t.transpose(perm)
-    dk = int(np.prod([dims[i] for i in keep]))
-    dd = int(np.prod([dims[i] for i in drop]))
-    t = t.reshape(dk, dd, dk, dd)
-    reduced = np.einsum("abcb->ac", t)
+    reduced = _reduce_matrix(state.matrix, state.layout.dims, keep)
     return QState(state.layout.subset(keep), reduced)
 
 
@@ -287,12 +279,30 @@ def permute_factors(state: QState, order: Sequence[int]) -> QState:
     order = tuple(int(i) for i in order)
     if sorted(order) != list(range(n)):
         raise LayoutMismatchError(f"order {order} is not a permutation of 0..{n - 1}")
-    dims = state.layout.dims
-    t = state.matrix.reshape(dims + dims)
-    perm = list(order) + [i + n for i in order]
+    return QState(
+        state.layout.subset(order), _permute_matrix(state.matrix, state.layout.dims, order)
+    )
+
+
+def _reduce_matrix(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """Raw partial trace onto the sorted factor indices ``keep``; no validation."""
+    dims = tuple(dims)
+    n = len(dims)
+    drop = [i for i in range(n) if i not in keep]
+    t = matrix.reshape(dims + dims)
+    perm = list(keep) + drop + [i + n for i in keep] + [i + n for i in drop]
     t = t.transpose(perm)
-    d = state.total_dim
-    return QState(state.layout.subset(order), t.reshape(d, d))
+    dk = int(np.prod([dims[i] for i in keep]))
+    dd = int(np.prod([dims[i] for i in drop]))
+    return np.einsum("abcb->ac", t.reshape(dk, dd, dk, dd))
+
+
+def _permute_matrix(matrix: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
+    """Raw factor permutation: new factor t is old factor order[t]; no validation."""
+    dims = tuple(dims)
+    n = len(dims)
+    t = matrix.reshape(dims + dims).transpose(list(order) + [i + n for i in order])
+    return t.reshape(matrix.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +483,11 @@ def state_to_dict(state: QState) -> dict:
 
 
 def state_from_dict(doc: dict) -> QState:
-    if doc.get("format") != STATE_FORMAT:
-        raise ValueError(f"unsupported state format {doc.get('format')!r}")
-    layout = SystemLayout([(int(p), int(d)) for p, d in doc["factors"]])
-    return QState(layout, _io.decode_matrix(doc["matrix"]))
+    _io.check_format(doc, STATE_FORMAT, "state")
+    with _io.parsing("state"):
+        layout = SystemLayout([(int(p), int(d)) for p, d in doc["factors"]])
+        matrix = _io.decode_matrix(doc["matrix"])
+    return QState(layout, matrix)
 
 
 def save_state(state: QState, path) -> None:

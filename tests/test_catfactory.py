@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from catent.catfactory import (
+    _fixed_point,
+    _induced_step,
     assembly_from_dict,
     assembly_to_dict,
     build_catalyst,
@@ -22,6 +24,7 @@ from catent.locc import (
     flatten,
     identity_protocol,
     local_channel,
+    run_protocol,
 )
 from catent.purecat import canonical_pure, synthesize_pure_protocol
 from catent.qstate import (
@@ -121,6 +124,45 @@ def test_average_error_bound(n, keep):
     cert = verify_catalysis(asm.embedding, asm.tau, rho, sigma)
     assert cert.catalyst_drift < 1e-9
     assert cert.epsilon_achieved < eps + 2 * delta
+
+
+def _kraus_induced_step(kraus, rho_m, x, ds, dc):
+    # sum_k tr_S K (rho x) K^dag, the catalyst update from the Kraus form
+    out = np.zeros((dc, dc), dtype=complex)
+    for k in kraus:
+        y = (k @ np.kron(rho_m, x) @ k.conj().T).reshape(ds, dc, ds, dc)
+        out += np.einsum("tetf->ef", y)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_catalyst_embedding_matches_flatten(n):
+    # n=3 is the largest Kraus form in the suite: 642 operators at d=192
+    rho = canonical_pure((0.5, 0.5))
+    asm = build_catalyst(_noisy_lambda(n, 0.9), rho, n)
+    flat = flatten(asm.embedding)
+    src = tensor(rho, asm.tau)
+    got = run_protocol(asm.embedding, src)
+    assert np.max(np.abs(got.matrix - apply(flat, src).matrix)) < 1e-12
+    ds, dc = rho.total_dim, asm.tau.total_dim
+    x = random_state(asm.tau.layout, "ginibre_mixed", seed=n).matrix
+    got = _induced_step(asm.embedding, rho.matrix, x, ds, dc)
+    want = _kraus_induced_step(flat.kraus, rho.matrix, x, ds, dc)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_fixed_point_recovers_exact_catalyst_n2():
+    # the exact catalyst is the fixed point the Kraus-form solver also found
+    rho = canonical_pure((0.5, 0.5))
+    asm = build_catalyst(_synth_lambda(2), rho, 2)
+    mix = maximally_mixed(asm.tau.layout)
+    tau_eps = QState(asm.tau.layout, 0.97 * asm.tau.matrix + 0.03 * mix.matrix)
+    x, res = _fixed_point(asm.embedding, rho, asm.tau.total_dim, tau_eps.matrix)
+    assert np.max(np.abs(x - asm.tau.matrix)) < 1e-10
+    assert res < 1e-12
+    _, cert = iterate_reuse(asm.embedding, tau_eps, rho, 1)
+    assert cert.fixed_point_residual < 1e-12
+    assert abs(cert.epsilon_initial - trace_norm_dist(tau_eps, asm.tau)) < 1e-10
 
 
 def test_wrong_catalyst_reports_drift():

@@ -7,7 +7,7 @@ import pytest
 
 from catent import cli
 from catent.errors import MissingSeriesError, ScenarioError
-from catent.qstate import save_state, singlet
+from catent.qstate import save_state, singlet, state_to_dict
 
 
 def _write(tmp_path, name, text):
@@ -300,6 +300,29 @@ def test_usage_errors_exit_2(args, monkeypatch, capsys):
 def test_unparseable_report_exits_2(tmp_path, capsys):
     bad = _write(tmp_path, "r.json", "{not json\n")
     assert cli.main(["plotdata", "--report", bad, "--kind", "distill"]) == 2
+
+
+def _state_doc(**changes):
+    doc = state_to_dict(singlet())
+    doc.update(changes)
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "key,doc",
+    [
+        ("rho", _state_doc(matrix=None)),
+        ("rho", _state_doc(format="catent-state-v9")),
+        ("protocol", _state_doc()),
+    ],
+    ids=["state-without-matrix", "unknown-format", "state-as-protocol"],
+)
+def test_malformed_document_exits_2(key, doc, tmp_path, capsys):
+    path = _write(tmp_path, "doc.json", json.dumps(doc))
+    keys = {"rho": "werner:0.85", "n": "2", key: f"file:{path}"}
+    scn = _write(tmp_path, "c.scn", "".join(f"{k}: {v}\n" for k, v in keys.items()))
+    assert cli.main(["catalyze", "--scenario", scn]) == 2
+    assert "catent: error" in capsys.readouterr().err
 
 
 def test_domain_error_exits_1(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from catent.errors import LayoutMismatchError, LocalityError
+from catent.errors import DocumentError, LayoutMismatchError, LocalityError
 from catent.locc import (
     Channel,
     Instrument,
@@ -174,6 +174,26 @@ def test_instrument_apply_probabilities():
     zero = instrument_apply(inst, basis_state(Q0, (0,)))
     assert zero[1][1] < 1e-15
     assert zero[1][2] is None
+
+
+def test_instrument_apply_changes_dimension():
+    # qutrit -> qubit: outcome "a" keeps level 0, outcome "b" maps levels 1, 2
+    # onto the qubit, so every Kraus operator is 2 x 3
+    q3 = SystemLayout([(0, 3)])
+    ka = np.zeros((2, 3), dtype=complex)
+    ka[0, 0] = 1.0
+    kb = np.zeros((2, 3), dtype=complex)
+    kb[0, 1] = kb[1, 2] = 1.0
+    inst = Instrument((("a", Channel((ka,), q3, Q0)), ("b", Channel((kb,), q3, Q0))))
+    rho = random_state(q3, "ginibre_mixed", seed=5)
+    branches = instrument_apply(inst, rho)
+    assert [lab for lab, _, _ in branches] == ["a", "b"]
+    assert abs(sum(p for _, p, _ in branches) - 1.0) < 1e-12
+    for (_, p, post), k in zip(branches, (ka, kb)):
+        assert post.layout == Q0
+        want = k @ rho.matrix @ k.conj().T
+        assert abs(p - want.trace().real) < 1e-12
+        assert np.max(np.abs(post.matrix * p - want)) < 1e-12
 
 
 def test_instrument_validation():
@@ -507,3 +527,50 @@ def test_protocol_format_guard():
     doc["format"] = "nope"
     with pytest.raises(ValueError):
         protocol_from_dict(doc)
+
+
+def _step_doc(doc, *path):
+    # the rich protocol: step 0 is controlled, its branch 1 holds an instrument
+    node = doc["steps"][0]
+    for key in path:
+        node = node[key]
+    return node
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.pop("steps"),
+        lambda d: d.update(factors=[[0, 2], [0]]),
+        lambda d: d.update(discard=["x"]),
+        lambda d: d.update(relabel=7),
+        lambda d: _step_doc(d).pop("type"),
+        lambda d: _step_doc(d).update(type="teleport"),
+        lambda d: _step_doc(d).update(updates=["a", 0]),
+        lambda d: _step_doc(d).update(branches=3),
+        lambda d: _step_doc(d, "branches", 1, 0).pop("outcomes"),
+        lambda d: _step_doc(d, "branches", 1, 0, "outcomes", 1).update(then=4),
+        lambda d: _step_doc(d, "branches", 1, 0, "outcomes", 0).update(kraus="I"),
+        lambda d: _step_doc(d, "branches", 1, 0, "outcomes", 1, "then", 0).pop("kraus"),
+        lambda d: d.update(format="catent-state-v1"),
+    ],
+    ids=[
+        "no-steps", "short-factor", "discard-str", "relabel-int", "no-type",
+        "unknown-type", "update-str", "branches-int", "no-outcomes", "then-int",
+        "kraus-str", "nested-no-kraus", "state-format",
+    ],
+)
+def test_protocol_dict_malformed_raises_document_error(mutate):
+    doc = protocol_to_dict(_rich_protocol())
+    mutate(doc)
+    with pytest.raises(DocumentError):
+        protocol_from_dict(doc)
+
+
+def test_protocol_dict_nested_domain_error_keeps_its_type():
+    doc = protocol_to_dict(_rich_protocol())
+    out = _step_doc(doc, "branches", 1, 0, "outcomes", 0)
+    out["kraus"] = out["kraus"] * 2  # the instrument is no longer trace-preserving
+    with pytest.raises(ValueError) as err:
+        protocol_from_dict(doc)
+    assert not isinstance(err.value, DocumentError)

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catent.errors import LayoutMismatchError, NotPureError, StateInvariantError
+from catent.errors import (
+    DocumentError,
+    LayoutMismatchError,
+    NotPureError,
+    StateInvariantError,
+)
 from catent.qstate import (
     QState,
     SchmidtVector,
@@ -385,6 +390,34 @@ def test_state_dict_format_guard():
     doc["format"] = "nope"
     with pytest.raises(ValueError):
         state_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.pop("matrix"),
+        lambda d: d.pop("factors"),
+        lambda d: d.update(factors=5),
+        lambda d: d.update(factors=[[0, "two"], [1, 2]]),
+        lambda d: d["matrix"].pop("shape"),
+        lambda d: d["matrix"].update(entries=[["0x1p0", 0]] * 16),
+        lambda d: d["matrix"].update(entries=[["zz", "0x0p0"]] * 16),
+        lambda d: d["matrix"].update(entries=d["matrix"]["entries"][:-1]),
+        lambda d: d.update(format="catent-state-v9"),
+        lambda d: d.clear(),
+    ],
+    ids=[
+        "no-matrix", "no-factors", "factors-int", "dim-str", "no-shape",
+        "entry-float", "entry-not-hex", "entry-count", "format", "empty",
+    ],
+)
+def test_state_dict_malformed_raises_document_error(mutate):
+    doc = state_to_dict(singlet())
+    mutate(doc)
+    with pytest.raises(DocumentError):
+        state_from_dict(doc)
+    with pytest.raises(DocumentError):
+        state_from_dict([doc])
 
 
 def test_n_copies():
