@@ -44,8 +44,22 @@ from .qstate import QState, SystemLayout, _permute_matrix, _reduce_matrix
 
 TP_TOL = 1e-9
 KRAUS_CAP = 65536
+# batched validation: items per batch and stacked entries per batch
+_BATCH = 256
+_BATCH_ELEMS = 1 << 20
 
 PROTOCOL_FORMAT = "catent-protocol-v1"
+
+
+def _batches(n: int, item_elems: int) -> list[tuple[int, int]]:
+    """Split ``range(n)`` into consecutive ``(lo, hi)`` runs for batched checks.
+
+    A run holds at most ``_BATCH`` items and, unless one item alone is
+    larger, at most ``_BATCH_ELEMS`` stacked matrix entries, which bounds
+    the memory a batched check allocates.
+    """
+    size = max(1, min(_BATCH, _BATCH_ELEMS // max(item_elems, 1)))
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def _readonly(arrays: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -226,12 +240,23 @@ class Instrument:
             raise LayoutMismatchError("all instrument outcomes must share one layout")
         din = self.input_layout.total_dim
         total = np.zeros((din, din), dtype=complex)
-        for lab, ch in self.outcomes:
-            comp = ch.completeness()
-            top = float(np.linalg.eigvalsh(comp)[-1])
-            if top > 1.0 + TP_TOL:
-                raise ValueError(f"outcome {lab!r} is not trace-non-increasing ({top})")
-            total += comp
+        counts = [len(ch.kraus) for _, ch in self.outcomes]
+        dout = self.outcomes[0][1].output_layout.total_dim
+        for lo, hi in _batches(len(self.outcomes), max(counts) * din * (din + dout)):
+            chunk = self.outcomes[lo:hi]
+            ks = np.stack([k for _, ch in chunk for k in ch.kraus])
+            comps = ks.conj().transpose(0, 2, 1) @ ks
+            if len(ks) != len(chunk):
+                starts = np.cumsum([0] + counts[lo : hi - 1])
+                comps = np.add.reduceat(comps, starts, axis=0)
+            tops = np.linalg.eigvalsh(comps)[:, -1]
+            bad = np.flatnonzero(tops > 1.0 + TP_TOL)
+            if bad.size:
+                lab = chunk[bad[0]][0]
+                raise ValueError(
+                    f"outcome {lab!r} is not trace-non-increasing ({float(tops[bad[0]])})"
+                )
+            total += comps.sum(axis=0)
         if np.max(np.abs(total - np.eye(din))) > TP_TOL:
             raise ValueError("instrument outcomes do not sum to a trace-preserving map")
 
@@ -348,16 +373,42 @@ def _check_factors(layout: SystemLayout, party: int, factors: tuple[int, ...]) -
 
 
 def _validate_steps(layout: SystemLayout, steps: Sequence[Step]) -> None:
+    """Check a step tree: structure first, then every local channel is TP.
+
+    Single-Kraus channels, such as the per-outcome corrections of a wide
+    instrument, are TP-checked together, in batches per dimension.
+    """
+    unitaries: list[np.ndarray] = []
+    _check_structure(layout, steps, unitaries)
+    by_dim: dict[int, list[np.ndarray]] = {}
+    for k in unitaries:
+        by_dim.setdefault(k.shape[0], []).append(k)
+    for d, ks in by_dim.items():
+        for lo, hi in _batches(len(ks), 2 * d * d):
+            stack = np.stack(ks[lo:hi])
+            comps = stack.conj().transpose(0, 2, 1) @ stack
+            if np.max(np.abs(comps - np.eye(d))) > TP_TOL:
+                raise ValueError("local channel step must be trace-preserving")
+
+
+def _check_structure(
+    layout: SystemLayout, steps: Sequence[Step], unitaries: list[np.ndarray]
+) -> None:
+    """Structural checks of a step tree; collects the single-Kraus channels."""
     for s in steps:
         if isinstance(s, LocalChannel):
             _check_factors(layout, s.party, s.factors)
-            d = int(np.prod([layout[i].dim for i in s.factors]))
-            comp = np.zeros((d, d), dtype=complex)
+            d = math.prod(layout[i].dim for i in s.factors)
             for k in s.kraus:
                 if k.shape != (d, d):
                     raise LayoutMismatchError(
                         f"local Kraus shape {k.shape} != ({d}, {d}) on factors {s.factors}"
                     )
+            if len(s.kraus) == 1:
+                unitaries.append(s.kraus[0])
+                continue
+            comp = np.zeros((d, d), dtype=complex)
+            for k in s.kraus:
                 comp += k.conj().T @ k
             if np.max(np.abs(comp - np.eye(d))) > TP_TOL:
                 raise ValueError("local channel step must be trace-preserving")
@@ -372,7 +423,7 @@ def _validate_steps(layout: SystemLayout, steps: Sequence[Step]) -> None:
             for lab, cont in s.cases:
                 if lab not in labels:
                     raise ValueError(f"case label {lab!r} is not an instrument outcome")
-                _validate_steps(layout, cont)
+                _check_structure(layout, cont, unitaries)
         elif isinstance(s, RegisterControlled):
             if not 0 <= s.register < len(layout):
                 raise LayoutMismatchError(f"register index {s.register} out of range")
@@ -384,7 +435,7 @@ def _validate_steps(layout: SystemLayout, steps: Sequence[Step]) -> None:
             if len(s.updates) != reg_dim or any(not 0 <= u < reg_dim for u in s.updates):
                 raise ValueError(f"register updates {s.updates} invalid for dim {reg_dim}")
             for b in s.branches:
-                _validate_steps(layout, b)
+                _check_structure(layout, b, unitaries)
                 if s.register in _touched(b):
                     raise LocalityError("controlled branches must not touch the register")
         else:

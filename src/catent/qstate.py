@@ -56,7 +56,7 @@ class Factor(NamedTuple):
 class SystemLayout:
     """Ordered list of ``(party, dim)`` tensor factors."""
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "total_dim")
 
     def __init__(self, factors: Iterable[tuple[int, int] | Factor]):
         fs = tuple(Factor(int(p), int(d)) for p, d in factors)
@@ -68,14 +68,12 @@ class SystemLayout:
             if f.party < 0:
                 raise ValueError(f"party id must be >= 0, got {f.party}")
         self.factors = fs
+        # exact integer product: a fixed-width one wraps past 2**63
+        self.total_dim: int = math.prod(f.dim for f in fs)
 
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(f.dim for f in self.factors)
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64))
 
     @property
     def parties(self) -> tuple[int, ...]:

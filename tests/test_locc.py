@@ -7,7 +7,10 @@ from catent.errors import DocumentError, LayoutMismatchError, LocalityError
 from catent.locc import (
     Channel,
     Instrument,
+    LocalChannel,
+    LocalInstrument,
     LoccProtocol,
+    RegisterControlled,
     apply,
     apply_to_factors,
     controlled_on_register,
@@ -209,6 +212,42 @@ def test_instrument_validation():
         Instrument.from_kraus(
             Q0, [("a", [0.5 * np.eye(2)]), ("b", [0.5 * np.eye(2)])]
         )
+
+
+def test_instrument_names_bad_outcome_beyond_first_batch():
+    # outcomes are validated in batches; the bad ones sit in the second
+    ks = [math.sqrt(1 / 400) * np.eye(2) for _ in range(400)]
+    ks[300] = ks[350] = 1.1 * np.eye(2)
+    with pytest.raises(ValueError, match="'o300' is not trace-non-increasing"):
+        Instrument.from_kraus(Q0, [(f"o{m}", [k]) for m, k in enumerate(ks)])
+
+
+def test_instrument_mixed_kraus_counts():
+    # 300 outcomes alternating one and two Kraus operators, over two batches
+    w = math.sqrt(1 / 450)
+    outcomes = [(f"o{m}", [w * np.eye(2)] * (1 + m % 2)) for m in range(300)]
+    assert len(Instrument.from_kraus(Q0, outcomes).outcomes) == 300
+    # each operator alone is fine; only their sum within o289 exceeds 1
+    outcomes[289] = ("o289", [math.sqrt(0.6) * np.eye(2)] * 2)
+    with pytest.raises(ValueError, match="'o289' is not trace-non-increasing"):
+        Instrument.from_kraus(Q0, outcomes)
+
+
+@pytest.mark.parametrize("where", ["instrument_case", "register_branch", "after_300_steps"])
+def test_non_tp_local_channel_rejected_anywhere(where):
+    def tree(last: LocalChannel):
+        flip = LocalChannel(1, (1,), (X,))
+        if where == "instrument_case":
+            inst = _z_measurement()
+            return PAIR, [LocalInstrument(0, (0,), inst, (("0", (flip,)), ("1", (last,))))]
+        if where == "register_branch":
+            lay = SystemLayout([(0, 2), (1, 2), (0, 2)])
+            return lay, [RegisterControlled(2, ((flip,), (last,)), (0, 1))]
+        return PAIR, [flip] * 300 + [last]
+
+    LoccProtocol(*tree(LocalChannel(1, (1,), (Z,))))
+    with pytest.raises(ValueError, match="must be trace-preserving"):
+        LoccProtocol(*tree(LocalChannel(1, (1,), (1.1 * Z,))))
 
 
 # ---------------------------------------------------------------------------

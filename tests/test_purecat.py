@@ -7,6 +7,9 @@ from hypothesis import given, settings, strategies as st
 from catent.errors import DivergingRateError, NotConvertibleError
 from catent.locc import apply, flatten
 from catent.purecat import (
+    SUM_TOL,
+    _mixing_chain,
+    _padded_pair,
     canonical_pure,
     catalytic_convertible,
     majorizes,
@@ -185,6 +188,93 @@ def test_synthesize_layout_validation():
         synthesize_pure_protocol(src, tgt, layout=SystemLayout([(0, 2), (1, 3)]))
     with pytest.raises(ValueError):
         synthesize_pure_protocol(src, tgt, layout=SystemLayout([(0, 2), (2, 2)]))
+
+
+def _reference_outcomes(source, target, layout=None):
+    """Per-element builder of the synthesized outcomes: (label, Kraus, correction).
+
+    This is the outcome-by-outcome loop the array construction replaced;
+    the synthesized instrument must match it byte for byte.
+    """
+    t, s = _padded_pair(target, source)
+    if layout is not None:
+        da = math.prod(f.dim for f in layout if f.party == 0)
+        t, s = np.pad(t, (0, da - len(t))), np.pad(s, (0, da - len(s)))
+    d = len(t)
+    out = []
+    for m, (sigma, wt) in enumerate(_mixing_chain(t, s)):
+        k = np.zeros((d, d), dtype=complex)
+        corr = np.zeros((d, d), dtype=complex)
+        for i in range(d):
+            si = sigma[i]
+            if s[i] > SUM_TOL:
+                k[si, i] = math.sqrt(wt * t[si] / s[i])
+            else:
+                k[si, i] = math.sqrt(wt)
+            corr[si, i] = 1.0
+        out.append((f"m{m}", k, corr))
+    return out
+
+
+def _assert_matches_reference(source, target, layout=None):
+    (step,) = synthesize_pure_protocol(source, target, layout=layout).steps
+    cases = step.case_map()
+    want = _reference_outcomes(source, target, layout)
+    assert step.instrument.labels == tuple(lab for lab, _, _ in want)
+    for (lab, k0, c0), (_, ch) in zip(want, step.instrument.outcomes):
+        (k,) = ch.kraus
+        ((corr,),) = [c.kraus for c in cases[lab]]
+        assert k.shape == k0.shape and k.tobytes() == k0.tobytes()
+        assert corr.shape == c0.shape and corr.tobytes() == c0.tobytes()
+    return want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_synthesis_matches_per_element_builder(seed):
+    # random dominated pairs with d <= 8; the spectra are not dyadic, so a
+    # reordered amplitude formula would show up in the last bit
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 9))
+    t = np.asarray(_random_spectrum(rng, int(rng.integers(1, d + 1))).probs)
+    t = np.pad(t, (0, d - len(t)))
+    lam = rng.random()
+    s = SchmidtVector.of(lam * t + (1 - lam) * np.full(d, 1.0 / d))
+    target = SchmidtVector.of(t)
+    # a wider party dimension pads both spectra with zero-weight coordinates
+    da = int(rng.integers(d, 9))
+    layout = SystemLayout([(0, da), (1, da)]) if da > d else None
+    _assert_matches_reference(s, target, layout)
+
+
+def test_synthesis_matches_per_element_builder_on_padded_layout():
+    # the source has no weight on coordinate 3 of each party's 4 levels
+    src = SchmidtVector.of((0.5, 0.3, 0.2))
+    tgt = SchmidtVector.of((0.6, 0.4))
+    layout = SystemLayout([(0, 2), (0, 2), (1, 2), (1, 2)])
+    want = _assert_matches_reference(src, tgt, layout)
+    assert len(want) > 1
+    # there every Kraus operator takes the sqrt(weight) completion
+    assert all(np.max(np.abs(k[:, 3])) > 0 for _, k, _ in want)
+
+
+def test_synthesis_validates_outcomes_in_batches(monkeypatch):
+    # per-outcome validation would call eigvalsh once for each of the 128
+    # outcomes; batched validation calls it once per 256
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    src = SchmidtVector.of((0.5, 0.5))
+    tgt = SchmidtVector.of((0.7, 0.3))
+    proto = synthesize_pure_protocol(src.tensor(src).tensor(src), tgt.tensor(tgt).tensor(tgt))
+    outcomes = len(proto.steps[0].instrument.outcomes)
+    assert outcomes == 128
+    assert 1 <= len(calls) <= -(-outcomes // 256)
 
 
 def test_canonical_pure_spectrum():

@@ -74,6 +74,11 @@ def test_layout_basics():
         SystemLayout([(0, 0)])
 
 
+def test_layout_total_dim_is_exact():
+    # a fixed-width product wraps to 0 here and would slip past DIM_CAP gates
+    assert SystemLayout([(0, 2**32), (1, 2**32)]).total_dim == 2**64
+
+
 # ---------------------------------------------------------------------------
 # construction and invariants
 
