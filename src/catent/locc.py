@@ -55,11 +55,27 @@ def _batches(n: int, item_elems: int) -> list[tuple[int, int]]:
     """Split ``range(n)`` into consecutive ``(lo, hi)`` runs for batched checks.
 
     A run holds at most ``_BATCH`` items and, unless one item alone is
-    larger, at most ``_BATCH_ELEMS`` stacked matrix entries, which bounds
-    the memory a batched check allocates.
+    larger, at most ``_BATCH_ELEMS`` matrix entries, where ``item_elems``
+    is what one item allocates in the check.
     """
     size = max(1, min(_BATCH, _BATCH_ELEMS // max(item_elems, 1)))
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def _completeness(kraus_sets: Sequence[Sequence[np.ndarray]], din: int) -> np.ndarray:
+    """Stacked ``sum_k k^dag k`` of Kraus sets on one input dimension.
+
+    Set j is stacked into A_j = vstack(kraus_j), so its completeness is
+    A_j^dag A_j: one batched matmul, and one set allocates twice its own
+    size (A_j and its conjugate) plus ``din**2``, never one ``din**2`` per
+    operator.  Shorter sets are padded with zero rows, which add nothing.
+    """
+    rows = [sum(len(k) for k in ks) for ks in kraus_sets]
+    a = np.zeros((len(kraus_sets), max(rows), din), dtype=complex)
+    for j, ks in enumerate(kraus_sets):
+        if ks:
+            a[j, : rows[j]] = ks[0] if len(ks) == 1 else np.concatenate(ks)
+    return a.conj().transpose(0, 2, 1) @ a
 
 
 def _readonly(arrays: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -240,19 +256,14 @@ class Instrument:
             raise LayoutMismatchError("all instrument outcomes must share one layout")
         din = self.input_layout.total_dim
         total = np.zeros((din, din), dtype=complex)
-        counts = [len(ch.kraus) for _, ch in self.outcomes]
-        dout = self.outcomes[0][1].output_layout.total_dim
-        for lo, hi in _batches(len(self.outcomes), max(counts) * din * (din + dout)):
-            chunk = self.outcomes[lo:hi]
-            ks = np.stack([k for _, ch in chunk for k in ch.kraus])
-            comps = ks.conj().transpose(0, 2, 1) @ ks
-            if len(ks) != len(chunk):
-                starts = np.cumsum([0] + counts[lo : hi - 1])
-                comps = np.add.reduceat(comps, starts, axis=0)
+        kraus = [ch.kraus for _, ch in self.outcomes]
+        rows = max(len(ks) for ks in kraus) * self.outcomes[0][1].output_layout.total_dim
+        for lo, hi in _batches(len(kraus), (2 * rows + din) * din):
+            comps = _completeness(kraus[lo:hi], din)
             tops = np.linalg.eigvalsh(comps)[:, -1]
             bad = np.flatnonzero(tops > 1.0 + TP_TOL)
             if bad.size:
-                lab = chunk[bad[0]][0]
+                lab = self.outcomes[lo + bad[0]][0]
                 raise ValueError(
                     f"outcome {lab!r} is not trace-non-increasing ({float(tops[bad[0]])})"
                 )
@@ -373,28 +384,30 @@ def _check_factors(layout: SystemLayout, party: int, factors: tuple[int, ...]) -
 
 
 def _validate_steps(layout: SystemLayout, steps: Sequence[Step]) -> None:
-    """Check a step tree: structure first, then every local channel is TP.
+    """Check a step tree: its structure first, then that every local channel is TP.
 
-    Single-Kraus channels, such as the per-outcome corrections of a wide
-    instrument, are TP-checked together, in batches per dimension.
+    The TP checks run together, in batches of channels with the same
+    dimension and Kraus count, so the thousands of per-outcome corrections
+    of a wide instrument cost a few batched matmuls.
     """
-    unitaries: list[np.ndarray] = []
-    _check_structure(layout, steps, unitaries)
-    by_dim: dict[int, list[np.ndarray]] = {}
-    for k in unitaries:
-        by_dim.setdefault(k.shape[0], []).append(k)
-    for d, ks in by_dim.items():
-        for lo, hi in _batches(len(ks), 2 * d * d):
-            stack = np.stack(ks[lo:hi])
-            comps = stack.conj().transpose(0, 2, 1) @ stack
+    channels: list[tuple[int, tuple[np.ndarray, ...]]] = []
+    _check_structure(layout, steps, channels)
+    groups: dict[tuple[int, int], list[tuple[np.ndarray, ...]]] = {}
+    for d, kraus in channels:
+        groups.setdefault((d, len(kraus)), []).append(kraus)
+    for (d, count), sets in groups.items():
+        for lo, hi in _batches(len(sets), (2 * count + 1) * d * d):
+            comps = _completeness(sets[lo:hi], d)
             if np.max(np.abs(comps - np.eye(d))) > TP_TOL:
                 raise ValueError("local channel step must be trace-preserving")
 
 
 def _check_structure(
-    layout: SystemLayout, steps: Sequence[Step], unitaries: list[np.ndarray]
+    layout: SystemLayout,
+    steps: Sequence[Step],
+    channels: list[tuple[int, tuple[np.ndarray, ...]]],
 ) -> None:
-    """Structural checks of a step tree; collects the single-Kraus channels."""
+    """Structural checks of a step tree; collects ``(dim, kraus)`` of its local channels."""
     for s in steps:
         if isinstance(s, LocalChannel):
             _check_factors(layout, s.party, s.factors)
@@ -404,14 +417,7 @@ def _check_structure(
                     raise LayoutMismatchError(
                         f"local Kraus shape {k.shape} != ({d}, {d}) on factors {s.factors}"
                     )
-            if len(s.kraus) == 1:
-                unitaries.append(s.kraus[0])
-                continue
-            comp = np.zeros((d, d), dtype=complex)
-            for k in s.kraus:
-                comp += k.conj().T @ k
-            if np.max(np.abs(comp - np.eye(d))) > TP_TOL:
-                raise ValueError("local channel step must be trace-preserving")
+            channels.append((d, s.kraus))
         elif isinstance(s, LocalInstrument):
             _check_factors(layout, s.party, s.factors)
             sub_dims = tuple(layout[i].dim for i in s.factors)
@@ -423,7 +429,7 @@ def _check_structure(
             for lab, cont in s.cases:
                 if lab not in labels:
                     raise ValueError(f"case label {lab!r} is not an instrument outcome")
-                _check_structure(layout, cont, unitaries)
+                _check_structure(layout, cont, channels)
         elif isinstance(s, RegisterControlled):
             if not 0 <= s.register < len(layout):
                 raise LayoutMismatchError(f"register index {s.register} out of range")
@@ -435,7 +441,7 @@ def _check_structure(
             if len(s.updates) != reg_dim or any(not 0 <= u < reg_dim for u in s.updates):
                 raise ValueError(f"register updates {s.updates} invalid for dim {reg_dim}")
             for b in s.branches:
-                _check_structure(layout, b, unitaries)
+                _check_structure(layout, b, channels)
                 if s.register in _touched(b):
                     raise LocalityError("controlled branches must not touch the register")
         else:

@@ -15,10 +15,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DivergingRateError, NotConvertibleError
+from .errors import DimensionCapError, DivergingRateError, NotConvertibleError
 from .locc import Instrument, LocalChannel, LocalInstrument, LoccProtocol
 from .measures import EdBounds, hashing_bounds
-from .qstate import QState, SchmidtVector, SystemLayout, pure_state
+from .qstate import DIM_CAP, QState, SchmidtVector, SystemLayout, pure_state
 
 __all__ = [
     "MajorizationReport",
@@ -167,8 +167,11 @@ def synthesize_pure_protocol(
             raise ValueError("layout must contain exactly parties 0 and 1")
         a_factors = tuple(a_idx)
         b_factors = tuple(b_idx)
-        da = int(np.prod([layout[i].dim for i in a_idx]))
-        db = int(np.prod([layout[i].dim for i in b_idx]))
+        da = layout.subset(a_idx).total_dim
+        db = layout.subset(b_idx).total_dim
+        if da > DIM_CAP:
+            # the padded spectra and every outcome's da x da operators
+            raise DimensionCapError(f"party dimension {da} exceeds cap {DIM_CAP}")
         if da != db or da < d:
             raise ValueError(
                 f"party dimensions ({da}, {db}) cannot hold a length-{d} spectrum"

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from catent import locc
 from catent.errors import DocumentError, LayoutMismatchError, LocalityError
 from catent.locc import (
     Channel,
@@ -233,10 +235,46 @@ def test_instrument_mixed_kraus_counts():
         Instrument.from_kraus(Q0, outcomes)
 
 
+def test_instrument_batches_bound_memory():
+    # at d=64 the element budget, not the item cap, sets the batch size
+    runs = locc._batches(200, (2 * 64 + 64) * 64)
+    assert runs[0] == (0, 85) and runs[-1] == (170, 200)
+    d64 = SystemLayout([(0, 64)])
+    ks = [math.sqrt(1 / 200) * np.eye(64) for _ in range(200)]
+    ks[150] = 1.1 * np.eye(64)
+    with pytest.raises(ValueError, match="'o150' is not trace-non-increasing"):
+        Instrument.from_kraus(d64, [(f"o{m}", [k]) for m, k in enumerate(ks)])
+
+
+def test_many_kraus_outcome_needs_no_per_operator_square():
+    # one outcome with 64 operators 64 -> 2: the Kraus set is 8192 entries,
+    # one 64x64 product per operator would be 262144 (4 MB)
+    kraus = []
+    for j in range(64):
+        k = np.zeros((2, 64), dtype=complex)
+        k[0, j] = 1.0
+        kraus.append(k)
+    ch = Channel(tuple(kraus), SystemLayout([(0, 64)]), SystemLayout([(0, 2)]))
+    tracemalloc.start()
+    try:
+        Instrument((("all", ch),))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_local_channel_without_kraus_is_not_tp():
+    # no Kraus operators is the zero map
+    with pytest.raises(ValueError, match="must be trace-preserving"):
+        LoccProtocol(PAIR, [LocalChannel(1, (1,), (X,)), LocalChannel(1, (1,), ())])
+
+
+@pytest.mark.parametrize("count", [1, 2])
 @pytest.mark.parametrize("where", ["instrument_case", "register_branch", "after_300_steps"])
-def test_non_tp_local_channel_rejected_anywhere(where):
+def test_non_tp_local_channel_rejected_anywhere(where, count):
     def tree(last: LocalChannel):
-        flip = LocalChannel(1, (1,), (X,))
+        flip = LocalChannel(1, (1,), (X / math.sqrt(count),) * count)
         if where == "instrument_case":
             inst = _z_measurement()
             return PAIR, [LocalInstrument(0, (0,), inst, (("0", (flip,)), ("1", (last,))))]
@@ -245,9 +283,10 @@ def test_non_tp_local_channel_rejected_anywhere(where):
             return lay, [RegisterControlled(2, ((flip,), (last,)), (0, 1))]
         return PAIR, [flip] * 300 + [last]
 
-    LoccProtocol(*tree(LocalChannel(1, (1,), (Z,))))
+    good = LocalChannel(1, (1,), (Z / math.sqrt(count),) * count)
+    LoccProtocol(*tree(good))
     with pytest.raises(ValueError, match="must be trace-preserving"):
-        LoccProtocol(*tree(LocalChannel(1, (1,), (1.1 * Z,))))
+        LoccProtocol(*tree(LocalChannel(1, (1,), (1.1 * Z / math.sqrt(count),) * count)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catent.errors import DivergingRateError, NotConvertibleError
+from catent.errors import DimensionCapError, DivergingRateError, NotConvertibleError
 from catent.locc import apply, flatten
 from catent.purecat import (
     SUM_TOL,
@@ -188,6 +188,10 @@ def test_synthesize_layout_validation():
         synthesize_pure_protocol(src, tgt, layout=SystemLayout([(0, 2), (1, 3)]))
     with pytest.raises(ValueError):
         synthesize_pure_protocol(src, tgt, layout=SystemLayout([(0, 2), (2, 2)]))
+    # party dimension 2**64: an int64 product wraps to 0 here
+    huge = SystemLayout([(0, 2**32), (0, 2**32), (1, 2**32), (1, 2**32)])
+    with pytest.raises(DimensionCapError, match="party dimension 18446744073709551616"):
+        synthesize_pure_protocol(src, tgt, layout=huge)
 
 
 def _reference_outcomes(source, target, layout=None):
