@@ -299,10 +299,18 @@ def iterate_reuse(
     ds, dc = rho.total_dim, tau_eps.total_dim
     if ds * dc > DIM_CAP:
         raise DimensionCapError(f"joint dimension {ds * dc} exceeds cap {DIM_CAP}")
-    if track_joint and ds**copies * dc > DIM_CAP:
+    # the returned state spans every copy.  Any ds >= 2 to the power
+    # DIM_CAP.bit_length() exceeds the cap, so clamping the exponent there
+    # keeps the test exact without building a huge integer.
+    out_dim = ds ** min(copies, DIM_CAP.bit_length())
+    if out_dim > DIM_CAP:
+        raise DimensionCapError(
+            f"{copies} output copies of dimension {ds} exceed cap {DIM_CAP}"
+        )
+    if track_joint and out_dim * dc > DIM_CAP:
         raise DimensionCapError(
             f"joint tracking of {copies} copies needs dimension "
-            f"{ds**copies * dc} > cap {DIM_CAP}"
+            f"{out_dim * dc} > cap {DIM_CAP}"
         )
     cat_idx = tuple(range(f, f + len(tau_eps.layout)))
 

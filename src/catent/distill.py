@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionCapError, LayoutMismatchError
+from .errors import BudgetError, DimensionCapError, LayoutMismatchError
 from .locc import apply_to_factors, teleport_channel
 from .qstate import DIM_CAP, QState, SystemLayout, trace_norm_dist
 
@@ -31,11 +31,16 @@ __all__ = [
     "DistillRun",
     "distill_to",
     "expected_copies_mc",
+    "MC_COPY_BUDGET",
     "recurrence_sweep",
     "synthesize_tau_eps",
 ]
 
 PAIR_LAYOUT = SystemLayout([(0, 2), (1, 2)])
+
+# Most simulated copies one expected_copies_mc call may cost: the draw loop
+# simulates about 1e6 copies/s (2-core box), so this is about 30 s of work.
+MC_COPY_BUDGET = 3e7
 
 # Bell vectors with the first party's qubit most significant
 _PHI_P = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -188,9 +193,19 @@ def distill_to(f_target: float, f_initial: float, max_rounds: int = 200) -> Dist
 
 
 def expected_copies_mc(run: DistillRun, samples: int, seed: int = 0) -> float:
-    """Monte Carlo cross-check of the expected-copies bookkeeping."""
+    """Monte Carlo cross-check of the expected-copies bookkeeping.
+
+    Raises BudgetError before the first draw when ``samples`` times the
+    expected copies per sample exceeds ``MC_COPY_BUDGET``.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    work = samples * run.copies_consumed
+    if work > MC_COPY_BUDGET:
+        raise BudgetError(
+            f"Monte Carlo needs about {work:.3g} simulated copies "
+            f"({samples} samples x {run.copies_consumed:.3g}); the budget is {MC_COPY_BUDGET:.3g}"
+        )
     rng = np.random.default_rng(seed)
     probs = [r.success_probability for r in run.rounds]
 

@@ -18,6 +18,19 @@ by less than 1e-9 (smallest eigenvalue in ``[-1e-9, -1e-10)``) are
 clipped to the PSD cone and renormalized with a :class:`StateClipWarning`;
 anything worse is rejected.  Eigenvalues below 1e-12 contribute nothing
 to entropies.
+
+Each state keeps the spectrum its validation found as ``QState.spectrum``
+(ascending; after a clip, the eigenvalues of the stored matrix), and
+``von_neumann_entropy`` and ``is_pure`` read it.  ``tensor`` (so also
+``tensor_all`` and ``n_copies``) and ``permute_factors`` derive their
+output's spectrum from their inputs, the sorted products for a Kronecker
+product and the same multiset for a factor permutation, in place of an
+eigendecomposition.  The hermiticity, trace and positivity checks still
+run on the output with the same tolerances, and a derived spectrum whose
+smallest eigenvalue is below ``-PSD_TOL / 2`` is recomputed, so a product
+near a tolerance takes the full path.  ``partial_trace`` and protocol
+outputs are always fully validated: a partial trace can scale negative
+dust by the traced dimension, so its spectrum cannot be derived.
 """
 
 from __future__ import annotations
@@ -31,7 +44,12 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import _io
-from .errors import LayoutMismatchError, NotPureError, StateInvariantError
+from .errors import (
+    DimensionCapError,
+    LayoutMismatchError,
+    NotPureError,
+    StateInvariantError,
+)
 
 DIM_CAP = 4096
 HERM_TOL = 1e-10
@@ -116,7 +134,17 @@ class SystemLayout:
         return f"SystemLayout({inner})"
 
 
-def _validate_density(matrix: np.ndarray, dim: int) -> np.ndarray:
+def _validate_density(
+    matrix: np.ndarray, dim: int, spectrum: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Checked read-only copy of ``matrix`` and its ascending spectrum.
+
+    ``spectrum`` is the spectrum of ``matrix`` known exactly from the
+    states it was built from.  It stands in for the eigendecomposition
+    unless its smallest eigenvalue is below ``-PSD_TOL / 2``; that margin
+    is far wider than eigvalsh's error at any dimension under ``DIM_CAP``,
+    so the PSD verdict is the one a full decomposition would give.
+    """
     m = np.ascontiguousarray(matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise StateInvariantError(f"matrix shape {m.shape} does not match layout dim {dim}")
@@ -127,7 +155,9 @@ def _validate_density(matrix: np.ndarray, dim: int) -> np.ndarray:
     tr = float(m.trace().real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateInvariantError(f"trace is {tr!r}, not 1 within {TRACE_TOL}")
-    eigs = np.linalg.eigvalsh(m)
+    eigs = spectrum
+    if eigs is None or eigs[0] < -PSD_TOL / 2:
+        eigs = np.linalg.eigvalsh(m)
     min_eig = float(eigs[0])
     if min_eig < -PSD_CLIP_TOL:
         raise StateInvariantError(f"matrix is not PSD (min eigenvalue {min_eig:.3e})")
@@ -143,20 +173,28 @@ def _validate_density(matrix: np.ndarray, dim: int) -> np.ndarray:
         vals /= vals.sum()
         m = (vecs * vals) @ vecs.conj().T
         m = (m + m.conj().T) / 2.0
+        eigs = vals
     m.setflags(write=False)
-    return m
+    eigs.setflags(write=False)
+    return m, eigs
 
 
 class QState:
-    """Immutable density matrix on a :class:`SystemLayout`."""
+    """Immutable density matrix on a :class:`SystemLayout`.
 
-    __slots__ = ("layout", "matrix")
+    ``spectrum`` holds the eigenvalues of ``matrix``, ascending and
+    read-only, as its validation found them.
+    """
 
-    def __init__(self, layout: SystemLayout, matrix: np.ndarray):
+    __slots__ = ("layout", "matrix", "spectrum")
+
+    def __init__(
+        self, layout: SystemLayout, matrix: np.ndarray, *, _spectrum: np.ndarray | None = None
+    ):
         if not isinstance(layout, SystemLayout):
             layout = SystemLayout(layout)
         self.layout = layout
-        self.matrix = _validate_density(matrix, layout.total_dim)
+        self.matrix, self.spectrum = _validate_density(matrix, layout.total_dim, _spectrum)
 
     @property
     def total_dim(self) -> int:
@@ -241,7 +279,12 @@ def random_state(layout: SystemLayout, ensemble: str = "haar_pure", seed: int = 
 
 
 def tensor(a: QState, b: QState) -> QState:
-    return QState(a.layout + b.layout, np.kron(a.matrix, b.matrix))
+    """a ⊗ b; raises DimensionCapError before allocating past ``DIM_CAP``."""
+    dim = a.total_dim * b.total_dim
+    if dim > DIM_CAP:
+        raise DimensionCapError(f"tensor product dimension {dim} exceeds cap {DIM_CAP}")
+    spectrum = np.sort(np.outer(a.spectrum, b.spectrum), axis=None)
+    return QState(a.layout + b.layout, np.kron(a.matrix, b.matrix), _spectrum=spectrum)
 
 
 def tensor_all(states: Sequence[QState]) -> QState:
@@ -278,7 +321,9 @@ def permute_factors(state: QState, order: Sequence[int]) -> QState:
     if sorted(order) != list(range(n)):
         raise LayoutMismatchError(f"order {order} is not a permutation of 0..{n - 1}")
     return QState(
-        state.layout.subset(order), _permute_matrix(state.matrix, state.layout.dims, order)
+        state.layout.subset(order),
+        _permute_matrix(state.matrix, state.layout.dims, order),
+        _spectrum=state.spectrum,
     )
 
 
@@ -340,11 +385,11 @@ def _entropy_from_probs(probs: np.ndarray) -> float:
 
 def von_neumann_entropy(state: QState) -> float:
     """S(rho) = -tr rho log2 rho, eigenvalues below 1e-12 dropped."""
-    return _entropy_from_probs(np.linalg.eigvalsh(state.matrix))
+    return _entropy_from_probs(state.spectrum)
 
 
 def is_pure(state: QState, tol: float = PURITY_TOL) -> bool:
-    top = float(np.linalg.eigvalsh(state.matrix)[-1])
+    top = float(state.spectrum[-1])
     return top >= 1.0 - tol
 
 

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import catent
 from catent import cli
 from catent.errors import MissingSeriesError, ScenarioError
 from catent.qstate import save_state, singlet, state_to_dict
@@ -376,3 +381,59 @@ def test_plotdata_missing_series_exits_2(tmp_path):
 def test_emit_plotdata_requires_series(kind):
     with pytest.raises(MissingSeriesError):
         cli.emit_plotdata({"results": {}}, kind)
+
+
+# ---------------------------------------------------------------------------
+# inputs that must stop before allocating or looping (run in a child process,
+# so an implementation that allocates or loops fails the test instead of
+# taking the suite down)
+
+_SRC = os.path.dirname(os.path.dirname(catent.__file__))
+
+
+def _run_limited(tmp_path, command, text, address_space_mb, timeout_s):
+    def limit():
+        cap = address_space_mb * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    scn = _write(tmp_path, f"{command}.scn", text)
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run(
+        [sys.executable, "-m", "catent.cli", command, "--scenario", scn],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout_s,
+        preexec_fn=limit,
+    )
+
+
+@pytest.mark.parametrize("copies", [7, 10**9])
+def test_synth_catalyst_copies_past_cap_exits_1(tmp_path, copies):
+    # the reused copies come back as one product: 7 copies of a 4-dim pair
+    # are 16384-dim, 4 GiB as a dense matrix.  10**9 copies must neither
+    # loop nor build the integer 4**(10**9) to find that out.
+    proc = _run_limited(
+        tmp_path,
+        "synth-catalyst",
+        f"rho: pure:0.5,0.5\nsigma: pure:0.75,0.25\nn: 2\ncopies: {copies}\n",
+        address_space_mb=512,
+        timeout_s=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("catent: failed:"), proc.stderr
+    assert f"{copies} output copies of dimension 4 exceed cap 4096" in proc.stderr
+
+
+def test_distill_monte_carlo_past_budget_exits_1(tmp_path):
+    # one sample of 0.51 -> 0.99 would simulate about 2.3e13 copies
+    proc = _run_limited(
+        tmp_path,
+        "distill",
+        "f_initial: 0.51\nf_target: 0.99\nmc_samples: 1\n",
+        address_space_mb=512,
+        timeout_s=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("catent: failed:"), proc.stderr
+    assert "budget" in proc.stderr

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from catent.distill import (
+    MC_COPY_BUDGET,
     PAIR_LAYOUT,
+    DistillRun,
     distill_to,
     expected_copies_mc,
     recurrence_step,
@@ -15,7 +17,7 @@ from catent.distill import (
     twirl_to_werner,
     werner,
 )
-from catent.errors import LayoutMismatchError
+from catent.errors import BudgetError, LayoutMismatchError
 from catent.qstate import QState, random_state, singlet, tensor, trace_norm_dist
 
 PSI_M = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
@@ -140,6 +142,14 @@ def test_expected_copies_monte_carlo():
     run = distill_to(0.9, 0.8)
     mc = expected_copies_mc(run, samples=4000, seed=7)
     assert abs(mc - run.copies_consumed) / run.copies_consumed < 0.1
+
+
+def test_expected_copies_mc_budget_checked_before_drawing():
+    # a run with no rounds costs exactly one copy per sample
+    at_budget = DistillRun(rounds=(), copies_consumed=MC_COPY_BUDGET)
+    assert expected_copies_mc(at_budget, samples=1) == 1.0
+    with pytest.raises(BudgetError, match="budget"):
+        expected_copies_mc(at_budget, samples=2)
 
 
 def test_recurrence_sweep_rows():

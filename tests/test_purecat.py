@@ -262,23 +262,15 @@ def test_synthesis_matches_per_element_builder_on_padded_layout():
     assert all(np.max(np.abs(k[:, 3])) > 0 for _, k, _ in want)
 
 
-def test_synthesis_validates_outcomes_in_batches(monkeypatch):
+def test_synthesis_validates_outcomes_in_batches(eigvalsh_calls):
     # per-outcome validation would call eigvalsh once for each of the 128
     # outcomes; batched validation calls it once per 256
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     src = SchmidtVector.of((0.5, 0.5))
     tgt = SchmidtVector.of((0.7, 0.3))
     proto = synthesize_pure_protocol(src.tensor(src).tensor(src), tgt.tensor(tgt).tensor(tgt))
     outcomes = len(proto.steps[0].instrument.outcomes)
     assert outcomes == 128
-    assert 1 <= len(calls) <= -(-outcomes // 256)
+    assert 1 <= len(eigvalsh_calls) <= -(-outcomes // 256)
 
 
 def test_canonical_pure_spectrum():

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from catent.errors import (
+    DimensionCapError,
     DocumentError,
     LayoutMismatchError,
     NotPureError,
     StateInvariantError,
 )
 from catent.qstate import (
+    PSD_TOL,
+    PURITY_TOL,
     QState,
     SchmidtVector,
     StateClipWarning,
@@ -19,6 +22,7 @@ from catent.qstate import (
     basis_state,
     entanglement_entropy,
     fidelity,
+    is_pure,
     load_state,
     maximally_entangled,
     maximally_mixed,
@@ -34,9 +38,11 @@ from catent.qstate import (
     state_from_dict,
     state_to_dict,
     tensor,
+    tensor_all,
     trace_norm_dist,
     von_neumann_entropy,
 )
+from catent.qstate import _entropy_from_probs, _permute_matrix, _validate_density
 
 QUBIT_PAIR = SystemLayout([(0, 2), (1, 2)])
 
@@ -429,3 +435,131 @@ def test_n_copies():
     s = n_copies(singlet(), 3)
     assert s.total_dim == 64
     assert len(s.layout) == 6
+
+
+# ---------------------------------------------------------------------------
+# kept spectra: products and permutations derive theirs
+
+
+def _factor_state(kind, dim, seed, party):
+    lay = SystemLayout([(party, dim)])
+    rng = np.random.default_rng(seed)
+    if kind == "ginibre":
+        return random_state(lay, "ginibre_mixed", seed)
+    if kind == "haar":
+        return random_state(lay, "haar_pure", seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(g)
+    p = rng.random(dim)
+    if kind == "rank_deficient":
+        p[: 1 + seed % dim] = 0.0
+        p[-1] += 1.0
+    p /= p.sum()
+    if kind == "clipped" and dim > 1:
+        # one eigenvalue in the clip band [-1e-9, -1e-10)
+        p[0], p[1] = -5e-10, p[1] + p[0] + 5e-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StateClipWarning)
+        return QState(lay, (q * p) @ q.conj().T)
+
+
+_FACTORS = st.lists(
+    st.tuples(
+        st.sampled_from(["ginibre", "haar", "rank_deficient", "clipped"]),
+        st.integers(1, 6),
+        st.integers(0, 10**6),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _full_path(matrix):
+    # the eigvalsh-validated matrix: what every product was before spectra were derived
+    return _validate_density(matrix, matrix.shape[0])[0]
+
+
+def _assert_spectrum_is_the_matrix_spectrum(state):
+    eigs = np.linalg.eigvalsh(state.matrix)
+    assert np.max(np.abs(state.spectrum - eigs)) < 1e-12
+    assert abs(von_neumann_entropy(state) - _entropy_from_probs(eigs)) < 1e-12
+    assert is_pure(state) == (eigs[-1] >= 1.0 - PURITY_TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FACTORS, st.data())
+def test_derived_spectra_match_full_validation(factors, data):
+    states = [_factor_state(k, d, seed, i % 2) for i, (k, d, seed) in enumerate(factors)]
+    for s in states:
+        _assert_spectrum_is_the_matrix_spectrum(s)
+
+    out = tensor_all(states)
+    expect = states[0].matrix
+    for s in states[1:]:
+        expect = _full_path(np.kron(expect, s.matrix))
+    assert out.matrix.tobytes() == expect.tobytes()
+    _assert_spectrum_is_the_matrix_spectrum(out)
+
+    a, b = states[0], states[-1]
+    pair = tensor(a, b)
+    assert pair.matrix.tobytes() == _full_path(np.kron(a.matrix, b.matrix)).tobytes()
+    _assert_spectrum_is_the_matrix_spectrum(pair)
+
+    order = data.draw(st.permutations(range(len(states))))
+    perm = permute_factors(out, order)
+    expect = _full_path(_permute_matrix(out.matrix, out.layout.dims, order))
+    assert perm.matrix.tobytes() == expect.tobytes()
+    _assert_spectrum_is_the_matrix_spectrum(perm)
+
+
+def test_clipped_state_keeps_the_stored_spectrum():
+    d = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StateClipWarning)
+        s = QState(SystemLayout([(0, 2)]), d)
+    assert s.spectrum.tolist() == [0.0, 1.0]
+    _assert_spectrum_is_the_matrix_spectrum(s)
+    assert not s.spectrum.flags.writeable
+
+
+def test_products_and_metrics_reuse_the_kept_spectrum(eigvalsh_calls):
+    states = [
+        random_state(SystemLayout([(i % 2, 4)]), "ginibre_mixed", seed=i) for i in range(5)
+    ]
+    eigvalsh_calls.clear()
+    out = tensor_all(states)
+    assert out.total_dim == 1024
+    von_neumann_entropy(states[0])
+    is_pure(states[0])
+    permute_factors(out, [4, 3, 2, 1, 0])
+    assert eigvalsh_calls == []
+
+
+def test_product_near_the_psd_tolerance_takes_the_full_path(eigvalsh_calls):
+    lay = SystemLayout([(0, 2)])
+    dusty = QState(lay, np.diag([1.0 + 0.8 * PSD_TOL, -0.8 * PSD_TOL]).astype(complex))
+    clean = random_state(SystemLayout([(1, 2)]), "haar_pure", seed=3)
+    eigvalsh_calls.clear()
+    out = tensor(dusty, clean)
+    assert eigvalsh_calls == [(4, 4)]
+    assert out.matrix.tobytes() == _full_path(np.kron(dusty.matrix, clean.matrix)).tobytes()
+    _assert_spectrum_is_the_matrix_spectrum(out)
+
+
+def test_tensor_rechecks_the_trace():
+    # each factor passes at 1 + 0.9e-10; their product's trace does not
+    a = QState(SystemLayout([(0, 2)]), np.diag([0.5, 0.5 + 0.9e-10]).astype(complex))
+    with pytest.raises(StateInvariantError, match="trace"):
+        tensor(a, a)
+
+
+def test_tensor_cap_checked_before_allocating(monkeypatch):
+    a = maximally_mixed(SystemLayout([(0, 64)]))
+    b = maximally_mixed(SystemLayout([(1, 65)]))
+
+    def no_kron(*args):
+        raise AssertionError("np.kron called past the cap")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    with pytest.raises(DimensionCapError, match="4160"):
+        tensor(a, b)
