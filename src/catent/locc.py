@@ -23,6 +23,14 @@ register's diagonal blocks.  No full-dimension operator is built.
 Terminal bookkeeping (discarding ancilla factors, relabeling the
 survivors) is part of the protocol and is applied last.
 
+Every Kraus set is stored once, as a read-only (K, rows, cols) stack;
+the public ``kraus`` tuple holds views of it.  One kernel, ``_contract``,
+applies a stack to the touched axes with two matrix products, for
+``run_protocol``, ``apply_to_factors`` and the catalyst fixed point.
+Validation works on the stacks too: an instrument sums K^dag K over all
+outcomes and checks the top eigenvalue of that total, which bounds every
+outcome's, and checks outcomes one by one only when the bound fails.
+
 ``flatten`` composes a protocol into a single :class:`Channel` (Kraus
 form).  It is the Kraus-form export and the reference oracle the
 executor is tested against; its Kraus count grows as the product of the
@@ -31,16 +39,17 @@ step counts and is bounded by ``KRAUS_CAP``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import _io
-from .errors import DocumentError, LayoutMismatchError, LocalityError
-from .qstate import QState, SystemLayout, _permute_matrix, _reduce_matrix
+from .errors import DimensionCapError, DocumentError, LayoutMismatchError, LocalityError
+from .qstate import DIM_CAP, QState, SystemLayout, _permute_matrix, _reduce_matrix
 
 TP_TOL = 1e-9
 KRAUS_CAP = 65536
@@ -62,45 +71,86 @@ def _batches(n: int, item_elems: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-def _completeness(kraus_sets: Sequence[Sequence[np.ndarray]], din: int) -> np.ndarray:
-    """Stacked ``sum_k k^dag k`` of Kraus sets on one input dimension.
+def _completeness(stacks: Sequence[np.ndarray], din: int) -> np.ndarray:
+    """Stacked ``sum_k k^dag k`` of Kraus stacks on one input dimension.
 
-    Set j is stacked into A_j = vstack(kraus_j), so its completeness is
-    A_j^dag A_j: one batched matmul, and one set allocates twice its own
-    size (A_j and its conjugate) plus ``din**2``, never one ``din**2`` per
-    operator.  Shorter sets are padded with zero rows, which add nothing.
+    Set j, a (K, r, din) stack, is read as A_j, its K*r rows, so its
+    completeness is A_j^dag A_j: one batched matmul, and one set allocates
+    twice its own size (A_j and its conjugate) plus ``din**2``, never one
+    ``din**2`` per operator.  Equal-shape sets are joined by one
+    ``np.concatenate``; shorter sets are padded with zero rows.
     """
-    rows = [sum(len(k) for k in ks) for ks in kraus_sets]
-    a = np.zeros((len(kraus_sets), max(rows), din), dtype=complex)
-    for j, ks in enumerate(kraus_sets):
-        if ks:
-            a[j, : rows[j]] = ks[0] if len(ks) == 1 else np.concatenate(ks)
+    rows = [s.shape[0] * s.shape[1] for s in stacks]
+    if len({s.shape for s in stacks}) == 1:
+        a = np.concatenate(stacks).reshape(len(stacks), rows[0], din)
+    else:
+        a = np.zeros((len(stacks), max(rows), din), dtype=complex)
+        for j, s in enumerate(stacks):
+            a[j, : rows[j]] = s.reshape(rows[j], din)
     return a.conj().transpose(0, 2, 1) @ a
 
 
-def _readonly(arrays: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
+def _keep_kraus(obj, kraus: Iterable) -> None:
+    """Store a Kraus set on ``obj`` as one read-only (K, rows, cols) stack.
+
+    ``obj.kraus`` becomes the tuple of the stack's items, views that share
+    its memory, and ``obj._stack`` the stack the kernels read.
+    """
+    ks = [np.asarray(k, dtype=complex) for k in kraus]
+    shapes = {k.shape for k in ks}
+    if len(shapes) > 1:
+        raise LayoutMismatchError(f"Kraus operators of one set differ in shape: {sorted(shapes)}")
+    stack = np.array(ks) if ks else np.zeros((0, 0, 0), dtype=complex)
+    stack.setflags(write=False)
+    object.__setattr__(obj, "_stack", stack)
+    object.__setattr__(obj, "kraus", tuple(stack))
+
+
+def _views(cls, stack: np.ndarray, **fields) -> list:
+    """One ``cls`` object per item of a read-only (M, K, rows, cols) stack.
+
+    Made without ``__init__``, so nothing is copied or flagged per object:
+    object m keeps ``stack[m]`` and its items as ``kraus``, and the shared
+    ``fields``.  A channel's Kraus shape is checked here, once.
+    """
+    if stack.flags.writeable or stack.ndim != 4 or stack.dtype != complex:
+        raise ValueError("views need a read-only complex (M, K, rows, cols) stack")
+    if "input_layout" in fields:
+        want = (fields["output_layout"].total_dim, fields["input_layout"].total_dim)
+        if stack.shape[2:] != want:
+            raise LayoutMismatchError(f"Kraus shape {stack.shape[2:]} does not match {want}")
+    fields = list(fields.items())
+    k = stack.shape[1]
+    ops = list(stack.reshape(-1, *stack.shape[2:]))
     out = []
-    for a in arrays:
-        m = np.ascontiguousarray(a, dtype=complex)
-        m.setflags(write=False)
-        out.append(m)
-    return tuple(out)
+    for m, item in enumerate(stack):
+        obj = object.__new__(cls)
+        for name, value in fields:
+            object.__setattr__(obj, name, value)
+        object.__setattr__(obj, "_stack", item)
+        object.__setattr__(obj, "kraus", tuple(ops[m * k : m * k + k]))
+        out.append(obj)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # channels
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Channel:
-    """CP map in Kraus form between two layouts."""
+    """CP map in Kraus form between two layouts.
+
+    ``kraus`` holds views of one read-only (K, dout, din) stack.
+    """
 
     kraus: tuple[np.ndarray, ...]
     input_layout: SystemLayout
     output_layout: SystemLayout
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ks = _readonly(self.kraus)
+        ks = [np.asarray(k, dtype=complex) for k in self.kraus]
         if not ks:
             raise ValueError("channel needs at least one Kraus operator")
         din = self.input_layout.total_dim
@@ -110,7 +160,7 @@ class Channel:
                 raise LayoutMismatchError(
                     f"Kraus shape {k.shape} does not match ({dout}, {din})"
                 )
-        object.__setattr__(self, "kraus", ks)
+        _keep_kraus(self, ks)
 
     # -- constructors
 
@@ -210,7 +260,7 @@ def apply_to_factors(channel: Channel, state: QState, factors: Sequence[int]) ->
     if not channel.is_trace_preserving():
         raise ValueError("apply_to_factors() requires a trace-preserving channel")
     dims = state.layout.dims
-    t = _contract(state.matrix.reshape(dims + dims), channel.kraus, factors)
+    t = _contract(state.matrix.reshape(dims + dims), channel._stack, factors)
     return QState(state.layout, t.reshape(state.matrix.shape))
 
 
@@ -255,19 +305,24 @@ class Instrument:
         if len(layouts) != 1:
             raise LayoutMismatchError("all instrument outcomes must share one layout")
         din = self.input_layout.total_dim
+        stacks = [ch._stack for _, ch in self.outcomes]
+        rows = max(len(s) for s in stacks) * self.outcomes[0][1].output_layout.total_dim
+        runs = _batches(len(stacks), (2 * rows + din) * din)
         total = np.zeros((din, din), dtype=complex)
-        kraus = [ch.kraus for _, ch in self.outcomes]
-        rows = max(len(ks) for ks in kraus) * self.outcomes[0][1].output_layout.total_dim
-        for lo, hi in _batches(len(kraus), (2 * rows + din) * din):
-            comps = _completeness(kraus[lo:hi], din)
-            tops = np.linalg.eigvalsh(comps)[:, -1]
-            bad = np.flatnonzero(tops > 1.0 + TP_TOL)
-            if bad.size:
-                lab = self.outcomes[lo + bad[0]][0]
-                raise ValueError(
-                    f"outcome {lab!r} is not trace-non-increasing ({float(tops[bad[0]])})"
-                )
-            total += comps.sum(axis=0)
+        for lo, hi in runs:
+            total += _completeness(stacks[lo:hi], din).sum(axis=0)
+        # each outcome's sum of K^dag K is PSD and so at most the total:
+        # a total whose top eigenvalue is within TP_TOL of 1 clears every
+        # outcome.  Only otherwise is each outcome checked, to name it.
+        if np.linalg.eigvalsh(total)[-1] > 1.0 + TP_TOL:
+            for lo, hi in runs:
+                tops = np.linalg.eigvalsh(_completeness(stacks[lo:hi], din))[:, -1]
+                bad = np.flatnonzero(tops > 1.0 + TP_TOL)
+                if bad.size:
+                    lab = self.outcomes[lo + bad[0]][0]
+                    raise ValueError(
+                        f"outcome {lab!r} is not trace-non-increasing ({float(tops[bad[0]])})"
+                    )
         if np.max(np.abs(total - np.eye(din))) > TP_TOL:
             raise ValueError("instrument outcomes do not sum to a trace-preserving map")
 
@@ -307,15 +362,16 @@ def instrument_apply(
 # protocol steps
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LocalChannel:
     party: int
     factors: tuple[int, ...]
     kraus: tuple[np.ndarray, ...]
+    _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(int(i) for i in self.factors))
-        object.__setattr__(self, "kraus", _readonly(self.kraus))
+        _keep_kraus(self, self.kraus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,14 +446,11 @@ def _validate_steps(layout: SystemLayout, steps: Sequence[Step]) -> None:
     dimension and Kraus count, so the thousands of per-outcome corrections
     of a wide instrument cost a few batched matmuls.
     """
-    channels: list[tuple[int, tuple[np.ndarray, ...]]] = []
-    _check_structure(layout, steps, channels)
-    groups: dict[tuple[int, int], list[tuple[np.ndarray, ...]]] = {}
-    for d, kraus in channels:
-        groups.setdefault((d, len(kraus)), []).append(kraus)
-    for (d, count), sets in groups.items():
-        for lo, hi in _batches(len(sets), (2 * count + 1) * d * d):
-            comps = _completeness(sets[lo:hi], d)
+    groups: dict[tuple[int, int], list[np.ndarray]] = {}
+    _check_structure(layout, steps, groups, {})
+    for (d, count), stacks in groups.items():
+        for lo, hi in _batches(len(stacks), (2 * count + 1) * d * d):
+            comps = _completeness(stacks[lo:hi], d)
             if np.max(np.abs(comps - np.eye(d))) > TP_TOL:
                 raise ValueError("local channel step must be trace-preserving")
 
@@ -405,19 +458,29 @@ def _validate_steps(layout: SystemLayout, steps: Sequence[Step]) -> None:
 def _check_structure(
     layout: SystemLayout,
     steps: Sequence[Step],
-    channels: list[tuple[int, tuple[np.ndarray, ...]]],
+    groups: dict[tuple[int, int], list[np.ndarray]],
+    checked: dict[tuple, int],
 ) -> None:
-    """Structural checks of a step tree; collects ``(dim, kraus)`` of its local channels."""
+    """Structural checks of a step tree; collects local Kraus stacks by ``(dim, count)``.
+
+    Each distinct ``(party, factors, Kraus stack shape)`` of a local
+    channel is checked once per walk; ``checked`` maps the ones that
+    passed to their dimension.
+    """
     for s in steps:
         if isinstance(s, LocalChannel):
-            _check_factors(layout, s.party, s.factors)
-            d = math.prod(layout[i].dim for i in s.factors)
-            for k in s.kraus:
-                if k.shape != (d, d):
+            key = (s.party, s.factors, s._stack.shape)
+            d = checked.get(key)
+            if d is None:
+                _check_factors(layout, s.party, s.factors)
+                d = math.prod(layout[i].dim for i in s.factors)
+                if len(s._stack) and s._stack.shape[1:] != (d, d):
                     raise LayoutMismatchError(
-                        f"local Kraus shape {k.shape} != ({d}, {d}) on factors {s.factors}"
+                        f"local Kraus shape {s._stack.shape[1:]} != ({d}, {d}) "
+                        f"on factors {s.factors}"
                     )
-            channels.append((d, s.kraus))
+                checked[key] = d
+            groups.setdefault((d, len(s._stack)), []).append(s._stack)
         elif isinstance(s, LocalInstrument):
             _check_factors(layout, s.party, s.factors)
             sub_dims = tuple(layout[i].dim for i in s.factors)
@@ -429,7 +492,7 @@ def _check_structure(
             for lab, cont in s.cases:
                 if lab not in labels:
                     raise ValueError(f"case label {lab!r} is not an instrument outcome")
-                _check_structure(layout, cont, channels)
+                _check_structure(layout, cont, groups, checked)
         elif isinstance(s, RegisterControlled):
             if not 0 <= s.register < len(layout):
                 raise LayoutMismatchError(f"register index {s.register} out of range")
@@ -441,7 +504,7 @@ def _check_structure(
             if len(s.updates) != reg_dim or any(not 0 <= u < reg_dim for u in s.updates):
                 raise ValueError(f"register updates {s.updates} invalid for dim {reg_dim}")
             for b in s.branches:
-                _check_structure(layout, b, channels)
+                _check_structure(layout, b, groups, checked)
                 if s.register in _touched(b):
                     raise LocalityError("controlled branches must not touch the register")
         else:
@@ -557,18 +620,18 @@ def perm_unitary(dims: Sequence[int], src: Sequence[int]) -> np.ndarray:
     for t, s in enumerate(src):
         if dims[t] != dims[s]:
             raise LayoutMismatchError(f"cannot move dim {dims[s]} into slot of dim {dims[t]}")
-    d = int(np.prod(dims))
-    multis = np.unravel_index(np.arange(d), dims)
-    pos = np.ravel_multi_index([multis[s] for s in src], dims)
-    p = np.zeros((d, d), dtype=complex)
-    p[pos, np.arange(d)] = 1.0
-    return p
+    return _reorder_matrix(dims, src)
 
 
 def _reorder_matrix(dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """Permutation matrix sending factor order[t] of ``dims`` into slot t."""
+    """Permutation matrix sending factor order[t] of ``dims`` into slot t.
+
+    Raises ``DimensionCapError`` before allocating past ``DIM_CAP``.
+    """
     dims = tuple(int(d) for d in dims)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
+    if d > DIM_CAP:
+        raise DimensionCapError(f"permutation dimension {d} exceeds cap {DIM_CAP}")
     multis = np.unravel_index(np.arange(d), dims)
     pos = np.ravel_multi_index([multis[i] for i in order], [dims[i] for i in order])
     p = np.zeros((d, d), dtype=complex)
@@ -717,26 +780,49 @@ def _remap_steps(steps: Sequence[Step], fmap: Sequence[int]) -> tuple[Step, ...]
 # step executor
 
 
-def _contract(t: np.ndarray, kraus: Sequence[np.ndarray], axes: Sequence[int]) -> np.ndarray:
+@functools.lru_cache(maxsize=1024)
+def _contraction_plan(
+    shape: tuple[int, ...], axes: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]:
+    """How ``_contract`` lays out a density tensor of ``shape`` for ``axes``.
+
+    Returns the axis order (the row axes ``axes``, every untouched axis,
+    the column axes ``axes``), its inverse, the touched dimension D and
+    the shape in that order.
+    """
+    n = len(shape) // 2
+    cols = tuple(n + a for a in axes)
+    rest = tuple(i for i in range(2 * n) if i not in axes and i not in cols)
+    order = axes + rest + cols
+    inverse = tuple(int(i) for i in np.argsort(order))
+    return order, inverse, math.prod(shape[a] for a in axes), tuple(shape[i] for i in order)
+
+
+def _contract(t: np.ndarray, stack: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """sum_k K t K^dag on a density tensor t of shape dims + dims.
 
-    Each K acts on the factors ``axes`` (in that order) and is contracted
-    with those row and column axes only.
+    ``stack`` is a (K, D, D) Kraus stack acting on the factors ``axes``
+    (in that order).  t is laid out as a (D, R, D) matrix, rows and
+    columns on ``axes``.  The left products K_k t are one matmul of the
+    stacked (K*D, D) operators; the right products and the sum over k are
+    one more, of the K_k t side by side with the K_k^dag stacked.  The
+    Kraus set runs in chunks that keep the K x t intermediate within
+    ``_BATCH_ELEMS`` entries (one operator at a time past that).
     """
-    n = t.ndim // 2
-    m = len(axes)
-    sub = tuple(t.shape[a] for a in axes)
-    rows = tuple(axes)
-    cols = tuple(n + a for a in axes)
-    ins = tuple(range(m, 2 * m))
+    order, inverse, d, shape = _contraction_plan(t.shape, tuple(axes))
+    x = t.transpose(order).reshape(d, -1)
+    step = max(1, _BATCH_ELEMS // x.size)
     acc = None
-    for k in kraus:
-        kt = k.reshape(sub + sub)
-        y = np.moveaxis(np.tensordot(kt, t, axes=(ins, rows)), range(m), rows)
-        y = np.tensordot(y, kt.conj(), axes=(cols, ins))
-        y = np.moveaxis(y, range(2 * n - m, 2 * n), cols)
-        acc = y if acc is None else acc + y
-    return acc
+    for lo in range(0, len(stack), step):
+        a = stack[lo : lo + step]
+        k = len(a)
+        y = (a.reshape(-1, d) @ x).reshape(k, -1, d).transpose(1, 0, 2).reshape(-1, k * d)
+        y = y @ a.conj().transpose(0, 2, 1).reshape(k * d, d)
+        if acc is None:
+            acc = y
+        else:
+            acc += y
+    return acc.reshape(shape).transpose(inverse)
 
 
 def _register_block(n: int, register: int, value: int) -> tuple[slice, ...]:
@@ -749,11 +835,11 @@ def _register_block(n: int, register: int, value: int) -> tuple[slice, ...]:
 def _run_steps(steps: Sequence[Step], t: np.ndarray) -> np.ndarray:
     for s in steps:
         if isinstance(s, LocalChannel):
-            t = _contract(t, s.kraus, s.factors)
+            t = _contract(t, s._stack, s.factors)
         elif isinstance(s, LocalInstrument):
             cases = s.case_map()
             t = sum(
-                _run_steps(cases.get(lab, ()), _contract(t, ch.kraus, s.factors))
+                _run_steps(cases.get(lab, ()), _contract(t, ch._stack, s.factors))
                 for lab, ch in s.instrument.outcomes
             )
         elif isinstance(s, RegisterControlled):
@@ -935,17 +1021,15 @@ def _encode_step(step: Step) -> dict:
 
 
 def _decode_step(doc: dict, layout: SystemLayout) -> Step:
-    # nested steps are decoded outside the parsing block, so their domain
-    # errors (say, an incomplete instrument) keep their own types
+    # steps are built outside the parsing block, so their domain errors
+    # (say, an incomplete instrument or mixed Kraus shapes) keep their types
     with _io.parsing("protocol step"):
         kind = doc["type"]
         if kind == "channel":
-            return LocalChannel(
-                int(doc["party"]),
-                tuple(int(i) for i in doc["factors"]),
-                tuple(_io.decode_matrix(k) for k in doc["kraus"]),
-            )
-        if kind == "instrument":
+            party = int(doc["party"])
+            factors = tuple(int(i) for i in doc["factors"])
+            kraus = tuple(_io.decode_matrix(k) for k in doc["kraus"])
+        elif kind == "instrument":
             party = int(doc["party"])
             factors = tuple(int(i) for i in doc["factors"])
             outcomes = [
@@ -963,6 +1047,8 @@ def _decode_step(doc: dict, layout: SystemLayout) -> Step:
             updates = tuple(int(u) for u in doc["updates"])
         else:
             raise DocumentError(f"unknown step type {kind!r}")
+    if kind == "channel":
+        return LocalChannel(party, factors, kraus)
     if kind == "controlled":
         return RegisterControlled(
             register,

@@ -5,7 +5,10 @@ domination of their Schmidt probability vectors; a catalyst enters by
 tensoring both sides with its spectrum.  When a conversion is possible,
 an explicit one-round protocol (one measurement by the first party, a
 permutation correction by the second) is synthesized from a chain of
-two-outcome mixing steps.
+two-outcome mixing steps.  The chain's branches are rows of an index
+array; the outcomes' Kraus operators and corrections are filled into two
+read-only stacks, and the instrument's channels and the correction steps
+are views of them, checked as stacks.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionCapError, DivergingRateError, NotConvertibleError
-from .locc import Instrument, LocalChannel, LocalInstrument, LoccProtocol
+from .locc import Channel, Instrument, LocalChannel, LocalInstrument, LoccProtocol, _views
 from .measures import EdBounds, hashing_bounds
 from .qstate import DIM_CAP, QState, SchmidtVector, SystemLayout, pure_state
 
@@ -84,19 +87,26 @@ def canonical_pure(probs: SchmidtVector) -> QState:
     return pure_state(SystemLayout([(0, d), (1, d)]), amps)
 
 
-def _mixing_chain(
-    target: np.ndarray, source: np.ndarray
-) -> list[tuple[tuple[int, ...], float]]:
+def _mixing_chain(target: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Write source = sum_m w_m P_m target with w_m >= 0 summing to 1.
 
     Repeatedly applies a two-coordinate mixing step moving the current
     vector (starting at target) toward source; each step fixes at least
-    one coordinate, so the loop runs at most len - 1 times.  Permutations
-    are returned as index arrays sigma with (P x)[i] = x[sigma[i]].
+    one coordinate, so the loop runs at most len - 1 times.  Returns the
+    permutations as rows sigma of an (M, d) index array, with
+    (P x)[i] = x[sigma[i]], and their weights as an (M,) array.
+
+    Each step splits every term into a keep and a swap branch, listed
+    interleaved (keep, swap, keep, swap, ...).  No two branches reach the
+    same permutation, so nothing needs merging: each step fixes one of its
+    two coordinates for good, so the chosen transpositions form a forest,
+    and products over different subsets of a forest's edges have
+    different orbits (the subsets' connected components).
     """
     d = len(target)
     w = target.astype(float).copy()
-    terms: dict[tuple[int, ...], float] = {tuple(range(d)): 1.0}
+    sigmas = np.arange(d, dtype=np.intp)[None, :]
+    weights = np.ones(1)
     for _ in range(d):
         over = np.where(w > source + SUM_TOL)[0]
         if over.size == 0:
@@ -108,21 +118,20 @@ def _mixing_chain(
         k = int(under[0])
         delta = min(w[j] - source[j], source[k] - w[k])
         frac = delta / (w[j] - w[k])
-        swap = list(range(d))
+        swap = np.arange(d)
         swap[j], swap[k] = k, j
-        new_terms: dict[tuple[int, ...], float] = {}
-        for sigma, weight in terms.items():
-            # keep branch
-            new_terms[sigma] = new_terms.get(sigma, 0.0) + weight * (1.0 - frac)
-            # swap branch: compose the transposition after sigma
-            comp = tuple(sigma[swap[i]] for i in range(d))
-            new_terms[comp] = new_terms.get(comp, 0.0) + weight * frac
-        terms = new_terms
+        # the swap branch composes the transposition after sigma
+        branches = np.empty((2 * len(sigmas), d), dtype=np.intp)
+        branches[0::2], branches[1::2] = sigmas, sigmas[:, swap]
+        split = np.empty(2 * len(weights))
+        split[0::2], split[1::2] = weights * (1.0 - frac), weights * frac
+        sigmas, weights = branches, split
         w[j] -= delta
         w[k] += delta
     if np.max(np.abs(w - source)) > 1e-9:  # pragma: no cover - internal consistency
         raise NotConvertibleError("mixing chain did not converge")
-    return [(sigma, wt) for sigma, wt in terms.items() if wt > 1e-15]
+    live = weights > 1e-15
+    return sigmas[live], weights[live]
 
 
 def synthesize_pure_protocol(
@@ -181,9 +190,7 @@ def synthesize_pure_protocol(
             s = np.pad(s, (0, da - d))
             d = da
 
-    terms = _mixing_chain(t, s)
-    sigmas = np.array([sigma for sigma, _ in terms], dtype=np.intp).reshape(-1, d)
-    wts = np.array([wt for _, wt in terms])
+    sigmas, wts = _mixing_chain(t, s)
     ts = t[sigmas]
 
     # completeness identity: the mixture of permuted targets is the source
@@ -201,19 +208,23 @@ def synthesize_pure_protocol(
         np.sqrt(wts[:, None] * ts / np.where(live, s, 1.0)),
         np.sqrt(wts)[:, None],
     )
-    rows = np.arange(len(terms))[:, None]
+    rows = np.arange(len(wts))[:, None]
     cols = np.arange(d)[None, :]
-    kraus = np.zeros((len(terms), d, d), dtype=complex)
-    kraus[rows, sigmas, cols] = amps
-    corrs = np.zeros((len(terms), d, d), dtype=complex)
-    corrs[rows, sigmas, cols] = 1.0
+    kraus = np.zeros((len(wts), 1, d, d), dtype=complex)
+    kraus[rows, 0, sigmas, cols] = amps
+    corrs = np.zeros((len(wts), 1, d, d), dtype=complex)
+    corrs[rows, 0, sigmas, cols] = 1.0
+    kraus.setflags(write=False)
+    corrs.setflags(write=False)
 
-    labels = [f"m{m}" for m in range(len(terms))]
+    # every outcome and correction is a view of these two stacks; the
+    # instrument and the protocol check them as stacks
+    labels = [f"m{m}" for m in range(len(wts))]
     sub = layout.subset(a_factors)
-    instrument = Instrument.from_kraus(sub, [(lab, (k,)) for lab, k in zip(labels, kraus)])
-    cases = tuple(
-        (lab, (LocalChannel(1, b_factors, (corr,)),)) for lab, corr in zip(labels, corrs)
-    )
+    channels = _views(Channel, kraus, input_layout=sub, output_layout=sub)
+    fixes = _views(LocalChannel, corrs, party=1, factors=b_factors)
+    instrument = Instrument(tuple(zip(labels, channels)))
+    cases = tuple(zip(labels, ((c,) for c in fixes)))
     step = LocalInstrument(0, a_factors, instrument, cases)
     return LoccProtocol(layout, (step,))
 

@@ -3,7 +3,8 @@
 ``run_protocol`` is compared with ``apply(flatten(p), .)``, the Kraus-form
 composition, on random small protocols; ``apply_to_factors`` and
 ``instrument_apply`` are compared with Kraus sums of operators lifted to
-the full space by ``_embed_operator``.
+the full space by ``_embed_operator``; the contraction kernel ``_contract``
+is compared with a per-operator ``tensordot`` loop.
 """
 
 import math
@@ -16,6 +17,7 @@ from catent.locc import (
     Instrument,
     LoccProtocol,
     RegisterControlled,
+    _contract,
     _embed_operator,
     apply,
     apply_to_factors,
@@ -176,3 +178,52 @@ def test_instrument_apply_matches_lifted_kraus(layout, data):
         assert lab == want_lab
         assert abs(p - want.trace().real) <= TOL
         assert np.max(np.abs(post.matrix * p - want)) <= TOL
+
+
+def _tensordot_contract(t, kraus, axes):
+    """sum_k K t K^dag, one ``tensordot`` pair per operator: the oracle of ``_contract``."""
+    n = t.ndim // 2
+    m = len(axes)
+    sub = tuple(t.shape[a] for a in axes)
+    rows = tuple(axes)
+    cols = tuple(n + a for a in axes)
+    ins = tuple(range(m, 2 * m))
+    acc = np.zeros(t.shape, dtype=complex)
+    for k in kraus:
+        kt = k.reshape(sub + sub)
+        y = np.moveaxis(np.tensordot(kt, t, axes=(ins, rows)), range(m), rows)
+        y = np.tensordot(y, kt.conj(), axes=(cols, ins))
+        acc += np.moveaxis(y, range(2 * n - m, 2 * n), cols)
+    return acc
+
+
+@SETTINGS
+@given(st.data())
+def test_contract_matches_tensordot_loop(data):
+    # dims 1-4, touched axes in any order, 1-17 operators (any: the kernel
+    # needs no channel), and tensors that are a register's diagonal block,
+    # a non-contiguous view with one axis sliced to size 1
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    n = len(dims)
+    t = rng.standard_normal(dims + dims) + 1j * rng.standard_normal(dims + dims)
+    if n > 1 and data.draw(st.booleans()):
+        reg = data.draw(st.integers(0, n - 1))
+        value = data.draw(st.integers(0, dims[reg] - 1))
+        idx = [slice(None)] * (2 * n)
+        idx[reg] = idx[n + reg] = slice(value, value + 1)
+        t = t[tuple(idx)]
+        free = [i for i in range(n) if i != reg]
+    else:
+        free = list(range(n))
+    axes = tuple(data.draw(st.permutations(free))[: data.draw(st.integers(1, len(free)))])
+    d = math.prod(t.shape[a] for a in axes)
+    count = data.draw(st.integers(1, 17))
+    stack = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    # unit Frobenius norms keep every entry of the result within 1
+    t = t / np.linalg.norm(t)
+    stack = stack / np.linalg.norm(stack)
+    got = _contract(t, stack, axes)
+    want = _tensordot_contract(t, stack, axes)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= TOL

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from catent import locc
-from catent.errors import DocumentError, LayoutMismatchError, LocalityError
+from catent.errors import DimensionCapError, DocumentError, LayoutMismatchError, LocalityError
 from catent.locc import (
     Channel,
     Instrument,
@@ -214,6 +214,10 @@ def test_instrument_validation():
         Instrument.from_kraus(
             Q0, [("a", [0.5 * np.eye(2)]), ("b", [0.5 * np.eye(2)])]
         )
+    # each outcome is fine alone, but their total's top eigenvalue is 1.125:
+    # the per-outcome pass finds nothing and the total check fails
+    with pytest.raises(ValueError, match="do not sum to a trace-preserving map"):
+        Instrument.from_kraus(Q0, [("a", [0.75 * np.eye(2)]), ("b", [0.75 * np.eye(2)])])
 
 
 def test_instrument_names_bad_outcome_beyond_first_batch():
@@ -264,6 +268,63 @@ def test_many_kraus_outcome_needs_no_per_operator_square():
     assert peak < 1_000_000
 
 
+def test_instrument_checks_outcomes_one_by_one_only_past_the_total_bound(eigvalsh_calls):
+    # 600 outcomes in three batches; the total's top eigenvalue clears them
+    w = math.sqrt(1 / 600)
+    outcomes = [(f"o{m}", [w * np.eye(2)]) for m in range(600)]
+    Instrument.from_kraus(Q0, outcomes)
+    assert eigvalsh_calls == [(2, 2)]
+    # a bad outcome in the last batch lifts the total past 1 + TP_TOL, so
+    # the per-outcome pass runs and names it
+    eigvalsh_calls.clear()
+    outcomes[560] = ("o560", [1.01 * np.eye(2)])
+    with pytest.raises(ValueError, match="'o560' is not trace-non-increasing"):
+        Instrument.from_kraus(Q0, outcomes)
+    assert eigvalsh_calls == [(2, 2), (256, 2, 2), (256, 2, 2), (88, 2, 2)]
+
+
+def test_kraus_items_are_views_of_one_read_only_stack():
+    ks = [np.eye(2), np.diag([0.0, 1.0])]
+    for kraus in (Channel(tuple(ks), Q0, Q0).kraus, LocalChannel(1, (1,), ks).kraus):
+        assert len({id(k.base) for k in kraus}) == 1
+        assert all(not k.flags.writeable and k.shape == (2, 2) for k in kraus)
+        assert np.array_equal(kraus[1], ks[1])
+    with pytest.raises(LayoutMismatchError, match="differ in shape"):
+        LocalChannel(1, (1,), (np.eye(2), np.eye(3)))
+
+
+def test_stack_views_check_the_stack_once():
+    stack = np.stack([np.eye(2)[None], np.eye(2)[None]]) / math.sqrt(2) + 0j
+    with pytest.raises(ValueError, match="read-only"):
+        locc._views(Channel, stack, input_layout=Q0, output_layout=Q0)
+    stack.setflags(write=False)
+    a, b = locc._views(Channel, stack, input_layout=Q0, output_layout=Q0)
+    assert a.kraus[0].base is stack and b.input_layout is Q0
+    Instrument((("a", a), ("b", b)))
+    q3 = SystemLayout([(0, 3)])
+    with pytest.raises(LayoutMismatchError, match=r"\(2, 2\) does not match \(3, 3\)"):
+        locc._views(Channel, stack, input_layout=q3, output_layout=q3)
+
+
+def test_many_kraus_contraction_stays_within_a_few_states():
+    # 17 Kraus operators on a 4-dim factor of a 1024-dim state: contracted
+    # all at once they would need 17 state-sized intermediates
+    layout = SystemLayout([(0, 4), (1, 4), (0, 8), (1, 8)])
+    rho = random_state(layout, "ginibre_mixed", seed=3)
+    dep = Channel.depolarizing(SystemLayout([(0, 4)]), 0.3)
+    assert len(dep.kraus) == 17
+    tracemalloc.start()
+    try:
+        out = apply_to_factors(dep, rho, (0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * rho.matrix.nbytes
+    rest = partial_trace(rho, [1, 2, 3]).matrix
+    want = 0.3 * rho.matrix + 0.7 * np.kron(np.eye(4) / 4, rest)
+    assert np.max(np.abs(out.matrix - want)) < 1e-12
+
+
 def test_local_channel_without_kraus_is_not_tp():
     # no Kraus operators is the zero map
     with pytest.raises(ValueError, match="must be trace-preserving"):
@@ -300,6 +361,18 @@ def test_locality_enforced():
         local_unitary(PAIR, 1, (0,), Z)
     with pytest.raises(ValueError, match="trace-preserving"):
         local_channel(PAIR, 0, (0,), (0.9 * X,))
+
+
+def test_structure_checks_differ_from_a_checked_channel_by_party_or_shape():
+    # the walk checks each (party, factors, Kraus shape) once; a channel
+    # that differs from a checked one in any of them is checked anew
+    good = LocalChannel(1, (1,), (X,))
+    with pytest.raises(LocalityError):
+        LoccProtocol(PAIR, [good, LocalChannel(0, (1,), (X,))])
+    with pytest.raises(LayoutMismatchError, match=r"\(3, 3\) != \(2, 2\)"):
+        LoccProtocol(PAIR, [good, LocalChannel(1, (1,), (np.eye(3),))])
+    with pytest.raises(LayoutMismatchError, match="out of range"):
+        LoccProtocol(PAIR, [good, LocalChannel(1, (2,), (X,))])
 
 
 def test_case_label_must_exist():
@@ -417,6 +490,14 @@ def test_perm_unitary_action():
         perm_unitary((2, 2), (0, 0))
     with pytest.raises(LayoutMismatchError):
         perm_unitary((2, 3), (1, 0))
+
+
+def test_perm_unitary_caps_dimension_before_allocating():
+    # 2**64 basis states: numpy's own "dimensions are too large" is untyped
+    with pytest.raises(DimensionCapError, match="18446744073709551616"):
+        perm_unitary([2**32, 2**32], [1, 0])
+    with pytest.raises(DimensionCapError):
+        perm_unitary([65, 65], [1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -650,5 +731,18 @@ def test_protocol_dict_nested_domain_error_keeps_its_type():
     out = _step_doc(doc, "branches", 1, 0, "outcomes", 0)
     out["kraus"] = out["kraus"] * 2  # the instrument is no longer trace-preserving
     with pytest.raises(ValueError) as err:
+        protocol_from_dict(doc)
+    assert not isinstance(err.value, DocumentError)
+
+
+def test_protocol_dict_mixed_kraus_shapes_keep_their_type():
+    # a channel step whose operators differ in shape is a layout error
+    # (exit 1), not a malformed document (exit 2)
+    from catent import _io
+
+    doc = protocol_to_dict(_rich_protocol())
+    step = _step_doc(doc, "branches", 1, 0, "outcomes", 1, "then", 0)
+    step["kraus"] = [_io.encode_matrix(X), _io.encode_matrix(np.eye(3))]
+    with pytest.raises(LayoutMismatchError) as err:
         protocol_from_dict(doc)
     assert not isinstance(err.value, DocumentError)

@@ -194,6 +194,86 @@ def test_synthesize_layout_validation():
         synthesize_pure_protocol(src, tgt, layout=huge)
 
 
+def _dict_mixing_chain(target, source):
+    """The mixing chain as a dict of permutation tuples: the oracle of ``_mixing_chain``.
+
+    Each step walks the terms in insertion order, adding the keep branch
+    and then the swap branch; a permutation already present is merged
+    into its first occurrence.
+    """
+    d = len(target)
+    w = target.astype(float).copy()
+    terms = {tuple(range(d)): 1.0}
+    for _ in range(d):
+        over = np.where(w > source + SUM_TOL)[0]
+        if over.size == 0:
+            break
+        j = int(over[-1])
+        k = int(np.where((np.arange(d) > j) & (w < source - SUM_TOL))[0][0])
+        delta = min(w[j] - source[j], source[k] - w[k])
+        frac = delta / (w[j] - w[k])
+        swap = list(range(d))
+        swap[j], swap[k] = k, j
+        new_terms = {}
+        for sigma, weight in terms.items():
+            new_terms[sigma] = new_terms.get(sigma, 0.0) + weight * (1.0 - frac)
+            comp = tuple(sigma[swap[i]] for i in range(d))
+            new_terms[comp] = new_terms.get(comp, 0.0) + weight * frac
+        terms = new_terms
+        w[j] -= delta
+        w[k] += delta
+    return [(sigma, wt) for sigma, wt in terms.items() if wt > 1e-15]
+
+
+def _assert_chain_matches_dict(target, source):
+    sigmas, wts = _mixing_chain(target, source)
+    want = _dict_mixing_chain(target, source)
+    assert sigmas.shape == (len(want), len(target)) and wts.shape == (len(want),)
+    assert [tuple(int(i) for i in row) for row in sigmas] == [sigma for sigma, _ in want]
+    assert wts.tobytes() == np.array([wt for _, wt in want]).tobytes()
+    return len(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_mixing_chain_matches_dict_chain(seed):
+    # random dominated pairs, some with ties and zero tails; the dict
+    # would merge a permutation reached twice, so equal rows also show
+    # that no two branches meet
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 10))
+    t = np.sort(rng.random(d) ** int(rng.integers(1, 4)))[::-1]
+    t[int(rng.integers(1, d + 1)) :] = 0.0
+    t = t / t.sum()
+    lam = rng.choice([rng.random(), 0.5, 0.25])
+    s = lam * t + (1 - lam) * np.full(d, 1.0 / d)
+    _assert_chain_matches_dict(t, s)
+
+
+def test_mixing_chain_drops_negligible_branches():
+    # two steps of fraction 1e-8 each: the branch swapped twice has weight
+    # 1e-16, under the 1e-15 cut, so 3 of the 4 branches are kept
+    e = 1e-9
+    t = np.array([0.4, 0.3, 0.2, 0.1])
+    s = np.array([0.4 - e, 0.3 + e, 0.2 - e, 0.1 + e])
+    assert _assert_chain_matches_dict(t, s) == 3
+
+
+def _width_16_pair():
+    """(0.5, 0.5)^4 and (0.7731, 0.2269)^4: the benchmark's n=4 synthesis."""
+    src, tgt = SchmidtVector.of((0.5, 0.5)), SchmidtVector.of((0.7731, 0.2269))
+    s4, t4 = src, tgt
+    for _ in range(3):
+        s4, t4 = s4.tensor(src), t4.tensor(tgt)
+    return s4, t4
+
+
+def test_mixing_chain_matches_dict_chain_on_uniform_width_16():
+    s4, t4 = _width_16_pair()
+    t, s = _padded_pair(t4, s4)
+    assert _assert_chain_matches_dict(t, s) == 32768
+
+
 def _reference_outcomes(source, target, layout=None):
     """Per-element builder of the synthesized outcomes: (label, Kraus, correction).
 
@@ -206,7 +286,7 @@ def _reference_outcomes(source, target, layout=None):
         t, s = np.pad(t, (0, da - len(t))), np.pad(s, (0, da - len(s)))
     d = len(t)
     out = []
-    for m, (sigma, wt) in enumerate(_mixing_chain(t, s)):
+    for m, (sigma, wt) in enumerate(zip(*_mixing_chain(t, s))):
         k = np.zeros((d, d), dtype=complex)
         corr = np.zeros((d, d), dtype=complex)
         for i in range(d):
@@ -271,6 +351,20 @@ def test_synthesis_validates_outcomes_in_batches(eigvalsh_calls):
     outcomes = len(proto.steps[0].instrument.outcomes)
     assert outcomes == 128
     assert 1 <= len(eigvalsh_calls) <= -(-outcomes // 256)
+
+
+def test_wide_synthesis_checks_outcomes_through_their_total(eigvalsh_calls):
+    # 32768 outcomes: one eigvalsh on the instrument's total clears them all
+    (step,) = synthesize_pure_protocol(*_width_16_pair()).steps
+    assert len(step.instrument.outcomes) == 32768
+    assert len(eigvalsh_calls) <= 2
+    # every outcome and correction is a read-only view of one stack
+    cases = step.case_map()
+    kraus = [ch.kraus[0] for _, ch in step.instrument.outcomes]
+    corrs = [cases[lab][0].kraus[0] for lab in step.instrument.labels]
+    for ops in (kraus, corrs):
+        assert len({id(k.base) for k in ops}) == 1
+        assert not ops[0].base.flags.writeable and ops[0].shape == (16, 16)
 
 
 def test_canonical_pure_spectrum():
