@@ -128,6 +128,14 @@ def build_catalyst(lambda_n: LoccProtocol, rho: QState, n: int) -> CatalystAssem
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2 copies, got {n}")
+    # any total_dim >= 2 to the power DIM_CAP.bit_length() exceeds the cap,
+    # so clamping the exponent there keeps the test exact without a huge integer
+    joint_dim = rho.total_dim ** min(n, DIM_CAP.bit_length()) * n
+    if joint_dim > DIM_CAP:
+        raise DimensionCapError(
+            f"{n} copies of dimension {rho.total_dim} and an {n}-phase register "
+            f"exceed cap {DIM_CAP}"
+        )
     f = len(rho.layout)
     if lambda_n.input_layout != rho.layout.power(n):
         raise LayoutMismatchError(
@@ -135,9 +143,6 @@ def build_catalyst(lambda_n: LoccProtocol, rho: QState, n: int) -> CatalystAssem
         )
     if lambda_n.discard or lambda_n.relabel is not None or lambda_n.classical_factors:
         raise LayoutMismatchError("the n-copy protocol must keep all factors in place")
-    joint_dim = rho.total_dim**n * n
-    if joint_dim > DIM_CAP:
-        raise DimensionCapError(f"joint dimension {joint_dim} exceeds cap {DIM_CAP}")
 
     gamma = run_protocol(lambda_n, n_copies(rho, n))
     gamma_marginals = tuple(gamma.marginal(range(k * f, (k + 1) * f)) for k in range(n))
@@ -159,17 +164,12 @@ def build_catalyst(lambda_n: LoccProtocol, rho: QState, n: int) -> CatalystAssem
     tau = QState(cat_layout, tau_m)
 
     joint = rho.layout + cat_layout
-    branches = []
-    for r in range(n - 1):
-        k = r + 1
-        src = [0] * n
-        src[0] = n - 1
-        for t in range(1, k):
-            src[t] = t
-        src[k] = 0
-        for t in range(k + 1, n):
-            src[t] = t - 1
-        branches.append(_block_cycle(joint, rho.layout, n, src))
+    # register value k-1: the handed-back block 0 takes the pool's tail, block
+    # k takes the fresh copy, and the blocks after k move up by one
+    branches = [
+        _block_cycle(joint, rho.layout, n, [n - 1, *range(1, k), 0, *range(k, n - 1)])
+        for k in range(1, n)
+    ]
     fmap = [i if j == n - 1 else (j + 1) * f + i for j in range(n) for i in range(f)]
     branches.append(embed_protocol(lambda_n, joint, fmap))
     embedding = controlled_on_register(
@@ -288,6 +288,25 @@ def iterate_reuse(
     not enforced.  ``sigma`` defaults to the output marginal at the
     exact catalyst, which makes ``delta_single_shot`` zero.
     """
+    outputs, joint, cert = _reuse(lam, tau_eps, rho, copies, tau, sigma, track_joint)
+    return (tensor_all(outputs) if joint is None else joint), cert
+
+
+def _reuse(
+    lam: LoccProtocol,
+    tau_eps: QState,
+    rho: QState,
+    copies: int,
+    tau: QState | None,
+    sigma: QState | None,
+    track_joint: bool,
+) -> tuple[list[QState], QState | None, ReductionCertificate]:
+    """``iterate_reuse`` short of the product of its per-copy outputs.
+
+    Returns those outputs, the joint state ``iterate_reuse`` returns under
+    ``track_joint`` (else None) and the certificate; every check and cap
+    of ``iterate_reuse`` is here.
+    """
     copies = int(copies)
     if copies < 1:
         raise ValueError(f"need at least one copy, got {copies}")
@@ -352,9 +371,7 @@ def iterate_reuse(
         body = joint.marginal(range(copies * f))
         # fresh copies were prepended; restore chronological block order
         order = [(copies - 1 - b) * f + t for b in range(copies) for t in range(f)]
-        result = permute_factors(body, order)
-    else:
-        result = tensor_all(outputs)
+        joint = permute_factors(body, order)
 
     cert = ReductionCertificate(
         n=copies,
@@ -366,7 +383,7 @@ def iterate_reuse(
         delta_single_shot=delta,
         fixed_point_residual=float(residual),
     )
-    return result, cert
+    return outputs, joint, cert
 
 
 def verify_marginal_reduction(

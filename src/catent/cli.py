@@ -37,8 +37,8 @@ import numpy as np
 
 from . import __version__
 from .catfactory import (
+    _reuse,
     build_catalyst,
-    iterate_reuse,
     verify_catalysis,
     verify_marginal_reduction,
 )
@@ -392,9 +392,8 @@ def _cmd_synth_catalyst(scen, seed, samples):
     lam = _build_protocol(scen.get("protocol", "synth"), rho, sigma, n)
     asm = build_catalyst(lam, rho, n)
     tau_eps, synth_dist = synthesize_tau_eps(asm.tau, f_resource)
-    _, cert = iterate_reuse(
-        asm.embedding, tau_eps, rho, copies, tau=asm.tau, sigma=sigma
-    )
+    # the certificate alone: the product of the outputs is never built
+    _, _, cert = _reuse(asm.embedding, tau_eps, rho, copies, asm.tau, sigma, False)
     results = {
         "n": n,
         "copies": copies,

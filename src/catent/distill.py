@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import BudgetError, DimensionCapError, LayoutMismatchError
-from .locc import apply_to_factors, teleport_channel
+from .locc import _embed_operator, apply_to_factors, teleport_channel
 from .qstate import DIM_CAP, QState, SystemLayout, trace_norm_dist
 
 __all__ = [
@@ -103,17 +103,6 @@ def _kron(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def _embed_pair(op: np.ndarray, i: int, j: int) -> np.ndarray:
-    """Lift a two-qubit operator onto qubits (i, j) of a 4-qubit register."""
-    order = [i, j] + [k for k in range(4) if k not in (i, j)]
-    multis = np.unravel_index(np.arange(16), (2, 2, 2, 2))
-    pos = np.ravel_multi_index([multis[k] for k in order], (2, 2, 2, 2))
-    perm = np.zeros((16, 16), dtype=complex)
-    perm[pos, np.arange(16)] = 1.0
-    full = np.kron(op, np.eye(4, dtype=complex))
-    return perm.conj().T @ full @ perm
-
-
 def simulate_recurrence_step(fidelity: float) -> tuple[float, float]:
     """Brute-force density-matrix run of one recurrence round.
 
@@ -128,8 +117,9 @@ def simulate_recurrence_step(fidelity: float) -> tuple[float, float]:
     rho = np.kron(w, w)
     u = _kron(_I2, _SY, _I2, _SY)
     rho = u @ rho @ u.conj().T
-    ca = _embed_pair(_CNOT, 0, 2)
-    cb = _embed_pair(_CNOT, 1, 3)
+    qubits = SystemLayout([(0, 2)] * 4)
+    ca = _embed_operator(qubits, (0, 2), _CNOT)
+    cb = _embed_operator(qubits, (1, 3), _CNOT)
     rho = ca @ rho @ ca.conj().T
     rho = cb @ rho @ cb.conj().T
     kept = np.zeros((16, 16), dtype=complex)

@@ -96,14 +96,26 @@ def _keep_kraus(obj, kraus: Iterable) -> None:
     ``obj.kraus`` becomes the tuple of the stack's items, views that share
     its memory, and ``obj._stack`` the stack the kernels read.
     """
-    ks = [np.asarray(k, dtype=complex) for k in kraus]
-    shapes = {k.shape for k in ks}
-    if len(shapes) > 1:
-        raise LayoutMismatchError(f"Kraus operators of one set differ in shape: {sorted(shapes)}")
-    stack = np.array(ks) if ks else np.zeros((0, 0, 0), dtype=complex)
+    kraus = tuple(kraus)
+    try:
+        stack = np.array(kraus or np.zeros((0, 0, 0)), dtype=complex)
+    except ValueError:
+        shapes = sorted({np.shape(k) for k in kraus})
+        if len(shapes) < 2:
+            raise
+        raise LayoutMismatchError(f"Kraus operators of one set differ in shape: {shapes}") from None
     stack.setflags(write=False)
     object.__setattr__(obj, "_stack", stack)
     object.__setattr__(obj, "kraus", tuple(stack))
+
+
+def _check_kraus_shape(
+    shape: tuple, input_layout: SystemLayout, output_layout: SystemLayout
+) -> None:
+    """A channel's Kraus operators map its input layout to its output layout."""
+    want = (output_layout.total_dim, input_layout.total_dim)
+    if shape != want:
+        raise LayoutMismatchError(f"Kraus shape {shape} does not match {want}")
 
 
 def _views(cls, stack: np.ndarray, **fields) -> list:
@@ -116,9 +128,7 @@ def _views(cls, stack: np.ndarray, **fields) -> list:
     if stack.flags.writeable or stack.ndim != 4 or stack.dtype != complex:
         raise ValueError("views need a read-only complex (M, K, rows, cols) stack")
     if "input_layout" in fields:
-        want = (fields["output_layout"].total_dim, fields["input_layout"].total_dim)
-        if stack.shape[2:] != want:
-            raise LayoutMismatchError(f"Kraus shape {stack.shape[2:]} does not match {want}")
+        _check_kraus_shape(stack.shape[2:], fields["input_layout"], fields["output_layout"])
     fields = list(fields.items())
     k = stack.shape[1]
     ops = list(stack.reshape(-1, *stack.shape[2:]))
@@ -150,17 +160,10 @@ class Channel:
     _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ks = [np.asarray(k, dtype=complex) for k in self.kraus]
-        if not ks:
+        _keep_kraus(self, self.kraus)
+        if not len(self._stack):
             raise ValueError("channel needs at least one Kraus operator")
-        din = self.input_layout.total_dim
-        dout = self.output_layout.total_dim
-        for k in ks:
-            if k.shape != (dout, din):
-                raise LayoutMismatchError(
-                    f"Kraus shape {k.shape} does not match ({dout}, {din})"
-                )
-        _keep_kraus(self, ks)
+        _check_kraus_shape(self._stack.shape[1:], self.input_layout, self.output_layout)
 
     # -- constructors
 
@@ -170,11 +173,11 @@ class Channel:
 
     @classmethod
     def from_unitary(cls, u: np.ndarray, layout: SystemLayout) -> "Channel":
-        u = np.asarray(u, dtype=complex)
-        d = layout.total_dim
-        if u.shape != (d, d) or np.max(np.abs(u.conj().T @ u - np.eye(d))) > TP_TOL:
+        # one square operator is trace-preserving exactly when it is unitary
+        ch = cls((u,), layout, layout)
+        if not ch.is_trace_preserving():
             raise ValueError("operator is not unitary on the layout")
-        return cls((u,), layout, layout)
+        return ch
 
     @classmethod
     def depolarizing(cls, layout: SystemLayout, keep_prob: float) -> "Channel":
@@ -182,25 +185,19 @@ class Channel:
         if not 0.0 <= keep_prob <= 1.0:
             raise ValueError(f"keep_prob must be in [0, 1], got {keep_prob}")
         d = layout.total_dim
-        ks: list[np.ndarray] = []
-        if keep_prob > 1e-15:
-            ks.append(math.sqrt(keep_prob) * np.eye(d, dtype=complex))
         w = (1.0 - keep_prob) / d
+        # sqrt(keep_prob) I, then sqrt(w) E_ij for every matrix unit, i major
+        ks = []
+        if keep_prob > 1e-15:
+            ks.append(math.sqrt(keep_prob) * np.eye(d, dtype=complex)[None])
         if w > 1e-15:
-            for i in range(d):
-                for j in range(d):
-                    e = np.zeros((d, d), dtype=complex)
-                    e[i, j] = math.sqrt(w)
-                    ks.append(e)
-        return cls(tuple(ks), layout, layout)
+            ks.append(math.sqrt(w) * np.eye(d * d, dtype=complex).reshape(-1, d, d))
+        return cls(np.concatenate(ks), layout, layout)
 
     # -- algebra
 
     def completeness(self) -> np.ndarray:
-        acc = np.zeros((self.input_layout.total_dim,) * 2, dtype=complex)
-        for k in self.kraus:
-            acc += k.conj().T @ k
-        return acc
+        return _completeness([self._stack], self.input_layout.total_dim)[0]
 
     def is_trace_preserving(self, tol: float = TP_TOL) -> bool:
         d = self.input_layout.total_dim
@@ -210,8 +207,8 @@ class Channel:
         """Composition other(self(rho))."""
         if other.input_layout.dims != self.output_layout.dims:
             raise LayoutMismatchError("channel composition dims do not chain")
-        ks = tuple(k2 @ k1 for k2 in other.kraus for k1 in self.kraus)
-        return Channel(ks, self.input_layout, other.output_layout)
+        ks = other._stack[:, None] @ self._stack[None]
+        return Channel(ks.reshape(-1, *ks.shape[2:]), self.input_layout, other.output_layout)
 
     def tensor(self, other: "Channel") -> "Channel":
         ks = tuple(np.kron(a, b) for a in self.kraus for b in other.kraus)
@@ -223,12 +220,8 @@ class Channel:
 
     def choi(self) -> np.ndarray:
         """Choi matrix in a fixed row-major vec convention, for map equality tests."""
-        vecs = [k.reshape(-1) for k in self.kraus]
-        d = len(vecs[0])
-        acc = np.zeros((d, d), dtype=complex)
-        for v in vecs:
-            acc += np.outer(v, v.conj())
-        return acc
+        vecs = self._stack.reshape(len(self._stack), -1)
+        return vecs.T @ vecs.conj()
 
 
 def apply(channel: Channel, state: QState) -> QState:
@@ -339,23 +332,6 @@ class Instrument:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.outcomes)
-
-
-def instrument_apply(
-    instrument: Instrument, state: QState
-) -> list[tuple[str, float, QState | None]]:
-    """Outcome branches as (label, probability, normalized post-state or None)."""
-    if instrument.input_layout != state.layout:
-        raise LayoutMismatchError("instrument layout does not match state")
-    branches = []
-    for lab, ch in instrument.outcomes:
-        acc = np.zeros((ch.output_layout.total_dim,) * 2, dtype=complex)
-        for k in ch.kraus:
-            acc += k @ state.matrix @ k.conj().T
-        p = float(acc.trace().real)
-        post = QState(ch.output_layout, acc / p) if p > 1e-12 else None
-        branches.append((lab, p, post))
-    return branches
 
 
 # ---------------------------------------------------------------------------
@@ -542,18 +518,21 @@ class LoccProtocol:
         for i in self.classical_factors:
             if not 0 <= i < len(input_layout):
                 raise LayoutMismatchError(f"classical factor index {i} out of range")
-        kept = [i for i in range(len(input_layout)) if i not in self.discard]
         if relabel is not None:
             relabel = tuple(int(i) for i in relabel)
-            if sorted(relabel) != list(range(len(kept))):
+            if sorted(relabel) != list(range(len(self._kept()))):
                 raise ValueError(f"relabel {relabel} is not a permutation of kept factors")
         self.relabel = relabel
 
-    def output_layout(self, *, keep_classical: bool = True) -> SystemLayout:
+    def _kept(self, keep_classical: bool = True) -> list[int]:
+        """Input factors left after the discard (and the classical registers)."""
         drop = set(self.discard)
         if not keep_classical:
             drop |= set(self.classical_factors)
-        kept = [i for i in range(len(self.input_layout)) if i not in drop]
+        return [i for i in range(len(self.input_layout)) if i not in drop]
+
+    def output_layout(self, *, keep_classical: bool = True) -> SystemLayout:
+        kept = self._kept(keep_classical)
         if not kept:
             raise ValueError("no factors left after discarding classical registers")
         if self.relabel is not None and not keep_classical:
@@ -585,10 +564,11 @@ def local_channel(
 def local_unitary(
     layout: SystemLayout, party: int, factors: Sequence[int], u: np.ndarray
 ) -> LocalChannel:
-    u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
-    if u.shape != (d, d) or np.max(np.abs(u.conj().T @ u - np.eye(d))) > TP_TOL:
-        raise ValueError("operator is not unitary")
+    """One-operator local step.
+
+    ``local_channel`` checks its shape and trace preservation, and one
+    square operator is trace-preserving exactly when it is unitary.
+    """
     return local_channel(layout, party, factors, (u,))
 
 
@@ -632,11 +612,19 @@ def _reorder_matrix(dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
     d = math.prod(dims)
     if d > DIM_CAP:
         raise DimensionCapError(f"permutation dimension {d} exceeds cap {DIM_CAP}")
-    multis = np.unravel_index(np.arange(d), dims)
-    pos = np.ravel_multi_index([multis[i] for i in order], [dims[i] for i in order])
     p = np.zeros((d, d), dtype=complex)
-    p[pos, np.arange(d)] = 1.0
+    p[_positions(dims, order), np.arange(d)] = 1.0
     return p
+
+
+def _positions(dims: Sequence[int], lead: Sequence[int]) -> np.ndarray:
+    """Where each basis index of ``dims`` lands when its factors are reordered.
+
+    The new order is the factors ``lead``, then the others in their order.
+    """
+    order = list(lead) + [i for i in range(len(dims)) if i not in lead]
+    multis = np.unravel_index(np.arange(math.prod(dims)), dims)
+    return np.ravel_multi_index([multis[i] for i in order], [dims[i] for i in order])
 
 
 def swap_factors(layout: SystemLayout, i, j) -> LoccProtocol:
@@ -690,12 +678,7 @@ def controlled_on_register(
             raise LayoutMismatchError("all branches must share the control layout")
         if b.discard or b.relabel is not None:
             raise ValueError("branch protocols must not discard or relabel factors")
-    if not 0 <= register < len(layout):
-        raise LayoutMismatchError(f"register index {register} out of range")
-    if layout[register].dim != len(branches):
-        raise LayoutMismatchError(
-            f"register dim {layout[register].dim} != number of branches {len(branches)}"
-        )
+    # the register's range and its one branch per value are checked as a step
     if updates is None:
         updates = tuple(range(len(branches)))
     step = RegisterControlled(register, tuple(b.steps for b in branches), tuple(updates))
@@ -868,7 +851,7 @@ def _run_matrix(protocol: LoccProtocol, matrix: np.ndarray) -> np.ndarray:
     if abs(np.trace(out) - np.trace(matrix)) > TP_TOL:
         raise RuntimeError("protocol run did not preserve the trace (internal bug)")
     if protocol.discard:
-        keep = [i for i in range(len(dims)) if i not in protocol.discard]
+        keep = protocol._kept()
         out = _reduce_matrix(out, dims, keep)
         dims = tuple(dims[i] for i in keep)
     if protocol.relabel is not None:
@@ -891,16 +874,8 @@ def run_protocol(protocol: LoccProtocol, state: QState) -> QState:
 
 def _embed_operator(layout: SystemLayout, factors: tuple[int, ...], k: np.ndarray) -> np.ndarray:
     """Lift an operator on a factor subset (given order) to the full space."""
-    dims = layout.dims
-    n = len(dims)
-    sel = list(factors)
-    rest = [i for i in range(n) if i not in set(sel)]
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
-    full = np.kron(k, np.eye(d_rest, dtype=complex))
-    order = sel + rest
-    d = layout.total_dim
-    multis = np.unravel_index(np.arange(d), dims)
-    pos = np.ravel_multi_index([multis[i] for i in order], [dims[i] for i in order])
+    full = np.kron(k, np.eye(layout.total_dim // len(k), dtype=complex))
+    pos = _positions(layout.dims, factors)
     return full[np.ix_(pos, pos)]
 
 
@@ -946,36 +921,20 @@ def flatten(protocol: LoccProtocol, *, keep_classical: bool = True) -> Channel:
     is capped at ``KRAUS_CAP``.
     """
     layout = protocol.input_layout
+    out_layout = protocol.output_layout(keep_classical=keep_classical)
+    kept = protocol._kept(keep_classical)
     ops = _steps_kraus(layout, protocol.steps)
-    drop = set(protocol.discard)
-    if not keep_classical:
-        drop |= set(protocol.classical_factors)
-    if drop:
-        kept = [i for i in range(len(layout)) if i not in drop]
-        if not kept:
-            raise ValueError("no factors left after discarding")
-        dims = layout.dims
+    if len(kept) < len(layout):
+        # one partial-trace map per basis state j of the dropped factors
         d = layout.total_dim
-        d_drop = int(np.prod([dims[i] for i in sorted(drop)]))
-        multis = np.unravel_index(np.arange(d), dims)
-        order = kept + sorted(drop)
-        pos = np.ravel_multi_index([multis[i] for i in order], [dims[i] for i in order])
-        traces = []
-        for j in range(d_drop):
-            cols = np.where(pos % d_drop == j)[0]
-            v = np.zeros((d // d_drop, d), dtype=complex)
-            v[pos[cols] // d_drop, cols] = 1.0
-            traces.append(v)
+        d_drop = d // math.prod(layout[i].dim for i in kept)
+        pos = _positions(layout.dims, kept)
+        traces = np.zeros((d_drop, d // d_drop, d), dtype=complex)
+        traces[pos % d_drop, pos // d_drop, np.arange(d)] = 1.0
         ops = [v @ op for v in traces for op in ops]
-        out_layout = layout.subset(kept)
-    else:
-        out_layout = layout
-    if protocol.relabel is not None and keep_classical:
-        r = _reorder_matrix(out_layout.dims, protocol.relabel)
+    if protocol.relabel is not None:
+        r = _reorder_matrix([layout[i].dim for i in kept], protocol.relabel)
         ops = [r @ op for op in ops]
-        out_layout = out_layout.subset(protocol.relabel)
-    elif protocol.relabel is not None:
-        raise ValueError("cannot relabel after discarding classical registers")
     ops = [op for op in ops if np.any(op)]
     chan = Channel(tuple(ops), layout, out_layout)
     if not chan.is_trace_preserving():
@@ -1056,9 +1015,7 @@ def _decode_step(doc: dict, layout: SystemLayout) -> Step:
             updates,
         )
     cases = tuple((lab, tuple(_decode_step(t, layout) for t in steps)) for lab, steps in then)
-    for i in factors:
-        if not 0 <= i < len(layout):
-            raise LayoutMismatchError(f"factor index {i} out of range")
+    _check_factors(layout, party, factors)
     inst = Instrument.from_kraus(layout.subset(factors), outcomes)
     return LocalInstrument(party, factors, inst, cases)
 

@@ -26,6 +26,7 @@ from .qstate import (
     EIG_CUTOFF,
     QState,
     SystemLayout,
+    _check_bipartition,
     basis_state,
     entanglement_entropy,
     is_pure,
@@ -53,23 +54,6 @@ __all__ = [
 ]
 
 
-def _party_factors(layout: SystemLayout, parties) -> list[int]:
-    ps = set(parties)
-    return [i for i, f in enumerate(layout) if f.party in ps]
-
-
-def _split_bipartite(layout: SystemLayout, parties_a: Sequence[int]) -> tuple[list[int], list[int]]:
-    pa = set(int(p) for p in parties_a)
-    all_p = set(layout.parties)
-    if not pa or not pa < all_p:
-        raise LayoutMismatchError(
-            f"parties_a={sorted(pa)} must be a nonempty proper subset of {layout.parties}"
-        )
-    a = _party_factors(layout, pa)
-    b = [i for i in range(len(layout)) if i not in set(a)]
-    return a, b
-
-
 # ---------------------------------------------------------------------------
 # hashing sandwich
 
@@ -86,14 +70,14 @@ class EdBounds(NamedTuple):
 
 
 def hashing_bounds(rho: QState, parties_a: Sequence[int] = (0,)) -> EdBounds:
-    a, _ = _split_bipartite(rho.layout, parties_a)
+    a, _ = _check_bipartition(rho.layout, parties_a)
     s_a = von_neumann_entropy(partial_trace(rho, a))
     s_ab = von_neumann_entropy(rho)
     return EdBounds(lower=s_a - s_ab, upper=s_a)
 
 
 def mutual_information(rho: QState, parties_a: Sequence[int] = (0,)) -> float:
-    a, b = _split_bipartite(rho.layout, parties_a)
+    a, b = _check_bipartition(rho.layout, parties_a)
     s_a = von_neumann_entropy(partial_trace(rho, a))
     s_b = von_neumann_entropy(partial_trace(rho, b))
     return s_a + s_b - von_neumann_entropy(rho)
@@ -106,9 +90,7 @@ def cqmi(rho_abe: QState) -> float:
         raise LayoutMismatchError(
             f"need parties (0, 1, 2) = (A, B, E), got {layout.parties}"
         )
-    a = _party_factors(layout, (0,))
-    b = _party_factors(layout, (1,))
-    e = _party_factors(layout, (2,))
+    a, b, e = (layout.party_factors(p) for p in (0, 1, 2))
     s_ae = von_neumann_entropy(partial_trace(rho_abe, a + e))
     s_be = von_neumann_entropy(partial_trace(rho_abe, b + e))
     s_abe = von_neumann_entropy(rho_abe)

@@ -170,14 +170,12 @@ def synthesize_pure_protocol(
         b_factors: tuple[int, ...] = (1,)
         da = db = d
     else:
-        a_idx = [i for i, f in enumerate(layout) if f.party == 0]
-        b_idx = [i for i, f in enumerate(layout) if f.party == 1]
-        if len(a_idx) + len(b_idx) != len(layout) or not a_idx or not b_idx:
+        if layout.parties != (0, 1):
             raise ValueError("layout must contain exactly parties 0 and 1")
-        a_factors = tuple(a_idx)
-        b_factors = tuple(b_idx)
-        da = layout.subset(a_idx).total_dim
-        db = layout.subset(b_idx).total_dim
+        a_factors = layout.party_factors(0)
+        b_factors = layout.party_factors(1)
+        da = layout.subset(a_factors).total_dim
+        db = layout.subset(b_factors).total_dim
         if da > DIM_CAP:
             # the padded spectra and every outcome's da x da operators
             raise DimensionCapError(f"party dimension {da} exceeds cap {DIM_CAP}")

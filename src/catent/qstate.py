@@ -262,8 +262,10 @@ def random_state(layout: SystemLayout, ensemble: str = "haar_pure", seed: int = 
     Gaussian vector).  ensemble = 'ginibre_mixed': full-rank mixed state
     G G^dag / tr from a square complex Ginibre matrix.
     """
-    rng = np.random.default_rng(seed)
     d = layout.total_dim
+    if d > DIM_CAP:
+        raise DimensionCapError(f"random state dimension {d} exceeds cap {DIM_CAP}")
+    rng = np.random.default_rng(seed)
     if ensemble == "haar_pure":
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         return pure_state(layout, v / np.linalg.norm(v))
@@ -393,31 +395,28 @@ def is_pure(state: QState, tol: float = PURITY_TOL) -> bool:
     return top >= 1.0 - tol
 
 
-def dominant_eigvector(state: QState) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(state.matrix)
-    return np.ascontiguousarray(vecs[:, -1])
-
-
-def _check_bipartition(layout: SystemLayout, parties_a: Sequence[int]) -> tuple[int, ...]:
-    pa = tuple(sorted(set(int(p) for p in parties_a)))
-    all_parties = set(layout.parties)
-    if not pa or not set(pa) <= all_parties or set(pa) == all_parties:
+def _check_bipartition(
+    layout: SystemLayout, parties_a: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """Factor indices of the two sides of a party cut, each in layout order."""
+    pa = set(int(p) for p in parties_a)
+    if not pa or not pa < set(layout.parties):
         raise LayoutMismatchError(
-            f"parties_a={pa} must be a nonempty proper subset of parties {layout.parties}"
+            f"parties_a={tuple(sorted(pa))} must be a nonempty proper subset of parties "
+            f"{layout.parties}"
         )
-    return pa
+    side_a = [i for i, f in enumerate(layout) if f.party in pa]
+    return side_a, [i for i, f in enumerate(layout) if f.party not in pa]
 
 
 def _schmidt_probs(state: QState, parties_a: Sequence[int]) -> np.ndarray:
     """Squared Schmidt coefficients of a (tolerance-)pure state across a party cut."""
-    pa = _check_bipartition(state.layout, parties_a)
+    side_a, side_b = _check_bipartition(state.layout, parties_a)
     vals, vecs = np.linalg.eigh(state.matrix)
     if float(vals[-1]) < 1.0 - PURITY_TOL:
         raise NotPureError(f"state is not pure (largest eigenvalue {vals[-1]:.12f})")
     v = np.ascontiguousarray(vecs[:, -1])
     dims = state.layout.dims
-    side_a = [i for i, f in enumerate(state.layout) if f.party in pa]
-    side_b = [i for i in range(len(dims)) if i not in side_a]
     t = v.reshape(dims).transpose(side_a + side_b)
     da = int(np.prod([dims[i] for i in side_a]))
     sv = np.linalg.svd(t.reshape(da, -1), compute_uv=False)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,16 @@ def test_build_validations():
         build_catalyst(LoccProtocol(PAIR.power(2), (), discard=(3,)), rho, 2)
     with pytest.raises(DimensionCapError):
         build_catalyst(identity_protocol(PAIR.power(5)), rho, 5)
+    # the cap comes first, and without building the integer 4**(10**7),
+    # which alone takes 2.5 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCapError, match="10000000 copies of dimension 4"):
+            build_catalyst(identity_protocol(PAIR.power(2)), rho, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import catent
 from catent import cli
-from catent.errors import MissingSeriesError, ScenarioError
+from catent.errors import DimensionCapError, MissingSeriesError, ScenarioError
 from catent.qstate import save_state, singlet, state_to_dict
 
 
@@ -423,6 +424,40 @@ def test_synth_catalyst_copies_past_cap_exits_1(tmp_path, copies):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("catent: failed:"), proc.stderr
     assert f"{copies} output copies of dimension 4 exceed cap 4096" in proc.stderr
+
+
+def test_verify_lemma1_aux_dim_past_cap_exits_1(tmp_path):
+    # a 400000-dim Ginibre sample would need terabytes: the cap must come first
+    proc = _run_limited(
+        tmp_path,
+        "verify-lemma1",
+        "aux_dim: 100000\nsamples: 1\n",
+        address_space_mb=1024,
+        timeout_s=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("catent: failed:"), proc.stderr
+    assert "random state dimension 400000 exceeds cap 4096" in proc.stderr
+
+
+def test_catalyze_copies_past_cap_raise_the_cap_error():
+    # the joint dimension 4**100000 * 100000 must not be built as an integer
+    with pytest.raises(DimensionCapError, match="100000 copies of dimension 4 .*exceed cap 4096"):
+        cli.run({"command": "catalyze", "rho": "singlet", "n": "100000"})
+
+
+def test_synth_catalyst_builds_no_product_of_the_copies():
+    # the six reused copies would form one 4096-dim state, 268 MB as a matrix
+    scen = {"command": "synth-catalyst", "rho": "pure:0.5,0.5", "sigma": "pure:0.75,0.25",
+            "copies": "6"}
+    tracemalloc.start()
+    try:
+        rep = cli.run(scen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["passed"] and len(rep["results"]["per_marginal_errors"]) == 6
+    assert peak < 100 * 2**20
 
 
 def test_distill_monte_carlo_past_budget_exits_1(tmp_path):

@@ -1,28 +1,29 @@
 """The step executor and the local-contraction kernel against their oracles.
 
 ``run_protocol`` is compared with ``apply(flatten(p), .)``, the Kraus-form
-composition, on random small protocols; ``apply_to_factors`` and
-``instrument_apply`` are compared with Kraus sums of operators lifted to
-the full space by ``_embed_operator``; the contraction kernel ``_contract``
-is compared with a per-operator ``tensordot`` loop.
+composition, on random small protocols; ``apply_to_factors`` is compared
+with Kraus sums of operators lifted to the full space by
+``_embed_operator``; the contraction kernel ``_contract`` is compared with
+a per-operator ``tensordot`` loop.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from catent.locc import (
     Channel,
-    Instrument,
     LoccProtocol,
     RegisterControlled,
     _contract,
     _embed_operator,
+    _reorder_matrix,
+    _steps_kraus,
     apply,
     apply_to_factors,
     flatten,
-    instrument_apply,
     local_channel,
     local_instrument,
     run_protocol,
@@ -158,26 +159,105 @@ def test_apply_to_factors_matches_lifted_kraus(layout, data):
     assert np.max(np.abs(got.matrix - want)) <= TOL
 
 
+# the index maps ``_embed_operator``, ``_reorder_matrix`` and ``flatten``
+# used before they shared one position helper, kept as byte-level oracles
+
+
+def _index_map(dims, order):
+    multis = np.unravel_index(np.arange(math.prod(dims)), dims)
+    return np.ravel_multi_index([multis[i] for i in order], [dims[i] for i in order])
+
+
+def _index_map_embed(layout, factors, k):
+    dims = layout.dims
+    sel = list(factors)
+    rest = [i for i in range(len(dims)) if i not in set(sel)]
+    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
+    full = np.kron(k, np.eye(d_rest, dtype=complex))
+    pos = _index_map(dims, sel + rest)
+    return full[np.ix_(pos, pos)]
+
+
+def _index_map_reorder(dims, order):
+    d = math.prod(dims)
+    p = np.zeros((d, d), dtype=complex)
+    p[_index_map(dims, order), np.arange(d)] = 1.0
+    return p
+
+
+def _index_map_flatten(protocol, keep_classical):
+    """``flatten``'s Kraus list and output layout, built with the old index maps."""
+    layout = protocol.input_layout
+    ops = _steps_kraus(layout, protocol.steps)
+    drop = set(protocol.discard)
+    if not keep_classical:
+        drop |= set(protocol.classical_factors)
+    out_layout = layout
+    if drop:
+        kept = [i for i in range(len(layout)) if i not in drop]
+        if not kept:
+            raise ValueError("no factors left after discarding")
+        dims = layout.dims
+        d = layout.total_dim
+        d_drop = int(np.prod([dims[i] for i in sorted(drop)]))
+        pos = _index_map(dims, kept + sorted(drop))
+        traces = []
+        for j in range(d_drop):
+            cols = np.where(pos % d_drop == j)[0]
+            v = np.zeros((d // d_drop, d), dtype=complex)
+            v[pos[cols] // d_drop, cols] = 1.0
+            traces.append(v)
+        ops = [v @ op for v in traces for op in ops]
+        out_layout = layout.subset(kept)
+    if protocol.relabel is not None and keep_classical:
+        r = _index_map_reorder(out_layout.dims, protocol.relabel)
+        ops = [r @ op for op in ops]
+        out_layout = out_layout.subset(protocol.relabel)
+    elif protocol.relabel is not None:
+        raise ValueError("cannot relabel after discarding classical registers")
+    return [op for op in ops if np.any(op)], out_layout
+
+
+@SETTINGS
+@given(_layouts(max_factors=4), st.data())
+def test_embed_and_reorder_match_old_index_maps(layout, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = len(layout)
+    factors = tuple(data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))])
+    d = math.prod(layout[i].dim for i in factors)
+    k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    got = _embed_operator(layout, factors, k)
+    assert got.tobytes() == _index_map_embed(layout, factors, k).tobytes()
+    order = data.draw(st.permutations(range(n)))
+    got = _reorder_matrix(layout.dims, order)
+    assert got.tobytes() == _index_map_reorder(layout.dims, order).tobytes()
+
+
 @SETTINGS
 @given(_layouts(), st.data())
-def test_instrument_apply_matches_lifted_kraus(layout, data):
+def test_flatten_matches_old_index_maps(layout, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    counts = [data.draw(st.integers(1, 2)) for _ in range(data.draw(st.integers(1, 3)))]
-    ks = _kraus(rng, layout.total_dim, sum(counts))
-    edges = np.cumsum([0] + counts)
-    inst = Instrument.from_kraus(
-        layout, [(str(j), ks[edges[j] : edges[j + 1]]) for j in range(len(counts))]
+    steps = data.draw(_steps(layout, rng, depth=2))
+    assume(_kraus_count(steps) <= 500)
+    n = len(layout)
+    discard = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    protocol = LoccProtocol(
+        layout,
+        steps,
+        discard=tuple(discard),
+        relabel=data.draw(st.none() | st.permutations(range(n - len(discard)))),
+        classical_factors=tuple(data.draw(st.sets(st.integers(0, n - 1)))),
     )
-    rho = random_state(layout, "ginibre_mixed", seed=data.draw(st.integers(0, 2**16)))
-    every = tuple(range(len(layout)))
-    for (lab, p, post), (want_lab, ch) in zip(instrument_apply(inst, rho), inst.outcomes):
-        want = np.zeros_like(rho.matrix)
-        for k in ch.kraus:
-            ke = _embed_operator(layout, every, k)
-            want += ke @ rho.matrix @ ke.conj().T
-        assert lab == want_lab
-        assert abs(p - want.trace().real) <= TOL
-        assert np.max(np.abs(post.matrix * p - want)) <= TOL
+    keep_classical = data.draw(st.booleans())
+    try:
+        ops, out_layout = _index_map_flatten(protocol, keep_classical)
+    except ValueError:
+        with pytest.raises(ValueError):
+            flatten(protocol, keep_classical=keep_classical)
+        return
+    got = flatten(protocol, keep_classical=keep_classical)
+    assert got.output_layout == out_layout
+    assert got._stack.tobytes() == np.array(ops).tobytes()
 
 
 def _tensordot_contract(t, kraus, axes):

@@ -19,7 +19,6 @@ from catent.locc import (
     embed_protocol,
     flatten,
     identity_protocol,
-    instrument_apply,
     local_channel,
     local_instrument,
     local_unitary,
@@ -90,6 +89,88 @@ def test_depolarizing_choi_vs_pauli_form():
         Q0,
     )
     assert np.max(np.abs(pauli.choi() - Channel.depolarizing(Q0, p).choi())) < 1e-12
+
+
+# the per-operator forms the stacked Channel methods replaced, kept as oracles
+
+
+def _loop_completeness(ch):
+    acc = np.zeros((ch.input_layout.total_dim,) * 2, dtype=complex)
+    for k in ch.kraus:
+        acc += k.conj().T @ k
+    return acc
+
+
+def _outer_product_choi(ch):
+    vecs = [k.reshape(-1) for k in ch.kraus]
+    acc = np.zeros((len(vecs[0]),) * 2, dtype=complex)
+    for v in vecs:
+        acc += np.outer(v, v.conj())
+    return acc
+
+
+def _pairwise_then(first, second):
+    ks = tuple(k2 @ k1 for k2 in second.kraus for k1 in first.kraus)
+    return Channel(ks, first.input_layout, second.output_layout)
+
+
+def _matrix_unit_depolarizing(d, keep_prob):
+    ks = []
+    if keep_prob > 1e-15:
+        ks.append(math.sqrt(keep_prob) * np.eye(d, dtype=complex))
+    w = (1.0 - keep_prob) / d
+    if w > 1e-15:
+        for i in range(d):
+            for j in range(d):
+                e = np.zeros((d, d), dtype=complex)
+                e[i, j] = math.sqrt(w)
+                ks.append(e)
+    return np.array(ks)
+
+
+def _random_cp_map(rng, din, dout):
+    """CP map din -> dout with 1-3 Gaussian Kraus operators, not trace-preserving."""
+    shape = (int(rng.integers(1, 4)), dout, din)
+    ks = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / 2
+    return Channel(tuple(ks), SystemLayout([(0, din)]), SystemLayout([(0, dout)]))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stacked_channel_algebra_matches_per_operator_forms(seed):
+    rng = np.random.default_rng(seed)
+    d0, d1, d2 = (int(x) for x in rng.integers(1, 5, size=3))
+    first, second = _random_cp_map(rng, d0, d1), _random_cp_map(rng, d1, d2)
+    for ch in (first, second):
+        assert np.max(np.abs(ch.completeness() - _loop_completeness(ch))) <= 1e-12
+        assert np.max(np.abs(ch.choi() - _outer_product_choi(ch))) <= 1e-12
+    got, want = first.then(second), _pairwise_then(first, second)
+    assert (got.input_layout, got.output_layout) == (want.input_layout, want.output_layout)
+    assert got._stack.shape == want._stack.shape
+    assert np.max(np.abs(got._stack - want._stack)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("keep_prob", [0.0, 0.3, 1.0])
+def test_depolarizing_stack_is_the_matrix_unit_set(d, keep_prob):
+    got = Channel.depolarizing(SystemLayout([(0, d)]), keep_prob)._stack
+    want = _matrix_unit_depolarizing(d, keep_prob)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_unitary_constructors_reject_non_unitary_and_non_square():
+    for bad in (0.9 * X, X + Z):
+        with pytest.raises(ValueError, match="unitary"):
+            Channel.from_unitary(bad, Q0)
+        with pytest.raises(ValueError, match="trace-preserving"):
+            local_unitary(PAIR, 0, (0,), bad)
+    for bad in (np.ones((2, 3)), np.eye(3), np.ones(2)):
+        with pytest.raises(LayoutMismatchError):
+            Channel.from_unitary(bad, Q0)
+        with pytest.raises(LayoutMismatchError):
+            local_unitary(PAIR, 0, (0,), bad)
+    assert Channel.from_unitary(Y, Q0).kraus[0].tobytes() == Y.tobytes()
+    assert local_unitary(PAIR, 0, (0,), Y).kraus[0].tobytes() == Y.tobytes()
 
 
 def test_channel_then_and_tensor():
@@ -164,41 +245,6 @@ def _z_measurement():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
     return Instrument.from_kraus(Q0, [("0", [p0]), ("1", [p1])])
-
-
-def test_instrument_apply_probabilities():
-    inst = _z_measurement()
-    plus = pure_state(Q0, np.array([1.0, 1.0]) / math.sqrt(2.0))
-    branches = instrument_apply(inst, plus)
-    assert [lab for lab, _, _ in branches] == ["0", "1"]
-    for _, prob, post in branches:
-        assert abs(prob - 0.5) < 1e-12
-        assert post is not None
-        assert abs(np.linalg.eigvalsh(post.matrix)[-1] - 1.0) < 1e-12
-    # impossible branch comes back with probability 0 and no state
-    zero = instrument_apply(inst, basis_state(Q0, (0,)))
-    assert zero[1][1] < 1e-15
-    assert zero[1][2] is None
-
-
-def test_instrument_apply_changes_dimension():
-    # qutrit -> qubit: outcome "a" keeps level 0, outcome "b" maps levels 1, 2
-    # onto the qubit, so every Kraus operator is 2 x 3
-    q3 = SystemLayout([(0, 3)])
-    ka = np.zeros((2, 3), dtype=complex)
-    ka[0, 0] = 1.0
-    kb = np.zeros((2, 3), dtype=complex)
-    kb[0, 1] = kb[1, 2] = 1.0
-    inst = Instrument((("a", Channel((ka,), q3, Q0)), ("b", Channel((kb,), q3, Q0))))
-    rho = random_state(q3, "ginibre_mixed", seed=5)
-    branches = instrument_apply(inst, rho)
-    assert [lab for lab, _, _ in branches] == ["a", "b"]
-    assert abs(sum(p for _, p, _ in branches) - 1.0) < 1e-12
-    for (_, p, post), k in zip(branches, (ka, kb)):
-        assert post.layout == Q0
-        want = k @ rho.matrix @ k.conj().T
-        assert abs(p - want.trace().real) < 1e-12
-        assert np.max(np.abs(post.matrix * p - want)) < 1e-12
 
 
 def test_instrument_validation():
