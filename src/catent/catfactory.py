@@ -13,10 +13,14 @@ handed-back copy averages the n-copy protocol's per-copy marginals.
 possibly imperfect catalyst and certifies non-accumulation: because
 trace distance is monotone under channels, every catalyst drift and
 per-copy error stays within the initial catalyst error.
+
+Every protocol run here is one raw step, ``_catalytic_step``; only the
+states a function returns are validated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -36,24 +40,19 @@ from .locc import (  # noqa: F401  (apply is re-exported as catfactory.apply)
     apply,
     controlled_on_register,
     embed_protocol,
-    local_channel,
-    perm_unitary,
+    permute_protocol,
     protocol_from_dict,
     protocol_to_dict,
-    run_protocol,
 )
 from .qstate import (
     DIM_CAP,
     QState,
     SystemLayout,
+    _reduce_matrix,
     is_pure,
-    n_copies,
-    permute_factors,
     state_from_dict,
     state_to_dict,
-    tensor,
     tensor_all,
-    trace_norm_dist,
 )
 
 EXACTNESS_TOL = 1e-9
@@ -99,19 +98,34 @@ class ReductionCertificate(NamedTuple):
     fixed_point_residual: float = 0.0
 
 
-def _block_cycle(
-    joint: SystemLayout, unit: SystemLayout, n: int, src_block: Sequence[int]
-) -> LoccProtocol:
-    """Move copy-block src_block[t] into block t, one unitary per party."""
-    f = len(unit)
-    src = {t * f + i: src_block[t] * f + i for t in range(n) for i in range(f)}
-    steps = []
-    for party in unit.parties:
-        pos = [q for q in range(n * f) if joint[q].party == party]
-        at = {q: a for a, q in enumerate(pos)}
-        u = perm_unitary([joint[q].dim for q in pos], [at[src[q]] for q in pos])
-        steps.append(local_channel(joint, party, tuple(pos), (u,)))
-    return LoccProtocol(joint, steps)
+def _copies_dim(d: int, n: int) -> int:
+    """``d**n`` within ``DIM_CAP``, else a number past it, never a huge integer."""
+    # any d >= 2 to the power DIM_CAP.bit_length() is past the cap
+    return d ** min(n, DIM_CAP.bit_length())
+
+
+def _catalytic_step(
+    lam: LoccProtocol, operands: Sequence[np.ndarray], parts: Sequence[Sequence[int]]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Run ``lam`` on the product of raw ``operands``, e.g. rho and a catalyst.
+
+    Returns the output and its marginals on the factor groups ``parts`` of
+    ``lam.output_layout()``, unvalidated.  Linear in each operand, so an
+    operand need not be a state.
+    """
+    d = lam.input_layout.total_dim
+    if d > DIM_CAP:
+        raise DimensionCapError(f"tensor product dimension {d} exceeds cap {DIM_CAP}")
+    mu = _run_matrix(lam, functools.reduce(np.kron, operands))
+    dims = lam.output_layout().dims
+    return mu, [_reduce_matrix(mu, dims, p) for p in parts]
+
+
+def _herm_dist(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace norm ||a - b||_1 of two raw matrices, hermitian up to rounding."""
+    d = a - b
+    d = (d + d.conj().T) / 2
+    return float(np.abs(np.linalg.eigvalsh(d)).sum())
 
 
 def build_catalyst(lambda_n: LoccProtocol, rho: QState, n: int) -> CatalystAssembly:
@@ -128,10 +142,7 @@ def build_catalyst(lambda_n: LoccProtocol, rho: QState, n: int) -> CatalystAssem
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2 copies, got {n}")
-    # any total_dim >= 2 to the power DIM_CAP.bit_length() exceeds the cap,
-    # so clamping the exponent there keeps the test exact without a huge integer
-    joint_dim = rho.total_dim ** min(n, DIM_CAP.bit_length()) * n
-    if joint_dim > DIM_CAP:
+    if _copies_dim(rho.total_dim, n) * n > DIM_CAP:
         raise DimensionCapError(
             f"{n} copies of dimension {rho.total_dim} and an {n}-phase register "
             f"exceed cap {DIM_CAP}"
@@ -144,46 +155,41 @@ def build_catalyst(lambda_n: LoccProtocol, rho: QState, n: int) -> CatalystAssem
     if lambda_n.discard or lambda_n.relabel is not None or lambda_n.classical_factors:
         raise LayoutMismatchError("the n-copy protocol must keep all factors in place")
 
-    gamma = run_protocol(lambda_n, n_copies(rho, n))
-    gamma_marginals = tuple(gamma.marginal(range(k * f, (k + 1) * f)) for k in range(n))
+    # the n-copy output's per-copy marginals, then those of its first i copies
+    blocks = [range(k * f, (k + 1) * f) for k in range(n)] + [range(i * f) for i in range(1, n)]
+    _, parts = _catalytic_step(lambda_n, [rho.matrix] * n, blocks)
+    gamma_marginals = tuple(QState(rho.layout, g) for g in parts[:n])
 
-    register = SystemLayout([(0, n)])
-    cat_layout = rho.layout.power(n - 1) + register
-    rho_pows = [np.eye(1, dtype=complex)]
-    for _ in range(n - 1):
-        rho_pows.append(np.kron(rho_pows[-1], rho.matrix))
-    gamma_firsts = [np.eye(1, dtype=complex)] + [
-        gamma.marginal(range(i * f)).matrix for i in range(1, n)
-    ]
-    d_cat = cat_layout.total_dim
-    tau_m = np.zeros((d_cat, d_cat), dtype=complex)
-    for r in range(n):
-        reg = np.zeros((n, n), dtype=complex)
-        reg[r, r] = 1.0 / n
-        tau_m += np.kron(np.kron(rho_pows[r], gamma_firsts[n - 1 - r]), reg)
+    cat_layout = rho.layout.power(n - 1) + SystemLayout([(0, n)])
+    # register value r: r fresh copies, then the n-copy output's first n-1-r
+    one = np.eye(1, dtype=complex)
+    firsts = [one] + parts[n:]
+    tau_m = sum(
+        np.kron(np.kron(functools.reduce(np.kron, [rho.matrix] * r, one), firsts[n - 1 - r]),
+                np.diag(np.eye(n)[r] / n))
+        for r in range(n)
+    )
     tau = QState(cat_layout, tau_m)
 
     joint = rho.layout + cat_layout
+
+    def cycle(src: Sequence[int]) -> LoccProtocol:
+        # copy block t takes block src[t]; the register stays
+        return permute_protocol(joint, [b * f + i for b in src for i in range(f)] + [n * f])
+
     # register value k-1: the handed-back block 0 takes the pool's tail, block
     # k takes the fresh copy, and the blocks after k move up by one
-    branches = [
-        _block_cycle(joint, rho.layout, n, [n - 1, *range(1, k), 0, *range(k, n - 1)])
-        for k in range(1, n)
-    ]
+    branches = [cycle([n - 1, *range(1, k), 0, *range(k, n - 1)]) for k in range(1, n)]
     fmap = [i if j == n - 1 else (j + 1) * f + i for j in range(n) for i in range(f)]
     branches.append(embed_protocol(lambda_n, joint, fmap))
-    embedding = controlled_on_register(
-        n * f, branches, tuple((r + 1) % n for r in range(n))
-    )
+    embedding = controlled_on_register(n * f, branches, tuple((r + 1) % n for r in range(n)))
 
     assembly = CatalystAssembly(n, tau, embedding, gamma_marginals)
-    mu = run_protocol(embedding, tensor(rho, tau))
-    drift = trace_norm_dist(mu.marginal(range(f, n * f + 1)), tau)
-    out_err = trace_norm_dist(mu.marginal(range(f)), assembly.expected_output())
-    if drift > EXACTNESS_TOL or out_err > EXACTNESS_TOL:
+    cert = verify_catalysis(embedding, tau, rho, assembly.expected_output())
+    if cert.catalyst_drift > EXACTNESS_TOL or cert.epsilon_achieved > EXACTNESS_TOL:
         raise RuntimeError(
             f"catalyst construction failed its exactness checks "
-            f"(drift {drift:.2e}, output {out_err:.2e})"
+            f"(drift {cert.catalyst_drift:.2e}, output {cert.epsilon_achieved:.2e})"
         )
     return assembly
 
@@ -193,19 +199,20 @@ def verify_catalysis(
 ) -> CatalysisCertificate:
     """Certify one catalytic application of ``lam`` to rho tensor tau."""
     if lam.input_layout != rho.layout + tau.layout:
-        raise LayoutMismatchError(
-            f"protocol input {lam.input_layout!r} is not system + catalyst"
-        )
-    mu = run_protocol(lam, tensor(rho, tau))
+        raise LayoutMismatchError(f"protocol input {lam.input_layout!r} is not system + catalyst")
     f = len(rho.layout)
-    if len(mu.layout) != f + len(tau.layout):
+    dims = lam.output_layout().dims
+    if len(dims) != f + len(tau.layout):
         raise LayoutMismatchError("protocol must keep the system+catalyst split")
-    mu_s = mu.marginal(range(f))
-    mu_c = mu.marginal(range(f, len(mu.layout)))
+    for part, want in ((dims[:f], sigma), (dims[f:], tau)):
+        if part != want.layout.dims:
+            raise LayoutMismatchError(f"dims {part} vs {want.layout.dims}")
+    split = (range(f), range(f, len(dims)))
+    mu, (mu_s, mu_c) = _catalytic_step(lam, (rho.matrix, tau.matrix), split)
     return CatalysisCertificate(
-        trace_norm_dist(mu_s, sigma),
-        trace_norm_dist(mu_c, tau),
-        trace_norm_dist(mu, tensor(mu_s, mu_c)),
+        _herm_dist(mu_s, sigma.matrix),
+        _herm_dist(mu_c, tau.matrix),
+        _herm_dist(mu, np.kron(mu_s, mu_c)),
     )
 
 
@@ -213,38 +220,18 @@ def verify_catalysis(
 # catalyst reuse
 
 
-def _herm_dist(a: np.ndarray, b: np.ndarray) -> float:
-    d = a - b
-    d = (d + d.conj().T) / 2
-    return float(np.abs(np.linalg.eigvalsh(d)).sum())
-
-
-def _induced_step(
-    lam: LoccProtocol, rho_m: np.ndarray, x: np.ndarray, ds: int, dc: int
-) -> np.ndarray:
-    """One catalyst update: feed rho beside x, run lam, trace out the system.
-
-    Linear in x, so x need not be a state.
-    """
-    y = _run_matrix(lam, np.kron(rho_m, x)).reshape(ds, dc, ds, dc)
-    return np.einsum("tetf->ef", y)
-
-
-def _fixed_point(
-    lam: LoccProtocol, rho: QState, dc: int, start: np.ndarray
-) -> tuple[np.ndarray, float]:
+def _fixed_point(lam: LoccProtocol, rho: QState, start: np.ndarray) -> np.ndarray:
     """Ergodic fixed point of the induced catalyst update, seeded at start.
 
     Plain iteration can stall when a register cycles (unit-modulus
     spectrum), so each round averages a block of iterates and restarts
-    from the mean; the mean of a full cycle is invariant, which makes
-    the restart contract.  The residual is returned, never enforced.
+    from the mean; the mean of a full cycle is invariant, which makes the
+    restart contract.  The caller reports the residual, never enforces it.
     """
-    ds = rho.total_dim
-    rho_m = rho.matrix
+    cat = (range(len(rho.layout), len(lam.input_layout)),)
 
     def advance(x: np.ndarray) -> np.ndarray:
-        return _induced_step(lam, rho_m, x, ds, dc)
+        return _catalytic_step(lam, (rho.matrix, x), cat)[1][0]
 
     x = np.asarray(start, dtype=complex)
     res = _herm_dist(advance(x), x)
@@ -260,7 +247,7 @@ def _fixed_point(
         x = (x + x.conj().T) / 2
         x /= x.trace().real
         res = _herm_dist(advance(x), x)
-    return x, res
+    return x
 
 
 def iterate_reuse(
@@ -318,60 +305,44 @@ def _reuse(
     ds, dc = rho.total_dim, tau_eps.total_dim
     if ds * dc > DIM_CAP:
         raise DimensionCapError(f"joint dimension {ds * dc} exceeds cap {DIM_CAP}")
-    # the returned state spans every copy.  Any ds >= 2 to the power
-    # DIM_CAP.bit_length() exceeds the cap, so clamping the exponent there
-    # keeps the test exact without building a huge integer.
-    out_dim = ds ** min(copies, DIM_CAP.bit_length())
+    # the returned state spans every copy
+    out_dim = _copies_dim(ds, copies)
     if out_dim > DIM_CAP:
-        raise DimensionCapError(
-            f"{copies} output copies of dimension {ds} exceed cap {DIM_CAP}"
-        )
+        raise DimensionCapError(f"{copies} output copies of dimension {ds} exceed cap {DIM_CAP}")
     if track_joint and out_dim * dc > DIM_CAP:
         raise DimensionCapError(
             f"joint tracking of {copies} copies needs dimension "
             f"{out_dim * dc} > cap {DIM_CAP}"
         )
-    cat_idx = tuple(range(f, f + len(tau_eps.layout)))
+    split = (range(f), range(f, len(lam.input_layout)))  # system, catalyst
 
     if tau is None:
-        tau_m, residual = _fixed_point(lam, rho, dc, tau_eps.matrix)
-        tau = QState(tau_eps.layout, tau_m)
-    else:
-        if tau.layout != tau_eps.layout:
-            raise LayoutMismatchError("tau and tau_eps layouts differ")
-        residual = _herm_dist(
-            _induced_step(lam, rho.matrix, tau.matrix, ds, dc), tau.matrix
-        )
-    s_star = run_protocol(lam, tensor(rho, tau)).marginal(range(f))
-    if sigma is None:
-        sigma = s_star
-    delta = trace_norm_dist(s_star, sigma)
-    eps0 = trace_norm_dist(tau_eps, tau)
+        tau = QState(tau_eps.layout, _fixed_point(lam, rho, tau_eps.matrix))
+    elif tau.layout != tau_eps.layout:
+        raise LayoutMismatchError("tau and tau_eps layouts differ")
+    _, (s_star, tau_next) = _catalytic_step(lam, (rho.matrix, tau.matrix), split)
+    if sigma is not None and sigma.layout.dims != rho.layout.dims:
+        raise LayoutMismatchError(f"dims {rho.layout.dims} vs {sigma.layout.dims}")
+    sigma_m = s_star if sigma is None else sigma.matrix
 
-    errors: list[float] = []
-    drifts: list[float] = []
-    outputs: list[QState] = []
-    cat = tau_eps
-    joint = tau_eps if track_joint else None
+    errors, drifts, outputs = [], [], []
+    cat = tau_eps.matrix
+    # the joint keeps the catalyst in front and appends each fresh copy, so
+    # its copies stay in chronological order
+    joint, joint_layout = tau_eps.matrix, tau_eps.layout
     for _ in range(copies):
-        mu = run_protocol(lam, tensor(rho, cat))
-        out_i = mu.marginal(range(f))
-        cat = mu.marginal(cat_idx)
-        errors.append(trace_norm_dist(out_i, sigma))
-        drifts.append(trace_norm_dist(cat, tau))
-        outputs.append(out_i)
+        _, (out_i, cat) = _catalytic_step(lam, (rho.matrix, cat), split)
+        errors.append(_herm_dist(out_i, sigma_m))
+        drifts.append(_herm_dist(cat, tau.matrix))
+        outputs.append(QState(rho.layout, out_i))
         if track_joint:
-            joint = tensor(rho, joint)
-            sel = tuple(range(f)) + tuple(
-                range(len(joint.layout) - len(cat_idx), len(joint.layout))
-            )
-            joint = run_protocol(embed_protocol(lam, joint.layout, sel), joint)
-
+            joint_layout = joint_layout + rho.layout
+            k = len(joint_layout)
+            step = embed_protocol(lam, joint_layout, [*range(k - f, k), *range(len(tau.layout))])
+            joint, _ = _catalytic_step(step, (joint, rho.matrix), ())
     if track_joint:
-        body = joint.marginal(range(copies * f))
-        # fresh copies were prepended; restore chronological block order
-        order = [(copies - 1 - b) * f + t for b in range(copies) for t in range(f)]
-        joint = permute_factors(body, order)
+        kept = range(len(tau.layout), len(joint_layout))
+        joint = QState(rho.layout.power(copies), _reduce_matrix(joint, joint_layout.dims, kept))
 
     cert = ReductionCertificate(
         n=copies,
@@ -379,11 +350,11 @@ def _reuse(
         per_marginal_errors=tuple(errors),
         rate_slack=1.0,
         catalyst_drifts=tuple(drifts),
-        epsilon_initial=eps0,
-        delta_single_shot=delta,
-        fixed_point_residual=float(residual),
+        epsilon_initial=_herm_dist(tau_eps.matrix, tau.matrix),
+        delta_single_shot=_herm_dist(s_star, sigma_m),
+        fixed_point_residual=_herm_dist(tau_next, tau.matrix),
     )
-    return outputs, joint, cert
+    return outputs, (joint if track_joint else None), cert
 
 
 def verify_marginal_reduction(
@@ -410,13 +381,10 @@ def verify_marginal_reduction(
         raise LayoutMismatchError(
             f"protocol output {lam.output_layout()!r} is not {m} copies of {sigma.layout!r}"
         )
-    out = run_protocol(lam, n_copies(rho, n))
     fs = len(sigma.layout)
-    errs = tuple(
-        trace_norm_dist(out.marginal(range(j * fs, (j + 1) * fs)), sigma)
-        for j in range(m)
-    )
-    return ReductionCertificate(n, m, errs, m / n)
+    blocks = [range(j * fs, (j + 1) * fs) for j in range(m)]
+    _, outs = _catalytic_step(lam, [rho.matrix] * n, blocks)
+    return ReductionCertificate(n, m, tuple(_herm_dist(o, sigma.matrix) for o in outs), m / n)
 
 
 def decoupled_catalysis_check(

@@ -27,6 +27,7 @@ passed, 1 for a computed failure or domain error, 2 for unusable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -37,6 +38,7 @@ import numpy as np
 
 from . import __version__
 from .catfactory import (
+    _copies_dim,
     _reuse,
     build_catalyst,
     verify_catalysis,
@@ -52,6 +54,7 @@ from .distill import (
 from .errors import (
     BoundViolationError,
     BudgetError,
+    DimensionCapError,
     DivergingRateError,
     DocumentError,
     MissingSeriesError,
@@ -73,6 +76,7 @@ from .purecat import (
     synthesize_pure_protocol,
 )
 from .qstate import (
+    DIM_CAP,
     QState,
     SchmidtVector,
     SystemLayout,
@@ -109,6 +113,30 @@ _COMMANDS: dict[str, tuple[set, set]] = {
     "synth-catalyst": ({"rho", "sigma"}, {"n", "copies", "f_resource", "protocol"}),
     "pure-rate": ({"source", "target"}, {"catalyst", "expect_plain", "expect_catalytic"}),
 }
+
+# Work budgets of the counts a scenario leaves unbounded.  Like
+# distill.MC_COPY_BUDGET, each lets the largest accepted input run about
+# 30 s on a 2-core box (numpy 2.4, OpenBLAS 0.3.31), where one item cost
+# 0.6 ms in verify-lemma1, 1.5 ms in superadd and 0.4 ms in a squashed
+# search at the default max_ext_dim.  The sweep is bounded by memory: its
+# report takes about 1.4 kB a point, 0.7 GB at 5e5 points (about 7 s).
+LEMMA1_SAMPLE_BUDGET = 5e4
+SUPERADD_SAMPLE_BUDGET = 2e4
+BOUNDS_ROUND_BUDGET = 6e4
+SWEEP_POINT_BUDGET = 5e5
+
+
+def _dim_cost(d: int) -> float:
+    """Items of work in a sample or search round on dimension d (1 when d is small).
+
+    Fitted to verify-lemma1 samples and squashed-search rounds at d = 4..2048.
+    """
+    return 1 + (d / 40) ** 2 + (d / 88) ** 3
+
+
+def _check_budget(what: str, work: float, budget: float) -> None:
+    if work > budget:
+        raise BudgetError(f"{what} is about {work:.3g} items of work; the budget is {budget:.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +222,17 @@ def _parse_state(spec: str, what: str) -> QState:
 
 
 def _build_protocol(spec: str, rho: QState, sigma: QState, n: int) -> LoccProtocol:
+    # refuse n past the cap before any n-copy spectrum or layout is built
+    if _copies_dim(rho.total_dim, n) > DIM_CAP:
+        raise DimensionCapError(f"{n} copies of dimension {rho.total_dim} exceed cap {DIM_CAP}")
     if spec == "identity":
         return identity_protocol(rho.layout.power(n))
     if spec == "synth":
         if not (is_pure(rho) and is_pure(sigma)):
             raise ScenarioError("synth protocol needs pure rho and sigma")
-        sv_s = schmidt_decompose(rho)
-        sv_t = schmidt_decompose(sigma)
-        s, t = sv_s, sv_t
-        for _ in range(n - 1):
-            s = s.tensor(sv_s)
-            t = t.tensor(sv_t)
+        s, t = (
+            functools.reduce(SchmidtVector.tensor, [schmidt_decompose(x)] * n) for x in (rho, sigma)
+        )
         return synthesize_pure_protocol(s, t, layout=rho.layout.power(n))
     if spec.startswith("file:"):
         return load_protocol(spec[5:].strip())
@@ -282,6 +310,10 @@ def _cmd_lemma1(scen, seed, samples):
     if aux < 1:
         raise ScenarioError(f"aux_dim must be >= 1, got {aux}")
     layout = PAIR + SystemLayout([(0, aux)])
+    # past DIM_CAP, random_state refuses the first sample before allocating
+    if layout.total_dim <= DIM_CAP:
+        work = count * _dim_cost(layout.total_dim)
+        _check_budget(f"{count} samples at aux_dim {aux}", work, LEMMA1_SAMPLE_BUDGET)
     scatter = []
     violations = 0
     for i in range(count):
@@ -303,6 +335,10 @@ def _cmd_bounds(scen, seed, samples):
         raise ScenarioError(f"budget must be >= 0, got {budget}")
     if max_ext < 1:
         raise ScenarioError(f"max_ext_dim must be >= 1, got {max_ext}")
+    # round r extends the purifying factor to dimension at most r + 1
+    work = budget * _dim_cost(state.total_dim * min(max_ext, budget))
+    _check_budget(f"a search budget of {budget} at max_ext_dim {max_ext}", work,
+                  BOUNDS_ROUND_BUDGET)
     hb = hashing_bounds(state)
     mi = mutual_information(state)
     sq = squashed_upper(state, max_ext_dim=max_ext, search_budget=budget, seed=seed)
@@ -320,6 +356,7 @@ def _cmd_superadd(scen, seed, samples):
     count = 5 if samples is None else samples
     if count < 1:
         raise ScenarioError(f"samples must be >= 1, got {count}")
+    _check_budget(f"{count} samples", count, SUPERADD_SAMPLE_BUDGET)
     eps = _get_float(scen, "eps", 0.3)
     mix = _get_float(scen, "mix", 2e-4)
     psi = singlet()
@@ -371,6 +408,7 @@ def _cmd_distill(scen, seed, samples):
                 f"sweep needs points >= 2 and 0.25 < lo < hi <= 1, got "
                 f"{points}, {lo}, {hi}"
             )
+        _check_budget(f"a sweep of {points} points", points, SWEEP_POINT_BUDGET)
         grid = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
         results["sweep"] = recurrence_sweep(grid)
     mc = _get_int(scen, "mc_samples", 0)

@@ -26,7 +26,7 @@ survivors) is part of the protocol and is applied last.
 Every Kraus set is stored once, as a read-only (K, rows, cols) stack;
 the public ``kraus`` tuple holds views of it.  One kernel, ``_contract``,
 applies a stack to the touched axes with two matrix products, for
-``run_protocol``, ``apply_to_factors`` and the catalyst fixed point.
+``run_protocol``, ``apply_to_factors`` and the catalyst factory's step.
 Validation works on the stacks too: an instrument sums K^dag K over all
 outcomes and checks the top eigenvalue of that total, which bounds every
 outcome's, and checks outcomes one by one only when the bound fails.
@@ -627,34 +627,26 @@ def _positions(dims: Sequence[int], lead: Sequence[int]) -> np.ndarray:
     return np.ravel_multi_index([multis[i] for i in order], [dims[i] for i in order])
 
 
-def swap_factors(layout: SystemLayout, i, j) -> LoccProtocol:
-    """Protocol of per-party local unitaries exchanging two factor groups.
+def permute_protocol(layout: SystemLayout, src: Sequence[int]) -> LoccProtocol:
+    """Per-party local unitaries after which factor t holds what factor src[t] held.
 
-    ``i`` and ``j`` are a factor index or a tuple of factor indices with
-    positionally identical (party, dim) profiles, e.g. two copies of a
-    bipartite system.  Each involved party swaps its own halves, so the
-    protocol is manifestly local.
+    Factors move only onto equal (party, dim) slots, so each party permutes its own.
     """
-    gi = (i,) if isinstance(i, int) else tuple(int(x) for x in i)
-    gj = (j,) if isinstance(j, int) else tuple(int(x) for x in j)
-    if len(gi) != len(gj):
-        raise LayoutMismatchError(f"groups {gi} and {gj} differ in length")
-    if set(gi) & set(gj):
-        raise ValueError(f"groups {gi} and {gj} overlap")
-    for a, b in zip(gi, gj):
-        if layout[a] != layout[b]:
+    src = tuple(int(i) for i in src)
+    if sorted(src) != list(range(len(layout))):
+        raise ValueError(f"src {src} is not a permutation")
+    for t, s in enumerate(src):
+        if layout[t] != layout[s]:
             raise LayoutMismatchError(
-                f"factor {a} {layout[a]} does not match factor {b} {layout[b]}"
+                f"factor {t} {layout[t]} does not match factor {s} {layout[s]}"
             )
     steps = []
-    for party in sorted({layout[a].party for a in gi}):
-        ia = [a for a in gi if layout[a].party == party]
-        ja = [b for b in gj if layout[b].party == party]
-        sel = tuple(ia + ja)
-        m = len(ia)
-        src = list(range(m, 2 * m)) + list(range(m))
-        u = perm_unitary([layout[a].dim for a in sel], src)
-        steps.append(local_channel(layout, party, sel, (u,)))
+    for party in layout.parties:
+        pos = [q for q in layout.party_factors(party) if src[q] != q]
+        if pos:
+            at = {q: a for a, q in enumerate(pos)}
+            u = perm_unitary([layout[q].dim for q in pos], [at[src[q]] for q in pos])
+            steps.append(local_channel(layout, party, tuple(pos), (u,)))
     return LoccProtocol(layout, steps)
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from catent.catfactory import (
+    _catalytic_step,
     _fixed_point,
-    _induced_step,
+    _herm_dist,
     assembly_from_dict,
     assembly_to_dict,
     build_catalyst,
@@ -24,6 +25,7 @@ from catent.locc import (
     LoccProtocol,
     apply,
     flatten,
+    embed_protocol,
     identity_protocol,
     local_channel,
     run_protocol,
@@ -36,8 +38,10 @@ from catent.qstate import (
     maximally_mixed,
     n_copies,
     partial_trace,
+    permute_factors,
     random_state,
     tensor,
+    tensor_all,
     trace_norm_dist,
 )
 
@@ -148,7 +152,8 @@ def test_catalyst_embedding_matches_flatten(n):
     assert np.max(np.abs(got.matrix - apply(flat, src).matrix)) < 1e-12
     ds, dc = rho.total_dim, asm.tau.total_dim
     x = random_state(asm.tau.layout, "ginibre_mixed", seed=n).matrix
-    got = _induced_step(asm.embedding, rho.matrix, x, ds, dc)
+    cat = range(2, len(asm.embedding.input_layout))
+    got = _catalytic_step(asm.embedding, (rho.matrix, x), (cat,))[1][0]
     want = _kraus_induced_step(flat.kraus, rho.matrix, x, ds, dc)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -159,9 +164,10 @@ def test_fixed_point_recovers_exact_catalyst_n2():
     asm = build_catalyst(_synth_lambda(2), rho, 2)
     mix = maximally_mixed(asm.tau.layout)
     tau_eps = QState(asm.tau.layout, 0.97 * asm.tau.matrix + 0.03 * mix.matrix)
-    x, res = _fixed_point(asm.embedding, rho, asm.tau.total_dim, tau_eps.matrix)
+    x = _fixed_point(asm.embedding, rho, tau_eps.matrix)
     assert np.max(np.abs(x - asm.tau.matrix)) < 1e-10
-    assert res < 1e-12
+    _, (x_next,) = _catalytic_step(asm.embedding, (rho.matrix, x), (range(2, 5),))
+    assert _herm_dist(x_next, x) < 1e-12
     _, cert = iterate_reuse(asm.embedding, tau_eps, rho, 1)
     assert cert.fixed_point_residual < 1e-12
     assert abs(cert.epsilon_initial - trace_norm_dist(tau_eps, asm.tau)) < 1e-10
@@ -337,6 +343,174 @@ def test_marginal_reduction_validations():
     lam = LoccProtocol(PAIR.power(3), (), discard=(4, 5))
     with pytest.raises(LayoutMismatchError):
         verify_marginal_reduction(lam, rho, rho, 3, 1)
+
+
+# ---------------------------------------------------------------------------
+# the raw catalytic step against the validated-state chains it replaced
+
+
+def _chain_catalysis(lam, tau, rho, sigma):
+    mu = run_protocol(lam, tensor(rho, tau))
+    f = len(rho.layout)
+    if len(mu.layout) != f + len(tau.layout):
+        raise LayoutMismatchError("protocol must keep the system+catalyst split")
+    mu_s = mu.marginal(range(f))
+    mu_c = mu.marginal(range(f, len(mu.layout)))
+    return (
+        trace_norm_dist(mu_s, sigma),
+        trace_norm_dist(mu_c, tau),
+        trace_norm_dist(mu, tensor(mu_s, mu_c)),
+    )
+
+
+def _chain_reduction(lam, rho, sigma, n, m):
+    out = run_protocol(lam, n_copies(rho, n))
+    fs = len(sigma.layout)
+    return tuple(
+        trace_norm_dist(out.marginal(range(j * fs, (j + 1) * fs)), sigma) for j in range(m)
+    )
+
+
+def _chain_reuse(lam, tau_eps, rho, copies, tau, sigma, track_joint):
+    f = len(rho.layout)
+    cat_idx = tuple(range(f, f + len(tau_eps.layout)))
+    mu = run_protocol(lam, tensor(rho, tau))
+    residual = trace_norm_dist(mu.marginal(cat_idx), tau)
+    delta = trace_norm_dist(mu.marginal(range(f)), sigma)
+    errors, drifts, outputs = [], [], []
+    cat = joint = tau_eps
+    for _ in range(copies):
+        mu = run_protocol(lam, tensor(rho, cat))
+        out_i = mu.marginal(range(f))
+        cat = mu.marginal(cat_idx)
+        errors.append(trace_norm_dist(out_i, sigma))
+        drifts.append(trace_norm_dist(cat, tau))
+        outputs.append(out_i)
+        if track_joint:
+            joint = tensor(rho, joint)
+            k = len(joint.layout)
+            sel = tuple(range(f)) + tuple(range(k - len(cat_idx), k))
+            joint = run_protocol(embed_protocol(lam, joint.layout, sel), joint)
+    if track_joint:
+        body = joint.marginal(range(copies * f))
+        order = [(copies - 1 - b) * f + t for b in range(copies) for t in range(f)]
+        out = permute_factors(body, order)
+    else:
+        out = tensor_all(outputs)
+    fields = (errors, drifts, trace_norm_dist(tau_eps, tau), delta, residual)
+    return out, fields
+
+
+def _noisy_setup(n):
+    rho = canonical_pure((0.5, 0.5))
+    sigma = canonical_pure((0.75, 0.25))
+    asm = build_catalyst(_noisy_lambda(n, 0.9), rho, n)
+    mix = maximally_mixed(asm.tau.layout)
+    tau_eps = QState(asm.tau.layout, 0.96 * asm.tau.matrix + 0.04 * mix.matrix)
+    return rho, sigma, asm, tau_eps
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_catalysis_matches_state_chain(n):
+    rho, sigma, asm, tau_eps = _noisy_setup(n)
+    for tau in (asm.tau, tau_eps):
+        got = verify_catalysis(asm.embedding, tau, rho, sigma)
+        want = _chain_catalysis(asm.embedding, tau, rho, sigma)
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+    assert got.catalyst_drift > 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_marginal_reduction_matches_state_chain(n):
+    rho, sigma, _, _ = _noisy_setup(n)
+    lam = _noisy_lambda(n, 0.9)
+    for m in range(1, n + 1):
+        keep = LoccProtocol(lam.input_layout, lam.steps, discard=range(2 * m, 2 * n))
+        got = verify_marginal_reduction(keep, rho, sigma, n, m).per_marginal_errors
+        want = _chain_reduction(keep, rho, sigma, n, m)
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+    assert max(got) > 0.01
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("track_joint", [False, True])
+def test_iterate_reuse_matches_state_chain(n, track_joint):
+    rho, sigma, asm, tau_eps = _noisy_setup(n)
+    copies = 3 if n == 2 else 2
+    out, cert = iterate_reuse(
+        asm.embedding, tau_eps, rho, copies, tau=asm.tau, sigma=sigma, track_joint=track_joint
+    )
+    want_out, (errors, drifts, eps0, delta, residual) = _chain_reuse(
+        asm.embedding, tau_eps, rho, copies, asm.tau, sigma, track_joint
+    )
+    assert np.max(np.abs(np.subtract(cert.per_marginal_errors, errors))) < 1e-12
+    assert np.max(np.abs(np.subtract(cert.catalyst_drifts, drifts))) < 1e-12
+    assert abs(cert.epsilon_initial - eps0) < 1e-12
+    assert abs(cert.delta_single_shot - delta) < 1e-12
+    assert abs(cert.fixed_point_residual - residual) < 1e-12
+    assert out.layout == want_out.layout
+    assert np.max(np.abs(out.matrix - want_out.matrix)) < 1e-12
+    assert cert.epsilon_initial > 1e-3
+
+
+def test_relabeled_protocols_match_state_chain():
+    rho, sigma, asm, tau_eps = _noisy_setup(2)
+    emb = asm.embedding
+    # hand back (party-0 system qubit, register) as the "system": the output
+    # dims still match, so the certificate is computed on the relabeled split
+    lam = LoccProtocol(
+        emb.input_layout, emb.steps, relabel=(0, 4, 2, 3, 1),
+        classical_factors=emb.classical_factors,
+    )
+    got = verify_catalysis(lam, tau_eps, rho, sigma)
+    want = _chain_catalysis(lam, tau_eps, rho, sigma)
+    assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+    # swapped output copies of a 3-to-2 reduction
+    base = _noisy_lambda(3, 0.9)
+    lam = LoccProtocol(base.input_layout, base.steps, discard=(4, 5), relabel=(2, 3, 0, 1))
+    got = verify_marginal_reduction(lam, rho, sigma, 3, 2).per_marginal_errors
+    want = _chain_reduction(lam, rho, sigma, 3, 2)
+    assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+    assert abs(got[0] - got[1]) > 1e-3
+
+
+def _error_of(fn, *args, **kwargs):
+    with pytest.raises(Exception) as info:
+        fn(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+def test_verify_catalysis_errors_match_state_chain():
+    rho, sigma, asm, tau_eps = _noisy_setup(3)
+    emb = asm.embedding
+    lay = emb.input_layout
+    cf = emb.classical_factors
+    cases = [
+        # a discard breaks the split
+        (LoccProtocol(lay, emb.steps, discard=(1,), classical_factors=cf), asm.tau, sigma),
+        # a relabel that moves the dim-3 register into the system
+        (LoccProtocol(lay, emb.steps, relabel=(0, 6, 2, 3, 4, 5, 1), classical_factors=cf),
+         asm.tau, sigma),
+        # a relabel that moves a system qubit into the catalyst's register slot
+        (LoccProtocol(lay, emb.steps, relabel=(0, 1, 2, 3, 4, 6, 5), classical_factors=cf),
+         asm.tau, sigma),
+        # a sigma on the wrong dims
+        (emb, asm.tau, maximally_mixed(SystemLayout([(0, 2), (1, 3)]))),
+    ]
+    for lam, tau, sig in cases:
+        got = _error_of(verify_catalysis, lam, tau, rho, sig)
+        assert got == _error_of(_chain_catalysis, lam, tau, rho, sig)
+        assert got[0] is LayoutMismatchError
+    with pytest.raises(LayoutMismatchError, match="is not system \\+ catalyst"):
+        verify_catalysis(emb, maximally_mixed(PAIR), rho, sigma)
+
+
+def test_iterate_reuse_sigma_mismatch_matches_state_chain():
+    rho, _, asm, tau_eps = _noisy_setup(2)
+    bad = maximally_mixed(SystemLayout([(0, 2), (1, 3)]))
+    got = _error_of(iterate_reuse, asm.embedding, tau_eps, rho, 1, tau=asm.tau, sigma=bad)
+    want = _error_of(_chain_reuse, asm.embedding, tau_eps, rho, 1, asm.tau, bad, False)
+    assert got == want and got[0] is LayoutMismatchError
 
 
 # ---------------------------------------------------------------------------

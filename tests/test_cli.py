@@ -440,6 +440,46 @@ def test_verify_lemma1_aux_dim_past_cap_exits_1(tmp_path):
     assert "random state dimension 400000 exceeds cap 4096" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("catalyze", "rho: singlet\nn: 1000000\n"),
+        ("reduce", "rho: singlet\nsigma: singlet\nn: 1000000\nm: 1\n"),
+        ("synth-catalyst", "rho: pure:0.5,0.5\nsigma: pure:0.75,0.25\nn: 1000000\n"),
+    ],
+    ids=["catalyze", "reduce", "synth-catalyst"],
+)
+def test_copies_past_cap_refused_before_any_layout(tmp_path, command, text):
+    # a layout of 2n factors costs time quadratic in n (minutes at n = 10**6),
+    # and the synthesized spectra 2**n entries: the cap must come first
+    proc = _run_limited(tmp_path, command, text, address_space_mb=1024, timeout_s=20)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("catent: failed:"), proc.stderr
+    assert "1000000 copies of dimension 4 exceed cap 4096" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("distill", "f_initial: 0.75\nf_target: 0.9\nsweep_points: 100000000\n"),
+        ("superadd", "samples: 1000000000\n"),
+        ("verify-lemma1", "samples: 1000000000\n"),
+        ("verify-lemma1", "aux_dim: 1024\nsamples: 1\n"),
+        ("bounds", "state: werner:0.8\nbudget: 1000000000\n"),
+        ("bounds", "state: werner:0.8\nbudget: 2000\nmax_ext_dim: 2000\n"),
+    ],
+    ids=["distill-sweep", "superadd", "lemma1-samples", "lemma1-aux", "bounds", "bounds-ext"],
+)
+def test_counts_past_their_work_budget_exit_1(tmp_path, command, text):
+    # each would run for hours, or build its report past the memory limit;
+    # one 4096-dim lemma1 sample alone would take about a minute, and search
+    # rounds at max_ext_dim 2000 would pass DIM_CAP
+    proc = _run_limited(tmp_path, command, text, address_space_mb=1024, timeout_s=15)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("catent: failed:"), proc.stderr
+    assert "the budget is" in proc.stderr
+
+
 def test_catalyze_copies_past_cap_raise_the_cap_error():
     # the joint dimension 4**100000 * 100000 must not be built as an integer
     with pytest.raises(DimensionCapError, match="100000 copies of dimension 4 .*exceed cap 4096"):

@@ -23,11 +23,12 @@ from catent.locc import (
     local_instrument,
     local_unitary,
     perm_unitary,
+    permute_protocol,
     protocol_from_dict,
+    run_protocol,
     protocol_to_dict,
     save_protocol,
     load_protocol,
-    swap_factors,
     teleport_channel,
 )
 from catent.qstate import (
@@ -498,7 +499,7 @@ def test_teleportation_integration():
 
 def test_swap_factors_roundtrip():
     lay = SystemLayout([(0, 2), (0, 2)])
-    ch = flatten(swap_factors(lay, 0, 1))
+    ch = flatten(permute_protocol(lay, (1, 0)))
     a = random_state(SystemLayout([(0, 2)]), "ginibre_mixed", seed=0)
     b = random_state(SystemLayout([(0, 2)]), "ginibre_mixed", seed=1)
     out = apply(ch, tensor(a, b))
@@ -507,7 +508,7 @@ def test_swap_factors_roundtrip():
 
 def test_swap_factor_groups_is_local():
     lay = PAIR + PAIR
-    proto = swap_factors(lay, (0, 1), (2, 3))
+    proto = permute_protocol(lay, (2, 3, 0, 1))
     # one unitary per party, each touching only that party's factors
     assert len(proto.steps) == 2
     for step in proto.steps:
@@ -521,10 +522,35 @@ def test_swap_factor_groups_is_local():
 
 def test_swap_factors_errors():
     lay = SystemLayout([(0, 2), (1, 2)])
-    with pytest.raises(LayoutMismatchError):
-        swap_factors(lay, 0, 1)  # different parties
-    with pytest.raises(ValueError):
-        swap_factors(PAIR + PAIR, (0, 1), (1, 2))
+    with pytest.raises(LayoutMismatchError, match="does not match"):
+        permute_protocol(lay, (1, 0))  # different parties
+    with pytest.raises(ValueError, match="not a permutation"):
+        permute_protocol(PAIR + PAIR, (2, 2, 0, 1))
+
+
+def _old_block_cycle(joint, unit, n, src_block):
+    # the catalyst factory's former branch builder: block t takes block
+    # src_block[t], one unitary per party over all of its block factors
+    f = len(unit)
+    src = {t * f + i: src_block[t] * f + i for t in range(n) for i in range(f)}
+    steps = []
+    for party in unit.parties:
+        pos = [q for q in range(n * f) if joint[q].party == party]
+        at = {q: a for a, q in enumerate(pos)}
+        u = perm_unitary([joint[q].dim for q in pos], [at[src[q]] for q in pos])
+        steps.append(local_channel(joint, party, tuple(pos), (u,)))
+    return LoccProtocol(joint, steps)
+
+
+@pytest.mark.parametrize("src_block", [(2, 0, 1), (2, 1, 0), (1, 2, 0)])
+def test_permute_protocol_runs_an_exact_permutation(src_block):
+    lay = PAIR.power(3) + SystemLayout([(0, 3)])
+    state = random_state(lay, "ginibre_mixed", seed=sum(src_block[:2]))
+    src = [b * 2 + i for b in src_block for i in range(2)] + [6]
+    got = run_protocol(permute_protocol(lay, src), state).matrix
+    assert np.array_equal(got, permute_factors(state, src).matrix)
+    old = run_protocol(_old_block_cycle(lay, PAIR, 3, src_block), state).matrix
+    assert np.array_equal(got, old)
 
 
 def test_perm_unitary_action():
