@@ -24,9 +24,13 @@ Terminal bookkeeping (discarding ancilla factors, relabeling the
 survivors) is part of the protocol and is applied last.
 
 Every Kraus set is stored once, as a read-only (K, rows, cols) stack;
-the public ``kraus`` tuple holds views of it.  One kernel, ``_contract``,
-applies a stack to the touched axes with two matrix products, for
-``run_protocol``, ``apply_to_factors`` and the catalyst factory's step.
+the public ``kraus`` tuple holds views of it.  Constructed sets are
+complex128; a wide instrument with real entries (the pure-conversion
+synthesis) brings float64 stacks, half the bytes, through ``_views``,
+and the kernel and the checks take them as they are.  One kernel,
+``_contract``, applies a stack to the touched axes with two matrix
+products, for ``run_protocol``, ``apply_to_factors`` and the catalyst
+factory's step.
 Validation works on the stacks too: an instrument sums K^dag K over all
 outcomes and checks the top eigenvalue of that total, which bounds every
 outcome's, and checks outcomes one by one only when the bound fails.
@@ -78,13 +82,14 @@ def _completeness(stacks: Sequence[np.ndarray], din: int) -> np.ndarray:
     completeness is A_j^dag A_j: one batched matmul, and one set allocates
     twice its own size (A_j and its conjugate) plus ``din**2``, never one
     ``din**2`` per operator.  Equal-shape sets are joined by one
-    ``np.concatenate``; shorter sets are padded with zero rows.
+    ``np.concatenate``; shorter sets are padded with zero rows.  Real
+    stacks stay real, so their check runs in real arithmetic.
     """
     rows = [s.shape[0] * s.shape[1] for s in stacks]
     if len({s.shape for s in stacks}) == 1:
         a = np.concatenate(stacks).reshape(len(stacks), rows[0], din)
     else:
-        a = np.zeros((len(stacks), max(rows), din), dtype=complex)
+        a = np.zeros((len(stacks), max(rows), din), dtype=np.result_type(*stacks))
         for j, s in enumerate(stacks):
             a[j, : rows[j]] = s.reshape(rows[j], din)
     return a.conj().transpose(0, 2, 1) @ a
@@ -124,9 +129,16 @@ def _views(cls, stack: np.ndarray, **fields) -> list:
     Made without ``__init__``, so nothing is copied or flagged per object:
     object m keeps ``stack[m]`` and its items as ``kraus``, and the shared
     ``fields``.  A channel's Kraus shape is checked here, once.
+
+    The stack may be float64 as well as complex128: a wide instrument
+    whose operators are all real (the pure-conversion synthesis) then
+    holds half the bytes, and the kernels apply it to complex states as
+    they are.  Any other dtype is refused.
     """
-    if stack.flags.writeable or stack.ndim != 4 or stack.dtype != complex:
-        raise ValueError("views need a read-only complex (M, K, rows, cols) stack")
+    if stack.flags.writeable or stack.ndim != 4 or stack.dtype not in (np.float64, complex):
+        raise ValueError(
+            "views need a read-only float64 or complex128 (M, K, rows, cols) stack"
+        )
     if "input_layout" in fields:
         _check_kraus_shape(stack.shape[2:], fields["input_layout"], fields["output_layout"])
     fields = list(fields.items())

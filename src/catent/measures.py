@@ -17,12 +17,14 @@ import numpy as np
 from .errors import (
     BoundViolationError,
     BudgetError,
+    DimensionCapError,
     DivergingRateError,
     LayoutMismatchError,
     NotPureError,
 )
 from .locc import Channel, LoccProtocol, apply, run_protocol, tensor_protocols
 from .qstate import (
+    DIM_CAP,
     EIG_CUTOFF,
     QState,
     SystemLayout,
@@ -139,6 +141,9 @@ def squashed_upper(
     candidates (trivial, eigenvector flags, a user decomposition, the bare
     purification) are always evaluated; ``search_budget`` counts the random
     channel candidates and refinement steps on the purifying factor.
+    ``DimensionCapError`` is raised first if the widest extension the
+    rounds could build, ``rho.total_dim * min(max_ext_dim, search_budget)``,
+    exceeds ``DIM_CAP``.
     """
     layout = rho.layout
     if set(layout.parties) != {0, 1}:
@@ -147,6 +152,14 @@ def squashed_upper(
         raise ValueError(f"max_ext_dim must be >= 1, got {max_ext_dim}")
     if search_budget < 0:
         raise BudgetError(f"search_budget must be >= 0, got {search_budget}")
+    # round r extends the purifying factor to an output dimension of at
+    # most min(max_ext_dim, r + 1): check the largest before any candidate
+    ext = rho.total_dim * min(max_ext_dim, search_budget)
+    if ext > DIM_CAP:
+        raise DimensionCapError(
+            f"extension dimension {ext} ({rho.total_dim} x {min(max_ext_dim, search_budget)}) "
+            f"exceeds cap {DIM_CAP}"
+        )
 
     candidates: list[QState] = []
 

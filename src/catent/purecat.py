@@ -8,7 +8,8 @@ permutation correction by the second) is synthesized from a chain of
 two-outcome mixing steps.  The chain's branches are rows of an index
 array; the outcomes' Kraus operators and corrections are filled into two
 read-only stacks, and the instrument's channels and the correction steps
-are views of them, checked as stacks.
+are views of them, checked as stacks.  Every entry is real, so the stacks
+are float64: half the bytes of complex ones, with the same values.
 """
 
 from __future__ import annotations
@@ -208,9 +209,11 @@ def synthesize_pure_protocol(
     )
     rows = np.arange(len(wts))[:, None]
     cols = np.arange(d)[None, :]
-    kraus = np.zeros((len(wts), 1, d, d), dtype=complex)
+    # every entry is real, so float64 stacks hold the same values in half
+    # the bytes of complex ones (268 MB -> 134 MB for both at d=16)
+    kraus = np.zeros((len(wts), 1, d, d))
     kraus[rows, 0, sigmas, cols] = amps
-    corrs = np.zeros((len(wts), 1, d, d), dtype=complex)
+    corrs = np.zeros((len(wts), 1, d, d))
     corrs[rows, 0, sigmas, cols] = 1.0
     kraus.setflags(write=False)
     corrs.setflags(write=False)

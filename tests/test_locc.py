@@ -341,16 +341,24 @@ def test_kraus_items_are_views_of_one_read_only_stack():
 
 
 def test_stack_views_check_the_stack_once():
-    stack = np.stack([np.eye(2)[None], np.eye(2)[None]]) / math.sqrt(2) + 0j
-    with pytest.raises(ValueError, match="read-only"):
-        locc._views(Channel, stack, input_layout=Q0, output_layout=Q0)
-    stack.setflags(write=False)
-    a, b = locc._views(Channel, stack, input_layout=Q0, output_layout=Q0)
-    assert a.kraus[0].base is stack and b.input_layout is Q0
-    Instrument((("a", a), ("b", b)))
-    q3 = SystemLayout([(0, 3)])
-    with pytest.raises(LayoutMismatchError, match=r"\(2, 2\) does not match \(3, 3\)"):
-        locc._views(Channel, stack, input_layout=q3, output_layout=q3)
+    real = np.stack([np.eye(2)[None], np.eye(2)[None]]) / math.sqrt(2)
+    for dtype in (np.float64, complex):
+        stack = real.astype(dtype)
+        with pytest.raises(ValueError, match="read-only float64 or complex128"):
+            locc._views(Channel, stack, input_layout=Q0, output_layout=Q0)
+        stack.setflags(write=False)
+        a, b = locc._views(Channel, stack, input_layout=Q0, output_layout=Q0)
+        assert a.kraus[0].base is stack and a.kraus[0].dtype == dtype and b.input_layout is Q0
+        Instrument((("a", a), ("b", b)))
+        q3 = SystemLayout([(0, 3)])
+        with pytest.raises(LayoutMismatchError, match=r"\(2, 2\) does not match \(3, 3\)"):
+            locc._views(Channel, stack, input_layout=q3, output_layout=q3)
+    # only the two dtypes the kernels are tested on pass
+    for other in (np.float32, np.int64, np.complex64):
+        cast = real.astype(other)
+        cast.setflags(write=False)
+        with pytest.raises(ValueError, match="read-only float64 or complex128"):
+            locc._views(LocalChannel, cast, party=0, factors=(0,))
 
 
 def test_many_kraus_contraction_stays_within_a_few_states():

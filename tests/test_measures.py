@@ -1,7 +1,13 @@
 import math
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import catent
 
 from catent.errors import (
     BoundViolationError,
@@ -197,6 +203,44 @@ def test_squashed_validation():
         squashed_upper(s, decomposition=junk)
     with pytest.raises(LayoutMismatchError):
         squashed_upper(random_state(SystemLayout([(0, 2)]), "ginibre_mixed", seed=0))
+
+
+_CAPPED_SEARCH = """
+from catent.distill import werner
+from catent.errors import DimensionCapError
+from catent.measures import squashed_upper
+
+try:
+    squashed_upper(werner(0.8).state, max_ext_dim=2000, search_budget=5000)
+except DimensionCapError as exc:
+    print(exc)
+"""
+
+
+def test_squashed_extensions_past_cap_refused_first():
+    # rounds at output dimension 2000 would build 8000-dim extensions, and
+    # one round at 512 already takes seconds: the cap must come first.  A
+    # child process under a 1 GiB address-space limit, so a search that
+    # runs or allocates fails the test instead of taking the suite down.
+    def limit():
+        cap = 2**30
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = os.path.dirname(os.path.dirname(catent.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_SEARCH],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=15,
+        preexec_fn=limit,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "extension dimension 8000 (4 x 2000) exceeds cap 4096"
+    # the cap reads the widest round, so a small budget at a wide max_ext_dim still runs
+    got = squashed_upper(random_state(PAIR, "ginibre_mixed", seed=0), max_ext_dim=2000,
+                         search_budget=3)
+    assert 1 <= got.extension_dim <= 4
 
 
 # ---------------------------------------------------------------------------

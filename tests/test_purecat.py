@@ -1,11 +1,21 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from catent.errors import DimensionCapError, DivergingRateError, NotConvertibleError
-from catent.locc import apply, flatten
+from catent.locc import (
+    Instrument,
+    LocalChannel,
+    LocalInstrument,
+    LoccProtocol,
+    _run_matrix,
+    apply,
+    flatten,
+)
 from catent.purecat import (
     SUM_TOL,
     _mixing_chain,
@@ -22,6 +32,7 @@ from catent.qstate import (
     fidelity,
     maximally_entangled,
     n_copies,
+    random_state,
     singlet,
     tensor,
 )
@@ -259,13 +270,18 @@ def test_mixing_chain_drops_negligible_branches():
     assert _assert_chain_matches_dict(t, s) == 3
 
 
+def _copies_pair(src, tgt, n):
+    """The n-copy spectra of a (src, tgt) pair of Schmidt spectra."""
+    src, tgt = SchmidtVector.of(src), SchmidtVector.of(tgt)
+    s, t = src, tgt
+    for _ in range(n - 1):
+        s, t = s.tensor(src), t.tensor(tgt)
+    return s, t
+
+
 def _width_16_pair():
     """(0.5, 0.5)^4 and (0.7731, 0.2269)^4: the benchmark's n=4 synthesis."""
-    src, tgt = SchmidtVector.of((0.5, 0.5)), SchmidtVector.of((0.7731, 0.2269))
-    s4, t4 = src, tgt
-    for _ in range(3):
-        s4, t4 = s4.tensor(src), t4.tensor(tgt)
-    return s4, t4
+    return _copies_pair((0.5, 0.5), (0.7731, 0.2269), 4)
 
 
 def test_mixing_chain_matches_dict_chain_on_uniform_width_16():
@@ -278,7 +294,9 @@ def _reference_outcomes(source, target, layout=None):
     """Per-element builder of the synthesized outcomes: (label, Kraus, correction).
 
     This is the outcome-by-outcome loop the array construction replaced;
-    the synthesized instrument must match it byte for byte.
+    the synthesized instrument must match it byte for byte.  Every entry
+    is real, and the synthesis stores float64 stacks, so the reference is
+    float64 too (a real-to-complex cast is exact, so nothing is lost).
     """
     t, s = _padded_pair(target, source)
     if layout is not None:
@@ -287,8 +305,8 @@ def _reference_outcomes(source, target, layout=None):
     d = len(t)
     out = []
     for m, (sigma, wt) in enumerate(zip(*_mixing_chain(t, s))):
-        k = np.zeros((d, d), dtype=complex)
-        corr = np.zeros((d, d), dtype=complex)
+        k = np.zeros((d, d))
+        corr = np.zeros((d, d))
         for i in range(d):
             si = sigma[i]
             if s[i] > SUM_TOL:
@@ -308,6 +326,7 @@ def _assert_matches_reference(source, target, layout=None):
     for (lab, k0, c0), (_, ch) in zip(want, step.instrument.outcomes):
         (k,) = ch.kraus
         ((corr,),) = [c.kraus for c in cases[lab]]
+        assert k.dtype == corr.dtype == np.float64
         assert k.shape == k0.shape and k.tobytes() == k0.tobytes()
         assert corr.shape == c0.shape and corr.tobytes() == c0.tobytes()
     return want
@@ -358,13 +377,86 @@ def test_wide_synthesis_checks_outcomes_through_their_total(eigvalsh_calls):
     (step,) = synthesize_pure_protocol(*_width_16_pair()).steps
     assert len(step.instrument.outcomes) == 32768
     assert len(eigvalsh_calls) <= 2
-    # every outcome and correction is a read-only view of one stack
+    # every outcome and correction is a read-only float64 view of one stack
     cases = step.case_map()
     kraus = [ch.kraus[0] for _, ch in step.instrument.outcomes]
     corrs = [cases[lab][0].kraus[0] for lab in step.instrument.labels]
     for ops in (kraus, corrs):
         assert len({id(k.base) for k in ops}) == 1
-        assert not ops[0].base.flags.writeable and ops[0].shape == (16, 16)
+        base = ops[0].base
+        assert not base.flags.writeable and base.dtype == np.float64
+        assert base.shape == (32768, 1, 16, 16) and ops[0].shape == (16, 16)
+
+
+def test_wide_synthesis_memory_peak():
+    # two complex (32768, 1, 16, 16) stacks are 268 MB, and the synthesis
+    # peaked at about 307 MB with them; float64 stacks hold half of that
+    pair = _width_16_pair()
+    tracemalloc.start()
+    try:
+        synthesize_pure_protocol(*pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20
+
+
+def _synthesis_digest(n):
+    """SHA-256 over the labels, then the Kraus operators and the corrections as complex128."""
+    (step,) = synthesize_pure_protocol(*_copies_pair((0.5, 0.5), (0.7731, 0.2269), n)).steps
+    cases = step.case_map()
+    outcomes = step.instrument.outcomes
+    h = hashlib.sha256()
+    for lab, _ in outcomes:
+        h.update(lab.encode() + b"\0")
+    for ops in (
+        lambda chunk: [k for _, ch in chunk for k in ch.kraus],
+        lambda chunk: [k for lab, _ in chunk for c in cases[lab] for k in c.kraus],
+    ):
+        for lo in range(0, len(outcomes), 2048):
+            h.update(np.stack(ops(outcomes[lo : lo + 2048])).astype(complex).tobytes())
+    return len(outcomes), h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n,count,digest",
+    [
+        (2, 8, "f61c8cd57687b1b4bba73879cba36e906a9fc5f6c78e73a743d75ad5c0085220"),
+        (3, 128, "75f9616e520419cf63dab9872a65ca980f24d6f68aa2b18976a24403ec67ea9d"),
+        (4, 32768, "6acc88a0ddae81c381117910dfe5828b85a831052b5ba99b19e27049119720ca"),
+    ],
+)
+def test_synthesis_digest_is_unchanged(n, count, digest):
+    # the digests of the complex-stack synthesis: storing the stacks as
+    # float64 changes no label, no value and no order
+    assert _synthesis_digest(n) == (count, digest)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("src,tgt", [((0.5, 0.5), (0.7731, 0.2269)), ((0.6, 0.4), (0.8, 0.2))])
+def test_real_stacks_run_like_complex_ones(n, src, tgt):
+    # the same protocol with every outcome and correction rebuilt as
+    # complex128 by the public constructors gives byte-equal outputs
+    layout = SystemLayout([(0, 2), (1, 2)]).power(n)
+    proto = synthesize_pure_protocol(*_copies_pair(src, tgt, n), layout=layout)
+    (step,) = proto.steps
+    cases = step.case_map()
+    inst = Instrument.from_kraus(
+        step.instrument.input_layout, [(lab, ch.kraus) for lab, ch in step.instrument.outcomes]
+    )
+    fixes = tuple(
+        (lab, tuple(LocalChannel(c.party, c.factors, c.kraus) for c in cases[lab]))
+        for lab in step.instrument.labels
+    )
+    ref = LoccProtocol(layout, (LocalInstrument(step.party, step.factors, inst, fixes),))
+    assert step.instrument.outcomes[0][1]._stack.dtype == np.float64
+    assert inst.outcomes[0][1]._stack.dtype == ref.steps[0].cases[0][1][0]._stack.dtype == complex
+    for rho in (
+        n_copies(canonical_pure(SchmidtVector.of(src)), n),
+        random_state(layout, "ginibre_mixed", seed=5),
+    ):
+        got, want = _run_matrix(proto, rho.matrix), _run_matrix(ref, rho.matrix)
+        assert got.dtype == complex and got.tobytes() == want.tobytes()
 
 
 def test_canonical_pure_spectrum():
