@@ -48,6 +48,7 @@ from .qstate import (
     DIM_CAP,
     QState,
     SystemLayout,
+    _herm_dist,
     _reduce_matrix,
     is_pure,
     state_from_dict,
@@ -119,13 +120,6 @@ def _catalytic_step(
     mu = _run_matrix(lam, functools.reduce(np.kron, operands))
     dims = lam.output_layout().dims
     return mu, [_reduce_matrix(mu, dims, p) for p in parts]
-
-
-def _herm_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace norm ||a - b||_1 of two raw matrices, hermitian up to rounding."""
-    d = a - b
-    d = (d + d.conj().T) / 2
-    return float(np.abs(np.linalg.eigvalsh(d)).sum())
 
 
 def build_catalyst(lambda_n: LoccProtocol, rho: QState, n: int) -> CatalystAssembly:

@@ -115,11 +115,12 @@ _COMMANDS: dict[str, tuple[set, set]] = {
 }
 
 # Work budgets of the counts a scenario leaves unbounded.  Like
-# distill.MC_COPY_BUDGET, each lets the largest accepted input run about
-# 30 s on a 2-core box (numpy 2.4, OpenBLAS 0.3.31), where one item cost
-# 0.6 ms in verify-lemma1, 1.5 ms in superadd and 0.4 ms in a squashed
-# search at the default max_ext_dim.  The sweep is bounded by memory: its
-# report takes about 1.4 kB a point, 0.7 GB at 5e5 points (about 7 s).
+# distill.MC_COPY_BUDGET, each lets the largest accepted input run at most
+# about 30 s on a 2-core box (numpy 2.4, OpenBLAS 0.3.31), where one item
+# cost 0.6 ms in verify-lemma1, 1.5 ms in superadd and 0.25 ms in a
+# squashed search at the default max_ext_dim: the largest bounds input,
+# 35543 rounds there, runs in about 15 s.  The sweep is bounded by memory:
+# its report takes about 1.4 kB a point, 0.7 GB at 5e5 points (about 7 s).
 LEMMA1_SAMPLE_BUDGET = 5e4
 SUPERADD_SAMPLE_BUDGET = 2e4
 BOUNDS_ROUND_BUDGET = 6e4

@@ -319,16 +319,16 @@ class Instrument:
         # each outcome's sum of K^dag K is PSD and so at most the total:
         # a total whose top eigenvalue is within TP_TOL of 1 clears every
         # outcome.  Only otherwise is each outcome checked, to name it.
-        if np.linalg.eigvalsh(total)[-1] > 1.0 + TP_TOL:
+        if not np.linalg.eigvalsh(total)[-1] <= 1.0 + TP_TOL:
             for lo, hi in runs:
                 tops = np.linalg.eigvalsh(_completeness(stacks[lo:hi], din))[:, -1]
-                bad = np.flatnonzero(tops > 1.0 + TP_TOL)
+                bad = np.flatnonzero(~(tops <= 1.0 + TP_TOL))
                 if bad.size:
                     lab = self.outcomes[lo + bad[0]][0]
                     raise ValueError(
                         f"outcome {lab!r} is not trace-non-increasing ({float(tops[bad[0]])})"
                     )
-        if np.max(np.abs(total - np.eye(din))) > TP_TOL:
+        if not np.max(np.abs(total - np.eye(din))) <= TP_TOL:
             raise ValueError("instrument outcomes do not sum to a trace-preserving map")
 
     @classmethod
@@ -439,7 +439,7 @@ def _validate_steps(layout: SystemLayout, steps: Sequence[Step]) -> None:
     for (d, count), stacks in groups.items():
         for lo, hi in _batches(len(stacks), (2 * count + 1) * d * d):
             comps = _completeness(stacks[lo:hi], d)
-            if np.max(np.abs(comps - np.eye(d))) > TP_TOL:
+            if not np.max(np.abs(comps - np.eye(d))) <= TP_TOL:
                 raise ValueError("local channel step must be trace-preserving")
 
 
@@ -741,8 +741,9 @@ def _remap_steps(steps: Sequence[Step], fmap: Sequence[int]) -> tuple[Step, ...]
     """Re-index steps through ``fmap`` (old factor index -> new index)."""
     out = []
     for s in steps:
-        if isinstance(s, LocalChannel):
-            out.append(LocalChannel(s.party, tuple(fmap[i] for i in s.factors), s.kraus))
+        if isinstance(s, LocalChannel):  # a view of the original's read-only stack
+            out += _views(LocalChannel, s._stack[None], party=s.party,
+                          factors=tuple(fmap[i] for i in s.factors))
         elif isinstance(s, LocalInstrument):
             out.append(
                 LocalInstrument(

@@ -22,20 +22,21 @@ from .errors import (
     LayoutMismatchError,
     NotPureError,
 )
-from .locc import Channel, LoccProtocol, apply, run_protocol, tensor_protocols
+from .locc import LoccProtocol, run_protocol, tensor_protocols
 from .qstate import (
     DIM_CAP,
     EIG_CUTOFF,
     QState,
     SystemLayout,
     _check_bipartition,
-    basis_state,
+    _entropy_from_probs,
+    _purification_vector,
+    _reduce_matrix,
     entanglement_entropy,
     is_pure,
     n_copies,
     partial_trace,
     permute_factors,
-    purify,
     tensor,
     trace_norm_dist,
     von_neumann_entropy,
@@ -92,12 +93,23 @@ def cqmi(rho_abe: QState) -> float:
         raise LayoutMismatchError(
             f"need parties (0, 1, 2) = (A, B, E), got {layout.parties}"
         )
+    return _cqmi(rho_abe.matrix, layout)
+
+
+def _cqmi(matrix: np.ndarray, layout: SystemLayout) -> float:
+    """I(A;B|E) of a raw matrix on an (A, B, E) layout; no validation.
+
+    The matrix and each marginal are symmetrized as ``_validate_density``
+    does before their ``eigvalsh``, so they give the bits a ``QState`` would.
+    """
+
+    def s(m: np.ndarray) -> float:
+        return _entropy_from_probs(np.linalg.eigvalsh((m + m.conj().T) / 2.0))
+
+    m = (matrix + matrix.conj().T) / 2.0
     a, b, e = (layout.party_factors(p) for p in (0, 1, 2))
-    s_ae = von_neumann_entropy(partial_trace(rho_abe, a + e))
-    s_be = von_neumann_entropy(partial_trace(rho_abe, b + e))
-    s_abe = von_neumann_entropy(rho_abe)
-    s_e = von_neumann_entropy(partial_trace(rho_abe, e))
-    return s_ae + s_be - s_abe - s_e
+    s_ae, s_be, s_e = (s(_reduce_matrix(m, layout.dims, sorted(k))) for k in (a + e, b + e, e))
+    return s_ae + s_be - s(m) - s_e
 
 
 # ---------------------------------------------------------------------------
@@ -110,20 +122,24 @@ class SquashedBound(NamedTuple):
     extension_state: QState
 
 
-def _flag_extension(parts: Sequence[tuple[float, QState]], layout: SystemLayout) -> QState:
-    dim_e = len(parts)
-    d = layout.total_dim
-    acc = np.zeros((d * dim_e,) * 2, dtype=complex)
-    for i, (w, st) in enumerate(parts):
-        flag = np.zeros((dim_e, dim_e), dtype=complex)
-        flag[i, i] = 1.0
-        acc += w * np.kron(st.matrix, flag)
-    ext_layout = layout + SystemLayout([(2, dim_e)])
-    return QState(ext_layout, acc)
+def _flag_extension(parts: Sequence[tuple[float, np.ndarray]]) -> np.ndarray:
+    """sum_i w_i m_i (x) |i><i|, each m_i symmetrized: E flags the part."""
+    dim_e, d = len(parts), len(parts[0][1])
+    acc = np.zeros((d, dim_e, d, dim_e), dtype=complex)
+    for i, (w, m) in enumerate(parts):
+        acc[:, i, :, i] = w * ((m + m.conj().T) / 2.0)
+    return acc.reshape(d * dim_e, d * dim_e)
 
 
-def _eval_extension(ext: QState) -> float:
-    return 0.5 * cqmi(ext)
+def _channel_extension(psi: np.ndarray, w: np.ndarray, out_dim: int) -> np.ndarray:
+    """Raw Z Z^dag = sum_k (I (x) W_k)|psi><psi|(I (x) W_k)^dag; no validation.
+
+    W_k is the k-th block of ``out_dim`` rows of ``w``, ``psi`` a (d_AB, ref_dim)
+    coefficient matrix, and column k of Z is (I (x) W_k)|psi>.
+    """
+    d_ab = len(psi)
+    z = (psi @ w.T).reshape(d_ab, -1, out_dim).transpose(0, 2, 1).reshape(d_ab * out_dim, -1)
+    return z @ z.conj().T
 
 
 def squashed_upper(
@@ -139,11 +155,17 @@ def squashed_upper(
     construction), so the minimum over candidates is always a valid upper
     bound; the search has no convergence requirement.  Deterministic
     candidates (trivial, eigenvector flags, a user decomposition, the bare
-    purification) are always evaluated; ``search_budget`` counts the random
-    channel candidates and refinement steps on the purifying factor.
-    ``DimensionCapError`` is raised first if the widest extension the
-    rounds could build, ``rho.total_dim * min(max_ext_dim, search_budget)``,
-    exceeds ``DIM_CAP``.
+    purification) are evaluated first, in that order, under a strict ``<``.
+    ``search_budget`` counts the random channel candidates and refinement
+    steps on the purifying factor; a round replaces the best only when it
+    is lower by more than ``EIG_CUTOFF``, the entropies' resolution, so
+    exact ties keep the earlier, smaller extension.  Candidates are scored
+    as raw matrices (a round's is Z Z^dag, see ``_channel_extension``);
+    only the returned extension and the flag extension of a user
+    ``decomposition``, which is outside input, are validated, so a
+    negative weight raises ``StateInvariantError``.  ``DimensionCapError``
+    is raised first if the widest extension the rounds could build,
+    ``rho.total_dim * min(max_ext_dim, search_budget)``, exceeds ``DIM_CAP``.
     """
     layout = rho.layout
     if set(layout.parties) != {0, 1}:
@@ -161,20 +183,16 @@ def squashed_upper(
             f"exceeds cap {DIM_CAP}"
         )
 
-    candidates: list[QState] = []
+    def ext_layout(dim_e: int) -> SystemLayout:
+        return layout + SystemLayout([(2, dim_e)])
 
-    trivial = tensor(rho, basis_state(SystemLayout([(2, 1)]), (0,)))
-    candidates.append(trivial)
+    candidates = [(rho.matrix, 1)]  # (extension matrix, dimension of E)
 
     vals, vecs = np.linalg.eigh(rho.matrix)
-    keep = vals > EIG_CUTOFF
-    eig_parts = [
-        (float(v), QState(layout, np.outer(vecs[:, i], vecs[:, i].conj())))
-        for i, v in enumerate(vals)
-        if keep[i]
-    ]
+    eig_parts = [(float(v), np.outer(u, u.conj())) for v, u in zip(vals, vecs.T)
+                 if v > EIG_CUTOFF]
     if len(eig_parts) > 1:
-        candidates.append(_flag_extension(eig_parts, layout))
+        candidates.append((_flag_extension(eig_parts), len(eig_parts)))
 
     if decomposition is not None:
         recon = np.zeros_like(rho.matrix)
@@ -184,71 +202,57 @@ def squashed_upper(
             recon = recon + w * st.matrix
         if np.max(np.abs(recon - rho.matrix)) > 1e-8:
             raise ValueError("decomposition does not reconstruct the input state")
-        candidates.append(_flag_extension(list(decomposition), layout))
+        flags = _flag_extension([(w, st.matrix) for w, st in decomposition])
+        dim_e = len(decomposition)
+        candidates.append((QState(ext_layout(dim_e), flags).matrix, dim_e))
 
-    psi = purify(rho)
-    ref_dim = psi.layout[-1].dim
+    # the purification's (d_AB, ref_dim) coefficients, normalized as ``purify`` does
+    psi = _purification_vector(rho)
+    psi = psi / float(np.linalg.norm(psi))
+    ref_dim = psi.shape[1]
     if ref_dim <= max_ext_dim:
-        candidates.append(psi)
+        v = psi.reshape(-1)
+        candidates.append((np.outer(v, v.conj()), ref_dim))
 
     best_val = math.inf
-    best = None
-    for ext in candidates:
-        v = _eval_extension(ext)
-        if v < best_val:
-            best_val, best = v, ext
+    for m, dim_e in candidates:
+        val = 0.5 * _cqmi(m, ext_layout(dim_e))
+        if val < best_val:
+            best_val, best = val, (m, dim_e)
 
     # random processing of the purifying factor: any channel on the
     # reference yields another valid extension
     rng = np.random.default_rng(seed)
-    id_ab = Channel.identity(layout)
-    ref_layout = SystemLayout([(2, ref_dim)])
-
-    def channel_from_stack(w: np.ndarray, out_dim: int, n_kraus: int) -> Channel:
-        ks = tuple(w[i * out_dim : (i + 1) * out_dim, :] for i in range(n_kraus))
-        return Channel(ks, ref_layout, SystemLayout([(2, out_dim)]))
-
-    def isometrize(g: np.ndarray) -> np.ndarray:
-        q, _ = np.linalg.qr(g)
-        return q[:, :ref_dim]
-
     # Rounds are a single deterministic sequence: round r makes the same
     # proposal for every budget >= r, so enlarging the budget can only
     # lower the returned minimum.  Every third round perturbs the best
     # stack found so far with a decaying step (derivative-free refinement).
     best_stack = None
-    best_shape = None
-    n_random = 0
-    n_refine = 0
+    n_random = n_refine = 0
     for r in range(search_budget):
-        if r % 3 == 2 and best_stack is not None:
-            out_dim, n_kraus = best_shape
-            step = 0.3 * 0.85**n_refine
-            n_refine += 1
-            g = best_stack + step * (
-                rng.standard_normal(best_stack.shape)
-                + 1j * rng.standard_normal(best_stack.shape)
-            )
+        refine = r % 3 == 2 and best_stack is not None
+        if refine:
+            out_dim, shape = best[1], best_stack.shape
         else:
             out_dim = 1 + (n_random % max_ext_dim)
-            n_kraus = max(1, -(-ref_dim // out_dim))  # ceil: stack tall enough for QR
             n_random += 1
-            g = rng.standard_normal((out_dim * n_kraus, ref_dim)) + 1j * rng.standard_normal(
-                (out_dim * n_kraus, ref_dim)
-            )
-        w = isometrize(g)
-        ext = apply(id_ab.tensor(channel_from_stack(w, out_dim, n_kraus)), psi)
-        v = _eval_extension(ext)
-        if v < best_val - 1e-15:
-            best_val, best = v, ext
-            best_stack, best_shape = w, (out_dim, n_kraus)
+            # ceil(ref_dim / out_dim) Kraus blocks: a stack tall enough for QR
+            shape = (out_dim * max(1, -(-ref_dim // out_dim)), ref_dim)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if refine:
+            g = best_stack + 0.3 * 0.85**n_refine * g
+            n_refine += 1
+        w = np.linalg.qr(g)[0]  # (rows, ref_dim): an isometry
+        m = _channel_extension(psi, w, out_dim)
+        val = 0.5 * _cqmi(m, ext_layout(out_dim))
+        if val < best_val - EIG_CUTOFF:
+            best_val, best, best_stack = val, (m, out_dim), w
 
-    assert best is not None
-    ext_dim = best.layout[-1].dim if best.layout[-1].party == 2 else 1
+    m, dim_e = best
     return SquashedBound(
         value=max(0.0, float(best_val)),
-        extension_dim=int(ext_dim),
-        extension_state=best,
+        extension_dim=dim_e,
+        extension_state=QState(ext_layout(dim_e), m),
     )
 
 

@@ -144,22 +144,23 @@ def _validate_density(
     unless its smallest eigenvalue is below ``-PSD_TOL / 2``; that margin
     is far wider than eigvalsh's error at any dimension under ``DIM_CAP``,
     so the PSD verdict is the one a full decomposition would give.
+    Rejecting tests read ``not ok``, so NaN, which fails all comparisons, fails them.
     """
     m = np.ascontiguousarray(matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise StateInvariantError(f"matrix shape {m.shape} does not match layout dim {dim}")
     herm_err = float(np.max(np.abs(m - m.conj().T))) if dim else 0.0
-    if herm_err > HERM_TOL:
+    if not herm_err <= HERM_TOL:
         raise StateInvariantError(f"matrix is not hermitian (max asymmetry {herm_err:.3e})")
     m = (m + m.conj().T) / 2.0
     tr = float(m.trace().real)
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise StateInvariantError(f"trace is {tr!r}, not 1 within {TRACE_TOL}")
     eigs = spectrum
     if eigs is None or eigs[0] < -PSD_TOL / 2:
         eigs = np.linalg.eigvalsh(m)
     min_eig = float(eigs[0])
-    if min_eig < -PSD_CLIP_TOL:
+    if not min_eig >= -PSD_CLIP_TOL:
         raise StateInvariantError(f"matrix is not PSD (min eigenvalue {min_eig:.3e})")
     if min_eig < -PSD_TOL:
         # small negative dust from long channel compositions: project and renormalize
@@ -358,8 +359,14 @@ def trace_norm_dist(a: QState, b: QState) -> float:
     """Trace norm ||a - b||_1 (sum of singular values), in [0, 2]."""
     if a.layout.dims != b.layout.dims:
         raise LayoutMismatchError(f"dims {a.layout.dims} vs {b.layout.dims}")
-    eigs = np.linalg.eigvalsh(a.matrix - b.matrix)
-    return float(np.abs(eigs).sum())
+    return _herm_dist(a.matrix, b.matrix)
+
+
+def _herm_dist(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace norm ||a - b||_1 of two raw matrices, hermitian up to rounding."""
+    d = a - b
+    d = (d + d.conj().T) / 2
+    return float(np.abs(np.linalg.eigvalsh(d)).sum())
 
 
 def fidelity(a: QState, b: QState) -> float:
@@ -439,11 +446,11 @@ class SchmidtVector:
         p = self.probs
         if not p:
             raise ValueError("empty Schmidt vector")
-        if any(x < 0.0 for x in p):
+        if not all(x >= 0.0 for x in p):
             raise ValueError("Schmidt probabilities must be nonnegative")
-        if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+        if not all(p[i] >= p[i + 1] for i in range(len(p) - 1)):
             raise ValueError("Schmidt probabilities must be descending")
-        if abs(sum(p) - 1.0) > 1e-12:
+        if not abs(sum(p) - 1.0) <= 1e-12:
             raise ValueError(f"Schmidt probabilities sum to {sum(p)!r}")
 
     @classmethod
@@ -485,31 +492,23 @@ def schmidt_decompose(state: QState, parties_a: Sequence[int] = (0,)) -> Schmidt
     return SchmidtVector.of(_schmidt_probs(state, parties_a))
 
 
+def _purification_vector(state: QState) -> np.ndarray:
+    """Row-major (dim, rank) coefficients of the purification, unnormalized."""
+    vals, vecs = np.linalg.eigh(state.matrix)
+    sel = vals > EIG_CUTOFF
+    return np.ascontiguousarray(vecs[:, sel] * np.sqrt(vals[sel] / vals[sel].sum()))
+
+
 def purify(state: QState) -> QState:
     """Standard purification; the reference factor gets a fresh party id.
 
     The reference dimension is the eigenvalue rank of the input at the
     1e-12 cutoff, so pure inputs get a trivial dim-1 reference.
     """
-    vals, vecs = np.linalg.eigh(state.matrix)
-    sel = vals > EIG_CUTOFF
-    vals = vals[sel]
-    vecs = vecs[:, sel]
-    coeffs = np.sqrt(vals / vals.sum())
-    rank = len(vals)
-    d = state.total_dim
-    v = np.zeros(d * rank, dtype=complex)
-    for i in range(rank):
-        v += coeffs[i] * np.kron(vecs[:, i], _unit(rank, i))
+    v = _purification_vector(state)
     ref_party = max(state.layout.parties) + 1
-    layout = state.layout + SystemLayout([(ref_party, rank)])
-    return pure_state(layout, v)
-
-
-def _unit(dim: int, i: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=complex)
-    e[i] = 1.0
-    return e
+    layout = state.layout + SystemLayout([(ref_party, v.shape[1])])
+    return pure_state(layout, v.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,17 @@ def test_domain_error_exits_1(tmp_path, capsys):
     assert "catent: failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_state_file_exits_1(bad, tmp_path, capsys):
+    # a well-formed document whose matrix is not a state: a domain error
+    doc = state_to_dict(singlet())
+    doc["matrix"]["entries"][1][0] = bad
+    path = _write(tmp_path, "psi.json", json.dumps(doc))
+    scn = _write(tmp_path, "b.scn", f"command: bounds\nstate: file:{path}\nbudget: 6\n")
+    assert cli.main(["bounds", "--scenario", scn]) == 1
+    assert "catent: failed" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # plot series extraction
 

@@ -815,6 +815,28 @@ def test_protocol_dict_nested_domain_error_keeps_its_type():
     assert not isinstance(err.value, DocumentError)
 
 
+@pytest.mark.parametrize("pos", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_nan_kraus_entry_is_not_trace_preserving(pos):
+    # NaN fails every comparison, so the TP checks used to pass it
+    k = X.copy()
+    k[pos] = math.nan
+    with pytest.raises(ValueError):
+        local_channel(PAIR, 0, (0,), [k])
+    with pytest.raises(ValueError):
+        local_instrument(PAIR, 0, (0,), [("0", [k])])
+    with pytest.raises(ValueError):
+        local_instrument(PAIR, 0, (0,), [("0", [k @ np.diag([1.0, 0.0])]),
+                                         ("1", [X @ np.diag([0.0, 1.0])])])
+    # the same entry in a protocol document: a domain error, not a malformed document
+    for path in (("branches", 1, 0, "outcomes", 1, "then", 0), ("branches", 1, 0, "outcomes", 0)):
+        doc = protocol_to_dict(_rich_protocol())
+        entries = _step_doc(doc, *path)["kraus"][0]["entries"]
+        entries[2 * pos[0] + pos[1]][0] = math.nan.hex()
+        with pytest.raises(ValueError) as err:
+            protocol_from_dict(doc)
+        assert not isinstance(err.value, DocumentError)
+
+
 def test_protocol_dict_mixed_kraus_shapes_keep_their_type():
     # a channel step whose operators differ in shape is a layout error
     # (exit 1), not a malformed document (exit 2)

@@ -15,9 +15,12 @@ from catent.errors import (
     DivergingRateError,
     LayoutMismatchError,
     NotPureError,
+    StateInvariantError,
 )
-from catent.locc import identity_protocol
+from catent.locc import Channel, apply, identity_protocol
 from catent.measures import (
+    _channel_extension,
+    _cqmi,
     compose_superadditive,
     cqmi,
     decoupling_check,
@@ -29,12 +32,14 @@ from catent.measures import (
 from catent.qstate import (
     QState,
     SystemLayout,
+    _purification_vector,
     basis_state,
     entanglement_entropy,
     maximally_entangled,
     maximally_mixed,
     partial_trace,
     pure_state,
+    purify,
     random_state,
     singlet,
     tensor,
@@ -203,6 +208,112 @@ def test_squashed_validation():
         squashed_upper(s, decomposition=junk)
     with pytest.raises(LayoutMismatchError):
         squashed_upper(random_state(SystemLayout([(0, 2)]), "ginibre_mixed", seed=0))
+
+
+def _old_chain_extension(rho, w, out_dim):
+    """The extension a search round built before it went raw: a Channel on psi."""
+    psi = purify(rho)
+    ref_layout = psi.layout.subset([len(psi.layout) - 1])
+    ks = tuple(w[k * out_dim : (k + 1) * out_dim] for k in range(len(w) // out_dim))
+    ch = Channel(ks, ref_layout, SystemLayout([(2, out_dim)]))
+    return apply(Channel.identity(rho.layout).tensor(ch), psi)
+
+
+@pytest.mark.parametrize("ref_dim", [1, 2, 3, 4])
+def test_channel_extension_matches_channel_chain(ref_dim):
+    # Z Z^dag against apply(id (x) channel, purify(rho)) for every output
+    # dimension the search uses; ref_dim is the rank of rho
+    rng = np.random.default_rng(ref_dim)
+    g = rng.standard_normal((4, ref_dim)) + 1j * rng.standard_normal((4, ref_dim))
+    rho = QState(PAIR, g @ g.conj().T / np.trace(g @ g.conj().T))
+    psi = _purification_vector(rho)
+    psi = psi / np.linalg.norm(psi)
+    assert psi.shape == (4, ref_dim)
+    for out_dim in range(1, 9):
+        n_kraus = max(1, -(-ref_dim // out_dim))
+        h = rng.standard_normal((out_dim * n_kraus, ref_dim))
+        w, _ = np.linalg.qr(h + 1j * rng.standard_normal(h.shape))
+        got = _channel_extension(psi, w, out_dim)
+        want = _old_chain_extension(rho, w, out_dim)
+        assert got.shape == want.matrix.shape
+        assert np.max(np.abs(got - want.matrix)) < 1e-12
+        assert abs(0.5 * cqmi(want) - 0.5 * _cqmi(got, want.layout)) < 1e-12
+
+
+def test_squashed_pure_inputs_tie_at_the_trivial_extension():
+    # every extension of a pure state is a product with E, so all candidates
+    # tie at its entanglement entropy: the tie rule keeps the trivial one
+    for seed in range(10):
+        got = squashed_upper(random_state(PAIR, "haar_pure", seed=seed), search_budget=300,
+                             seed=seed)
+        assert got.extension_dim == 1, seed
+
+
+def test_squashed_deterministic_candidates_keep_their_bits():
+    # the bare purification beats the trivial extension by 2.8e-16, and
+    # no search round is lower by more than the tie margin
+    from catent.distill import werner
+
+    got = squashed_upper(werner(0.606946).state, search_budget=300, seed=95395)
+    assert got.value == 0.20514100072637032
+    assert got.extension_dim == 4
+    assert got.extension_state.layout == PAIR + SystemLayout([(2, 4)])
+
+
+def test_squashed_search_builds_no_channel_and_one_state(monkeypatch):
+    import catent.qstate as qstate_mod
+    from catent.distill import werner
+
+    counts = {"state": 0, "channel": 0}
+    validate = qstate_mod._validate_density
+    post_init = Channel.__post_init__
+
+    def counting_validate(*args, **kwargs):
+        counts["state"] += 1
+        return validate(*args, **kwargs)
+
+    def counting_post_init(self):
+        counts["channel"] += 1
+        post_init(self)
+
+    rho = werner(0.8).state
+    monkeypatch.setattr(qstate_mod, "_validate_density", counting_validate)
+    monkeypatch.setattr(Channel, "__post_init__", counting_post_init)
+    squashed_upper(rho, search_budget=300, seed=3)
+    assert counts["state"] <= 3
+    assert counts["channel"] == 0
+
+
+def test_squashed_decomposition_with_negative_weight_refused():
+    # 1.5 a - 0.5 * I/4 reconstructs rho, but its flag extension is not PSD
+    rho = random_state(PAIR, "ginibre_mixed", seed=4)
+    mixed = maximally_mixed(PAIR)
+    a = QState(PAIR, (rho.matrix + 0.5 * mixed.matrix) / 1.5)
+    with pytest.raises(StateInvariantError):
+        squashed_upper(rho, search_budget=5, decomposition=[(1.5, a), (-0.5, mixed)])
+
+
+def test_purification_vector_matches_unit_vector_loop():
+    # the loop purify used to build its vector with, kept as the oracle
+    def unit(dim, i):
+        e = np.zeros(dim, dtype=complex)
+        e[i] = 1.0
+        return e
+
+    states = [random_state(PAIR, "ginibre_mixed", seed=s) for s in range(5)]
+    states += [random_state(PAIR, "haar_pure", seed=1), maximally_mixed(PAIR),
+               random_state(SystemLayout([(0, 3), (1, 2)]), "ginibre_mixed", seed=7)]
+    for st in states:
+        vals, vecs = np.linalg.eigh(st.matrix)
+        sel = vals > 1e-12
+        coeffs = np.sqrt(vals[sel] / vals[sel].sum())
+        rank = int(sel.sum())
+        v = np.zeros(st.total_dim * rank, dtype=complex)
+        for i in range(rank):
+            v += coeffs[i] * np.kron(vecs[:, sel][:, i], unit(rank, i))
+        want = pure_state(st.layout + SystemLayout([(2, rank)]), v)
+        assert purify(st).matrix.tobytes() == want.matrix.tobytes()
+        assert _purification_vector(st).shape == (st.total_dim, rank)
 
 
 _CAPPED_SEARCH = """

@@ -14,6 +14,7 @@ from catent.locc import (
     LoccProtocol,
     _run_matrix,
     apply,
+    embed_protocol,
     flatten,
 )
 from catent.purecat import (
@@ -432,13 +433,9 @@ def test_synthesis_digest_is_unchanged(n, count, digest):
     assert _synthesis_digest(n) == (count, digest)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("src,tgt", [((0.5, 0.5), (0.7731, 0.2269)), ((0.6, 0.4), (0.8, 0.2))])
-def test_real_stacks_run_like_complex_ones(n, src, tgt):
-    # the same protocol with every outcome and correction rebuilt as
-    # complex128 by the public constructors gives byte-equal outputs
-    layout = SystemLayout([(0, 2), (1, 2)]).power(n)
-    proto = synthesize_pure_protocol(*_copies_pair(src, tgt, n), layout=layout)
+def _complex_rebuild(proto):
+    """A synthesized protocol with every outcome and correction rebuilt as
+    complex128 by the public constructors."""
     (step,) = proto.steps
     cases = step.case_map()
     inst = Instrument.from_kraus(
@@ -448,7 +445,20 @@ def test_real_stacks_run_like_complex_ones(n, src, tgt):
         (lab, tuple(LocalChannel(c.party, c.factors, c.kraus) for c in cases[lab]))
         for lab in step.instrument.labels
     )
-    ref = LoccProtocol(layout, (LocalInstrument(step.party, step.factors, inst, fixes),))
+    return LoccProtocol(
+        proto.input_layout, (LocalInstrument(step.party, step.factors, inst, fixes),)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("src,tgt", [((0.5, 0.5), (0.7731, 0.2269)), ((0.6, 0.4), (0.8, 0.2))])
+def test_real_stacks_run_like_complex_ones(n, src, tgt):
+    # the same protocol rebuilt with complex stacks gives byte-equal outputs
+    layout = SystemLayout([(0, 2), (1, 2)]).power(n)
+    proto = synthesize_pure_protocol(*_copies_pair(src, tgt, n), layout=layout)
+    (step,) = proto.steps
+    ref = _complex_rebuild(proto)
+    inst = ref.steps[0].instrument
     assert step.instrument.outcomes[0][1]._stack.dtype == np.float64
     assert inst.outcomes[0][1]._stack.dtype == ref.steps[0].cases[0][1][0]._stack.dtype == complex
     for rho in (
@@ -457,6 +467,56 @@ def test_real_stacks_run_like_complex_ones(n, src, tgt):
     ):
         got, want = _run_matrix(proto, rho.matrix), _run_matrix(ref, rho.matrix)
         assert got.dtype == complex and got.tobytes() == want.tobytes()
+
+
+def _catalyst_fmap(n):
+    """Where ``build_catalyst`` puts the n pair copies of its protocol in the joint."""
+    return [i if j == n - 1 else (j + 1) * 2 + i for j in range(n) for i in range(2)]
+
+
+def _catalyst_embedding(proto, n):
+    """``proto`` on n pair copies, embedded in the catalyst joint as ``build_catalyst`` does."""
+    joint = SystemLayout([(0, 2), (1, 2)]).power(n) + SystemLayout([(0, n)])
+    return embed_protocol(proto, joint, _catalyst_fmap(n))
+
+
+def test_embedding_shares_the_synthesis_stacks():
+    # remapping a step makes views, not complex copies: the n=4 embedding
+    # peaked at 157 MB when every correction was copied into its own stack
+    proto = synthesize_pure_protocol(
+        *_width_16_pair(), layout=SystemLayout([(0, 2), (1, 2)]).power(4)
+    )
+    tracemalloc.start()
+    try:
+        emb = _catalyst_embedding(proto, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+    fmap = _catalyst_fmap(4)
+    (step,) = proto.steps
+    base = step.cases[0][1][0]._stack.base
+    (moved,) = emb.steps
+    assert moved.factors == tuple(fmap[i] for i in step.factors)
+    for (lab, cont), (lab0, cont0) in zip(moved.cases, step.cases):
+        (c,), (c0,) = cont, cont0
+        assert lab == lab0 and c.factors == tuple(fmap[i] for i in c0.factors)
+        assert c._stack.base is base and c.kraus[0].base is base
+    assert np.shares_memory(moved.cases[-1][1][0]._stack, step.cases[-1][1][0]._stack)
+
+
+def test_embedding_runs_like_complex_rebuild():
+    n = 3
+    proto = synthesize_pure_protocol(
+        *_copies_pair((0.5, 0.5), (0.7731, 0.2269), n),
+        layout=SystemLayout([(0, 2), (1, 2)]).power(n),
+    )
+    emb, ref = _catalyst_embedding(proto, n), _catalyst_embedding(_complex_rebuild(proto), n)
+    assert emb.steps[0].cases[0][1][0]._stack.dtype == np.float64
+    assert ref.steps[0].cases[0][1][0]._stack.dtype == complex
+    rho = random_state(emb.input_layout, "ginibre_mixed", seed=8)
+    got, want = _run_matrix(emb, rho.matrix), _run_matrix(ref, rho.matrix)
+    assert got.dtype == complex and got.tobytes() == want.tobytes()
 
 
 def test_canonical_pure_spectrum():

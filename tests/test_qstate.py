@@ -193,6 +193,29 @@ def test_trace_norm_frozen_value():
     assert abs(trace_norm_dist(ket0, mixed) - 1.0) < 1e-12
 
 
+def test_trace_norm_bits_match_plain_difference():
+    # the old form, eigvalsh of the plain difference, kept as the oracle:
+    # the difference of two validated matrices is exactly hermitian
+    def old(a, b):
+        return float(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)).sum())
+
+    pairs = [
+        (random_state(QUBIT_PAIR, "ginibre_mixed", seed=s),
+         random_state(QUBIT_PAIR, "haar_pure" if s % 2 else "ginibre_mixed", seed=s + 50))
+        for s in range(10)
+    ]
+    for s in range(4):
+        # tensor products carry a derived spectrum, not an eigvalsh one
+        a, b = (tensor(random_state(SystemLayout([(0, 2)]), "ginibre_mixed", seed=s + k),
+                       random_state(SystemLayout([(1, 3)]), "ginibre_mixed", seed=s + k + 9))
+                for k in (0, 20))
+        pairs.append((a, b))
+        pairs.append((n_copies(random_state(QUBIT_PAIR, "ginibre_mixed", seed=s), 2),
+                      n_copies(random_state(QUBIT_PAIR, "haar_pure", seed=s), 2)))
+    for a, b in pairs:
+        assert trace_norm_dist(a, b) == old(a, b)
+
+
 def test_fidelity_frozen_value():
     ket0 = basis_state(SystemLayout([(0, 2)]), (0,))
     mixed = maximally_mixed(SystemLayout([(0, 2)]))
@@ -336,6 +359,13 @@ def test_schmidt_vector_validation():
         SchmidtVector.of([])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_schmidt_vector_refuses_non_finite(bad):
+    for probs in ((bad,), (1.0, bad), (bad, 0.0)):
+        with pytest.raises(ValueError):
+            SchmidtVector(probs)
+
+
 # ---------------------------------------------------------------------------
 # purification
 
@@ -429,6 +459,23 @@ def test_state_dict_malformed_raises_document_error(mutate):
         state_from_dict(doc)
     with pytest.raises(DocumentError):
         state_from_dict([doc])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("pos", [(0, 0), (0, 1), (1, 0), (3, 3)])
+def test_state_refuses_non_finite_entry(bad, pos):
+    # eigvalsh reads one triangle and NaN fails every comparison, so such a
+    # matrix used to pass all checks
+    for part in (0, 1):
+        m = maximally_mixed(QUBIT_PAIR).matrix.copy()
+        m[pos] = complex(bad, 0) if part == 0 else complex(m[pos].real, bad)
+        bad_doc = state_to_dict(maximally_mixed(QUBIT_PAIR))
+        bad_doc["matrix"]["entries"][4 * pos[0] + pos[1]][part] = bad.hex()
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(StateInvariantError):
+                QState(QUBIT_PAIR, m)
+            with pytest.raises(StateInvariantError):
+                state_from_dict(bad_doc)
 
 
 def test_n_copies():
