@@ -23,17 +23,19 @@ register's diagonal blocks.  No full-dimension operator is built.
 Terminal bookkeeping (discarding ancilla factors, relabeling the
 survivors) is part of the protocol and is applied last.
 
-Every Kraus set is stored once, as a read-only (K, rows, cols) stack;
-the public ``kraus`` tuple holds views of it.  Constructed sets are
-complex128; a wide instrument with real entries (the pure-conversion
-synthesis) brings float64 stacks, half the bytes, through ``_views``,
-and the kernel and the checks take them as they are.  One kernel,
-``_contract``, applies a stack to the touched axes with two matrix
-products, for ``run_protocol``, ``apply_to_factors`` and the catalyst
-factory's step.
-Validation works on the stacks too: an instrument sums K^dag K over all
-outcomes and checks the top eigenvalue of that total, which bounds every
-outcome's, and checks outcomes one by one only when the bound fails.
+Every Kraus set is stored once, as a read-only stack the public
+``kraus`` tuples view: (K, rows, cols) for a channel, outcome-major and
+zero-padded (M, K, rows, cols) for an instrument.  Constructed sets are
+complex128; the pure-conversion synthesis hands in float64 stacks.  One
+kernel, ``_contract``, applies a stack with two matrix products.  A
+measure-and-correct step (each case empty or one ``LocalChannel`` on one
+place off the measured factors) keeps its corrections as one (M, J, d,
+d) stack and runs as one pair contraction, ``_contract_pairs``; other
+instrument steps run outcome by outcome, the general path and the
+oracle.  Validation reads the stacks: an instrument checks the top
+eigenvalue of its total K^dag K, which bounds every outcome's, and
+single outcomes only past that bound.  A failed check names a non-finite
+entry.
 
 ``flatten`` composes a protocol into a single :class:`Channel` (Kraus
 form).  It is the Kraus-form export and the reference oracle the
@@ -47,6 +49,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -75,24 +78,33 @@ def _batches(n: int, item_elems: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-def _completeness(stacks: Sequence[np.ndarray], din: int) -> np.ndarray:
-    """Stacked ``sum_k k^dag k`` of Kraus stacks on one input dimension.
+def _completeness(stack: np.ndarray, din: int) -> np.ndarray:
+    """Stacked ``sum_k k^dag k`` of an (M, K, r, din) stack.
 
-    Set j, a (K, r, din) stack, is read as A_j, its K*r rows, so its
-    completeness is A_j^dag A_j: one batched matmul, and one set allocates
-    twice its own size (A_j and its conjugate) plus ``din**2``, never one
-    ``din**2`` per operator.  Equal-shape sets are joined by one
-    ``np.concatenate``; shorter sets are padded with zero rows.  Real
-    stacks stay real, so their check runs in real arithmetic.
+    Set m is read as A_m, its K*r rows, so its completeness is
+    A_m^dag A_m: one batched matmul, and one set allocates twice its own
+    size (A_m and its conjugate) plus ``din**2``, never one ``din**2`` per
+    operator.  Real stacks stay real.  Non-finite entries give NaN, unwarned.
     """
-    rows = [s.shape[0] * s.shape[1] for s in stacks]
-    if len({s.shape for s in stacks}) == 1:
-        a = np.concatenate(stacks).reshape(len(stacks), rows[0], din)
-    else:
-        a = np.zeros((len(stacks), max(rows), din), dtype=np.result_type(*stacks))
-        for j, s in enumerate(stacks):
-            a[j, : rows[j]] = s.reshape(rows[j], din)
-    return a.conj().transpose(0, 2, 1) @ a
+    a = stack.reshape(len(stack), -1, din)
+    with np.errstate(invalid="ignore"):
+        return a.conj().transpose(0, 2, 1) @ a
+
+
+def _refuse_non_finite(stack: np.ndarray, names: Sequence[str]) -> None:
+    """Name the first non-finite entry of an (M, K, r, c) stack, item m being ``names[m]``."""
+    for m, k, i, j in np.argwhere(~np.isfinite(stack))[:1]:
+        raise ValueError(f"{names[m]}: Kraus operator {k} has a non-finite entry at ({i}, {j})")
+
+
+def _join(stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """One read-only (M, K, r, c) stack of M (k, r, c) stacks, each padded with zero operators."""
+    dtype = np.result_type(*{s.dtype for s in stacks})
+    out = np.zeros((len(stacks), max(map(len, stacks)), *stacks[0].shape[1:]), dtype)
+    for m, s in enumerate(stacks):
+        out[m, : len(s)] = s
+    out.setflags(write=False)
+    return out
 
 
 def _keep_kraus(obj, kraus: Iterable) -> None:
@@ -128,12 +140,12 @@ def _views(cls, stack: np.ndarray, **fields) -> list:
 
     Made without ``__init__``, so nothing is copied or flagged per object:
     object m keeps ``stack[m]`` and its items as ``kraus``, and the shared
-    ``fields``.  A channel's Kraus shape is checked here, once.
-
-    The stack may be float64 as well as complex128: a wide instrument
-    whose operators are all real (the pure-conversion synthesis) then
-    holds half the bytes, and the kernels apply it to complex states as
-    they are.  Any other dtype is refused.
+    ``fields``, each field set on all objects in one pass through its slot
+    descriptor.  A channel's Kraus shape is checked here, once.  The stack
+    may be float64 as well as complex128: a wide instrument whose operators
+    are all real (the pure-conversion synthesis) then holds half the bytes,
+    and the kernels apply it to complex states as they are.  Any other
+    dtype is refused.
     """
     if stack.flags.writeable or stack.ndim != 4 or stack.dtype not in (np.float64, complex):
         raise ValueError(
@@ -141,18 +153,13 @@ def _views(cls, stack: np.ndarray, **fields) -> list:
         )
     if "input_layout" in fields:
         _check_kraus_shape(stack.shape[2:], fields["input_layout"], fields["output_layout"])
-    fields = list(fields.items())
-    k = stack.shape[1]
-    ops = list(stack.reshape(-1, *stack.shape[2:]))
-    out = []
-    for m, item in enumerate(stack):
-        obj = object.__new__(cls)
-        for name, value in fields:
-            object.__setattr__(obj, name, value)
-        object.__setattr__(obj, "_stack", item)
-        object.__setattr__(obj, "kraus", tuple(ops[m * k : m * k + k]))
-        out.append(obj)
-    return out
+    objs = [object.__new__(cls) for _ in range(len(stack))]
+    for name, value in fields.items():
+        list(map(getattr(cls, name).__set__, objs, repeat(value)))
+    list(map(cls._stack.__set__, objs, stack))
+    ops = iter(stack.reshape(-1, *stack.shape[2:]))
+    list(map(cls.kraus.__set__, objs, zip(*[ops] * stack.shape[1])))  # K in a tuple
+    return objs
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +216,7 @@ class Channel:
     # -- algebra
 
     def completeness(self) -> np.ndarray:
-        return _completeness([self._stack], self.input_layout.total_dim)[0]
+        return _completeness(self._stack[None], self.input_layout.total_dim)[0]
 
     def is_trace_preserving(self, tol: float = TP_TOL) -> bool:
         d = self.input_layout.total_dim
@@ -299,35 +306,41 @@ class Instrument:
     """Labelled trace-non-increasing channels summing to a trace-preserving map."""
 
     outcomes: tuple[tuple[str, Channel], ...]
+    # the outcomes' Kraus sets as one (M, K, rows, cols) stack, joined unless handed in
+    _stack: np.ndarray | None = field(default=None, repr=False)
+
+    @classmethod
+    def _from_stack(cls, labels: Sequence[str], stack: np.ndarray, layout: SystemLayout):
+        """Instrument on an existing read-only stack, its outcomes views of it: no copy."""
+        views = _views(Channel, stack, input_layout=layout, output_layout=layout)
+        return cls(tuple(zip(labels, views)), stack)
 
     def __post_init__(self):
         if not self.outcomes:
             raise ValueError("instrument needs at least one outcome")
-        labels = [lab for lab, _ in self.outcomes]
+        labels = self.labels
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate outcome labels in {labels}")
-        layouts = {(ch.input_layout, ch.output_layout) for _, ch in self.outcomes}
-        if len(layouts) != 1:
+        layouts = [(ch.input_layout, ch.output_layout) for _, ch in self.outcomes]
+        if len({(id(i), id(o)) for i, o in layouts}) != 1 and len(set(layouts)) != 1:
             raise LayoutMismatchError("all instrument outcomes must share one layout")
-        din = self.input_layout.total_dim
-        stacks = [ch._stack for _, ch in self.outcomes]
-        rows = max(len(s) for s in stacks) * self.outcomes[0][1].output_layout.total_dim
-        runs = _batches(len(stacks), (2 * rows + din) * din)
-        total = np.zeros((din, din), dtype=complex)
-        for lo, hi in runs:
-            total += _completeness(stacks[lo:hi], din).sum(axis=0)
+        if self._stack is None:
+            object.__setattr__(self, "_stack", _join([ch._stack for _, ch in self.outcomes]))
+        m, k, r, din = (stack := self._stack).shape
+        runs = _batches(m, (2 * k * r + din) * din)
+        with np.errstate(invalid="ignore"):
+            total = sum(a.conj().T @ a for a in (stack[lo:hi].reshape(-1, din) for lo, hi in runs))
         # each outcome's sum of K^dag K is PSD and so at most the total:
         # a total whose top eigenvalue is within TP_TOL of 1 clears every
         # outcome.  Only otherwise is each outcome checked, to name it.
         if not np.linalg.eigvalsh(total)[-1] <= 1.0 + TP_TOL:
             for lo, hi in runs:
-                tops = np.linalg.eigvalsh(_completeness(stacks[lo:hi], din))[:, -1]
+                _refuse_non_finite(stack[lo:hi], [f"outcome {lab!r}" for lab in labels[lo:hi]])
+                tops = np.linalg.eigvalsh(_completeness(stack[lo:hi], din))[:, -1]
                 bad = np.flatnonzero(~(tops <= 1.0 + TP_TOL))
                 if bad.size:
-                    lab = self.outcomes[lo + bad[0]][0]
-                    raise ValueError(
-                        f"outcome {lab!r} is not trace-non-increasing ({float(tops[bad[0]])})"
-                    )
+                    lab, top = labels[lo + bad[0]], float(tops[bad[0]])
+                    raise ValueError(f"outcome {lab!r} is not trace-non-increasing ({top})")
         if not np.max(np.abs(total - np.eye(din))) <= TP_TOL:
             raise ValueError("instrument outcomes do not sum to a trace-preserving map")
 
@@ -369,14 +382,31 @@ class LocalInstrument:
     instrument: Instrument
     # continuation steps per outcome label, run before the next top-level step
     cases: tuple[tuple[str, tuple["Step", ...]], ...] = ()
+    # (factors, (M, J, d, d) stack) of the corrections, built from cases unless handed in
+    _fix: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(int(i) for i in self.factors))
-        object.__setattr__(
-            self,
-            "cases",
-            tuple((str(lab), tuple(steps)) for lab, steps in self.cases),
-        )
+        cases = tuple((str(lab), tuple(steps)) for lab, steps in self.cases)
+        object.__setattr__(self, "cases", cases)
+        if len(dict(cases)) != len(cases):
+            raise ValueError(f"case labels repeat in {[lab for lab, _ in cases]}")
+        if self._fix is None:
+            object.__setattr__(self, "_fix", self._stack_corrections())
+
+    def _stack_corrections(self) -> tuple | None:
+        """``_fix``, the identity for an empty case, if every case is empty or
+        one ``LocalChannel`` on one (party, factors) apart from the instrument's."""
+        first = next((c[0] for _, c in self.cases if c), None)
+        if not isinstance(first, LocalChannel) or set(first.factors) & set(self.factors) or any(
+            len(c) > 1 or not isinstance(c[0], LocalChannel) or c[0].party != first.party
+            or c[0].factors != first.factors or c[0]._stack.shape[1:] != first._stack.shape[1:]
+            for _, c in self.cases if c
+        ):
+            return None
+        fixes = {lab: c[0]._stack for lab, c in self.cases if c}
+        eye = np.eye(*first._stack.shape[1:])[None]
+        return first.factors, _join([fixes.get(lab, eye) for lab in self.instrument.labels])
 
     def case_map(self) -> dict[str, tuple["Step", ...]]:
         return dict(self.cases)
@@ -431,43 +461,34 @@ def _validate_steps(layout: SystemLayout, steps: Sequence[Step]) -> None:
     """Check a step tree: its structure first, then that every local channel is TP.
 
     The TP checks run together, in batches of channels with the same
-    dimension and Kraus count, so the thousands of per-outcome corrections
-    of a wide instrument cost a few batched matmuls.
+    dimension and Kraus count, or on slices of a correction stack, so the
+    thousands of corrections of a wide instrument cost a few batched matmuls.
     """
-    groups: dict[tuple[int, int], list[np.ndarray]] = {}
-    _check_structure(layout, steps, groups, {})
-    for (d, count), stacks in groups.items():
+    groups: dict[tuple, list | np.ndarray] = {}
+    _check_structure(layout, steps, groups)
+    for (d, count, *_), stacks in groups.items():
         for lo, hi in _batches(len(stacks), (2 * count + 1) * d * d):
-            comps = _completeness(stacks[lo:hi], d)
-            if not np.max(np.abs(comps - np.eye(d))) <= TP_TOL:
+            batch = np.asarray(stacks[lo:hi])  # a slice of a stack, or a list joined
+            if not np.max(np.abs(_completeness(batch, d) - np.eye(d))) <= TP_TOL:
+                _refuse_non_finite(batch, ["local channel step"] * len(batch))
                 raise ValueError("local channel step must be trace-preserving")
 
 
 def _check_structure(
-    layout: SystemLayout,
-    steps: Sequence[Step],
-    groups: dict[tuple[int, int], list[np.ndarray]],
-    checked: dict[tuple, int],
+    layout: SystemLayout, steps: Sequence[Step], groups: dict[tuple, list | np.ndarray]
 ) -> None:
-    """Structural checks of a step tree; collects local Kraus stacks by ``(dim, count)``.
+    """Structural checks of a step tree; collects the local Kraus stacks to check for TP.
 
-    Each distinct ``(party, factors, Kraus stack shape)`` of a local
-    channel is checked once per walk; ``checked`` maps the ones that
-    passed to their dimension.
+    Local channels are grouped by ``(dim, count)``, a correction stack by ``(dim, count, id)``.
     """
     for s in steps:
         if isinstance(s, LocalChannel):
-            key = (s.party, s.factors, s._stack.shape)
-            d = checked.get(key)
-            if d is None:
-                _check_factors(layout, s.party, s.factors)
-                d = math.prod(layout[i].dim for i in s.factors)
-                if len(s._stack) and s._stack.shape[1:] != (d, d):
-                    raise LayoutMismatchError(
-                        f"local Kraus shape {s._stack.shape[1:]} != ({d}, {d}) "
-                        f"on factors {s.factors}"
-                    )
-                checked[key] = d
+            _check_factors(layout, s.party, s.factors)
+            d = math.prod(layout[i].dim for i in s.factors)
+            if len(s._stack) and s._stack.shape[1:] != (d, d):
+                raise LayoutMismatchError(
+                    f"local Kraus shape {s._stack.shape[1:]} != ({d}, {d}) on factors {s.factors}"
+                )
             groups.setdefault((d, len(s._stack)), []).append(s._stack)
         elif isinstance(s, LocalInstrument):
             _check_factors(layout, s.party, s.factors)
@@ -480,7 +501,12 @@ def _check_structure(
             for lab, cont in s.cases:
                 if lab not in labels:
                     raise ValueError(f"case label {lab!r} is not an instrument outcome")
-                _check_structure(layout, cont, groups, checked)
+                if s._fix is None:
+                    _check_structure(layout, cont, groups)
+            if s._fix is not None:  # the corrections share their place and shape: check one
+                _check_structure(layout, next(c for _, c in s.cases if c), {})
+                d, stack = math.prod(layout[i].dim for i in s._fix[0]), s._fix[1]
+                groups[(d, stack.shape[1], id(stack))] = stack
         elif isinstance(s, RegisterControlled):
             if not 0 <= s.register < len(layout):
                 raise LayoutMismatchError(f"register index {s.register} out of range")
@@ -492,7 +518,7 @@ def _check_structure(
             if len(s.updates) != reg_dim or any(not 0 <= u < reg_dim for u in s.updates):
                 raise ValueError(f"register updates {s.updates} invalid for dim {reg_dim}")
             for b in s.branches:
-                _check_structure(layout, b, groups, checked)
+                _check_structure(layout, b, groups)
                 if s.register in _touched(b):
                     raise LocalityError("controlled branches must not touch the register")
         else:
@@ -744,13 +770,15 @@ def _remap_steps(steps: Sequence[Step], fmap: Sequence[int]) -> tuple[Step, ...]
         if isinstance(s, LocalChannel):  # a view of the original's read-only stack
             out += _views(LocalChannel, s._stack[None], party=s.party,
                           factors=tuple(fmap[i] for i in s.factors))
-        elif isinstance(s, LocalInstrument):
+        elif isinstance(s, LocalInstrument):  # the remapped cases and _fix keep its stacks
+            fix = s._fix and (tuple(fmap[i] for i in s._fix[0]), s._fix[1])
             out.append(
                 LocalInstrument(
                     s.party,
                     tuple(fmap[i] for i in s.factors),
                     s.instrument,
                     tuple((lab, _remap_steps(cont, fmap)) for lab, cont in s.cases),
+                    fix,
                 )
             )
         else:
@@ -813,6 +841,35 @@ def _contract(t: np.ndarray, stack: np.ndarray, axes: Sequence[int]) -> np.ndarr
     return acc.reshape(shape).transpose(inverse)
 
 
+def _contract_pairs(t: np.ndarray, a: np.ndarray, a_axes: Sequence[int],
+                    b: np.ndarray, b_axes: Sequence[int]) -> np.ndarray:
+    """sum_m (A_m x B_m) t (A_m x B_m)^dag for an (M, K, Da, Da) stack on ``a_axes``
+    and an (M, J, Db, Db) stack on the disjoint ``b_axes``, in chunks of outcomes
+    whose c*max(K, J) state-sized intermediates fit in ``_BATCH_ELEMS`` entries.
+    """
+    order, inverse, _, shape = _contraction_plan(t.shape, tuple(a_axes) + tuple(b_axes))
+    (m, k, da, _), (_, j, db, _) = a.shape, b.shape
+    if max(k, j) * t.size > _BATCH_ELEMS:  # one outcome is too wide: run it operator by operator
+        return sum(_contract(_contract(t, a[p], a_axes), b[p], b_axes) for p in range(m))
+    x = t.transpose(order).reshape(da, -1)
+    step = max(1, _BATCH_ELEMS // (max(k, j) * x.size))
+    acc = 0
+    for lo in range(0, m, step):
+        ac, bc = a[lo : lo + step], b[lo : lo + step]
+        c = len(ac)
+        # (c, k, Da, [Db, R, Da', Db']) -> (c, [Da, Db, R, Db'], k*Da') @ A^dag
+        y = (ac.reshape(-1, da) @ x).reshape(c, k, da, db, -1, da, db)
+        y = y.transpose(0, 2, 3, 4, 6, 1, 5).reshape(c, -1, k * da)
+        y = y @ ac.conj().transpose(0, 1, 3, 2).reshape(c, k * da, da)
+        # (c, Da, Db, R, Db', Da') -> (c, Db, [Da, R, Da', Db'])
+        y = y.reshape(c, da, db, -1, db, da).transpose(0, 2, 1, 3, 5, 4).reshape(c, db, -1)
+        y = (bc.reshape(c, j * db, db) @ y).reshape(c, j, db, -1, db)
+        y = y.transpose(2, 3, 0, 1, 4).reshape(-1, c * j * db)
+        acc = acc + y @ bc.conj().transpose(0, 1, 3, 2).reshape(c * j * db, db)
+    # acc is laid out (Db, Da, R, Da', Db'); the plan's order is (Da, Db, R, Da', Db')
+    return acc.reshape(db, da, -1).transpose(1, 0, 2).reshape(shape).transpose(inverse)
+
+
 def _register_block(n: int, register: int, value: int) -> tuple[slice, ...]:
     """Index of the diagonal block where the register holds ``value``."""
     idx = [slice(None)] * (2 * n)
@@ -824,6 +881,8 @@ def _run_steps(steps: Sequence[Step], t: np.ndarray) -> np.ndarray:
     for s in steps:
         if isinstance(s, LocalChannel):
             t = _contract(t, s._stack, s.factors)
+        elif isinstance(s, LocalInstrument) and s._fix is not None:
+            t = _contract_pairs(t, s.instrument._stack, s.factors, s._fix[1], s._fix[0])
         elif isinstance(s, LocalInstrument):
             cases = s.case_map()
             t = sum(

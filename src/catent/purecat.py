@@ -7,9 +7,9 @@ an explicit one-round protocol (one measurement by the first party, a
 permutation correction by the second) is synthesized from a chain of
 two-outcome mixing steps.  The chain's branches are rows of an index
 array; the outcomes' Kraus operators and corrections are filled into two
-read-only stacks, and the instrument's channels and the correction steps
-are views of them, checked as stacks.  Every entry is real, so the stacks
-are float64: half the bytes of complex ones, with the same values.
+read-only stacks; the instrument and the step keep them, checked and run
+as stacks, and its channels and correction steps are views of them.  Every
+entry is real, so the stacks are float64: half the bytes of complex ones.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionCapError, DivergingRateError, NotConvertibleError
-from .locc import Channel, Instrument, LocalChannel, LocalInstrument, LoccProtocol, _views
+from .locc import Instrument, LocalChannel, LocalInstrument, LoccProtocol, _views
 from .measures import EdBounds, hashing_bounds
 from .qstate import DIM_CAP, QState, SchmidtVector, SystemLayout, pure_state
 
@@ -218,15 +218,13 @@ def synthesize_pure_protocol(
     kraus.setflags(write=False)
     corrs.setflags(write=False)
 
-    # every outcome and correction is a view of these two stacks; the
-    # instrument and the protocol check them as stacks
+    # every outcome and correction is a view of these two stacks, which
+    # the instrument and the step keep; they are checked and run as stacks
     labels = [f"m{m}" for m in range(len(wts))]
-    sub = layout.subset(a_factors)
-    channels = _views(Channel, kraus, input_layout=sub, output_layout=sub)
+    instrument = Instrument._from_stack(labels, kraus, layout.subset(a_factors))
     fixes = _views(LocalChannel, corrs, party=1, factors=b_factors)
-    instrument = Instrument(tuple(zip(labels, channels)))
     cases = tuple(zip(labels, ((c,) for c in fixes)))
-    step = LocalInstrument(0, a_factors, instrument, cases)
+    step = LocalInstrument(0, a_factors, instrument, cases, (b_factors, corrs))
     return LoccProtocol(layout, (step,))
 
 

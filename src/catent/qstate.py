@@ -144,13 +144,16 @@ def _validate_density(
     unless its smallest eigenvalue is below ``-PSD_TOL / 2``; that margin
     is far wider than eigvalsh's error at any dimension under ``DIM_CAP``,
     so the PSD verdict is the one a full decomposition would give.
-    Rejecting tests read ``not ok``, so NaN, which fails all comparisons, fails them.
+    Rejecting tests read ``not ok``, so NaN fails them; a non-finite entry is named.
     """
     m = np.ascontiguousarray(matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise StateInvariantError(f"matrix shape {m.shape} does not match layout dim {dim}")
-    herm_err = float(np.max(np.abs(m - m.conj().T))) if dim else 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf; a non-finite entry is named below
+        herm_err = float(np.max(np.abs(m - m.conj().T))) if dim else 0.0
     if not herm_err <= HERM_TOL:
+        for i, j in np.argwhere(~np.isfinite(m))[:1]:
+            raise StateInvariantError(f"matrix entry ({i}, {j}) is not finite: {m[i, j]}")
         raise StateInvariantError(f"matrix is not hermitian (max asymmetry {herm_err:.3e})")
     m = (m + m.conj().T) / 2.0
     tr = float(m.trace().real)

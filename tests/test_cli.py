@@ -350,6 +350,19 @@ def test_non_finite_state_file_exits_1(bad, tmp_path, capsys):
     assert "catent: failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_state_entry_named_with_no_warning(bad, tmp_path):
+    # an infinite diagonal entry made numpy print a RuntimeWarning, and
+    # the error named an asymmetry of nan; run in a child to see its stderr
+    doc = state_to_dict(singlet())
+    doc["matrix"]["entries"][5][0] = bad
+    path = _write(tmp_path, "psi.json", json.dumps(doc))
+    proc = _run_limited(tmp_path, "bounds", f"state: file:{path}\nbudget: 6\n", 1024, 60)
+    assert proc.returncode == 1, proc.stderr
+    assert "Warning" not in proc.stderr, proc.stderr
+    assert f"matrix entry (1, 1) is not finite: ({bad}+0j)" in proc.stderr, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # plot series extraction
 

@@ -4,32 +4,49 @@
 composition, on random small protocols; ``apply_to_factors`` is compared
 with Kraus sums of operators lifted to the full space by
 ``_embed_operator``; the contraction kernel ``_contract`` is compared with
-a per-operator ``tensordot`` loop.
+a per-operator ``tensordot`` loop.  A measure-and-correct step runs as one
+pair contraction (``_contract_pairs``); it is compared with the same step
+run outcome by outcome, the general path.
 """
 
+import copy
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from catent import locc
+from catent.errors import DocumentError
 from catent.locc import (
     Channel,
+    Instrument,
+    LocalChannel,
+    LocalInstrument,
     LoccProtocol,
     RegisterControlled,
     _contract,
+    _contract_pairs,
+    _run_matrix,
     _embed_operator,
     _reorder_matrix,
     _steps_kraus,
     apply,
     apply_to_factors,
     flatten,
+    embed_protocol,
     local_channel,
     local_instrument,
+    local_unitary,
+    protocol_from_dict,
+    protocol_to_dict,
     run_protocol,
     tensor_protocols,
 )
-from catent.qstate import SystemLayout, random_state
+from catent.purecat import synthesize_pure_protocol
+from catent.qstate import SchmidtVector, SystemLayout, random_state
 
 TOL = 1e-12
 SETTINGS = settings(
@@ -37,9 +54,9 @@ SETTINGS = settings(
 )
 
 
-def _kraus(rng, d, r):
+def _kraus(rng, d, r, real=False):
     """r Kraus operators of a random channel on dimension d: blocks of an isometry."""
-    g = rng.standard_normal((r * d, d)) + 1j * rng.standard_normal((r * d, d))
+    g = rng.standard_normal((r * d, d)) + (0 if real else 1j) * rng.standard_normal((r * d, d))
     q, _ = np.linalg.qr(g)
     return [q[i * d : (i + 1) * d] for i in range(r)]
 
@@ -307,3 +324,179 @@ def test_contract_matches_tensordot_loop(data):
     want = _tensordot_contract(t, stack, axes)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= TOL
+
+
+# ---------------------------------------------------------------------------
+# measure-and-correct steps: the pair contraction against the outcome loop
+
+
+def _outcome_loop(protocol):
+    """``protocol`` with the correction stacks of its top-level instrument
+    steps dropped, so the executor runs those outcome by outcome."""
+    steps = []
+    for s in protocol.steps:
+        if isinstance(s, LocalInstrument):
+            s = copy.copy(s)
+            object.__setattr__(s, "_fix", None)
+        steps.append(s)
+    return LoccProtocol(
+        protocol.input_layout, steps, discard=protocol.discard, relabel=protocol.relabel,
+        classical_factors=protocol.classical_factors,
+    )
+
+
+def _assert_pair_path_matches_loop(protocol, matrix):
+    assert any(getattr(s, "_fix", None) is not None for s in protocol.steps)
+    got, want = _run_matrix(protocol, matrix), _run_matrix(_outcome_loop(protocol), matrix)
+    assert np.max(np.abs(got - want)) <= TOL
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("src,tgt", [((0.5, 0.5), (0.7731, 0.2269)), ((0.6, 0.4), (0.8, 0.2))])
+def test_pair_path_matches_outcome_loop_on_synthesis(n, src, tgt):
+    pair = SystemLayout([(0, 2), (1, 2)])
+    s, t = (functools.reduce(SchmidtVector.tensor, [SchmidtVector.of(p)] * n) for p in (src, tgt))
+    proto = synthesize_pure_protocol(s, t, layout=pair.power(n))
+    # the catalyst joint: the last pair copy first, then the others, then the register
+    fmap = [i if j == n - 1 else (j + 1) * 2 + i for j in range(n) for i in range(2)]
+    emb = embed_protocol(proto, pair.power(n) + SystemLayout([(0, n)]), fmap)
+    assert emb.steps[0]._fix[1] is proto.steps[0]._fix[1]
+    for p in (proto, emb):
+        _assert_pair_path_matches_loop(p, random_state(p.input_layout, "ginibre_mixed", seed=n).matrix)
+
+
+# party 0 holds factors 0 and 2, party 1 factor 1
+_MIXED = SystemLayout([(0, 2), (1, 3), (0, 2)])
+
+
+@SETTINGS
+@given(st.data())
+def test_pair_path_matches_outcome_loop_on_random_instruments(data):
+    # 1-3 Kraus operators an outcome, in a zero-padded stack handed in;
+    # cases absent, empty or one channel of 1-2 operators; real or complex
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    real = data.draw(st.booleans())
+    a_factors = data.draw(st.sampled_from([(0,), (2, 0), (0, 2)]))
+    fix_party, fix_factors = data.draw(
+        st.sampled_from([w for w in ((1, (1,)), (0, (2,))) if w[1][0] not in a_factors])
+    )
+    da = math.prod(_MIXED[i].dim for i in a_factors)
+    db = math.prod(_MIXED[i].dim for i in fix_factors)
+    counts = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    ks = _kraus(rng, da, sum(counts), real)
+    stack = np.zeros((len(counts), 3, da, da), dtype=float if real else complex)
+    for m, lo in enumerate(np.cumsum([0] + counts)[:-1]):
+        stack[m, : counts[m]] = ks[lo : lo + counts[m]]
+    stack.setflags(write=False)
+    labels = [f"o{m}" for m in range(len(counts))]
+    inst = Instrument._from_stack(labels, stack, _MIXED.subset(a_factors))
+    cases = []
+    for lab in labels:
+        kind = data.draw(st.sampled_from(["absent", "empty", "channel"]))
+        if kind == "channel":
+            fix = np.array(_kraus(rng, db, data.draw(st.integers(1, 2)), real))[None]
+            fix.setflags(write=False)
+            cases.append((lab, tuple(locc._views(LocalChannel, fix, party=fix_party, factors=fix_factors))))
+        elif kind == "empty":
+            cases.append((lab, ()))
+    assume(any(cont for _, cont in cases))
+    step = LocalInstrument(0, a_factors, inst, tuple(cases))
+    assert step._fix[0] == fix_factors
+    assert step._fix[1].dtype == stack.dtype
+    rho = random_state(_MIXED, "ginibre_mixed", seed=data.draw(st.integers(0, 2**16)))
+    _assert_pair_path_matches_loop(LoccProtocol(_MIXED, [step]), rho.matrix)
+
+
+@SETTINGS
+@given(st.data())
+def test_contract_pairs_matches_outcome_loop_in_chunks(data):
+    # the kernel alone, on register blocks (non-contiguous views) too, with
+    # the chunk size forced down to 1..M outcomes
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)))
+    n = len(dims)
+    t = rng.standard_normal(dims + dims) + 1j * rng.standard_normal(dims + dims)
+    if data.draw(st.booleans()):
+        t = t[(slice(None),) * (n - 1) + (slice(0, 1),) + (slice(None),) * (n - 1) + (slice(0, 1),)]
+        dims = dims[:-1] + (1,)
+    order = data.draw(st.permutations(range(n)))
+    cut = data.draw(st.integers(1, n - 1))
+    a_axes = tuple(order[:cut][: data.draw(st.integers(1, cut))])
+    b_axes = tuple(order[cut:][: data.draw(st.integers(1, n - cut))])
+    da, db = (math.prod(dims[i] for i in ax) for ax in (a_axes, b_axes))
+    m, k, j = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a = rng.standard_normal((m, k, da, da)) + 1j * rng.standard_normal((m, k, da, da))
+    b = rng.standard_normal((m, j, db, db))
+    want = sum(_contract(_contract(t, a[p], a_axes), b[p], b_axes) for p in range(m))
+    with mock.patch.object(locc, "_BATCH_ELEMS", data.draw(st.integers(1, m * max(k, j) * t.size))):
+        got = _contract_pairs(t, a, a_axes, b, b_axes)
+    assert np.max(np.abs(got - want)) <= TOL * max(1.0, np.max(np.abs(want)))
+
+
+def test_other_instrument_steps_run_outcome_by_outcome():
+    # continuations of two steps, a register branch, a correction on the
+    # measured factor, or corrections on two places keep no correction stack
+    lay = SystemLayout([(0, 2), (1, 2), (1, 2)])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    z = [("0", [np.diag([1.0, 0.0])]), ("1", [np.diag([0.0, 1.0])])]
+    x1, x2, x0 = (local_unitary(lay, p, (f,), x) for p, f in ((1, 1), (1, 2), (0, 0)))
+    ctrl = RegisterControlled(2, ((x1,), ()), (0, 1))
+    for cases in ({"1": [x1, x1]}, {"1": [ctrl]}, {"1": [x0]}, {"0": [x1], "1": [x2]}, {}):
+        step = local_instrument(lay, 0, (0,), z, cases)
+        assert step._fix is None
+        proto = LoccProtocol(lay, [step])
+        rho = random_state(lay, "ginibre_mixed", seed=len(cases))
+        want = apply(flatten(proto), rho)
+        assert np.max(np.abs(run_protocol(proto, rho).matrix - want.matrix)) <= TOL
+    assert local_instrument(lay, 0, (0,), z, {"1": [x1]})._fix is not None
+
+
+@st.composite
+def _measure_and_correct(draw):
+    """A one-step protocol, built by the public constructors: party 0
+    measures some of its factors, then each outcome is left alone or
+    corrected by one channel on factors apart from the measured ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a_factors = draw(st.sampled_from([(0,), (2,), (2, 0)]))
+    fix_party, fix_factors = draw(
+        st.sampled_from([w for w in ((1, (1,)), (0, (2,)), (0, (0,))) if w[1][0] not in a_factors])
+    )
+    da = math.prod(_MIXED[i].dim for i in a_factors)
+    db = math.prod(_MIXED[i].dim for i in fix_factors)
+    counts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    ks = _kraus(rng, da, sum(counts))
+    edges = np.cumsum([0] + counts)
+    outcomes = [(f"o{m}", ks[edges[m] : edges[m + 1]]) for m in range(len(counts))]
+    cases = {lab: [] for lab, _ in outcomes if draw(st.booleans())}
+    for lab in cases:
+        if draw(st.booleans()):
+            cases[lab] = [local_channel(_MIXED, fix_party, fix_factors, _kraus(rng, db, draw(st.integers(1, 2))))]
+    assume(any(cases.values()))
+    return LoccProtocol(_MIXED, [local_instrument(_MIXED, 0, a_factors, outcomes, cases)])
+
+
+@SETTINGS
+@given(_measure_and_correct(), st.integers(0, 2**16), st.data())
+def test_measure_and_correct_documents_through_both_paths(protocol, seed, data):
+    doc = protocol_to_dict(protocol)
+    back = protocol_from_dict(doc)
+    assert protocol_to_dict(back) == doc
+    rho = random_state(_MIXED, "ginibre_mixed", seed=seed).matrix
+    assert _run_matrix(back, rho).tobytes() == _run_matrix(protocol, rho).tobytes()
+    _assert_pair_path_matches_loop(back, rho)
+    # a NaN entry, a shape the factors cannot take, a dropped outcome
+    outcomes = doc["steps"][0]["outcomes"]
+    m = data.draw(st.integers(0, len(outcomes) - 1))
+    cases = [o["then"][0] for o in outcomes if o["then"]]
+    where = data.draw(st.sampled_from([outcomes[m]] + cases))
+    mutation = data.draw(st.sampled_from(["nan", "shape", "drop"]))
+    if mutation == "nan":
+        where["kraus"][0]["entries"][0][data.draw(st.integers(0, 1))] = "nan"
+    elif mutation == "shape":
+        where["kraus"][-1] = {"shape": [4, 4], "entries": [["0x0p+0"] * 2] * 16}
+    else:
+        assume(len(outcomes) > 1)
+        del outcomes[m]
+    with pytest.raises(ValueError) as err:
+        protocol_from_dict(doc)
+    assert not isinstance(err.value, DocumentError)

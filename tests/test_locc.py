@@ -380,6 +380,36 @@ def test_many_kraus_contraction_stays_within_a_few_states():
     assert np.max(np.abs(out.matrix - want)) < 1e-12
 
 
+@pytest.mark.parametrize("dims,count,outcomes", [((4, 4, 8, 8), 17, 4), ((4, 4, 4, 4), 8, 16)])
+def test_pair_contraction_stays_within_the_batch_budget(dims, count, outcomes):
+    # a measure-and-correct step with wide corrections: at 1024 dims one
+    # outcome's 17 corrections alone pass the element budget, so it runs
+    # operator by operator; at 256 dims two outcomes fit in a chunk
+    layout = SystemLayout([(0, dims[0]), (1, dims[1]), (0, dims[2]), (1, dims[3])])
+    rng = np.random.default_rng(0)
+    qa = np.linalg.qr(rng.standard_normal((4 * outcomes, 4)))[0]
+    qb = np.linalg.qr(rng.standard_normal((4 * count, 4)))[0]
+    inst = Instrument.from_kraus(SystemLayout([(0, 4)]),
+                                 [(f"o{m}", [qa[4 * m : 4 * m + 4]]) for m in range(outcomes)])
+    fix = LocalChannel(1, (1,), [qb[4 * j : 4 * j + 4] for j in range(count)])
+    step = LocalInstrument(0, (0,), inst, tuple((lab, (fix,)) for lab in inst.labels))
+    proto = LoccProtocol(layout, [step])
+    rho = random_state(layout, "ginibre_mixed", seed=1).matrix
+    tracemalloc.start()
+    try:
+        out = locc._run_matrix(proto, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert step._fix is not None
+    assert peak < 2 * locc._BATCH_ELEMS * 16 + 8 * rho.nbytes
+    want = sum(
+        locc._contract(locc._contract(rho.reshape(dims * 2), ch._stack, (0,)), fix._stack, (1,))
+        for _, ch in inst.outcomes
+    )
+    assert np.max(np.abs(out - want.reshape(rho.shape))) < 1e-12
+
+
 def test_local_channel_without_kraus_is_not_tp():
     # no Kraus operators is the zero map
     with pytest.raises(ValueError, match="must be trace-preserving"):
@@ -419,8 +449,8 @@ def test_locality_enforced():
 
 
 def test_structure_checks_differ_from_a_checked_channel_by_party_or_shape():
-    # the walk checks each (party, factors, Kraus shape) once; a channel
-    # that differs from a checked one in any of them is checked anew
+    # a channel that differs from a checked one by its party, factor or
+    # Kraus shape fails its own check
     good = LocalChannel(1, (1,), (X,))
     with pytest.raises(LocalityError):
         LoccProtocol(PAIR, [good, LocalChannel(0, (1,), (X,))])
@@ -428,6 +458,22 @@ def test_structure_checks_differ_from_a_checked_channel_by_party_or_shape():
         LoccProtocol(PAIR, [good, LocalChannel(1, (1,), (np.eye(3),))])
     with pytest.raises(LayoutMismatchError, match="out of range"):
         LoccProtocol(PAIR, [good, LocalChannel(1, (2,), (X,))])
+
+
+def test_correction_stack_structure_is_checked():
+    # the corrections of a measure-and-correct step share one place and
+    # shape, checked once: party 0 may not act on party 1's factor, and the
+    # operators must fit the factor
+    z = _z_measurement()
+    for fix, err in (
+        (LocalChannel(0, (1,), (X,)), LocalityError),
+        (LocalChannel(1, (2,), (X,)), LayoutMismatchError),
+        (LocalChannel(1, (1,), (np.eye(3),)), LayoutMismatchError),
+    ):
+        step = LocalInstrument(0, (0,), z, (("0", (fix,)), ("1", (fix,))))
+        assert step._fix is not None
+        with pytest.raises(err):
+            LoccProtocol(PAIR, [step])
 
 
 def test_case_label_must_exist():
@@ -439,6 +485,63 @@ def test_case_label_must_exist():
             [("0", [np.diag([1.0, 0.0])]), ("1", [np.diag([0.0, 1.0])])],
             cases={"2": [local_unitary(PAIR, 1, (1,), X)]},
         )
+
+
+def test_case_labels_must_not_repeat():
+    # the executor reads one continuation per label, so a second case with
+    # the same label used to be dropped without a word
+    fix, keep = LocalChannel(1, (1,), (X,)), LocalChannel(1, (1,), (np.eye(2),))
+    with pytest.raises(ValueError, match=r"case labels repeat in \[.a., .a.\]"):
+        LocalInstrument(0, (0,), _z_measurement(), (("a", (fix,)), ("a", (keep,))))
+    with pytest.raises(ValueError, match=r"case labels repeat in \[.1., .0., .1.\]"):
+        LocalInstrument(0, (0,), _z_measurement(), (("1", (fix,)), ("0", ()), ("1", ())))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("pos", [(0, 0), (1, 0)])
+def test_non_finite_kraus_entry_is_named(bad, pos):
+    # numpy warnings are errors here: the checks must raise without one
+    k = X.copy()
+    k[pos] = bad
+    where = rf"has a non-finite entry at \({pos[0]}, {pos[1]}\)"
+    with pytest.raises(ValueError, match="local channel step: Kraus operator 0 " + where):
+        local_channel(PAIR, 0, (0,), [k])
+    with pytest.raises(ValueError, match="local channel step: Kraus operator 1 " + where):
+        local_channel(PAIR, 0, (0,), [X / 2, k])
+    with pytest.raises(ValueError, match="outcome '1': Kraus operator 1 " + where):
+        local_instrument(PAIR, 0, (0,), [("0", [X / 2]), ("1", [X / 2, k])])
+    with pytest.raises(ValueError, match="outcome 'o300': Kraus operator 0 " + where):
+        Instrument.from_kraus(Q0, [(f"o{m}", [k if m == 300 else X / 20]) for m in range(400)])
+    # a correction stack names the entry too
+    with pytest.raises(ValueError, match="local channel step: Kraus operator 0 " + where):
+        LoccProtocol(PAIR, [LocalInstrument(0, (0,), _z_measurement(), (("1", (LocalChannel(1, (1,), (k,)),)),))])
+
+
+def test_padded_instrument_stack_checks_like_its_outcomes():
+    # outcomes of 1, 2 and 3 operators: the stack pads each to 3 with zero
+    # operators, which leave every outcome's completeness as it was
+    ks = [np.linalg.qr(np.random.default_rng(1).standard_normal((12, 2)))[0][2 * i : 2 * i + 2]
+          for i in range(6)]
+    inst = Instrument.from_kraus(Q0, [("a", ks[:1]), ("b", ks[1:3]), ("c", ks[3:])])
+    assert inst._stack.shape == (3, 3, 2, 2) and not inst._stack.flags.writeable
+    assert not np.any(inst._stack[0, 1:]) and not np.any(inst._stack[1, 2:])
+    comps = locc._completeness(inst._stack, 2)
+    for comp, (_, ch) in zip(comps, inst.outcomes):
+        assert np.max(np.abs(comp - ch.completeness())) <= 1e-15
+    # the same outcomes on a stack handed in: the same checks pass and fail
+    again = Instrument._from_stack(inst.labels, inst._stack, Q0)
+    assert again._stack is inst._stack
+    assert all(ch.kraus[0].base is inst._stack for _, ch in again.outcomes)
+    bad = np.array(inst._stack)
+    bad[1, :2] *= 3
+    bad.setflags(write=False)
+    for build in (
+        lambda: Instrument.from_kraus(Q0, [("a", bad[0, :1]), ("b", bad[1, :2]), ("c", bad[2])]),
+        lambda: Instrument._from_stack(inst.labels, bad, Q0),
+    ):
+        with pytest.raises(ValueError, match="'b' is not trace-non-increasing"):
+            build()
 
 
 def test_identity_protocol_flatten():

@@ -478,6 +478,17 @@ def test_state_refuses_non_finite_entry(bad, pos):
                 state_from_dict(bad_doc)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("pos", [(0, 0), (0, 1), (2, 1), (3, 3)])
+def test_state_names_non_finite_entry_without_warning(bad, pos):
+    # numpy warnings are errors here; the entry is named, not an asymmetry
+    m = maximally_mixed(QUBIT_PAIR).matrix.copy()
+    m[pos] = bad
+    with pytest.raises(StateInvariantError, match=rf"matrix entry \({pos[0]}, {pos[1]}\) is not finite"):
+        QState(QUBIT_PAIR, m)
+
+
 def test_n_copies():
     s = n_copies(singlet(), 3)
     assert s.total_dim == 64
