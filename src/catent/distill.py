@@ -42,8 +42,7 @@ PAIR_LAYOUT = SystemLayout([(0, 2), (1, 2)])
 # simulates about 1e6 copies/s (2-core box), so this is about 30 s of work.
 MC_COPY_BUDGET = 3e7
 
-# Bell vectors with the first party's qubit most significant
-_PHI_P = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / math.sqrt(2.0)
+# The singlet Bell vector with the first party's qubit most significant
 _PSI_M = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)

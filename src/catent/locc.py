@@ -46,7 +46,6 @@ step counts and is bounded by ``KRAUS_CAP``.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -493,9 +492,12 @@ def _check_structure(
         elif isinstance(s, LocalInstrument):
             _check_factors(layout, s.party, s.factors)
             sub_dims = tuple(layout[i].dim for i in s.factors)
-            if s.instrument.input_layout.dims != sub_dims:
+            # every outcome shares one layout (Instrument checks it), so one comparison
+            first = s.instrument.outcomes[0][1]
+            dims = (first.input_layout.dims, first.output_layout.dims)
+            if dims != (sub_dims, sub_dims):
                 raise LayoutMismatchError(
-                    f"instrument dims {s.instrument.input_layout.dims} != factors {sub_dims}"
+                    f"instrument maps dims {dims[0]} -> {dims[1]}, factors are {sub_dims}"
                 )
             labels = set(s.instrument.labels)
             for lab, cont in s.cases:
@@ -1111,11 +1113,8 @@ def protocol_from_dict(doc: dict) -> LoccProtocol:
 
 
 def save_protocol(protocol: LoccProtocol, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(protocol_to_dict(protocol), fh, indent=1)
-        fh.write("\n")
+    _io.write_document(protocol_to_dict(protocol), path)
 
 
 def load_protocol(path) -> LoccProtocol:
-    with open(path, "r", encoding="utf-8") as fh:
-        return protocol_from_dict(json.load(fh))
+    return protocol_from_dict(_io.read_document(path))

@@ -35,7 +35,6 @@ dust by the traced dimension, so its spectrum cannot be derived.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -535,11 +534,8 @@ def state_from_dict(doc: dict) -> QState:
 
 
 def save_state(state: QState, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_dict(state), fh, indent=1)
-        fh.write("\n")
+    _io.write_document(state_to_dict(state), path)
 
 
 def load_state(path) -> QState:
-    with open(path, "r", encoding="utf-8") as fh:
-        return state_from_dict(json.load(fh))
+    return state_from_dict(_io.read_document(path))

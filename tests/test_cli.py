@@ -320,8 +320,10 @@ def _state_doc(**changes):
         ("rho", _state_doc(matrix=None)),
         ("rho", _state_doc(format="catent-state-v9")),
         ("protocol", _state_doc()),
+        # each "10" used to unpack into the hex digits "1" and "0"
+        ("rho", _state_doc(matrix={"shape": [4, 4], "entries": ["10"] * 16})),
     ],
-    ids=["state-without-matrix", "unknown-format", "state-as-protocol"],
+    ids=["state-without-matrix", "unknown-format", "state-as-protocol", "string-entries"],
 )
 def test_malformed_document_exits_2(key, doc, tmp_path, capsys):
     path = _write(tmp_path, "doc.json", json.dumps(doc))

@@ -476,6 +476,21 @@ def test_correction_stack_structure_is_checked():
             LoccProtocol(PAIR, [step])
 
 
+def test_instrument_that_changes_its_factor_dims_is_refused():
+    # outcomes that map the 2-dim factor to 1 dim used to construct, and the
+    # run then failed inside numpy ("cannot reshape array of size 2")
+    q1 = SystemLayout([(0, 1)])
+    shrink = Instrument(
+        tuple((lab, Channel((k,), Q0, q1)) for lab, k in (("0", np.array([[1.0, 0.0]])),
+                                                         ("1", np.array([[0.0, 1.0]]))))
+    )
+    with pytest.raises(LayoutMismatchError, match=r"\(2,\) -> \(1,\), factors are \(2,\)"):
+        LoccProtocol(PAIR, [LocalInstrument(0, (0,), shrink)])
+    fix = LocalChannel(1, (1,), (X,))
+    with pytest.raises(LayoutMismatchError, match=r"\(2,\) -> \(1,\)"):
+        LoccProtocol(PAIR, [LocalInstrument(0, (0,), shrink, (("1", (fix,)),))])
+
+
 def test_case_label_must_exist():
     with pytest.raises(ValueError, match="not an instrument outcome"):
         local_instrument(
