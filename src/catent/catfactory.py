@@ -15,7 +15,10 @@ trace distance is monotone under channels, every catalyst drift and
 per-copy error stays within the initial catalyst error.
 
 Every protocol run here is one raw step, ``_catalytic_step``; only the
-states a function returns are validated.
+states a function returns are validated.  No run repeats within a call:
+the fixed point returns the first iterate the update leaves in place,
+and ``_build_catalyst`` hands the run its exactness checks read to the
+callers that certify the same catalyst.
 """
 
 from __future__ import annotations
@@ -133,6 +136,18 @@ def build_catalyst(lambda_n: LoccProtocol, rho: QState, n: int) -> CatalystAssem
     promises (catalyst marginal reproduced exactly, output marginal
     equal to the per-copy average) are checked before returning.
     """
+    return _build_catalyst(lambda_n, rho, n)[0]
+
+
+def _build_catalyst(
+    lambda_n: LoccProtocol, rho: QState, n: int
+) -> tuple[CatalystAssembly, tuple[np.ndarray, list[np.ndarray]]]:
+    """``build_catalyst`` and the run its exactness checks read.
+
+    That run of the embedding on rho tensor tau is ``(mu, [mu_S, mu_C])``,
+    the raw output and its system and catalyst marginals, so a caller
+    certifies from it instead of running the embedding again.
+    """
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2 copies, got {n}")
@@ -179,19 +194,37 @@ def build_catalyst(lambda_n: LoccProtocol, rho: QState, n: int) -> CatalystAssem
     embedding = controlled_on_register(n * f, branches, tuple((r + 1) % n for r in range(n)))
 
     assembly = CatalystAssembly(n, tau, embedding, gamma_marginals)
-    cert = verify_catalysis(embedding, tau, rho, assembly.expected_output())
-    if cert.catalyst_drift > EXACTNESS_TOL or cert.epsilon_achieved > EXACTNESS_TOL:
+    run = _catalytic_step(embedding, (rho.matrix, tau.matrix), (range(f), range(f, len(joint))))
+    mu_s, mu_c = run[1]
+    drift = _herm_dist(mu_c, tau.matrix)
+    eps = _herm_dist(mu_s, assembly.expected_output().matrix)
+    if drift > EXACTNESS_TOL or eps > EXACTNESS_TOL:
         raise RuntimeError(
             f"catalyst construction failed its exactness checks "
-            f"(drift {cert.catalyst_drift:.2e}, output {cert.epsilon_achieved:.2e})"
+            f"(drift {drift:.2e}, output {eps:.2e})"
         )
-    return assembly
+    return assembly, run
 
 
 def verify_catalysis(
     lam: LoccProtocol, tau: QState, rho: QState, sigma: QState
 ) -> CatalysisCertificate:
     """Certify one catalytic application of ``lam`` to rho tensor tau."""
+    return _certify(lam, tau, rho, sigma)
+
+
+def _certify(
+    lam: LoccProtocol,
+    tau: QState,
+    rho: QState,
+    sigma: QState,
+    run: tuple[np.ndarray, Sequence[np.ndarray]] | None = None,
+) -> CatalysisCertificate:
+    """``verify_catalysis``, read from ``run`` when given.
+
+    ``run`` is lam's raw run on rho tensor tau, ``(mu, [mu_S, mu_C])``, as
+    ``_build_catalyst`` returns it; every layout check still runs.
+    """
     if lam.input_layout != rho.layout + tau.layout:
         raise LayoutMismatchError(f"protocol input {lam.input_layout!r} is not system + catalyst")
     f = len(rho.layout)
@@ -201,8 +234,10 @@ def verify_catalysis(
     for part, want in ((dims[:f], sigma), (dims[f:], tau)):
         if part != want.layout.dims:
             raise LayoutMismatchError(f"dims {part} vs {want.layout.dims}")
-    split = (range(f), range(f, len(dims)))
-    mu, (mu_s, mu_c) = _catalytic_step(lam, (rho.matrix, tau.matrix), split)
+    if run is None:
+        split = (range(f), range(f, len(dims)))
+        run = _catalytic_step(lam, (rho.matrix, tau.matrix), split)
+    mu, (mu_s, mu_c) = run
     return CatalysisCertificate(
         _herm_dist(mu_s, sigma.matrix),
         _herm_dist(mu_c, tau.matrix),
@@ -215,32 +250,30 @@ def verify_catalysis(
 
 
 def _fixed_point(lam: LoccProtocol, rho: QState, start: np.ndarray) -> np.ndarray:
-    """Ergodic fixed point of the induced catalyst update, seeded at start.
+    """Fixed point of the induced catalyst update T, seeded at start.
 
-    Plain iteration can stall when a register cycles (unit-modulus
-    spectrum), so each round averages a block of iterates and restarts
-    from the mean; the mean of a full cycle is invariant, which makes the
-    restart contract.  The caller reports the residual, never enforces it.
+    Each iterate v is tested as T(v) is made, and the first one with
+    ||T(v) - v||_1 < 1e-13 is returned, so no run repeats.  A register
+    that keeps cycling (unit-modulus spectrum) never passes that test:
+    after a block of 128 iterates the next round restarts from their
+    mean, which a full cycle leaves invariant, so the restarts contract.
+    After 64 rounds the last mean is returned.  The caller reports the
+    residual, never enforces it.
     """
     cat = (range(len(rho.layout), len(lam.input_layout)),)
-
-    def advance(x: np.ndarray) -> np.ndarray:
-        return _catalytic_step(lam, (rho.matrix, x), cat)[1][0]
-
     x = np.asarray(start, dtype=complex)
-    res = _herm_dist(advance(x), x)
     for _ in range(64):
-        if res < 1e-13:
-            break
         acc = np.zeros_like(x)
         v = x
         for _ in range(128):
-            v = advance(v)
-            acc += v
+            nxt = _catalytic_step(lam, (rho.matrix, v), cat)[1][0]
+            if _herm_dist(nxt, v) < 1e-13:
+                return v
+            acc += nxt
+            v = nxt
         x = acc / 128
         x = (x + x.conj().T) / 2
         x /= x.trace().real
-        res = _herm_dist(advance(x), x)
     return x
 
 
@@ -264,10 +297,13 @@ def iterate_reuse(
     to the dimension cap) so cross-copy correlations survive.
 
     ``tau`` is the exact reusable catalyst; left unset it is computed
-    as the ergodic fixed point of the induced catalyst update seeded at
-    ``tau_eps``, with the achieved ``fixed_point_residual`` reported,
-    not enforced.  ``sigma`` defaults to the output marginal at the
-    exact catalyst, which makes ``delta_single_shot`` zero.
+    as a fixed point of the induced catalyst update seeded at
+    ``tau_eps``: the first iterate the update leaves in place to 1e-13
+    in trace norm, or, for a register that keeps cycling, the mean of
+    a block of iterates (see ``_fixed_point``).  The achieved
+    ``fixed_point_residual`` is reported, not enforced.  ``sigma``
+    defaults to the output marginal at the exact catalyst, which makes
+    ``delta_single_shot`` zero.
     """
     outputs, joint, cert = _reuse(lam, tau_eps, rho, copies, tau, sigma, track_joint)
     return (tensor_all(outputs) if joint is None else joint), cert
@@ -281,12 +317,15 @@ def _reuse(
     tau: QState | None,
     sigma: QState | None,
     track_joint: bool,
+    at_tau: Sequence[np.ndarray] | None = None,
 ) -> tuple[list[QState], QState | None, ReductionCertificate]:
     """``iterate_reuse`` short of the product of its per-copy outputs.
 
     Returns those outputs, the joint state ``iterate_reuse`` returns under
     ``track_joint`` (else None) and the certificate; every check and cap
-    of ``iterate_reuse`` is here.
+    of ``iterate_reuse`` is here.  ``at_tau`` is lam's raw (system,
+    catalyst) output on rho tensor ``tau`` when the caller has it, as
+    ``_build_catalyst`` does; it is run here otherwise.
     """
     copies = int(copies)
     if copies < 1:
@@ -314,7 +353,9 @@ def _reuse(
         tau = QState(tau_eps.layout, _fixed_point(lam, rho, tau_eps.matrix))
     elif tau.layout != tau_eps.layout:
         raise LayoutMismatchError("tau and tau_eps layouts differ")
-    _, (s_star, tau_next) = _catalytic_step(lam, (rho.matrix, tau.matrix), split)
+    if at_tau is None:
+        at_tau = _catalytic_step(lam, (rho.matrix, tau.matrix), split)[1]
+    s_star, tau_next = at_tau
     if sigma is not None and sigma.layout.dims != rho.layout.dims:
         raise LayoutMismatchError(f"dims {rho.layout.dims} vs {sigma.layout.dims}")
     sigma_m = s_star if sigma is None else sigma.matrix

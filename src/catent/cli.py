@@ -38,10 +38,10 @@ import numpy as np
 
 from . import __version__
 from .catfactory import (
+    _build_catalyst,
+    _certify,
     _copies_dim,
     _reuse,
-    build_catalyst,
-    verify_catalysis,
     verify_marginal_reduction,
 )
 from .distill import (
@@ -251,8 +251,9 @@ def _cmd_catalyze(scen, seed, samples):
         raise ScenarioError(f"n must be >= 2, got {n}")
     sigma = _parse_state(scen["sigma"], "sigma") if "sigma" in scen else rho
     lam = _build_protocol(scen.get("protocol", "identity"), rho, sigma, n)
-    asm = build_catalyst(lam, rho, n)
-    cert = verify_catalysis(asm.embedding, asm.tau, rho, sigma)
+    # certified from the run the build's own checks made
+    asm, run = _build_catalyst(lam, rho, n)
+    cert = _certify(asm.embedding, asm.tau, rho, sigma, run)
     results = {
         "n": n,
         "catalyst_dim": asm.tau.total_dim,
@@ -429,10 +430,11 @@ def _cmd_synth_catalyst(scen, seed, samples):
     if copies < 1:
         raise ScenarioError(f"copies must be >= 1, got {copies}")
     lam = _build_protocol(scen.get("protocol", "synth"), rho, sigma, n)
-    asm = build_catalyst(lam, rho, n)
+    asm, (_, at_tau) = _build_catalyst(lam, rho, n)
     tau_eps, synth_dist = synthesize_tau_eps(asm.tau, f_resource)
-    # the certificate alone: the product of the outputs is never built
-    _, _, cert = _reuse(asm.embedding, tau_eps, rho, copies, asm.tau, sigma, False)
+    # the certificate alone: the product of the outputs is never built, and
+    # the run at tau is the one the build's checks made
+    _, _, cert = _reuse(asm.embedding, tau_eps, rho, copies, asm.tau, sigma, False, at_tau)
     results = {
         "n": n,
         "copies": copies,

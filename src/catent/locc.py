@@ -27,7 +27,8 @@ Every Kraus set is stored once, as a read-only stack the public
 ``kraus`` tuples view: (K, rows, cols) for a channel, outcome-major and
 zero-padded (M, K, rows, cols) for an instrument.  Constructed sets are
 complex128; the pure-conversion synthesis hands in float64 stacks.  One
-kernel, ``_contract``, applies a stack with two matrix products.  A
+kernel, ``_contract``, applies a stack with two matrix products, to
+factors of a protocol state or, in ``apply``, to a whole matrix.  A
 measure-and-correct step (each case empty or one ``LocalChannel`` on one
 place off the measured factors) keeps its corrections as one (M, J, d,
 d) stack and runs as one pair contraction, ``_contract_pairs``; other
@@ -229,9 +230,11 @@ class Channel:
         return Channel(ks.reshape(-1, *ks.shape[2:]), self.input_layout, other.output_layout)
 
     def tensor(self, other: "Channel") -> "Channel":
-        ks = tuple(np.kron(a, b) for a in self.kraus for b in other.kraus)
+        """self (x) other: operator i * len(other.kraus) + j is kron(self's i, other's j)."""
+        (ka, ra, ca), (kb, rb, cb) = self._stack.shape, other._stack.shape
+        ks = self._stack[:, None, :, None, :, None] * other._stack[None, :, None, :, None, :]
         return Channel(
-            ks,
+            ks.reshape(ka * kb, ra * rb, ca * cb),
             self.input_layout + other.input_layout,
             self.output_layout + other.output_layout,
         )
@@ -250,10 +253,7 @@ def apply(channel: Channel, state: QState) -> QState:
         )
     if not channel.is_trace_preserving():
         raise ValueError("apply() requires a trace-preserving channel")
-    acc = np.zeros((channel.output_layout.total_dim,) * 2, dtype=complex)
-    for k in channel.kraus:
-        acc += k @ state.matrix @ k.conj().T
-    return QState(channel.output_layout, acc)
+    return QState(channel.output_layout, _contract(state.matrix, channel._stack, (0,)))
 
 
 def apply_to_factors(channel: Channel, state: QState, factors: Sequence[int]) -> QState:
@@ -779,7 +779,7 @@ def _remap_steps(steps: Sequence[Step], fmap: Sequence[int]) -> tuple[Step, ...]
                     s.party,
                     tuple(fmap[i] for i in s.factors),
                     s.instrument,
-                    tuple((lab, _remap_steps(cont, fmap)) for lab, cont in s.cases),
+                    _remap_cases(s, fix, fmap),
                     fix,
                 )
             )
@@ -792,6 +792,22 @@ def _remap_steps(steps: Sequence[Step], fmap: Sequence[int]) -> tuple[Step, ...]
                 )
             )
     return tuple(out)
+
+
+def _remap_cases(s: LocalInstrument, fix: tuple | None, fmap: Sequence[int]) -> tuple:
+    """The cases of ``s`` re-indexed through ``fmap``; ``fix`` is its remapped ``_fix``.
+
+    When every correction holds as many operators as the correction stack
+    (no zero padding), the remapped corrections are made in one ``_views``
+    call on that stack: item m is the correction of outcome m, equal to
+    the case's own.  Otherwise each case is remapped on its own.
+    """
+    stack = fix and fix[1]
+    if stack is None or any(c and c[0]._stack.shape != stack.shape[1:] for _, c in s.cases):
+        return tuple((lab, _remap_steps(cont, fmap)) for lab, cont in s.cases)
+    party = next(c[0].party for _, c in s.cases if c)
+    views = dict(zip(s.instrument.labels, _views(LocalChannel, stack, party=party, factors=fix[0])))
+    return tuple((lab, (views[lab],) if c else ()) for lab, c in s.cases)
 
 
 # ---------------------------------------------------------------------------
@@ -819,27 +835,32 @@ def _contraction_plan(
 def _contract(t: np.ndarray, stack: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """sum_k K t K^dag on a density tensor t of shape dims + dims.
 
-    ``stack`` is a (K, D, D) Kraus stack acting on the factors ``axes``
+    ``stack`` is a (K, E, D) Kraus stack acting on the factors ``axes``
     (in that order).  t is laid out as a (D, R, D) matrix, rows and
     columns on ``axes``.  The left products K_k t are one matmul of the
-    stacked (K*D, D) operators; the right products and the sum over k are
+    stacked (K*E, D) operators; the right products and the sum over k are
     one more, of the K_k t side by side with the K_k^dag stacked.  The
     Kraus set runs in chunks that keep the K x t intermediate within
-    ``_BATCH_ELEMS`` entries (one operator at a time past that).
+    ``_BATCH_ELEMS`` entries (one operator at a time past that).  A
+    rectangular stack (E != D) needs one axis, e.g. a whole matrix as t
+    with ``axes`` (0,); that axis then has dimension E in the output.
     """
     order, inverse, d, shape = _contraction_plan(t.shape, tuple(axes))
+    e = stack.shape[1]
     x = t.transpose(order).reshape(d, -1)
-    step = max(1, _BATCH_ELEMS // x.size)
+    step = max(1, _BATCH_ELEMS // (x.size // d * max(d, e)))
     acc = None
     for lo in range(0, len(stack), step):
         a = stack[lo : lo + step]
         k = len(a)
         y = (a.reshape(-1, d) @ x).reshape(k, -1, d).transpose(1, 0, 2).reshape(-1, k * d)
-        y = y @ a.conj().transpose(0, 2, 1).reshape(k * d, d)
+        y = y @ a.conj().transpose(0, 2, 1).reshape(k * d, e)
         if acc is None:
             acc = y
         else:
             acc += y
+    if e != d:
+        shape = (e, *shape[1:-1], e)
     return acc.reshape(shape).transpose(inverse)
 
 

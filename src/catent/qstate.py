@@ -28,13 +28,18 @@ product and the same multiset for a factor permutation, in place of an
 eigendecomposition.  The hermiticity, trace and positivity checks still
 run on the output with the same tolerances, and a derived spectrum whose
 smallest eigenvalue is below ``-PSD_TOL / 2`` is recomputed, so a product
-near a tolerance takes the full path.  ``partial_trace`` and protocol
-outputs are always fully validated: a partial trace can scale negative
-dust by the traced dimension, so its spectrum cannot be derived.
+near a tolerance takes the full path.  ``tensor_all`` builds its product
+in one Kronecker chain and checks only that output.  A matrix whose
+measured asymmetry is exactly 0 is stored as it is: its symmetrization
+has the same values, and differs at most in the sign of a zero entry.
+``partial_trace`` and protocol outputs are always fully validated: a
+partial trace can scale negative dust by the traced dimension, so its
+spectrum cannot be derived.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -154,7 +159,11 @@ def _validate_density(
         for i, j in np.argwhere(~np.isfinite(m))[:1]:
             raise StateInvariantError(f"matrix entry ({i}, {j}) is not finite: {m[i, j]}")
         raise StateInvariantError(f"matrix is not hermitian (max asymmetry {herm_err:.3e})")
-    m = (m + m.conj().T) / 2.0
+    if herm_err:
+        m = (m + m.conj().T) / 2.0
+    elif np.may_share_memory(m, matrix):
+        # exactly hermitian, so symmetrizing changes no value; but the caller's array
+        m = m.copy()
     tr = float(m.trace().real)
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise StateInvariantError(f"trace is {tr!r}, not 1 within {TRACE_TOL}")
@@ -285,20 +294,33 @@ def random_state(layout: SystemLayout, ensemble: str = "haar_pure", seed: int = 
 
 def tensor(a: QState, b: QState) -> QState:
     """a ⊗ b; raises DimensionCapError before allocating past ``DIM_CAP``."""
-    dim = a.total_dim * b.total_dim
-    if dim > DIM_CAP:
-        raise DimensionCapError(f"tensor product dimension {dim} exceeds cap {DIM_CAP}")
-    spectrum = np.sort(np.outer(a.spectrum, b.spectrum), axis=None)
-    return QState(a.layout + b.layout, np.kron(a.matrix, b.matrix), _spectrum=spectrum)
+    return tensor_all((a, b))
 
 
 def tensor_all(states: Sequence[QState]) -> QState:
+    """The product of ``states`` in order, built in one pass and validated once.
+
+    The cap is checked before anything is allocated.  The matrix is one
+    Kronecker chain and the spectrum the sorted products, each bit for bit
+    what chained ``tensor`` calls give, unless a partial product's derived
+    spectrum dips below ``-PSD_TOL / 2``: the chain recomputes that one by
+    eigendecomposition, so its later spectra differ in the last bits.
+    """
     if not states:
         raise ValueError("need at least one state")
-    out = states[0]
+    dim = states[0].total_dim
     for s in states[1:]:
-        out = tensor(out, s)
-    return out
+        dim *= s.total_dim
+        if dim > DIM_CAP:
+            raise DimensionCapError(f"tensor product dimension {dim} exceeds cap {DIM_CAP}")
+    if len(states) == 1:
+        return states[0]
+    spectrum = states[0].spectrum
+    for s in states[1:]:
+        spectrum = np.sort(np.outer(spectrum, s.spectrum), axis=None)
+    layout = SystemLayout(f for s in states for f in s.layout)
+    matrix = functools.reduce(np.kron, (s.matrix for s in states))
+    return QState(layout, matrix, _spectrum=spectrum)
 
 
 def n_copies(state: QState, n: int) -> QState:

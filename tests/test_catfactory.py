@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from catent import catfactory, cli
 from catent.catfactory import (
     _catalytic_step,
     _fixed_point,
     _herm_dist,
+    _reuse,
     assembly_from_dict,
     assembly_to_dict,
     build_catalyst,
@@ -29,7 +31,9 @@ from catent.locc import (
     identity_protocol,
     local_channel,
     run_protocol,
+    save_protocol,
 )
+from catent import distill
 from catent.purecat import canonical_pure, synthesize_pure_protocol
 from catent.qstate import (
     QState,
@@ -511,6 +515,192 @@ def test_iterate_reuse_sigma_mismatch_matches_state_chain():
     got = _error_of(iterate_reuse, asm.embedding, tau_eps, rho, 1, tau=asm.tau, sigma=bad)
     want = _error_of(_chain_reuse, asm.embedding, tau_eps, rho, 1, asm.tau, bad, False)
     assert got == want and got[0] is LayoutMismatchError
+
+
+# ---------------------------------------------------------------------------
+# one protocol run per certified quantity
+
+
+def _block_fixed_point(lam, rho, start):
+    # the fixed point as it was solved before each iterate was tested: block
+    # means of 128 iterates, a residual run before and after every block
+    cat = (range(len(rho.layout), len(lam.input_layout)),)
+
+    def advance(x):
+        return _catalytic_step(lam, (rho.matrix, x), cat)[1][0]
+
+    x = np.asarray(start, dtype=complex)
+    res = _herm_dist(advance(x), x)
+    for _ in range(64):
+        if res < 1e-13:
+            break
+        acc = np.zeros_like(x)
+        v = x
+        for _ in range(128):
+            v = advance(v)
+            acc += v
+        x = acc / 128
+        x = (x + x.conj().T) / 2
+        x /= x.trace().real
+        res = _herm_dist(advance(x), x)
+    return x
+
+
+def _noisy_identity_setup(n):
+    base = identity_protocol(PAIR.power(n))
+    dep = Channel.depolarizing(SystemLayout([(0, 2)]), 0.9)
+    noise = local_channel(PAIR.power(n), 0, (0,), dep.kraus)
+    lam = LoccProtocol(base.input_layout, base.steps + (noise,))
+    rho = random_state(PAIR, "ginibre_mixed", seed=4)
+    asm = build_catalyst(lam, rho, n)
+    mix = maximally_mixed(asm.tau.layout)
+    return rho, asm, QState(asm.tau.layout, 0.96 * asm.tau.matrix + 0.04 * mix.matrix)
+
+
+def _skewed_register(tau, weights):
+    # tau with its register phases reweighted: the update cycles them, so
+    # plain iteration never settles
+    n = len(weights)
+    w = np.kron(np.eye(tau.total_dim // n), np.diag(np.sqrt(np.asarray(weights) * n)))
+    return w @ tau.matrix @ w
+
+
+@pytest.fixture
+def step_count(monkeypatch):
+    calls = []
+    inner = catfactory._catalytic_step
+
+    def counting(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(catfactory, "_catalytic_step", counting)
+    return calls
+
+
+@pytest.mark.parametrize("setup", ["synth2", "identity2", "identity3"])
+def test_fixed_point_matches_block_oracle(setup):
+    # the n=3 synthesized catalyst costs the oracle its 259 runs at d=192 (8 s);
+    # the noisy n=3 identity catalyst has the same register cycle
+    if setup == "synth2":
+        rho, _, asm, tau_eps = _noisy_setup(2)
+    else:
+        rho, asm, tau_eps = _noisy_identity_setup(int(setup[-1]))
+    got = _fixed_point(asm.embedding, rho, tau_eps.matrix)
+    want = _block_fixed_point(asm.embedding, rho, tau_eps.matrix)
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.max(np.abs(got - asm.tau.matrix)) < 1e-12
+    assert _herm_dist(tau_eps.matrix, asm.tau.matrix) > 1e-2
+
+
+def test_fixed_point_returns_the_first_fixed_iterate(step_count):
+    rho, _, asm, tau_eps = _noisy_setup(2)
+    x = _fixed_point(asm.embedding, rho, tau_eps.matrix)
+    _, (x_next,) = _catalytic_step(asm.embedding, (rho.matrix, x), (range(2, 5),))
+    assert _herm_dist(x_next, x) < 1e-13
+    # one run per iterate tested, the fixed one's included; no block mean
+    assert len(step_count) <= 5
+    # a fixed start is returned as it is, after one run
+    step_count.clear()
+    assert _fixed_point(asm.embedding, rho, asm.tau.matrix) is asm.tau.matrix
+    assert len(step_count) == 1
+
+
+def test_skewed_register_reaches_tau_through_the_block_mean(step_count):
+    rho, _, asm, _ = _noisy_setup(2)
+    start = _skewed_register(asm.tau, [0.8, 0.2])
+    assert _herm_dist(start, asm.tau.matrix) > 0.5
+    x = _fixed_point(asm.embedding, rho, start)
+    assert np.max(np.abs(x - asm.tau.matrix)) < 1e-12
+    # no iterate of the first block was fixed, so its mean was taken
+    assert 128 < len(step_count) <= 2 * 128
+    assert np.max(np.abs(x - _block_fixed_point(asm.embedding, rho, start))) < 1e-12
+
+
+def test_reuse_runs_each_step_once(step_count):
+    rho = canonical_pure((0.5, 0.5))
+    asm = build_catalyst(_synth_lambda(2), rho, 2)
+    mix = maximally_mixed(asm.tau.layout)
+    tau_eps = QState(asm.tau.layout, 0.97 * asm.tau.matrix + 0.03 * mix.matrix)
+    step_count.clear()
+    _, cert = iterate_reuse(asm.embedding, tau_eps, rho, 5)
+    # was 267 with the block-mean solver: 259 fixed-point runs
+    assert len(step_count) <= 12
+    assert cert.fixed_point_residual < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cli_catalyst_commands_run_the_embedding_once_at_tau(n, step_count):
+    rho, sigma = "pure:0.5,0.5", "pure:0.75,0.25"
+    cli.run({"command": "catalyze", "rho": rho, "sigma": sigma, "protocol": "synth", "n": str(n)})
+    # the n-copy run for the marginals, the embedding's run on rho (x) tau
+    assert len(step_count) == 2
+    step_count.clear()
+    cli.run({"command": "synth-catalyst", "rho": rho, "sigma": sigma, "n": str(n), "copies": "3"})
+    assert len(step_count) == 2 + 3
+
+
+def _catalyze_oracle(scen):
+    # the catalyze certificate as it was computed: build, then verify_catalysis
+    rho = cli._parse_state(scen["rho"], "rho")
+    sigma = cli._parse_state(scen["sigma"], "sigma") if "sigma" in scen else rho
+    n = int(scen["n"])
+    lam = cli._build_protocol(scen.get("protocol", "identity"), rho, sigma, n)
+    asm = build_catalyst(lam, rho, n)
+    return verify_catalysis(asm.embedding, asm.tau, rho, sigma)
+
+
+def _synth_catalyst_oracle(scen):
+    # the synth-catalyst certificate as it was computed: _reuse runs the step at tau
+    rho, sigma = (cli._parse_state(scen[k], k) for k in ("rho", "sigma"))
+    n, copies = int(scen["n"]), int(scen["copies"])
+    asm = build_catalyst(cli._build_protocol("synth", rho, sigma, n), rho, n)
+    tau_eps, _ = distill.synthesize_tau_eps(asm.tau, float(scen["f_resource"]))
+    return _reuse(asm.embedding, tau_eps, rho, copies, asm.tau, sigma, False)[2]
+
+
+def _noisy_file(tmp_path, n):
+    path = str(tmp_path / f"noisy_synth_n{n}.json")
+    save_protocol(_noisy_lambda(n, 0.9), path)
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_catalyze_report_matches_verify_catalysis(n, tmp_path):
+    scenarios = [
+        {"rho": "werner:0.8"},
+        {"rho": "ginibre:11", "sigma": "ginibre:11"},
+        {"rho": "pure:0.5,0.5", "sigma": "pure:0.75,0.25", "protocol": "synth"},
+        {"rho": "pure:0.5,0.5", "sigma": "pure:0.75,0.25", "protocol": _noisy_file(tmp_path, n)},
+    ]
+    for scen in scenarios:
+        scen = {"command": "catalyze", "n": str(n), **scen}
+        got = cli.run(scen)["results"]["certificate"]
+        want = _catalyze_oracle(scen)
+        assert np.max(np.abs(np.subtract(
+            [got["epsilon_achieved"], got["catalyst_drift"], got["correlation"]], want
+        ))) < 1e-12
+    assert want.epsilon_achieved > 0.01
+
+
+def test_catalyze_sigma_on_wrong_dims_matches_verify_catalysis():
+    scen = {"command": "catalyze", "n": "2", "rho": "werner:0.8", "sigma": "pure:0.5,0.3,0.2"}
+    got = _error_of(cli.run, scen)
+    assert got == _error_of(_catalyze_oracle, scen)
+    assert got[0] is LayoutMismatchError
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_synth_catalyst_report_matches_reuse_oracle(n):
+    scen = {"command": "synth-catalyst", "rho": "pure:0.5,0.5", "sigma": "pure:0.7,0.3",
+            "n": str(n), "copies": "3", "f_resource": "0.93"}
+    got = cli.run(scen)["results"]
+    want = _synth_catalyst_oracle(scen)
+    for key in ("epsilon_initial", "delta_single_shot", "fixed_point_residual"):
+        assert abs(got[key] - getattr(want, key)) < 1e-12
+    for key in ("per_marginal_errors", "catalyst_drifts"):
+        assert np.max(np.abs(np.subtract(got[key], getattr(want, key)))) < 1e-12
+    assert want.epsilon_initial > 1e-3
 
 
 # ---------------------------------------------------------------------------

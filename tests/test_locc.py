@@ -966,3 +966,117 @@ def test_protocol_dict_mixed_kraus_shapes_keep_their_type():
     with pytest.raises(LayoutMismatchError) as err:
         protocol_from_dict(doc)
     assert not isinstance(err.value, DocumentError)
+
+
+# ---------------------------------------------------------------------------
+# one kernel for apply and tensor; one remap of a correction stack
+
+
+def _apply_loop(channel, state):
+    # apply as it was: one Kraus operator at a time
+    acc = np.zeros((channel.output_layout.total_dim,) * 2, dtype=complex)
+    for k in channel.kraus:
+        acc += k @ state.matrix @ k.conj().T
+    return acc
+
+
+def _tensor_loop(a, b):
+    # Channel.tensor as it was: one kron per operator pair
+    return tuple(np.kron(x, y) for x in a.kraus for y in b.kraus)
+
+
+def _random_channel(din, dout, k, seed, party=0):
+    # k operators cut from a random (k*dout, din) isometry: trace-preserving
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((k * dout, din)) + 1j * rng.standard_normal((k * dout, din))
+    v, _ = np.linalg.qr(g)
+    return Channel(tuple(v.reshape(k, dout, din)), SystemLayout([(party, din)]),
+                   SystemLayout([(party, dout)]))
+
+
+# (2, 2, 1100) runs the Kraus set in two chunks
+@pytest.mark.parametrize("din,dout,k", [(2, 2, 1), (4, 4, 3), (4, 2, 2), (2, 4, 1),
+                                        (8, 2, 5), (3, 3, 16), (32, 32, 1100)])
+def test_apply_matches_kraus_loop(din, dout, k):
+    ch = _random_channel(din, dout, k, seed=din * k + dout)
+    s = random_state(ch.input_layout, "ginibre_mixed", seed=k)
+    got = apply(ch, s)
+    assert got.layout == ch.output_layout
+    assert np.max(np.abs(got.matrix - _apply_loop(ch, s))) < 1e-12
+
+
+def test_apply_of_a_discarding_protocol_matches_kraus_loop():
+    lay = PAIR.power(2)
+    proto = LoccProtocol(lay, (local_channel(lay, 0, (0, 2), _random_channel(4, 4, 3, 9).kraus),),
+                         discard=(1, 2))
+    flat = flatten(proto)
+    assert flat._stack.shape[1:] == (4, 16)
+    s = random_state(lay, "ginibre_mixed", seed=4)
+    assert np.max(np.abs(apply(flat, s).matrix - _apply_loop(flat, s))) < 1e-12
+
+
+@pytest.mark.parametrize("shapes", [((2, 2, 1), (2, 2, 1)), ((2, 2, 3), (3, 3, 2)),
+                                    ((4, 2, 2), (2, 4, 3)), ((3, 3, 4), (2, 2, 5))])
+def test_channel_tensor_is_the_kron_loop(shapes):
+    (da, ea, ka), (db, eb, kb) = shapes
+    a = _random_channel(da, ea, ka, seed=1)
+    b = _random_channel(db, eb, kb, seed=2, party=1)
+    got = a.tensor(b)
+    assert got._stack.tobytes() == np.array(_tensor_loop(a, b)).tobytes()
+    assert got.input_layout == a.input_layout + b.input_layout
+    assert got.output_layout == a.output_layout + b.output_layout
+    s = random_state(got.input_layout, "ginibre_mixed", seed=3)
+    assert np.max(np.abs(apply(got, s).matrix - _apply_loop(got, s))) < 1e-12
+
+
+def _measure_and_correct(pad):
+    # party 0 measures its first qubit; party 1 corrects its second, every
+    # correction with 2 operators, or one case with 1 (padded in the stack)
+    lay = PAIR.power(2)
+    m0, m1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    fix1 = (X,) if pad else (X / math.sqrt(2), Z / math.sqrt(2))
+    cases = {"a": (local_channel(lay, 1, (3,), (Y / math.sqrt(2), Z / math.sqrt(2))),),
+             "b": (local_channel(lay, 1, (3,), fix1),)}
+    step = local_instrument(lay, 0, (0,), [("a", [m0]), ("b", [m1])], cases)
+    return LoccProtocol(lay, (step,))
+
+
+def _per_item_remap(case, fmap):
+    # the remap of one correction as it was: its own single-item view
+    (c,) = case
+    return locc._views(LocalChannel, c._stack[None], party=c.party,
+                       factors=tuple(fmap[i] for i in c.factors))[0]
+
+
+@pytest.mark.parametrize("kind", ["synth", "joined", "padded"])
+def test_remapped_corrections_are_one_view_of_the_stack(kind, monkeypatch):
+    from catent.purecat import synthesize_pure_protocol
+    from catent.qstate import SchmidtVector
+
+    if kind == "synth":
+        half, skew = SchmidtVector.of((0.5, 0.5)), SchmidtVector.of((0.75, 0.25))
+        proto = synthesize_pure_protocol(half.tensor(half), skew.tensor(skew), layout=PAIR.power(2))
+    else:
+        proto = _measure_and_correct(kind == "padded")
+    (step,) = proto.steps
+    assert step._fix is not None
+    calls = []
+    inner = locc._views
+    monkeypatch.setattr(locc, "_views", lambda *a, **k: calls.append(len(a[1])) or inner(*a, **k))
+    fmap = (4, 1, 0, 5)
+    (moved,) = embed_protocol(proto, PAIR.power(3), fmap).steps
+    monkeypatch.undo()
+    stack = step._fix[1]
+    # one call on the whole stack, or one per correction when a case is padded
+    assert calls == ([1] * len(step.cases) if kind == "padded" else [len(stack)])
+    assert moved._fix[1] is stack and moved._fix[0] == tuple(fmap[i] for i in step._fix[0])
+    for (lab, cont), (lab0, cont0) in zip(moved.cases, step.cases):
+        (c,), want = cont, _per_item_remap(cont0, fmap)
+        assert lab == lab0 and (c.party, c.factors) == (want.party, want.factors)
+        assert c._stack.tobytes() == want._stack.tobytes()
+        assert [k.tobytes() for k in c.kraus] == [k.tobytes() for k in want.kraus]
+        assert np.shares_memory(c._stack, stack if kind != "padded" else cont0[0]._stack)
+    s = random_state(PAIR.power(3), "ginibre_mixed", seed=1)
+    moved_proto = LoccProtocol(PAIR.power(3), (moved,))
+    assert np.max(np.abs(run_protocol(moved_proto, s).matrix
+                         - apply(flatten(moved_proto), s).matrix)) < 1e-12

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catent import qstate
 from catent.errors import (
     DimensionCapError,
     DocumentError,
@@ -621,3 +622,118 @@ def test_tensor_cap_checked_before_allocating(monkeypatch):
     monkeypatch.setattr(np, "kron", no_kron)
     with pytest.raises(DimensionCapError, match="4160"):
         tensor(a, b)
+
+
+# ---------------------------------------------------------------------------
+# one-pass products and exactly hermitian matrices
+
+
+def _chained(states):
+    # the product as it was built: a validated two-factor product per factor
+    out = states[0]
+    for s in states[1:]:
+        spectrum = np.sort(np.outer(out.spectrum, s.spectrum), axis=None)
+        out = QState(out.layout + s.layout, np.kron(out.matrix, s.matrix), _spectrum=spectrum)
+    return out
+
+
+def _symmetrized(m):
+    # what validation stored for every matrix before exact ones were kept
+    return (m + m.conj().T) / 2.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FACTORS)
+def test_tensor_all_is_chained_tensor_bit_for_bit(factors):
+    states = [_factor_state(k, d, seed, i % 2) for i, (k, d, seed) in enumerate(factors)]
+    got, want = tensor_all(states), _chained(states)
+    assert got.layout == want.layout
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert got.spectrum.tobytes() == want.spectrum.tobytes()
+
+
+def test_tensor_all_past_a_partial_spectrum_recomputed_by_the_chain():
+    # the chain decomposes dusty (x) clean (its derived minimum is below
+    # -PSD_TOL / 2); tensor_all derives the whole product, whose minimum is not
+    dust = np.diag([1.0 + 0.8 * PSD_TOL, -0.8 * PSD_TOL]).astype(complex)
+    dusty = QState(SystemLayout([(0, 2)]), dust)
+    clean = random_state(SystemLayout([(1, 2)]), "haar_pure", seed=3)
+    states = [dusty, clean, maximally_mixed(SystemLayout([(1, 3)]))]
+    got, want = tensor_all(states), _chained(states)
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert np.max(np.abs(got.spectrum - want.spectrum)) < 1e-15
+    assert -PSD_TOL / 2 < got.spectrum[0] < 0
+    _assert_spectrum_is_the_matrix_spectrum(got)
+
+
+def test_tensor_all_of_one_state_is_that_state():
+    s = random_state(QUBIT_PAIR, "ginibre_mixed", seed=2)
+    assert tensor_all([s]) is s is _chained([s])
+
+
+def test_tensor_all_validates_once(monkeypatch):
+    states = [random_state(QUBIT_PAIR, "ginibre_mixed", seed=i) for i in range(5)]
+    seen = []
+    inner = qstate._validate_density
+    monkeypatch.setattr(qstate, "_validate_density",
+                        lambda m, *a: seen.append(m.shape) or inner(m, *a))
+    out = tensor_all(states)
+    assert seen == [(1024, 1024)] and out.total_dim == 1024
+
+
+def test_tensor_all_cap_checked_before_allocating(monkeypatch):
+    pair = random_state(QUBIT_PAIR, "ginibre_mixed", seed=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product was built past the cap")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    monkeypatch.setattr(np, "outer", refuse)
+    # the chain stopped at the same partial product, 4**7, after building 4**6
+    want = "^tensor product dimension 16384 exceeds cap 4096$"
+    with pytest.raises(DimensionCapError, match=want):
+        tensor_all([pair] * 7)
+    with pytest.raises(DimensionCapError, match="dimension 4160 exceeds"):
+        tensor_all([maximally_mixed(SystemLayout([(0, 64)])),
+                    maximally_mixed(SystemLayout([(1, 65)]))])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exactly_hermitian_matrix_is_kept_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    d = 1 + seed
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m = g @ g.conj().T
+    m = _symmetrized(m / m.trace().real)
+    assert np.max(np.abs(m - m.conj().T)) == 0.0
+    lay = SystemLayout([(0, d)])
+    got = QState(lay, m)
+    assert got.matrix.tobytes() == _symmetrized(m).tobytes()
+    # the stored matrix is a copy; the caller's array stays writable and its own
+    assert not np.shares_memory(got.matrix, m) and m.flags.writeable
+    # 1e-13 of asymmetry takes the symmetrization, as every matrix did
+    if d > 1:
+        a = m.copy()
+        a[0, d - 1] += 1e-13
+        assert QState(lay, a).matrix.tobytes() == _symmetrized(a).tobytes()
+        assert not np.array_equal(_symmetrized(a), a)
+
+
+def test_exact_product_differs_from_its_symmetrization_only_in_zero_signs():
+    # a Kronecker product of stored matrices is exactly hermitian, and kept as
+    # it is; symmetrizing it moves no value, only the sign bit of some zeros
+    a = pure_state(QUBIT_PAIR, [math.sqrt(0.7), 0, 0, math.sqrt(0.3)])
+    b = random_state(QUBIT_PAIR, "ginibre_mixed", seed=5)
+    m = np.kron(a.matrix, b.matrix)
+    got, want = QState(a.layout + b.layout, m).matrix, _symmetrized(m)
+    assert np.array_equal(got, want)
+    moved = got.view(np.uint64) != want.view(np.uint64)
+    assert np.any(moved) and np.all(got.view(np.float64)[moved] == 0.0)
+
+
+def test_non_finite_pair_in_an_exactly_hermitian_matrix_is_named():
+    m = maximally_mixed(QUBIT_PAIR).matrix.copy()
+    m[0, 1] = m[1, 0] = complex(math.nan, 0.0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(StateInvariantError, match=r"matrix entry \(0, 1\) is not finite"):
+            QState(QUBIT_PAIR, m)
