@@ -27,12 +27,13 @@ def check_format(doc, fmt: str, what: str) -> None:
 
 @contextmanager
 def parsing(what: str):
-    """Report a missing key or a wrong-typed entry in the block as DocumentError."""
+    """Report a missing key, a wrong-typed entry or a number past the float range
+    in the block as DocumentError."""
     try:
         yield
     except DocumentError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DocumentError(f"malformed {what} document: {exc!r}") from exc
 
 

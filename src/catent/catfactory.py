@@ -255,23 +255,27 @@ def _fixed_point(lam: LoccProtocol, rho: QState, start: np.ndarray) -> np.ndarra
     Each iterate v is tested as T(v) is made, and the first one with
     ||T(v) - v||_1 < 1e-13 is returned, so no run repeats.  A register
     that keeps cycling (unit-modulus spectrum) never passes that test:
-    after a block of 128 iterates the next round restarts from their
-    mean, which a full cycle leaves invariant, so the restarts contract.
-    After 64 rounds the last mean is returned.  The caller reports the
-    residual, never enforces it.
+    after a block of iterates the next round restarts from their mean,
+    which a full cycle leaves invariant, so the restarts contract.  The
+    block is the most whole cycles of the register (the catalyst's last
+    factor) that fit in 128 iterates, or one cycle if it is longer, so
+    each mean averages the cycle out.  After 64 rounds the last mean is
+    returned.  The caller reports the residual, never enforces it.
     """
     cat = (range(len(rho.layout), len(lam.input_layout)),)
+    r = lam.input_layout[-1].dim
+    block = r * max(1, 128 // r)
     x = np.asarray(start, dtype=complex)
     for _ in range(64):
         acc = np.zeros_like(x)
         v = x
-        for _ in range(128):
+        for _ in range(block):
             nxt = _catalytic_step(lam, (rho.matrix, v), cat)[1][0]
             if _herm_dist(nxt, v) < 1e-13:
                 return v
             acc += nxt
             v = nxt
-        x = acc / 128
+        x = acc / block
         x = (x + x.conj().T) / 2
         x /= x.trace().real
     return x

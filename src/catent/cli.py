@@ -257,11 +257,7 @@ def _cmd_catalyze(scen, seed, samples):
     results = {
         "n": n,
         "catalyst_dim": asm.tau.total_dim,
-        "certificate": {
-            "epsilon_achieved": cert.epsilon_achieved,
-            "catalyst_drift": cert.catalyst_drift,
-            "correlation": cert.correlation,
-        },
+        "certificate": cert._asdict(),
         "copy_errors": [trace_norm_dist(g, sigma) for g in asm.gamma_marginals],
     }
     passed = cert.catalyst_drift < 1e-9
@@ -345,7 +341,7 @@ def _cmd_bounds(scen, seed, samples):
     mi = mutual_information(state)
     sq = squashed_upper(state, max_ext_dim=max_ext, search_budget=budget, seed=seed)
     results = {
-        "hashing": {"lower": hb.lower, "upper": hb.upper},
+        "hashing": hb._asdict(),
         "mutual_information": mi,
         "squashed_upper": sq.value,
         "extension_dim": sq.extension_dim,
@@ -389,14 +385,7 @@ def _cmd_distill(scen, seed, samples):
     max_rounds = _get_int(scen, "max_rounds", 200)
     outcome = distill_to(f_target, f_initial, max_rounds=max_rounds)
     results = {
-        "rounds": [
-            {
-                "fidelity_before": r.fidelity_before,
-                "fidelity_after": r.fidelity_after,
-                "success_probability": r.success_probability,
-            }
-            for r in outcome.rounds
-        ],
+        "rounds": [r._asdict() for r in outcome.rounds],
         "round_count": len(outcome.rounds),
         "copies_consumed": outcome.copies_consumed,
         "final_fidelity": outcome.final_fidelity,
@@ -475,7 +464,7 @@ def _cmd_pure_rate(scen, seed, samples):
         results["catalytic"] = report(catalytic)
     try:
         rate = pure_target_rate(canonical_pure(sv_s), sv_t)
-        results["rate"] = {"lower": rate.lower, "upper": rate.upper}
+        results["rate"] = rate._asdict()
     except DivergingRateError:
         results["rate"] = None
     passed = True

@@ -35,8 +35,10 @@ d) stack and runs as one pair contraction, ``_contract_pairs``; other
 instrument steps run outcome by outcome, the general path and the
 oracle.  Validation reads the stacks: an instrument checks the top
 eigenvalue of its total K^dag K, which bounds every outcome's, and
-single outcomes only past that bound.  A failed check names a non-finite
-entry.
+single outcomes only past that bound.  A protocol's steps are checked in
+one walk of the tree, each where the walk meets it; a correction stack
+is checked as one, in slices within ``_BATCH_ELEMS``.  A failed check
+names a non-finite entry.
 
 ``flatten`` composes a protocol into a single :class:`Channel` (Kraus
 form).  It is the Kraus-form export and the reference oracle the
@@ -60,8 +62,7 @@ from .qstate import DIM_CAP, QState, SystemLayout, _permute_matrix, _reduce_matr
 
 TP_TOL = 1e-9
 KRAUS_CAP = 65536
-# batched validation: items per batch and stacked entries per batch
-_BATCH = 256
+# batched kernels and checks: stacked entries per batch
 _BATCH_ELEMS = 1 << 20
 
 PROTOCOL_FORMAT = "catent-protocol-v1"
@@ -70,11 +71,11 @@ PROTOCOL_FORMAT = "catent-protocol-v1"
 def _batches(n: int, item_elems: int) -> list[tuple[int, int]]:
     """Split ``range(n)`` into consecutive ``(lo, hi)`` runs for batched checks.
 
-    A run holds at most ``_BATCH`` items and, unless one item alone is
-    larger, at most ``_BATCH_ELEMS`` matrix entries, where ``item_elems``
-    is what one item allocates in the check.
+    A run holds at most ``_BATCH_ELEMS`` matrix entries, or one item if
+    that alone is larger, where ``item_elems`` is what one item allocates
+    in the check.
     """
-    size = max(1, min(_BATCH, _BATCH_ELEMS // max(item_elems, 1)))
+    size = max(1, _BATCH_ELEMS // max(item_elems, 1))
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
@@ -84,10 +85,11 @@ def _completeness(stack: np.ndarray, din: int) -> np.ndarray:
     Set m is read as A_m, its K*r rows, so its completeness is
     A_m^dag A_m: one batched matmul, and one set allocates twice its own
     size (A_m and its conjugate) plus ``din**2``, never one ``din**2`` per
-    operator.  Real stacks stay real.  Non-finite entries give NaN, unwarned.
+    operator.  Real stacks stay real.  Non-finite entries give NaN, and
+    overflow inf, unwarned.
     """
     a = stack.reshape(len(stack), -1, din)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         return a.conj().transpose(0, 2, 1) @ a
 
 
@@ -327,15 +329,19 @@ class Instrument:
             object.__setattr__(self, "_stack", _join([ch._stack for _, ch in self.outcomes]))
         m, k, r, din = (stack := self._stack).shape
         runs = _batches(m, (2 * k * r + din) * din)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             total = sum(a.conj().T @ a for a in (stack[lo:hi].reshape(-1, din) for lo, hi in runs))
         # each outcome's sum of K^dag K is PSD and so at most the total:
         # a total whose top eigenvalue is within TP_TOL of 1 clears every
-        # outcome.  Only otherwise is each outcome checked, to name it.
-        if not np.linalg.eigvalsh(total)[-1] <= 1.0 + TP_TOL:
+        # outcome.  Only otherwise is each outcome checked, to name it.  A
+        # sum that overflowed has a diagonal past 1, so its top reads inf.
+        if not (np.isfinite(total).all() and np.linalg.eigvalsh(total)[-1] <= 1.0 + TP_TOL):
             for lo, hi in runs:
                 _refuse_non_finite(stack[lo:hi], [f"outcome {lab!r}" for lab in labels[lo:hi]])
-                tops = np.linalg.eigvalsh(_completeness(stack[lo:hi], din))[:, -1]
+                comps = _completeness(stack[lo:hi], din)
+                finite = np.isfinite(comps).all(axis=(1, 2))
+                tops = np.full(hi - lo, np.inf)
+                tops[finite] = np.linalg.eigvalsh(comps[finite])[:, -1]
                 bad = np.flatnonzero(~(tops <= 1.0 + TP_TOL))
                 if bad.size:
                     lab, top = labels[lo + bad[0]], float(tops[bad[0]])
@@ -394,14 +400,14 @@ class LocalInstrument:
             object.__setattr__(self, "_fix", self._stack_corrections())
 
     def _stack_corrections(self) -> tuple | None:
-        """``_fix``, the identity for an empty case, if every case is empty or
-        one ``LocalChannel`` on one (party, factors) apart from the instrument's."""
+        """``_fix``, the identity for an empty case, if every case is empty or one
+        ``LocalChannel`` with operators on one (party, factors) apart from the instrument's."""
         first = next((c[0] for _, c in self.cases if c), None)
-        if not isinstance(first, LocalChannel) or set(first.factors) & set(self.factors) or any(
+        if not isinstance(first, LocalChannel) or not first.kraus or any(
             len(c) > 1 or not isinstance(c[0], LocalChannel) or c[0].party != first.party
             or c[0].factors != first.factors or c[0]._stack.shape[1:] != first._stack.shape[1:]
             for _, c in self.cases if c
-        ):
+        ) or set(first.factors) & set(self.factors):
             return None
         fixes = {lab: c[0]._stack for lab, c in self.cases if c}
         eye = np.eye(*first._stack.shape[1:])[None]
@@ -426,25 +432,10 @@ class RegisterControlled:
 Step = LocalChannel | LocalInstrument | RegisterControlled
 
 
-def _touched(steps: Sequence[Step]) -> set[int]:
-    out: set[int] = set()
-    for s in steps:
-        if isinstance(s, LocalChannel):
-            out |= set(s.factors)
-        elif isinstance(s, LocalInstrument):
-            out |= set(s.factors)
-            for _, cont in s.cases:
-                out |= _touched(cont)
-        elif isinstance(s, RegisterControlled):
-            out.add(s.register)
-            for b in s.branches:
-                out |= _touched(b)
-        else:
-            raise TypeError(f"unknown step {type(s).__name__}")
-    return out
-
-
-def _check_factors(layout: SystemLayout, party: int, factors: tuple[int, ...]) -> None:
+def _check_factors(
+    layout: SystemLayout, party: int, factors: tuple[int, ...], fixed: frozenset = frozenset()
+) -> None:
+    """``party`` owns each of the distinct ``factors``, none an enclosing register (``fixed``)."""
     if len(set(factors)) != len(factors):
         raise ValueError(f"repeated factor indices {factors}")
     for i in factors:
@@ -454,43 +445,45 @@ def _check_factors(layout: SystemLayout, party: int, factors: tuple[int, ...]) -
             raise LocalityError(
                 f"party {party} cannot act on factor {i} owned by party {layout[i].party}"
             )
+        if i in fixed:
+            raise LocalityError("controlled branches must not touch the register")
 
 
-def _validate_steps(layout: SystemLayout, steps: Sequence[Step]) -> None:
-    """Check a step tree: its structure first, then that every local channel is TP.
+def _check_local(layout: SystemLayout, party: int, factors: tuple, stack: np.ndarray,
+                 fixed: frozenset) -> None:
+    """Check an (M, K, d, d) stack of local channels of ``party`` on ``factors``: their
+    place and shape once, trace preservation in ``_batches`` slices."""
+    _check_factors(layout, party, factors, fixed)
+    d = math.prod(layout[i].dim for i in factors)
+    if not stack.shape[1]:  # the zero map: refused before any d x d check is built
+        raise ValueError("local channel step must be trace-preserving")
+    if stack.shape[2:] != (d, d):
+        raise LayoutMismatchError(
+            f"local Kraus shape {stack.shape[2:]} != ({d}, {d}) on factors {factors}"
+        )
+    for lo, hi in _batches(len(stack), (2 * stack.shape[1] + 1) * d * d):
+        batch = stack[lo:hi]
+        if not np.max(np.abs(_completeness(batch, d) - np.eye(d))) <= TP_TOL:
+            _refuse_non_finite(batch, ["local channel step"] * len(batch))
+            raise ValueError("local channel step must be trace-preserving")
 
-    The TP checks run together, in batches of channels with the same
-    dimension and Kraus count, or on slices of a correction stack, so the
-    thousands of corrections of a wide instrument cost a few batched matmuls.
-    """
-    groups: dict[tuple, list | np.ndarray] = {}
-    _check_structure(layout, steps, groups)
-    for (d, count, *_), stacks in groups.items():
-        for lo, hi in _batches(len(stacks), (2 * count + 1) * d * d):
-            batch = np.asarray(stacks[lo:hi])  # a slice of a stack, or a list joined
-            if not np.max(np.abs(_completeness(batch, d) - np.eye(d))) <= TP_TOL:
-                _refuse_non_finite(batch, ["local channel step"] * len(batch))
-                raise ValueError("local channel step must be trace-preserving")
 
-
-def _check_structure(
-    layout: SystemLayout, steps: Sequence[Step], groups: dict[tuple, list | np.ndarray]
+def _validate_steps(
+    layout: SystemLayout, steps: Sequence[Step], fixed: frozenset = frozenset()
 ) -> None:
-    """Structural checks of a step tree; collects the local Kraus stacks to check for TP.
+    """Check a step tree in one walk, each step where the walk meets it.
 
-    Local channels are grouped by ``(dim, count)``, a correction stack by ``(dim, count, id)``.
+    A local channel is checked for its place, shape and trace
+    preservation.  The corrections of a measure-and-correct step share
+    one party, place and shape, so their stack is checked as one; without
+    a correction stack every case is walked.  ``fixed`` holds the
+    registers of the enclosing branches, which no step may touch.
     """
     for s in steps:
         if isinstance(s, LocalChannel):
-            _check_factors(layout, s.party, s.factors)
-            d = math.prod(layout[i].dim for i in s.factors)
-            if len(s._stack) and s._stack.shape[1:] != (d, d):
-                raise LayoutMismatchError(
-                    f"local Kraus shape {s._stack.shape[1:]} != ({d}, {d}) on factors {s.factors}"
-                )
-            groups.setdefault((d, len(s._stack)), []).append(s._stack)
+            _check_local(layout, s.party, s.factors, s._stack[None], fixed)
         elif isinstance(s, LocalInstrument):
-            _check_factors(layout, s.party, s.factors)
+            _check_factors(layout, s.party, s.factors, fixed)
             sub_dims = tuple(layout[i].dim for i in s.factors)
             # every outcome shares one layout (Instrument checks it), so one comparison
             first = s.instrument.outcomes[0][1]
@@ -504,14 +497,14 @@ def _check_structure(
                 if lab not in labels:
                     raise ValueError(f"case label {lab!r} is not an instrument outcome")
                 if s._fix is None:
-                    _check_structure(layout, cont, groups)
-            if s._fix is not None:  # the corrections share their place and shape: check one
-                _check_structure(layout, next(c for _, c in s.cases if c), {})
-                d, stack = math.prod(layout[i].dim for i in s._fix[0]), s._fix[1]
-                groups[(d, stack.shape[1], id(stack))] = stack
+                    _validate_steps(layout, cont, fixed)
+            if s._fix is not None:
+                _check_local(layout, next(c[0].party for _, c in s.cases if c), *s._fix, fixed)
         elif isinstance(s, RegisterControlled):
             if not 0 <= s.register < len(layout):
                 raise LayoutMismatchError(f"register index {s.register} out of range")
+            if s.register in fixed:
+                raise LocalityError("controlled branches must not touch the register")
             reg_dim = layout[s.register].dim
             if len(s.branches) != reg_dim:
                 raise LayoutMismatchError(
@@ -520,9 +513,7 @@ def _check_structure(
             if len(s.updates) != reg_dim or any(not 0 <= u < reg_dim for u in s.updates):
                 raise ValueError(f"register updates {s.updates} invalid for dim {reg_dim}")
             for b in s.branches:
-                _check_structure(layout, b, groups)
-                if s.register in _touched(b):
-                    raise LocalityError("controlled branches must not touch the register")
+                _validate_steps(layout, b, fixed | {s.register})
         else:
             raise TypeError(f"unknown step {type(s).__name__}")
 
@@ -620,11 +611,11 @@ def local_instrument(
     cases: Mapping[str, Sequence[Step]] | None = None,
 ) -> LocalInstrument:
     factors = tuple(factors)
+    _check_factors(layout, party, factors)
     if isinstance(outcomes, Instrument):
         inst = outcomes
     else:
-        sub = layout.subset(factors)
-        inst = Instrument.from_kraus(sub, outcomes)
+        inst = Instrument.from_kraus(layout.subset(factors), outcomes)
     case_items = tuple((lab, tuple(steps)) for lab, steps in (cases or {}).items())
     step = LocalInstrument(party, factors, inst, case_items)
     _validate_steps(layout, (step,))
@@ -773,14 +764,13 @@ def _remap_steps(steps: Sequence[Step], fmap: Sequence[int]) -> tuple[Step, ...]
             out += _views(LocalChannel, s._stack[None], party=s.party,
                           factors=tuple(fmap[i] for i in s.factors))
         elif isinstance(s, LocalInstrument):  # the remapped cases and _fix keep its stacks
-            fix = s._fix and (tuple(fmap[i] for i in s._fix[0]), s._fix[1])
             out.append(
                 LocalInstrument(
                     s.party,
                     tuple(fmap[i] for i in s.factors),
                     s.instrument,
-                    _remap_cases(s, fix, fmap),
-                    fix,
+                    tuple((lab, _remap_steps(cont, fmap)) for lab, cont in s.cases),
+                    s._fix and (tuple(fmap[i] for i in s._fix[0]), s._fix[1]),
                 )
             )
         else:
@@ -792,22 +782,6 @@ def _remap_steps(steps: Sequence[Step], fmap: Sequence[int]) -> tuple[Step, ...]
                 )
             )
     return tuple(out)
-
-
-def _remap_cases(s: LocalInstrument, fix: tuple | None, fmap: Sequence[int]) -> tuple:
-    """The cases of ``s`` re-indexed through ``fmap``; ``fix`` is its remapped ``_fix``.
-
-    When every correction holds as many operators as the correction stack
-    (no zero padding), the remapped corrections are made in one ``_views``
-    call on that stack: item m is the correction of outcome m, equal to
-    the case's own.  Otherwise each case is remapped on its own.
-    """
-    stack = fix and fix[1]
-    if stack is None or any(c and c[0]._stack.shape != stack.shape[1:] for _, c in s.cases):
-        return tuple((lab, _remap_steps(cont, fmap)) for lab, cont in s.cases)
-    party = next(c[0].party for _, c in s.cases if c)
-    views = dict(zip(s.instrument.labels, _views(LocalChannel, stack, party=party, factors=fix[0])))
-    return tuple((lab, (views[lab],) if c else ()) for lab, c in s.cases)
 
 
 # ---------------------------------------------------------------------------

@@ -617,6 +617,18 @@ def test_skewed_register_reaches_tau_through_the_block_mean(step_count):
     assert np.max(np.abs(x - _block_fixed_point(asm.embedding, rho, start))) < 1e-12
 
 
+def test_three_phase_register_block_holds_whole_cycles(step_count):
+    # a block of 126 = 3 * 42 iterates averages the 3-phase cycle out, so one
+    # mean lands on tau; blocks of 128 left a third of a cycle in each mean
+    # and took 897 runs
+    rho, _, asm, _ = _noisy_setup(3)
+    start = _skewed_register(asm.tau, [0.6, 0.3, 0.1])
+    assert _herm_dist(start, asm.tau.matrix) > 0.5
+    x = _fixed_point(asm.embedding, rho, start)
+    assert np.max(np.abs(x - asm.tau.matrix)) < 1e-12
+    assert len(step_count) <= 130
+
+
 def test_reuse_runs_each_step_once(step_count):
     rho = canonical_pure((0.5, 0.5))
     asm = build_catalyst(_synth_lambda(2), rho, 2)

@@ -1,0 +1,461 @@
+"""Robustness: a protocol that constructs runs, and malformed inputs raise typed errors.
+
+Random step trees over small layouts cover every step kind: local
+channels, instruments with and without a correction stack (derived from
+the cases or handed in), nested cases, register branches, and discard,
+relabel and classical factors.  Faults are injected at random.  A tree
+without a fault must construct, run on a random state and match
+``flatten``; a tree with one must be refused at construction with a
+``catent.errors`` type or a ``ValueError`` that catent raises itself,
+never with an error from inside numpy or Python.  Protocol documents of
+every step kind are mutated the same way: each one loads, or raises
+``DocumentError`` (CLI exit 2) or a typed domain error (exit 1).
+"""
+
+import json
+import math
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
+
+import catent
+from catent import cli, errors, locc
+from catent.errors import DocumentError, LayoutMismatchError
+from catent.locc import (
+    Instrument,
+    LocalChannel,
+    LocalInstrument,
+    LoccProtocol,
+    RegisterControlled,
+    apply,
+    flatten,
+    local_channel,
+    local_instrument,
+    protocol_from_dict,
+    protocol_to_dict,
+    run_protocol,
+)
+from catent.qstate import SystemLayout, random_state, state_from_dict, state_to_dict
+from test_executor import _kraus, _kraus_count
+
+SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+_TYPED = tuple(
+    v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)
+)
+_PACKAGE = os.path.dirname(catent.__file__)
+
+
+def _assert_typed(exc: BaseException) -> None:
+    """``exc`` is a catent.errors type, or a ValueError raised by catent code itself."""
+    if isinstance(exc, _TYPED):
+        return
+    assert isinstance(exc, ValueError), f"untyped {type(exc).__name__}: {exc}"
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    where = tb.tb_frame.f_code.co_filename
+    assert os.path.dirname(where) == _PACKAGE, f"ValueError from {where}: {exc}"
+
+
+class _Tree:
+    """Draws a random step tree on ``layout``, injecting faults now and then.
+
+    ``faults`` lists the faults injected; a tree with none is valid.
+    """
+
+    def __init__(self, data, layout, rng):
+        self.data, self.layout, self.rng = data, layout, rng
+        self.faults: list[str] = []
+        self.registers: set[int] = set()
+
+    def draw(self, strategy):
+        return self.data.draw(strategy)
+
+    def fault(self, *kinds):
+        kind = self.draw(st.sampled_from((None,) * 10 + kinds))
+        if kind is not None:
+            self.faults.append(kind)
+        return kind
+
+    def dim(self, factors):
+        return math.prod(self.layout[i].dim for i in factors)
+
+    def place(self, free):
+        """A party and 1-2 of its factors among ``free``, or None if ``free`` is empty."""
+        if not free:
+            return None
+        party = self.draw(st.sampled_from(sorted({self.layout[i].party for i in free})))
+        own = [i for i in free if self.layout[i].party == party]
+        return party, tuple(self.draw(st.permutations(own))[: self.draw(st.integers(1, 2))])
+
+    def misplace(self, party, factors, fault):
+        """Factors after a placement fault."""
+        other = [i for i in range(len(self.layout)) if self.layout[i].party != party]
+        if fault == "party" and other:
+            return (self.draw(st.sampled_from(other)),)
+        if fault == "range":
+            return factors + (self.draw(st.sampled_from([len(self.layout), -1])),)
+        if fault == "repeat":
+            return factors + factors[:1]
+        if fault == "party":  # no factor of another party: no fault after all
+            self.faults.remove(fault)
+        return factors
+
+    def damage(self, kraus, fault):
+        """Kraus operators after a content fault (each is a fresh array)."""
+        d = len(kraus[0])
+        if fault == "non_tp":
+            return [1.1 * kraus[0]] + kraus[1:]
+        if fault == "nan":
+            k = kraus[-1].copy()
+            k[self.draw(st.integers(0, d - 1)), self.draw(st.integers(0, d - 1))] = math.nan
+            return kraus[:-1] + [k]
+        if fault == "shape":
+            return [np.eye(d + 1, dtype=complex)] * len(kraus)
+        if fault == "ragged":
+            return kraus + [np.eye(d + 1, dtype=complex)]
+        if fault == "empty":
+            return []
+        return kraus
+
+    def channel(self, party, factors):
+        """A local channel step at (party, factors), through either constructor."""
+        kraus = _kraus(self.rng, self.dim(factors), self.draw(st.integers(1, 2)))
+        fault = self.fault("non_tp", "nan", "shape", "ragged", "empty", "party", "range",
+                           "repeat")
+        kraus, factors = self.damage(kraus, fault), self.misplace(party, factors, fault)
+        if self.draw(st.booleans()):
+            return local_channel(self.layout, party, factors, kraus)
+        return LocalChannel(party, factors, kraus)
+
+    def instrument(self, free, depth):
+        party, factors = self.place(free)
+        d = self.dim(factors)
+        counts = self.draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+        ks = _kraus(self.rng, d, sum(counts))
+        edges = np.cumsum([0] + counts)
+        outcomes = [(str(m), ks[edges[m] : edges[m + 1]]) for m in range(len(counts))]
+        labels = [lab for lab, _ in outcomes]
+        fault = self.fault("non_tp", "nan", "shape", "party", "range", "repeat",
+                           "label", "repeat_label")
+        if fault in ("non_tp", "nan", "shape"):
+            m = self.draw(st.integers(0, len(outcomes) - 1))
+            outcomes[m] = (outcomes[m][0], self.damage(list(outcomes[m][1]), fault))
+        mode = self.draw(st.sampled_from(["loop", "derived", "handed"]))
+        off = self.place([i for i in free if i not in factors])
+        if mode != "loop" and off is None:
+            mode = "loop"
+        event(f"instrument: {mode}")
+        fix = None
+        if mode == "loop":
+            cases = [(lab, tuple(self.steps(free, depth - 1))) for lab in labels
+                     if depth > 0 and self.draw(st.booleans())]
+        elif mode == "derived":  # one channel a case, all at one place: a correction stack
+            cases = [(lab, (self.channel(*off),) if self.draw(st.booleans()) else ())
+                     for lab in labels if self.draw(st.booleans())]
+        else:  # the stack handed in, its corrections views of it, as the synthesis does
+            dc = self.dim(off[1])
+            stack = np.array([_kraus(self.rng, dc, 2) for _ in labels])
+            cfault = self.fault("non_tp", "nan", "party")
+            if cfault == "non_tp":
+                stack[-1] *= 1.1
+            elif cfault == "nan":
+                stack[0, 1, 0, 0] = math.nan
+            stack.setflags(write=False)
+            cparty = 1 - off[0] if cfault == "party" else off[0]
+            views = locc._views(LocalChannel, stack, party=cparty, factors=off[1])
+            cases = [(lab, (v,)) for lab, v in zip(labels, views)]
+            fix = (off[1], stack)
+        if fault == "label":
+            cases.append(("x", ()))
+        elif fault == "repeat_label":
+            cases += [(labels[0], ()), (labels[0], ())]
+        sub = self.layout.subset(factors)
+        factors = self.misplace(party, factors, fault)
+        if fix is None and fault != "repeat_label" and self.draw(st.booleans()):
+            return local_instrument(self.layout, party, factors, outcomes, dict(cases))
+        return LocalInstrument(party, factors, Instrument.from_kraus(sub, outcomes), tuple(cases), fix)
+
+    def controlled(self, free, depth):
+        reg = self.draw(st.sampled_from(free))
+        self.registers.add(reg)
+        event("controlled")
+        rd = self.layout[reg].dim
+        inner = [i for i in free if i != reg]
+        branches = [self.steps(inner, depth - 1) for _ in range(rd)]
+        updates = [self.draw(st.integers(0, rd - 1)) for _ in range(rd)]
+        fault = self.fault("branches", "update", "touch", "range")
+        if fault == "branches":
+            branches = branches[1:] if rd > 1 and self.draw(st.booleans()) else branches + [[]]
+        elif fault == "update":
+            updates[0] = self.draw(st.sampled_from([rd, -1]))
+        elif fault == "touch":  # a channel on the register, or a branch on it again
+            touch = (self.channel(self.layout[reg].party, (reg,)) if self.draw(st.booleans())
+                     else RegisterControlled(reg, ((),) * rd, tuple(range(rd))))
+            branches[0] = list(branches[0]) + [touch]
+        elif fault == "range":
+            reg = len(self.layout)
+        return RegisterControlled(reg, tuple(branches), tuple(updates))
+
+    def steps(self, free, depth):
+        kinds = ["channel", "instrument"] + (["controlled"] if depth > 0 else [])
+        out = []
+        for _ in range(self.draw(st.integers(depth == 2, 2))):  # a top-level step at least
+            if not free:
+                break
+            kind = self.draw(st.sampled_from(kinds))
+            if kind == "channel":
+                out.append(self.channel(*self.place(free)))
+            elif kind == "instrument":
+                out.append(self.instrument(free, depth))
+            else:
+                out.append(self.controlled(free, depth))
+        return out
+
+    def protocol(self):
+        n = len(self.layout)
+        steps = self.steps(list(range(n)), depth=2)
+        discard = sorted(self.draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
+        relabel = self.draw(st.none() | st.permutations(range(n - len(discard))))
+        classical = sorted(self.registers)
+        fault = self.fault("discard_all", "discard_range", "relabel", "classical_range")
+        if fault == "discard_all":
+            discard = list(range(n))
+        elif fault == "discard_range":
+            discard.append(n)
+        elif fault == "relabel":
+            relabel = [0] * (n - len(discard) + 1)
+        elif fault == "classical_range":
+            classical.append(-1)
+        return LoccProtocol(self.layout, steps, discard=discard, relabel=relabel,
+                            classical_factors=classical)
+
+
+_layouts = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(1, 3)), min_size=2, max_size=4
+).filter(lambda fs: math.prod(d for _, d in fs) <= 36).map(SystemLayout)
+
+
+@SETTINGS
+@given(_layouts, st.integers(0, 2**32 - 1), st.data())
+def test_protocol_that_constructs_runs(layout, seed, data):
+    tree = _Tree(data, layout, np.random.default_rng(seed))
+    try:
+        protocol = tree.protocol()
+    except Exception as exc:  # refused: a fault was injected, and the error is typed
+        _assert_typed(exc)
+        assert tree.faults, f"valid protocol refused: {exc!r}"
+        event(f"refused: {type(exc).__name__}")
+        return
+    assert not tree.faults, f"faults {tree.faults} were not refused"
+    assume(_kraus_count(protocol.steps) <= 400)
+    event(f"ran: {len(protocol.steps)} steps")
+    rho = random_state(layout, "ginibre_mixed", seed=seed % 2**16)
+    got = run_protocol(protocol, rho)
+    want = apply(flatten(protocol), rho)
+    assert got.layout == want.layout == protocol.output_layout()
+    assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# protocol documents
+
+
+def _nodes(doc, path=()):
+    """Every (path, value) of a JSON tree."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+_WRONG = ["x", 3, -1, 2**70, 1.5, math.inf, math.nan, None, True, [], {}, [[0]], {"a": 1}]
+
+
+def _mutate(doc, data):
+    """Apply one random mutation to ``doc`` in place; False if none applies."""
+    nodes = list(_nodes(doc))
+    kind = data.draw(st.sampled_from([
+        "drop", "type", "factor", "register", "party", "shape", "square", "nan", "hex",
+        "label", "repeat_label", "branches",
+    ]))
+
+    def pick(pred):
+        hits = [p for p, v in nodes if p and pred(p, v)]
+        return data.draw(st.sampled_from(hits)) if hits else None
+
+    if kind == "drop":
+        path = pick(lambda p, v: isinstance(v, dict) and v)
+        if path is None:
+            return False
+        node = _at(doc, path)
+        node.pop(data.draw(st.sampled_from(sorted(node))))
+    elif kind == "type":
+        path = pick(lambda p, v: True)
+        _at(doc, path[:-1])[path[-1]] = data.draw(st.sampled_from(_WRONG))
+    elif kind in ("factor", "register", "party"):
+        key = {"factor": "factors", "register": "register", "party": "party"}[kind]
+        path = pick(lambda p, v: p[-1] == key or (len(p) > 1 and p[-2] == key and kind == "factor"))
+        if path is None:
+            return False
+        n = len(doc["factors"])
+        if kind == "party":
+            value = data.draw(st.sampled_from([0, 1, 2, -1]))
+        else:
+            value = data.draw(st.sampled_from([n, -1, 2**70, n - 1, 0]))
+        if isinstance(_at(doc, path), list):
+            _at(doc, path).append(value)
+        else:
+            _at(doc, path[:-1])[path[-1]] = value
+    elif kind in ("shape", "square", "nan", "hex"):
+        path = pick(lambda p, v: isinstance(v, dict) and "entries" in v)
+        if path is None:
+            return False
+        m = _at(doc, path)
+        r, c = m["shape"]
+        if kind == "shape":  # mismatched: one row and column more
+            m.update(shape=[r + 1, c + 1], entries=[["0x0p+0", "0x0p+0"]] * (r + 1) * (c + 1))
+        elif kind == "square":
+            m.update(shape=[r, c + 1], entries=[["0x1p+0", "0x0p+0"]] * r * (c + 1))
+        else:
+            e = data.draw(st.integers(0, len(m["entries"]) - 1))
+            big = data.draw(st.sampled_from(["0x1p+5000", "0x1p+700"]))  # past the range, or its root
+            m["entries"][e][data.draw(st.integers(0, 1))] = "nan" if kind == "nan" else big
+    elif kind in ("label", "repeat_label"):
+        path = pick(lambda p, v: p[-1] == "outcomes" and len(v) > 1)
+        if path is None:
+            return False
+        outs = _at(doc, path)
+        outs[1]["label"] = outs[0]["label"] if kind == "repeat_label" else data.draw(
+            st.sampled_from(["x", 7, None]))
+    else:
+        path = pick(lambda p, v: p[-1] == "branches" and isinstance(v, list))
+        if path is None:
+            return False
+        branches = _at(doc, path)
+        if data.draw(st.booleans()):
+            branches.pop()
+        else:
+            branches.append([])
+    return True
+
+
+def _rich_protocol(layout, rng, data):
+    """A random valid tree: the document mutations are its faults."""
+    tree = _Tree(data, layout, rng)
+    tree.fault = lambda *kinds: None
+    return tree.protocol()
+
+
+@SETTINGS
+@given(_layouts, st.integers(0, 2**32 - 1), st.data())
+def test_protocol_documents_of_every_step_kind(layout, seed, data):
+    protocol = _rich_protocol(layout, np.random.default_rng(seed), data)
+    assume(_kraus_count(protocol.steps) <= 400)
+    doc = json.loads(json.dumps(protocol_to_dict(protocol)))
+    assert protocol_to_dict(protocol_from_dict(doc)) == protocol_to_dict(protocol)
+    assume(_mutate(doc, data))
+    try:
+        back = protocol_from_dict(doc)
+    except Exception as exc:
+        _assert_typed(exc)
+        event(f"refused: {type(exc).__name__}")
+        return
+    event("loaded")
+    # a document that loads is a protocol that runs
+    if back.input_layout.total_dim <= 64 and _kraus_count(back.steps) <= 400:
+        rho = random_state(back.input_layout, "ginibre_mixed", seed=seed % 2**16)
+        want = apply(flatten(back), rho)
+        assert np.max(np.abs(run_protocol(back, rho).matrix - want.matrix)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# faults the fuzzing found
+
+
+PAIR = SystemLayout([(0, 2), (1, 2)])
+
+
+def _flip_doc():
+    flip = local_channel(PAIR, 1, (1,), [np.array([[0.0, 1.0], [1.0, 0.0]])])
+    return protocol_to_dict(LoccProtocol(PAIR, [flip]))
+
+
+@pytest.mark.parametrize("where", ["party", "factor", "entry", "state-entry"])
+def test_number_past_the_float_range_is_a_document_error(where, tmp_path, capsys):
+    # json reads Infinity, and int() of it raised a bare OverflowError; so did
+    # float.fromhex of an exponent past the double range
+    doc = _flip_doc()
+    step = doc["steps"][0]
+    if where == "party":
+        step["party"] = math.inf
+    elif where == "factor":
+        step["factors"] = [math.inf]
+    elif where == "entry":
+        step["kraus"][0]["entries"][1][0] = "0x1p+5000"
+    else:
+        doc = state_to_dict(random_state(PAIR, "ginibre_mixed", seed=1))
+        doc["matrix"]["entries"][0][0] = "-0x1p+2000"
+    load = state_from_dict if where == "state-entry" else protocol_from_dict
+    with pytest.raises(DocumentError):
+        load(json.loads(json.dumps(doc)))
+    # through the CLI: a malformed document, exit 2
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    key = "rho" if where == "state-entry" else "protocol"
+    scn = tmp_path / "c.scn"
+    scn.write_text(f"rho: werner:0.85\nn: 2\n{key}: file:{path}\n")
+    assert cli.main(["catalyze", "--scenario", str(scn)]) == 2
+    assert "catent: error" in capsys.readouterr().err
+
+
+def test_local_instrument_checks_its_factors_first():
+    # an out-of-range factor raised a bare IndexError from the layout, and a
+    # repeated one was reported as a Kraus shape
+    z = [("0", [np.diag([1.0, 0.0])]), ("1", [np.diag([0.0, 1.0])])]
+    with pytest.raises(LayoutMismatchError, match="factor index 5 out of range"):
+        local_instrument(PAIR, 0, (5,), z)
+    with pytest.raises(ValueError, match=r"repeated factor indices \(0, 0\)"):
+        local_instrument(PAIR, 0, (0, 0), z)
+
+
+def test_local_channel_without_kraus_is_refused_before_allocating():
+    # the zero map on a 2048-dim factor used to build its 2048 x 2048 (64 MB)
+    # completeness before the trace-preservation check refused it
+    big = SystemLayout([(0, 2048), (1, 2)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="local channel step must be trace-preserving"):
+            LoccProtocol(big, [LocalChannel(0, (0,), ())])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [2, 3])
+def test_instrument_with_a_non_finite_total_is_refused_by_name(d):
+    # at d=3 a NaN entry made eigvalsh of the outcomes' total raise a bare
+    # LinAlgError; an entry whose square overflows warned and read "(nan)"
+    layout = SystemLayout([(0, d)])
+    k = np.eye(d) / math.sqrt(2)
+    for entry, match in ((math.nan, r"outcome 'a': Kraus operator 0 has a non-finite entry"),
+                         (1e200, r"outcome 'a' is not trace-non-increasing \(inf\)")):
+        bad = k.copy()
+        bad[0, 0] = entry
+        with pytest.raises(ValueError, match=match):
+            Instrument.from_kraus(layout, [("a", [bad]), ("b", [k])])

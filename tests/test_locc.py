@@ -316,18 +316,26 @@ def test_many_kraus_outcome_needs_no_per_operator_square():
 
 
 def test_instrument_checks_outcomes_one_by_one_only_past_the_total_bound(eigvalsh_calls):
-    # 600 outcomes in three batches; the total's top eigenvalue clears them
+    # 600 outcomes; the total's top eigenvalue clears them
     w = math.sqrt(1 / 600)
     outcomes = [(f"o{m}", [w * np.eye(2)]) for m in range(600)]
     Instrument.from_kraus(Q0, outcomes)
     assert eigvalsh_calls == [(2, 2)]
-    # a bad outcome in the last batch lifts the total past 1 + TP_TOL, so
-    # the per-outcome pass runs and names it
+    # a bad outcome lifts the total past 1 + TP_TOL, so the per-outcome pass
+    # runs and names it; 600 2x2 outcomes fit the element budget in one batch
     eigvalsh_calls.clear()
     outcomes[560] = ("o560", [1.01 * np.eye(2)])
     with pytest.raises(ValueError, match="'o560' is not trace-non-increasing"):
         Instrument.from_kraus(Q0, outcomes)
-    assert eigvalsh_calls == [(2, 2), (256, 2, 2), (256, 2, 2), (88, 2, 2)]
+    assert eigvalsh_calls == [(2, 2), (600, 2, 2)]
+    # at d=64 a batch holds 85 outcomes: the pass runs batch by batch up to
+    # the one that holds the bad outcome
+    eigvalsh_calls.clear()
+    ks = [math.sqrt(1 / 200) * np.eye(64) for _ in range(200)]
+    ks[180] = 1.1 * np.eye(64)
+    with pytest.raises(ValueError, match="'o180' is not trace-non-increasing"):
+        Instrument.from_kraus(SystemLayout([(0, 64)]), [(f"o{m}", [k]) for m, k in enumerate(ks)])
+    assert eigvalsh_calls == [(64, 64), (85, 64, 64), (85, 64, 64), (30, 64, 64)]
 
 
 def test_kraus_items_are_views_of_one_read_only_stack():
@@ -764,6 +772,10 @@ def test_controlled_validation():
     touching = LoccProtocol(lay, [local_unitary(lay, 0, (0,), X)])
     with pytest.raises(LocalityError, match="register"):
         controlled_on_register(0, [ident, touching])
+    # a branch that branches on the register again touches it too
+    again = controlled_on_register(0, [ident, ident])
+    with pytest.raises(LocalityError, match="must not touch the register"):
+        controlled_on_register(0, [ident, again])
     with pytest.raises(ValueError, match="updates"):
         controlled_on_register(0, [ident, ident], updates=(0, 2))
 
@@ -969,7 +981,7 @@ def test_protocol_dict_mixed_kraus_shapes_keep_their_type():
 
 
 # ---------------------------------------------------------------------------
-# one kernel for apply and tensor; one remap of a correction stack
+# one kernel for apply and tensor; remapped corrections
 
 
 def _apply_loop(channel, state):
@@ -1042,14 +1054,14 @@ def _measure_and_correct(pad):
 
 
 def _per_item_remap(case, fmap):
-    # the remap of one correction as it was: its own single-item view
+    # the remap of one correction on its own: a single-item view of its stack
     (c,) = case
     return locc._views(LocalChannel, c._stack[None], party=c.party,
                        factors=tuple(fmap[i] for i in c.factors))[0]
 
 
 @pytest.mark.parametrize("kind", ["synth", "joined", "padded"])
-def test_remapped_corrections_are_one_view_of_the_stack(kind, monkeypatch):
+def test_remapped_corrections_are_one_view_of_the_stack(kind):
     from catent.purecat import synthesize_pure_protocol
     from catent.qstate import SchmidtVector
 
@@ -1060,22 +1072,18 @@ def test_remapped_corrections_are_one_view_of_the_stack(kind, monkeypatch):
         proto = _measure_and_correct(kind == "padded")
     (step,) = proto.steps
     assert step._fix is not None
-    calls = []
-    inner = locc._views
-    monkeypatch.setattr(locc, "_views", lambda *a, **k: calls.append(len(a[1])) or inner(*a, **k))
     fmap = (4, 1, 0, 5)
     (moved,) = embed_protocol(proto, PAIR.power(3), fmap).steps
-    monkeypatch.undo()
     stack = step._fix[1]
-    # one call on the whole stack, or one per correction when a case is padded
-    assert calls == ([1] * len(step.cases) if kind == "padded" else [len(stack)])
     assert moved._fix[1] is stack and moved._fix[0] == tuple(fmap[i] for i in step._fix[0])
     for (lab, cont), (lab0, cont0) in zip(moved.cases, step.cases):
         (c,), want = cont, _per_item_remap(cont0, fmap)
         assert lab == lab0 and (c.party, c.factors) == (want.party, want.factors)
         assert c._stack.tobytes() == want._stack.tobytes()
         assert [k.tobytes() for k in c.kraus] == [k.tobytes() for k in want.kraus]
-        assert np.shares_memory(c._stack, stack if kind != "padded" else cont0[0]._stack)
+        assert np.shares_memory(c._stack, cont0[0]._stack)
+        # the synthesis's corrections are views of its correction stack
+        assert np.shares_memory(c._stack, stack) == (kind == "synth")
     s = random_state(PAIR.power(3), "ginibre_mixed", seed=1)
     moved_proto = LoccProtocol(PAIR.power(3), (moved,))
     assert np.max(np.abs(run_protocol(moved_proto, s).matrix
