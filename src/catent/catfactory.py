@@ -17,15 +17,15 @@ per-copy error stays within the initial catalyst error.
 Every protocol run here is one raw step, ``_catalytic_step``; only the
 states a function returns are validated.  No run repeats within a call:
 the fixed point returns the first iterate the update leaves in place,
-and ``_build_catalyst`` hands the run its exactness checks read to the
-callers that certify the same catalyst.
+and an assembly keeps the run its exactness checks read, so
+``verify_catalysis`` and the reuse of the same catalyst start from it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -34,6 +34,7 @@ from . import _io
 from .errors import (
     BoundViolationError,
     DimensionCapError,
+    DocumentError,
     LayoutMismatchError,
     NotPureError,
 )
@@ -72,12 +73,16 @@ class CatalystAssembly:
     value r it holds r source copies followed by the n-copy output
     reduced to its first n-1-r copies; each phase has weight 1/n.
     ``gamma_marginals[k]`` is the n-copy output reduced to copy k.
+    ``_run`` is the embedding's raw run on rho tensor tau that
+    ``build_catalyst`` checked, ``(mu, [mu_S, mu_C])``; an assembly read
+    from a document has none.
     """
 
     n: int
     tau: QState
     embedding: LoccProtocol
     gamma_marginals: tuple[QState, ...]
+    _run: tuple[np.ndarray, list[np.ndarray]] | None = field(default=None, repr=False)
 
     def expected_output(self) -> QState:
         """Average of the per-copy marginals: the exact one-copy output."""
@@ -134,19 +139,8 @@ def build_catalyst(lambda_n: LoccProtocol, rho: QState, n: int) -> CatalystAssem
     run the n-copy protocol on pool plus fresh copy, hand back its last
     output copy, reset the register.  Both identities this construction
     promises (catalyst marginal reproduced exactly, output marginal
-    equal to the per-copy average) are checked before returning.
-    """
-    return _build_catalyst(lambda_n, rho, n)[0]
-
-
-def _build_catalyst(
-    lambda_n: LoccProtocol, rho: QState, n: int
-) -> tuple[CatalystAssembly, tuple[np.ndarray, list[np.ndarray]]]:
-    """``build_catalyst`` and the run its exactness checks read.
-
-    That run of the embedding on rho tensor tau is ``(mu, [mu_S, mu_C])``,
-    the raw output and its system and catalyst marginals, so a caller
-    certifies from it instead of running the embedding again.
+    equal to the per-copy average) are checked before returning, on the
+    embedding's run on rho tensor tau that the assembly keeps as ``_run``.
     """
     n = int(n)
     if n < 2:
@@ -193,8 +187,8 @@ def _build_catalyst(
     branches.append(embed_protocol(lambda_n, joint, fmap))
     embedding = controlled_on_register(n * f, branches, tuple((r + 1) % n for r in range(n)))
 
-    assembly = CatalystAssembly(n, tau, embedding, gamma_marginals)
     run = _catalytic_step(embedding, (rho.matrix, tau.matrix), (range(f), range(f, len(joint))))
+    assembly = CatalystAssembly(n, tau, embedding, gamma_marginals, run)
     mu_s, mu_c = run[1]
     drift = _herm_dist(mu_c, tau.matrix)
     eps = _herm_dist(mu_s, assembly.expected_output().matrix)
@@ -203,27 +197,22 @@ def _build_catalyst(
             f"catalyst construction failed its exactness checks "
             f"(drift {drift:.2e}, output {eps:.2e})"
         )
-    return assembly, run
+    return assembly
 
 
 def verify_catalysis(
-    lam: LoccProtocol, tau: QState, rho: QState, sigma: QState
-) -> CatalysisCertificate:
-    """Certify one catalytic application of ``lam`` to rho tensor tau."""
-    return _certify(lam, tau, rho, sigma)
-
-
-def _certify(
     lam: LoccProtocol,
     tau: QState,
     rho: QState,
     sigma: QState,
-    run: tuple[np.ndarray, Sequence[np.ndarray]] | None = None,
+    *,
+    _run: tuple[np.ndarray, Sequence[np.ndarray]] | None = None,
 ) -> CatalysisCertificate:
-    """``verify_catalysis``, read from ``run`` when given.
+    """Certify one catalytic application of ``lam`` to rho tensor tau.
 
-    ``run`` is lam's raw run on rho tensor tau, ``(mu, [mu_S, mu_C])``, as
-    ``_build_catalyst`` returns it; every layout check still runs.
+    ``_run`` is lam's raw run on rho tensor tau, ``(mu, [mu_S, mu_C])``, as
+    an assembly from ``build_catalyst`` keeps it; the certificate is read
+    from it instead of running lam again.  Every layout check still runs.
     """
     if lam.input_layout != rho.layout + tau.layout:
         raise LayoutMismatchError(f"protocol input {lam.input_layout!r} is not system + catalyst")
@@ -234,10 +223,9 @@ def _certify(
     for part, want in ((dims[:f], sigma), (dims[f:], tau)):
         if part != want.layout.dims:
             raise LayoutMismatchError(f"dims {part} vs {want.layout.dims}")
-    if run is None:
-        split = (range(f), range(f, len(dims)))
-        run = _catalytic_step(lam, (rho.matrix, tau.matrix), split)
-    mu, (mu_s, mu_c) = run
+    if _run is None:
+        _run = _catalytic_step(lam, (rho.matrix, tau.matrix), (range(f), range(f, len(dims))))
+    mu, (mu_s, mu_c) = _run
     return CatalysisCertificate(
         _herm_dist(mu_s, sigma.matrix),
         _herm_dist(mu_c, tau.matrix),
@@ -328,8 +316,8 @@ def _reuse(
     Returns those outputs, the joint state ``iterate_reuse`` returns under
     ``track_joint`` (else None) and the certificate; every check and cap
     of ``iterate_reuse`` is here.  ``at_tau`` is lam's raw (system,
-    catalyst) output on rho tensor ``tau`` when the caller has it, as
-    ``_build_catalyst`` does; it is run here otherwise.
+    catalyst) output on rho tensor ``tau`` when the caller has it, as an
+    assembly's ``_run[1]``; it is run here otherwise.
     """
     copies = int(copies)
     if copies < 1:
@@ -466,6 +454,8 @@ def assembly_from_dict(doc: dict) -> CatalystAssembly:
         n = int(doc["n"])
         tau, embedding = doc["tau"], doc["embedding"]
         marginals = list(doc["gamma_marginals"])
+    if len(marginals) != n:
+        raise DocumentError(f"assembly of {n} copies has {len(marginals)} per-copy marginals")
     return CatalystAssembly(
         n,
         state_from_dict(tau),

@@ -16,12 +16,15 @@ Spectrum-valued keys (pure-rate) accept ``jp-*`` names or comma lists.
 Protocol-valued keys accept ``identity``, ``synth`` (Schmidt synthesis
 from the scenario's rho to its sigma, both pure) or ``file:PATH``.
 
-Flags ``--scenario``, ``--seed``, ``--samples``, ``--out`` fall back to
-environment variables with the ``CATENT_`` prefix, then to the scenario
-key of the same name, then to per-command defaults.  Reports are JSON
-with sorted keys and no timestamps, so one scenario plus one seed gives
-byte-identical output.  Exit status: 0 when every asserted invariant
-passed, 1 for a computed failure or domain error, 2 for unusable input.
+Each command's keys, with their parsers, defaults and lower bounds, are
+declared once, in ``_COMMANDS``; every key is parsed once, before the
+command runs.  Flags ``--scenario``, ``--seed``, ``--samples``, ``--out``
+fall back to environment variables with the ``CATENT_`` prefix, then to
+the scenario key of the same name, then to the table's defaults.
+Reports are JSON with sorted keys and no timestamps, so one scenario
+plus one seed gives byte-identical output.  Exit status: 0 when every
+asserted invariant passed, 1 for a computed failure or domain error, 2
+for unusable input.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import platform
 import sys
@@ -38,10 +42,10 @@ import numpy as np
 
 from . import __version__
 from .catfactory import (
-    _build_catalyst,
-    _certify,
     _copies_dim,
     _reuse,
+    build_catalyst,
+    verify_catalysis,
     verify_marginal_reduction,
 )
 from .distill import (
@@ -98,22 +102,6 @@ _JP = {
     "jp-catalyst": (0.6, 0.4),
 }
 
-_COMMON_KEYS = {"command", "seed", "samples", "out"}
-# command -> (required keys, optional keys)
-_COMMANDS: dict[str, tuple[set, set]] = {
-    "catalyze": ({"rho", "n"}, {"sigma", "protocol", "max_epsilon"}),
-    "reduce": ({"rho", "sigma", "n", "m"}, {"protocol", "max_error"}),
-    "verify-lemma1": (set(), {"aux_dim"}),
-    "bounds": ({"state"}, {"budget", "max_ext_dim"}),
-    "superadd": (set(), {"eps", "mix"}),
-    "distill": (
-        {"f_initial", "f_target"},
-        {"max_rounds", "sweep_points", "sweep_lo", "sweep_hi", "mc_samples"},
-    ),
-    "synth-catalyst": ({"rho", "sigma"}, {"n", "copies", "f_resource", "protocol"}),
-    "pure-rate": ({"source", "target"}, {"catalyst", "expect_plain", "expect_catalytic"}),
-}
-
 # Work budgets of the counts a scenario leaves unbounded.  Like
 # distill.MC_COPY_BUDGET, each lets the largest accepted input run at most
 # about 30 s on a 2-core box (numpy 2.4, OpenBLAS 0.3.31), where one item
@@ -161,33 +149,42 @@ def parse_scenario(text: str) -> dict[str, str]:
     return out
 
 
-def _to_int(value: str, what: str) -> int:
+_REQUIRED = object()  # the default of a key a scenario must give
+
+
+def _int(value: str, what: str, lo: int | None = None) -> int:
     try:
-        return int(value)
+        out = int(value)
     except ValueError:
         raise ScenarioError(f"{what} must be an integer, got {value!r}") from None
+    if lo is not None and out < lo:
+        raise ScenarioError(f"{what} must be >= {lo}, got {out}")
+    return out
 
 
-def _to_float(value: str, what: str) -> float:
+def _count(lo: int):
+    """``_int`` with the lower bound ``lo``."""
+    return functools.partial(_int, lo=lo)
+
+
+def _float(value: str, what: str) -> float:
     try:
-        return float(value)
+        out = float(value)
     except ValueError:
         raise ScenarioError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ScenarioError(f"{what} must be finite, got {value!r}")
+    return out
 
 
-def _get_int(scen: Mapping[str, str], key: str, default: int) -> int:
-    return _to_int(scen[key], key) if key in scen else default
+def _bool(value: str, what: str) -> bool:
+    if value.lower() not in ("true", "false"):
+        raise ScenarioError(f"{what} must be true or false, got {value!r}")
+    return value.lower() == "true"
 
 
-def _get_float(scen: Mapping[str, str], key: str, default: float) -> float:
-    return _to_float(scen[key], key) if key in scen else default
-
-
-def _get_bool(scen: Mapping[str, str], key: str) -> bool:
-    value = scen[key].lower()
-    if value not in ("true", "false"):
-        raise ScenarioError(f"{key} must be true or false, got {scen[key]!r}")
-    return value == "true"
+def _text(value: str, what: str) -> str:
+    return value
 
 
 def _parse_spectrum(spec: str, what: str) -> tuple[float, ...]:
@@ -197,8 +194,8 @@ def _parse_spectrum(spec: str, what: str) -> tuple[float, ...]:
         vals = tuple(float(x) for x in spec.split(","))
     except ValueError:
         raise ScenarioError(f"{what} must be a spectrum or jp-* name, got {spec!r}") from None
-    if not vals or any(v < 0 for v in vals):
-        raise ScenarioError(f"{what} must list nonnegative weights, got {spec!r}")
+    if not all(0 <= v < math.inf for v in vals):
+        raise ScenarioError(f"{what} must list finite nonnegative weights, got {spec!r}")
     return vals
 
 
@@ -208,11 +205,11 @@ def _parse_state(spec: str, what: str) -> QState:
     if name == "singlet":
         return singlet()
     if name == "werner":
-        return werner(_to_float(arg, f"{what} fidelity")).state
+        return werner(_float(arg, f"{what} fidelity")).state
     if name == "haar":
-        return random_state(PAIR, "haar_pure", seed=_to_int(arg or "0", f"{what} seed"))
+        return random_state(PAIR, "haar_pure", seed=_int(arg or "0", f"{what} seed", 0))
     if name == "ginibre":
-        return random_state(PAIR, "ginibre_mixed", seed=_to_int(arg or "0", f"{what} seed"))
+        return random_state(PAIR, "ginibre_mixed", seed=_int(arg or "0", f"{what} seed", 0))
     if name == "pure":
         return canonical_pure(SchmidtVector.of(_parse_spectrum(arg, what)))
     if name in _JP:
@@ -241,19 +238,17 @@ def _build_protocol(spec: str, rho: QState, sigma: QState, n: int) -> LoccProtoc
 
 
 # ---------------------------------------------------------------------------
-# command runners: each returns (results, passed, samples_used)
+# command runners: each takes the scenario's parsed values (with the seed
+# and the sample count resolved) and returns (results, passed, samples_used)
 
 
-def _cmd_catalyze(scen, seed, samples):
-    rho = _parse_state(scen["rho"], "rho")
-    n = _to_int(scen["n"], "n")
-    if n < 2:
-        raise ScenarioError(f"n must be >= 2, got {n}")
-    sigma = _parse_state(scen["sigma"], "sigma") if "sigma" in scen else rho
-    lam = _build_protocol(scen.get("protocol", "identity"), rho, sigma, n)
+def _cmd_catalyze(p):
+    rho, n = p["rho"], p["n"]
+    sigma = rho if p["sigma"] is None else p["sigma"]
+    lam = _build_protocol(p["protocol"], rho, sigma, n)
+    asm = build_catalyst(lam, rho, n)
     # certified from the run the build's own checks made
-    asm, run = _build_catalyst(lam, rho, n)
-    cert = _certify(asm.embedding, asm.tau, rho, sigma, run)
+    cert = verify_catalysis(asm.embedding, asm.tau, rho, sigma, _run=asm._run)
     results = {
         "n": n,
         "catalyst_dim": asm.tau.total_dim,
@@ -261,21 +256,16 @@ def _cmd_catalyze(scen, seed, samples):
         "copy_errors": [trace_norm_dist(g, sigma) for g in asm.gamma_marginals],
     }
     passed = cert.catalyst_drift < 1e-9
-    if "max_epsilon" in scen:
-        passed = passed and cert.epsilon_achieved <= _to_float(
-            scen["max_epsilon"], "max_epsilon"
-        )
+    if p["max_epsilon"] is not None:
+        passed = passed and cert.epsilon_achieved <= p["max_epsilon"]
     return results, passed, None
 
 
-def _cmd_reduce(scen, seed, samples):
-    rho = _parse_state(scen["rho"], "rho")
-    sigma = _parse_state(scen["sigma"], "sigma")
-    n = _to_int(scen["n"], "n")
-    m = _to_int(scen["m"], "m")
-    if not 1 <= m <= n:
+def _cmd_reduce(p):
+    rho, sigma, n, m = p["rho"], p["sigma"], p["n"], p["m"]
+    if m > n:
         raise ScenarioError(f"need 1 <= m <= n, got m={m}, n={n}")
-    base = _build_protocol(scen.get("protocol", "identity"), rho, sigma, n)
+    base = _build_protocol(p["protocol"], rho, sigma, n)
     if m < n:
         f = len(rho.layout)
         base = LoccProtocol(
@@ -294,19 +284,13 @@ def _cmd_reduce(scen, seed, samples):
         "epsilon": eps,
         "delta": max(1.0 - cert.rate_slack, 1e-6),
     }
-    passed = True
-    if "max_error" in scen:
-        passed = eps <= _to_float(scen["max_error"], "max_error")
+    passed = p["max_error"] is None or eps <= p["max_error"]
     return results, passed, None
 
 
-def _cmd_lemma1(scen, seed, samples):
-    count = 200 if samples is None else samples
-    if count < 1:
-        raise ScenarioError(f"samples must be >= 1, got {count}")
-    aux = _get_int(scen, "aux_dim", 2)
-    if aux < 1:
-        raise ScenarioError(f"aux_dim must be >= 1, got {aux}")
+def _cmd_lemma1(p):
+    count = 200 if p["samples"] is None else p["samples"]
+    aux, seed = p["aux_dim"], p["seed"]
     layout = PAIR + SystemLayout([(0, aux)])
     # past DIM_CAP, random_state refuses the first sample before allocating
     if layout.total_dim <= DIM_CAP:
@@ -325,21 +309,15 @@ def _cmd_lemma1(scen, seed, samples):
     return results, violations == 0, count
 
 
-def _cmd_bounds(scen, seed, samples):
-    state = _parse_state(scen["state"], "state")
-    budget = _get_int(scen, "budget", 60)
-    max_ext = _get_int(scen, "max_ext_dim", 8)
-    if budget < 0:
-        raise ScenarioError(f"budget must be >= 0, got {budget}")
-    if max_ext < 1:
-        raise ScenarioError(f"max_ext_dim must be >= 1, got {max_ext}")
+def _cmd_bounds(p):
+    state, budget, max_ext = p["state"], p["budget"], p["max_ext_dim"]
     # round r extends the purifying factor to dimension at most r + 1
     work = budget * _dim_cost(state.total_dim * min(max_ext, budget))
     _check_budget(f"a search budget of {budget} at max_ext_dim {max_ext}", work,
                   BOUNDS_ROUND_BUDGET)
     hb = hashing_bounds(state)
     mi = mutual_information(state)
-    sq = squashed_upper(state, max_ext_dim=max_ext, search_budget=budget, seed=seed)
+    sq = squashed_upper(state, max_ext_dim=max_ext, search_budget=budget, seed=p["seed"])
     results = {
         "hashing": hb._asdict(),
         "mutual_information": mi,
@@ -350,18 +328,15 @@ def _cmd_bounds(scen, seed, samples):
     return results, passed, None
 
 
-def _cmd_superadd(scen, seed, samples):
-    count = 5 if samples is None else samples
-    if count < 1:
-        raise ScenarioError(f"samples must be >= 1, got {count}")
+def _cmd_superadd(p):
+    count = 5 if p["samples"] is None else p["samples"]
     _check_budget(f"{count} samples", count, SUPERADD_SAMPLE_BUDGET)
-    eps = _get_float(scen, "eps", 0.3)
-    mix = _get_float(scen, "mix", 2e-4)
+    eps, mix = p["eps"], p["mix"]
     psi = singlet()
     rows = []
     passed = True
     for k in range(count):
-        chi = random_state(PAIR, "haar_pure", seed=seed + k)
+        chi = random_state(PAIR, "haar_pure", seed=p["seed"] + k)
         mu = QState(
             PAIR.power(2),
             (1 - mix) * tensor(psi, psi).matrix + mix * tensor(chi, chi).matrix,
@@ -379,21 +354,17 @@ def _cmd_superadd(scen, seed, samples):
     return {"eps": eps, "mix": mix, "instances": rows}, passed, count
 
 
-def _cmd_distill(scen, seed, samples):
-    f_initial = _to_float(scen["f_initial"], "f_initial")
-    f_target = _to_float(scen["f_target"], "f_target")
-    max_rounds = _get_int(scen, "max_rounds", 200)
-    outcome = distill_to(f_target, f_initial, max_rounds=max_rounds)
+def _cmd_distill(p):
+    f_target = p["f_target"]
+    outcome = distill_to(f_target, p["f_initial"], max_rounds=p["max_rounds"])
     results = {
         "rounds": [r._asdict() for r in outcome.rounds],
         "round_count": len(outcome.rounds),
         "copies_consumed": outcome.copies_consumed,
         "final_fidelity": outcome.final_fidelity,
     }
-    points = _get_int(scen, "sweep_points", 0)
+    points, lo, hi = p["sweep_points"], p["sweep_lo"], p["sweep_hi"]
     if points:
-        lo = _get_float(scen, "sweep_lo", 0.55)
-        hi = _get_float(scen, "sweep_hi", 0.95)
         if points < 2 or not 0.25 < lo < hi <= 1.0:
             raise ScenarioError(
                 f"sweep needs points >= 2 and 0.25 < lo < hi <= 1, got "
@@ -402,32 +373,23 @@ def _cmd_distill(scen, seed, samples):
         _check_budget(f"a sweep of {points} points", points, SWEEP_POINT_BUDGET)
         grid = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
         results["sweep"] = recurrence_sweep(grid)
-    mc = _get_int(scen, "mc_samples", 0)
-    if mc:
-        results["expected_copies_mc"] = expected_copies_mc(outcome, mc, seed=seed)
+    if p["mc_samples"]:
+        results["expected_copies_mc"] = expected_copies_mc(outcome, p["mc_samples"], seed=p["seed"])
     return results, outcome.final_fidelity >= f_target, None
 
 
-def _cmd_synth_catalyst(scen, seed, samples):
-    rho = _parse_state(scen["rho"], "rho")
-    sigma = _parse_state(scen["sigma"], "sigma")
-    n = _get_int(scen, "n", 2)
-    copies = _get_int(scen, "copies", 3)
-    f_resource = _get_float(scen, "f_resource", 0.95)
-    if n < 2:
-        raise ScenarioError(f"n must be >= 2, got {n}")
-    if copies < 1:
-        raise ScenarioError(f"copies must be >= 1, got {copies}")
-    lam = _build_protocol(scen.get("protocol", "synth"), rho, sigma, n)
-    asm, (_, at_tau) = _build_catalyst(lam, rho, n)
-    tau_eps, synth_dist = synthesize_tau_eps(asm.tau, f_resource)
+def _cmd_synth_catalyst(p):
+    rho, sigma, n, copies = p["rho"], p["sigma"], p["n"], p["copies"]
+    lam = _build_protocol(p["protocol"], rho, sigma, n)
+    asm = build_catalyst(lam, rho, n)
+    tau_eps, synth_dist = synthesize_tau_eps(asm.tau, p["f_resource"])
     # the certificate alone: the product of the outputs is never built, and
     # the run at tau is the one the build's checks made
-    _, _, cert = _reuse(asm.embedding, tau_eps, rho, copies, asm.tau, sigma, False, at_tau)
+    _, _, cert = _reuse(asm.embedding, tau_eps, rho, copies, asm.tau, sigma, False, asm._run[1])
     results = {
         "n": n,
         "copies": copies,
-        "f_resource": f_resource,
+        "f_resource": p["f_resource"],
         "synthesis_distance": synth_dist,
         "epsilon_initial": cert.epsilon_initial,
         "delta_single_shot": cert.delta_single_shot,
@@ -443,49 +405,63 @@ def _cmd_synth_catalyst(scen, seed, samples):
     return results, passed, None
 
 
-def _cmd_pure_rate(scen, seed, samples):
-    sv_s = SchmidtVector.of(_parse_spectrum(scen["source"], "source"))
-    sv_t = SchmidtVector.of(_parse_spectrum(scen["target"], "target"))
+def _cmd_pure_rate(p):
+    if p["expect_catalytic"] is not None and p["catalyst"] is None:
+        raise ScenarioError("expect_catalytic needs a catalyst key")
+    sv_s, sv_t = SchmidtVector.of(p["source"]), SchmidtVector.of(p["target"])
     plain = majorizes(sv_t, sv_s)
-
-    def report(rep):
-        return {
-            "convertible": rep.convertible,
-            "violated_index": rep.violated_index,
-            "partial_sums_target": list(rep.partial_sums_target),
-            "partial_sums_source": list(rep.partial_sums_source),
-        }
-
-    results = {"plain": report(plain)}
-    catalytic = None
-    if "catalyst" in scen:
-        cat = SchmidtVector.of(_parse_spectrum(scen["catalyst"], "catalyst"))
-        catalytic = catalytic_convertible(sv_s, sv_t, cat)
-        results["catalytic"] = report(catalytic)
+    results = {"plain": plain._asdict()}
+    passed = p["expect_plain"] is None or plain.convertible == p["expect_plain"]
+    if p["catalyst"] is not None:
+        catalytic = catalytic_convertible(sv_s, sv_t, SchmidtVector.of(p["catalyst"]))
+        results["catalytic"] = catalytic._asdict()
+        if p["expect_catalytic"] is not None:
+            passed = passed and catalytic.convertible == p["expect_catalytic"]
     try:
         rate = pure_target_rate(canonical_pure(sv_s), sv_t)
         results["rate"] = rate._asdict()
     except DivergingRateError:
         results["rate"] = None
-    passed = True
-    if "expect_plain" in scen:
-        passed = passed and plain.convertible == _get_bool(scen, "expect_plain")
-    if "expect_catalytic" in scen:
-        if catalytic is None:
-            raise ScenarioError("expect_catalytic needs a catalyst key")
-        passed = passed and catalytic.convertible == _get_bool(scen, "expect_catalytic")
     return results, passed, None
 
 
-_RUNNERS = {
-    "catalyze": _cmd_catalyze,
-    "reduce": _cmd_reduce,
-    "verify-lemma1": _cmd_lemma1,
-    "bounds": _cmd_bounds,
-    "superadd": _cmd_superadd,
-    "distill": _cmd_distill,
-    "synth-catalyst": _cmd_synth_catalyst,
-    "pure-rate": _cmd_pure_rate,
+# command -> (runner, {key: (parser, default)}), the one record of a command's
+# keys.  A parser takes the value and the key's name; a key whose default is
+# _REQUIRED must be given.  Every command also takes the keys of _COMMON.
+_COMMON = {"command": (_text, None), "seed": (_count(0), 0), "samples": (_count(1), None),
+           "out": (_text, None)}
+_COMMANDS = {
+    "catalyze": (_cmd_catalyze, {
+        "rho": (_parse_state, _REQUIRED), "n": (_count(2), _REQUIRED),
+        "sigma": (_parse_state, None), "protocol": (_text, "identity"),
+        "max_epsilon": (_float, None),
+    }),
+    "reduce": (_cmd_reduce, {
+        "rho": (_parse_state, _REQUIRED), "sigma": (_parse_state, _REQUIRED),
+        "n": (_count(1), _REQUIRED), "m": (_count(1), _REQUIRED),
+        "protocol": (_text, "identity"), "max_error": (_float, None),
+    }),
+    "verify-lemma1": (_cmd_lemma1, {"aux_dim": (_count(1), 2)}),
+    "bounds": (_cmd_bounds, {
+        "state": (_parse_state, _REQUIRED), "budget": (_count(0), 60),
+        "max_ext_dim": (_count(1), 8),
+    }),
+    "superadd": (_cmd_superadd, {"eps": (_float, 0.3), "mix": (_float, 2e-4)}),
+    "distill": (_cmd_distill, {
+        "f_initial": (_float, _REQUIRED), "f_target": (_float, _REQUIRED),
+        "max_rounds": (_count(1), 200), "sweep_points": (_count(0), 0),
+        "sweep_lo": (_float, 0.55), "sweep_hi": (_float, 0.95), "mc_samples": (_count(0), 0),
+    }),
+    "synth-catalyst": (_cmd_synth_catalyst, {
+        "rho": (_parse_state, _REQUIRED), "sigma": (_parse_state, _REQUIRED),
+        "n": (_count(2), 2), "copies": (_count(1), 3), "f_resource": (_float, 0.95),
+        "protocol": (_text, "synth"),
+    }),
+    "pure-rate": (_cmd_pure_rate, {
+        "source": (_parse_spectrum, _REQUIRED), "target": (_parse_spectrum, _REQUIRED),
+        "catalyst": (_parse_spectrum, None), "expect_plain": (_bool, None),
+        "expect_catalytic": (_bool, None),
+    }),
 }
 
 
@@ -500,7 +476,11 @@ def run(
     seed: int | None = None,
     samples: int | None = None,
 ) -> dict:
-    """Execute a parsed scenario and return the report dictionary."""
+    """Execute a parsed scenario and return the report dictionary.
+
+    ``seed`` and ``samples``, when given, override the scenario's keys and
+    are parsed and bounded as those are.
+    """
     scen = dict(scenario)
     cmd = command or scen.get("command")
     if not cmd:
@@ -509,23 +489,23 @@ def run(
         raise ScenarioError(f"unknown command {cmd!r}")
     if "command" in scen and scen["command"] != cmd:
         raise ScenarioError(f"scenario command {scen['command']!r} does not match {cmd!r}")
-    required, optional = _COMMANDS[cmd]
-    unknown = sorted(set(scen) - required - optional - _COMMON_KEYS)
+    runner, keys = _COMMANDS[cmd]
+    table = {**_COMMON, **keys}
+    unknown = sorted(set(scen) - set(table))
     if unknown:
         raise ScenarioError(f"unknown keys for {cmd}: {', '.join(unknown)}")
-    missing = sorted(required - set(scen))
+    missing = sorted(k for k, (_, d) in keys.items() if d is _REQUIRED and k not in scen)
     if missing:
         raise ScenarioError(f"missing keys for {cmd}: {', '.join(missing)}")
-    if seed is None:
-        seed = _get_int(scen, "seed", 0)
-    if samples is None and "samples" in scen:
-        samples = _to_int(scen["samples"], "samples")
-    results, passed, used = _RUNNERS[cmd](scen, seed, samples)
+    overrides = {"seed": seed, "samples": samples}
+    given = {**scen, **{k: str(v) for k, v in overrides.items() if v is not None}}
+    values = {k: parse(given[k], k) if k in given else d for k, (parse, d) in table.items()}
+    results, passed, used = runner(values)
     return {
         "command": cmd,
         "scenario": scen,
-        "seed": seed,
-        "samples": used if used is not None else samples,
+        "seed": values["seed"],
+        "samples": used if used is not None else values["samples"],
         "versions": {
             "catent": __version__,
             "numpy": np.__version__,
@@ -568,7 +548,7 @@ def _env(name: str) -> str | None:
 
 def _env_int(name: str) -> int | None:
     value = _env(name)
-    return None if value is None else _to_int(value, ENV_PREFIX + name)
+    return None if value is None else _int(value, ENV_PREFIX + name)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

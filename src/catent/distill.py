@@ -157,7 +157,8 @@ def distill_to(f_target: float, f_initial: float, max_rounds: int = 200) -> Dist
     """Iterate recurrence rounds until the target fidelity is reached.
 
     Expected copies use the 2/p product bookkeeping: each round consumes two
-    inputs of the previous level and succeeds with probability p.
+    inputs of the previous level and succeeds with probability p.  Raises
+    BudgetError when the target needs more than ``max_rounds`` rounds.
     """
     if not f_initial > 0.5:
         raise ValueError(
@@ -172,8 +173,8 @@ def distill_to(f_target: float, f_initial: float, max_rounds: int = 200) -> Dist
     copies = 1.0
     f = float(f_initial)
     while f < f_target:
-        if len(rounds) >= max_rounds:  # pragma: no cover - map converges monotonically
-            raise RuntimeError(f"no convergence within {max_rounds} rounds")
+        if len(rounds) >= max_rounds:
+            raise BudgetError(f"no convergence within {max_rounds} rounds")
         f_next, p = recurrence_step(f)
         rounds.append(DistillRound(f, f_next, p))
         copies *= 2.0 / p

@@ -483,10 +483,13 @@ class SchmidtVector:
         arr = np.asarray(list(probs), dtype=float)
         if arr.size == 0:
             raise ValueError("empty Schmidt vector")
+        for i in np.flatnonzero(~np.isfinite(arr))[:1]:
+            raise ValueError(f"Schmidt probability {i} is not finite: {arr[i]}")
         if arr.min() < -1e-12:
             raise ValueError(f"negative Schmidt probability {arr.min()!r}")
         arr = np.clip(arr, 0.0, None)
-        total = arr.sum()
+        with np.errstate(over="ignore"):  # a sum past the float range is refused below
+            total = arr.sum()
         if not math.isfinite(total) or total <= 0.0:
             raise ValueError("Schmidt probabilities must have positive finite sum")
         arr = np.sort(arr / total)[::-1]

@@ -64,6 +64,14 @@ def test_parse_scenario_rejects_malformed_lines(text):
         ({"command": "bounds"}, "missing keys"),
         ({"command": "bounds", "state": "nope"}, "unknown state family"),
         ({"command": "bounds", "state": "singlet", "budget": "ten"}, "integer"),
+        # the key-table bounds: these read "samples must be >= 1", "no
+        # convergence within 0 rounds" (both exit 1) and "need 1 <= m <= n"
+        ({"command": "distill", "f_initial": "0.8", "f_target": "0.9", "mc_samples": "-3"},
+         "mc_samples must be >= 0, got -3"),
+        ({"command": "distill", "f_initial": "0.8", "f_target": "0.9", "max_rounds": "0"},
+         "max_rounds must be >= 1, got 0"),
+        ({"command": "reduce", "rho": "singlet", "sigma": "singlet", "n": "2", "m": "0"},
+         "m must be >= 1, got 0"),
     ],
 )
 def test_run_rejects_bad_scenarios(scen, message):
@@ -71,9 +79,74 @@ def test_run_rejects_bad_scenarios(scen, message):
         cli.run(scen)
 
 
+@pytest.mark.parametrize(
+    "text,extra,env",
+    [
+        ("state: haar:-1\n", [], None),
+        ("state: singlet\nseed: -1\n", [], None),
+        ("state: singlet\n", ["--seed", "-3"], None),
+        ("state: singlet\n", [], "-1"),
+    ],
+    ids=["state-family", "scenario-key", "flag", "env"],
+)
+def test_negative_seed_exits_2_and_names_the_key(text, extra, env, tmp_path, monkeypatch, capsys):
+    # numpy refused each with "expected non-negative integer", exit 1, no key named
+    monkeypatch.delenv("CATENT_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("CATENT_SEED", env)
+    scn = _write(tmp_path, "b.scn", "command: bounds\nbudget: 6\n" + text)
+    assert cli.main(["bounds", "--scenario", scn, *extra]) == 2
+    assert "seed must be >= 0, got -" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("catalyze", "rho: werner:0.85\nn: 2\nmax_epsilon: nan\n"),
+        ("reduce", "rho: singlet\nsigma: singlet\nn: 2\nm: 1\nmax_error: nan\n"),
+        ("bounds", "state: werner:nan\n"),
+        ("superadd", "eps: inf\n"),
+        ("distill", "f_initial: 0.8\nf_target: -inf\n"),
+        ("pure-rate", "source: nan,1\ntarget: 1\n"),
+    ],
+    ids=["max_epsilon", "max_error", "werner", "eps", "f_target", "spectrum"],
+)
+def test_non_finite_scenario_number_exits_2_with_no_report(command, text, tmp_path, capsys):
+    # a NaN bound failed every comparison: the run wrote a report, then exited 1
+    scn = _write(tmp_path, "s.scn", text)
+    out = tmp_path / "r.json"
+    assert cli.main([command, "--scenario", scn, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rejects_command_mismatch():
     with pytest.raises(ScenarioError, match="does not match"):
         cli.run({"command": "bounds", "state": "singlet"}, command="distill")
+
+
+_KINDS = {cli._int: "integer", cli._float: "number", cli._bool: "true/false",
+          cli._parse_state: "state", cli._parse_spectrum: "spectrum", cli._text: "protocol"}
+
+
+def _key_cell(key, parser, default):
+    lo = getattr(parser, "keywords", {}).get("lo")  # _count(lo) is a partial of _int
+    text = f"`{key}` {_KINDS[getattr(parser, 'func', parser)]}"
+    text += "" if lo is None else f" ≥ {lo}"
+    if default is cli._REQUIRED:
+        return text
+    return text + (" (unset)" if default is None else f" (`{default}`)")
+
+
+def test_readme_key_table_is_the_command_table():
+    rows = ["| command | required keys | optional keys (default) |", "|---|---|---|"]
+    for command, (_, keys) in cli._COMMANDS.items():
+        cells = [(d is cli._REQUIRED, _key_cell(k, p, d)) for k, (p, d) in keys.items()]
+        required = ", ".join(c for r, c in cells if r) or "—"
+        optional = ", ".join(c for r, c in cells if not r) or "—"
+        rows.append(f"| `{command}` | {required} | {optional} |")
+    readme = open(os.path.join(os.path.dirname(_SRC), "README.md"), encoding="utf-8").read()
+    assert "\n".join(rows) + "\n" in readme
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +436,14 @@ def test_non_finite_state_entry_named_with_no_warning(bad, tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "Warning" not in proc.stderr, proc.stderr
     assert f"matrix entry (1, 1) is not finite: ({bad}+0j)" in proc.stderr, proc.stderr
+
+
+def test_spectrum_past_the_float_range_exits_1_with_no_warning(tmp_path):
+    # the sum of the weights overflowed: numpy printed a RuntimeWarning first
+    proc = _run_limited(tmp_path, "pure-rate", "source: 1e308,1e308\ntarget: 0.5,0.5\n", 1024, 60)
+    assert proc.returncode == 1, proc.stderr
+    assert "Warning" not in proc.stderr, proc.stderr
+    assert "Schmidt probabilities must have positive finite sum" in proc.stderr, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,19 @@ without a fault must construct, run on a random state and match
 ``catent.errors`` type or a ``ValueError`` that catent raises itself,
 never with an error from inside numpy or Python.  Protocol documents of
 every step kind are mutated the same way: each one loads, or raises
-``DocumentError`` (CLI exit 2) or a typed domain error (exit 1).
+``DocumentError`` (CLI exit 2) or a typed domain error (exit 1).  So are
+state and assembly documents.  Scenarios are drawn from the CLI's key
+table, ``cli._COMMANDS``, and run through ``cli.main``: each ends in a
+report, in exit 2, or in exit 1 from a typed error, with no numpy warning.
 """
 
+import contextlib
+import functools
 import json
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +29,13 @@ from hypothesis import HealthCheck, assume, event, given, settings, strategies a
 
 import catent
 from catent import cli, errors, locc
-from catent.errors import DocumentError, LayoutMismatchError
+from catent.catfactory import (
+    assembly_from_dict,
+    assembly_to_dict,
+    build_catalyst,
+    verify_catalysis,
+)
+from catent.errors import BudgetError, DocumentError, LayoutMismatchError
 from catent.locc import (
     Instrument,
     LocalChannel,
@@ -38,7 +50,14 @@ from catent.locc import (
     protocol_to_dict,
     run_protocol,
 )
-from catent.qstate import SystemLayout, random_state, state_from_dict, state_to_dict
+from catent.purecat import canonical_pure, synthesize_pure_protocol
+from catent.qstate import (
+    SchmidtVector,
+    SystemLayout,
+    random_state,
+    state_from_dict,
+    state_to_dict,
+)
 from test_executor import _kraus, _kraus_count
 
 SETTINGS = settings(
@@ -285,13 +304,17 @@ def _at(doc, path):
 _WRONG = ["x", 3, -1, 2**70, 1.5, math.inf, math.nan, None, True, [], {}, [[0]], {"a": 1}]
 
 
-def _mutate(doc, data):
-    """Apply one random mutation to ``doc`` in place; False if none applies."""
+_PROTOCOL_MUTATIONS = [
+    "drop", "type", "factor", "register", "party", "shape", "square", "nan", "hex",
+    "label", "repeat_label", "branches",
+]
+_FORMATS = ["catent-state-v1", "catent-protocol-v1", "catent-assembly-v1", "catent-state-v9"]
+
+
+def _mutate(doc, data, kinds=_PROTOCOL_MUTATIONS):
+    """Apply one random mutation of ``kinds`` to ``doc`` in place; False if none applies."""
     nodes = list(_nodes(doc))
-    kind = data.draw(st.sampled_from([
-        "drop", "type", "factor", "register", "party", "shape", "square", "nan", "hex",
-        "label", "repeat_label", "branches",
-    ]))
+    kind = data.draw(st.sampled_from(kinds))
 
     def pick(pred):
         hits = [p for p, v in nodes if p and pred(p, v)]
@@ -341,6 +364,12 @@ def _mutate(doc, data):
         outs = _at(doc, path)
         outs[1]["label"] = outs[0]["label"] if kind == "repeat_label" else data.draw(
             st.sampled_from(["x", 7, None]))
+    elif kind == "format":  # any document's, the outer one or one it holds
+        paths = [p for p, v in nodes if isinstance(v, dict) and "format" in v]
+        node = _at(doc, data.draw(st.sampled_from(paths)))
+        node["format"] = data.draw(st.sampled_from([f for f in _FORMATS if f != node["format"]]))
+    elif kind == "n":  # an assembly's copy count, off by one
+        doc["n"] += data.draw(st.sampled_from([-1, 1]))
     else:
         path = pick(lambda p, v: p[-1] == "branches" and isinstance(v, list))
         if path is None:
@@ -383,6 +412,137 @@ def test_protocol_documents_of_every_step_kind(layout, seed, data):
 
 
 # ---------------------------------------------------------------------------
+# state and assembly documents
+
+HALF, SKEW = SchmidtVector.of((0.5, 0.5)), SchmidtVector.of((0.75, 0.25))
+
+
+@functools.lru_cache(maxsize=None)
+def _built_assembly():
+    # the n=2 catalyst of the synthesized conversion HALF -> SKEW
+    lam = synthesize_pure_protocol(HALF.tensor(HALF), SKEW.tensor(SKEW), layout=PAIR.power(2))
+    return build_catalyst(lam, canonical_pure(HALF), 2)
+
+
+_DOCUMENT_MUTATIONS = ["drop", "type", "shape", "square", "nan", "hex", "format"]
+
+
+@SETTINGS
+@given(st.sampled_from(["state", "assembly"]), st.data())
+def test_state_and_assembly_documents(kind, data):
+    if kind == "state":
+        seed = data.draw(st.integers(0, 99))
+        doc = state_to_dict(random_state(data.draw(_layouts), "ginibre_mixed", seed=seed))
+        load, kinds = state_from_dict, _DOCUMENT_MUTATIONS
+    else:
+        doc, load = assembly_to_dict(_built_assembly()), assembly_from_dict
+        kinds = _DOCUMENT_MUTATIONS + ["n"]
+    doc = json.loads(json.dumps(doc))
+    assume(_mutate(doc, data, kinds))
+    try:
+        back = load(doc)
+    except Exception as exc:
+        _assert_typed(exc)
+        event(f"refused: {type(exc).__name__}")
+        return
+    event("loaded")
+    if kind == "assembly":
+        # an assembly that loads is whole: one marginal a copy, and their average a state
+        assert back._run is None and len(back.gamma_marginals) == back.n
+        back.expected_output()
+
+
+def test_assembly_read_back_verifies_as_built():
+    asm = _built_assembly()
+    back = assembly_from_dict(json.loads(json.dumps(assembly_to_dict(asm))))
+    assert asm._run is not None and back._run is None
+    rho, sigma = canonical_pure(HALF), canonical_pure(SKEW)
+    want = verify_catalysis(asm.embedding, asm.tau, rho, sigma, _run=asm._run)
+    got = verify_catalysis(back.embedding, back.tau, rho, sigma)  # runs its own step
+    assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+    assert want.epsilon_achieved < 1e-9 and want.catalyst_drift < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# scenarios drawn from the CLI's key table
+
+_BIG = str(10**30)
+_EDGES = {  # per parser: (values that may run, edge values and junk)
+    cli._int: (["1", "2", "3"], ["-1", "0", _BIG, "nan", "", "ten"]),
+    cli._float: (["0.75", "0.9", "1", "2"], ["-1", "0", "3", _BIG, "nan", "-inf", "", "ten"]),
+    cli._bool: (["true", "false"], ["True", "1", "", "ten"]),
+    cli._parse_state: (
+        ["singlet", "werner:0.8", "haar:2", "ginibre:1", "pure:0.5,0.5", "pure:0.75,0.25",
+         "pure:1", "jp-catalyst"],
+        ["werner:nan", "werner:3", "haar:-1", "ginibre:x", "pure:-1,2", "pure:nan,1", "pure:",
+         "file:", "", "ten"],
+    ),
+    cli._parse_spectrum: (
+        ["0.5,0.5", "0.75,0.25", "1", "2,1", "jp-catalyst"],
+        ["-1,2", "nan,1", "1e308,1e308", "", "ten"],
+    ),
+    cli._text: (["identity", "synth"], ["file:", "", "ten"]),
+}
+
+
+@contextlib.contextmanager
+def _raised_by_run(raised):
+    """Record what ``cli.run`` raises while ``cli.main`` turns it into an exit code."""
+    run = cli.run
+
+    def recording(*args, **kwargs):
+        try:
+            return run(*args, **kwargs)
+        except Exception as exc:
+            raised.append(exc)
+            raise
+
+    cli.run = recording
+    try:
+        yield
+    finally:
+        cli.run = run
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(cli._COMMANDS)), st.data())
+def test_scenarios_from_the_key_table(tmp_path_factory, command, data):
+    keys = cli._COMMANDS[command][1]
+    table = {**cli._COMMON, **keys}
+    chosen = {k for k, (_, default) in keys.items() if default is cli._REQUIRED}
+    faulty = data.draw(st.booleans())  # else every value is one that may run
+    if faulty and chosen and data.draw(st.booleans()):
+        chosen.discard(data.draw(st.sampled_from(sorted(chosen))))  # a missing required key
+    chosen |= set(data.draw(st.lists(st.sampled_from(sorted(table)), unique=True, max_size=4)))
+    scen = {}
+    for key in sorted(chosen):
+        parser = getattr(table[key][0], "func", table[key][0])  # _count(lo) wraps _int
+        good, bad = _EDGES[parser]
+        good = [command] if key == "command" else good
+        scen[key] = data.draw(st.sampled_from(good + bad if faulty else good))
+    if faulty and data.draw(st.booleans()):
+        scen["bogus"] = "1"
+    tmp = tmp_path_factory.getbasetemp()
+    path, out = tmp / "fuzz.scn", tmp / "fuzz.json"
+    path.write_text("".join(f"{k}: {v}\n" for k, v in scen.items()))
+    out.unlink(missing_ok=True)
+    raised = []
+    with _raised_by_run(raised), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([command, "--scenario", str(path), "--out", str(out)])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+    if code == 2:
+        event("exit 2")
+    elif out.exists():
+        assert code in (0, 1)
+        event(f"report, exit {code}")
+    else:
+        assert code == 1 and raised, scen
+        _assert_typed(raised[-1])
+        event(f"exit 1: {type(raised[-1]).__name__}")
+
+
+# ---------------------------------------------------------------------------
 # faults the fuzzing found
 
 
@@ -420,6 +580,21 @@ def test_number_past_the_float_range_is_a_document_error(where, tmp_path, capsys
     scn.write_text(f"rho: werner:0.85\nn: 2\n{key}: file:{path}\n")
     assert cli.main(["catalyze", "--scenario", str(scn)]) == 2
     assert "catent: error" in capsys.readouterr().err
+
+
+def test_distill_round_budget_is_a_typed_error():
+    # a scenario whose max_rounds falls short of its target raised a bare RuntimeError
+    scen = {"command": "distill", "f_initial": "0.75", "f_target": "0.9", "max_rounds": "1"}
+    with pytest.raises(BudgetError, match="no convergence within 1 rounds"):
+        cli.run(scen)
+
+
+def test_assembly_whose_n_disagrees_with_its_marginals_is_refused():
+    # it loaded, and its expected output then had trace 2/3
+    doc = assembly_to_dict(_built_assembly())
+    doc["n"] = 3
+    with pytest.raises(DocumentError, match="assembly of 3 copies has 2 per-copy marginals"):
+        assembly_from_dict(doc)
 
 
 def test_local_instrument_checks_its_factors_first():
