@@ -24,7 +24,6 @@ and an assembly keeps the run its exactness checks read, so
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -48,6 +47,7 @@ from .locc import (  # noqa: F401  (apply is re-exported as catfactory.apply)
     protocol_from_dict,
     protocol_to_dict,
 )
+from .measures import _decoupling_bound
 from .qstate import (
     DIM_CAP,
     QState,
@@ -426,7 +426,7 @@ def decoupled_catalysis_check(
         raise NotPureError("decoupling check needs a pure target")
     cert = verify_catalysis(lam, tau, rho, phi_pure)
     e = cert.epsilon_achieved
-    bound = e + 6.0 * math.sqrt(e / 2.0)
+    bound = _decoupling_bound(e)
     if cert.correlation > bound + 1e-12:
         raise BoundViolationError(
             f"correlation {cert.correlation:.6g} exceeds decoupling bound {bound:.6g}"

@@ -49,6 +49,7 @@ from .catfactory import (
     verify_marginal_reduction,
 )
 from .distill import (
+    PAIR_LAYOUT,
     distill_to,
     expected_copies_mc,
     recurrence_sweep,
@@ -94,7 +95,6 @@ from .qstate import (
 )
 
 ENV_PREFIX = "CATENT_"
-PAIR = SystemLayout([(0, 2), (1, 2)])
 
 _JP = {
     "jp-source": (0.4, 0.4, 0.1, 0.1),
@@ -207,9 +207,9 @@ def _parse_state(spec: str, what: str) -> QState:
     if name == "werner":
         return werner(_float(arg, f"{what} fidelity")).state
     if name == "haar":
-        return random_state(PAIR, "haar_pure", seed=_int(arg or "0", f"{what} seed", 0))
+        return random_state(PAIR_LAYOUT, "haar_pure", seed=_int(arg or "0", f"{what} seed", 0))
     if name == "ginibre":
-        return random_state(PAIR, "ginibre_mixed", seed=_int(arg or "0", f"{what} seed", 0))
+        return random_state(PAIR_LAYOUT, "ginibre_mixed", seed=_int(arg or "0", f"{what} seed", 0))
     if name == "pure":
         return canonical_pure(SchmidtVector.of(_parse_spectrum(arg, what)))
     if name in _JP:
@@ -291,7 +291,7 @@ def _cmd_reduce(p):
 def _cmd_lemma1(p):
     count = 200 if p["samples"] is None else p["samples"]
     aux, seed = p["aux_dim"], p["seed"]
-    layout = PAIR + SystemLayout([(0, aux)])
+    layout = PAIR_LAYOUT + SystemLayout([(0, aux)])
     # past DIM_CAP, random_state refuses the first sample before allocating
     if layout.total_dim <= DIM_CAP:
         work = count * _dim_cost(layout.total_dim)
@@ -300,7 +300,7 @@ def _cmd_lemma1(p):
     violations = 0
     for i in range(count):
         mu = random_state(layout, "ginibre_mixed", seed=seed * 1000003 + 2 * i)
-        phi = random_state(PAIR, "haar_pure", seed=seed * 1000003 + 2 * i + 1)
+        phi = random_state(PAIR_LAYOUT, "haar_pure", seed=seed * 1000003 + 2 * i + 1)
         chk = decoupling_check(mu, phi)
         scatter.append([chk.epsilon, chk.lhs, chk.rhs])
         if not chk.passed:
@@ -336,14 +336,14 @@ def _cmd_superadd(p):
     rows = []
     passed = True
     for k in range(count):
-        chi = random_state(PAIR, "haar_pure", seed=p["seed"] + k)
+        chi = random_state(PAIR_LAYOUT, "haar_pure", seed=p["seed"] + k)
         mu = QState(
-            PAIR.power(2),
+            PAIR_LAYOUT.power(2),
             (1 - mix) * tensor(psi, psi).matrix + mix * tensor(chi, chi).matrix,
         )
         try:
             combined, budget = compose_superadditive(
-                identity_protocol(PAIR), identity_protocol(PAIR), mu, psi, eps=eps
+                identity_protocol(PAIR_LAYOUT), identity_protocol(PAIR_LAYOUT), mu, psi, eps=eps
             )
             ok = combined < eps
             rows.append({"combined": combined, "budget": budget, "ok": ok})

@@ -9,6 +9,7 @@ two-copy channel simulation are both exposed so they can be compared.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -95,13 +96,6 @@ def recurrence_step(fidelity: float) -> tuple[float, float]:
     return (f * f + q * q) / p, p
 
 
-def _kron(*ops: np.ndarray) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for op in ops:
-        out = np.kron(out, op)
-    return out
-
-
 def simulate_recurrence_step(fidelity: float) -> tuple[float, float]:
     """Brute-force density-matrix run of one recurrence round.
 
@@ -114,7 +108,7 @@ def simulate_recurrence_step(fidelity: float) -> tuple[float, float]:
     f = _check_f(fidelity)
     w = werner(f).state.matrix
     rho = np.kron(w, w)
-    u = _kron(_I2, _SY, _I2, _SY)
+    u = functools.reduce(np.kron, (_I2, _SY, _I2, _SY))
     rho = u @ rho @ u.conj().T
     qubits = SystemLayout([(0, 2)] * 4)
     ca = _embed_operator(qubits, (0, 2), _CNOT)
@@ -126,7 +120,7 @@ def simulate_recurrence_step(fidelity: float) -> tuple[float, float]:
     for a in (0, 1):
         ka = np.zeros((2, 2), dtype=complex)
         ka[a, a] = 1.0
-        proj = _kron(_I2, _I2, ka, ka)
+        proj = functools.reduce(np.kron, (_I2, _I2, ka, ka))
         branch = proj @ rho @ proj
         prob += float(branch.trace().real)
         kept += branch

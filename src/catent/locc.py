@@ -27,18 +27,20 @@ Every Kraus set is stored once, as a read-only stack the public
 ``kraus`` tuples view: (K, rows, cols) for a channel, outcome-major and
 zero-padded (M, K, rows, cols) for an instrument.  Constructed sets are
 complex128; the pure-conversion synthesis hands in float64 stacks.  One
-kernel, ``_contract``, applies a stack with two matrix products, to
-factors of a protocol state or, in ``apply``, to a whole matrix.  A
+kernel, ``_contract``, runs them all, as outcomes that each apply a
+Kraus set A on some factors and a correction B on others.  A
 measure-and-correct step (each case empty or one ``LocalChannel`` on one
 place off the measured factors) keeps its corrections as one (M, J, d,
-d) stack and runs as one pair contraction, ``_contract_pairs``; other
-instrument steps run outcome by outcome, the general path and the
-oracle.  Validation reads the stacks: an instrument checks the top
-eigenvalue of its total K^dag K, which bounds every outcome's, and
-single outcomes only past that bound.  A protocol's steps are checked in
-one walk of the tree, each where the walk meets it; a correction stack
-is checked as one, in slices within ``_BATCH_ELEMS``.  A failed check
-names a non-finite entry.
+d) stack and runs as one call; any other Kraus set is one outcome with
+no correction, and other instrument steps run outcome by outcome, the
+general path and the oracle.  Outcomes run in ``_batches``; one outcome
+too wide for ``_BATCH_ELEMS`` runs as its (k, j) operator pairs, each a
+one-operator outcome.  Validation reads the stacks: an instrument checks
+the top eigenvalue of its total K^dag K, which bounds every outcome's,
+and single outcomes only past that bound.  A protocol's steps are
+checked in one walk of the tree, each where the walk meets it; a
+correction stack is checked as one, in slices within ``_BATCH_ELEMS``.
+A failed check names a non-finite entry.
 
 ``flatten`` composes a protocol into a single :class:`Channel` (Kraus
 form).  It is the Kraus-form export and the reference oracle the
@@ -62,14 +64,14 @@ from .qstate import DIM_CAP, QState, SystemLayout, _permute_matrix, _reduce_matr
 
 TP_TOL = 1e-9
 KRAUS_CAP = 65536
-# batched kernels and checks: stacked entries per batch
+# the kernel and the batched checks: stacked entries per batch
 _BATCH_ELEMS = 1 << 20
 
 PROTOCOL_FORMAT = "catent-protocol-v1"
 
 
 def _batches(n: int, item_elems: int) -> list[tuple[int, int]]:
-    """Split ``range(n)`` into consecutive ``(lo, hi)`` runs for batched checks.
+    """Split ``range(n)`` into consecutive ``(lo, hi)`` runs for the kernel and batched checks.
 
     A run holds at most ``_BATCH_ELEMS`` matrix entries, or one item if
     that alone is larger, where ``item_elems`` is what one item allocates
@@ -113,7 +115,7 @@ def _keep_kraus(obj, kraus: Iterable) -> None:
     """Store a Kraus set on ``obj`` as one read-only (K, rows, cols) stack.
 
     ``obj.kraus`` becomes the tuple of the stack's items, views that share
-    its memory, and ``obj._stack`` the stack the kernels read.
+    its memory, and ``obj._stack`` the stack the kernel reads.
     """
     kraus = tuple(kraus)
     try:
@@ -146,7 +148,7 @@ def _views(cls, stack: np.ndarray, **fields) -> list:
     descriptor.  A channel's Kraus shape is checked here, once.  The stack
     may be float64 as well as complex128: a wide instrument whose operators
     are all real (the pure-conversion synthesis) then holds half the bytes,
-    and the kernels apply it to complex states as they are.  Any other
+    and the kernel applies it to complex states as they are.  Any other
     dtype is refused.
     """
     if stack.flags.writeable or stack.ndim != 4 or stack.dtype not in (np.float64, complex):
@@ -255,7 +257,7 @@ def apply(channel: Channel, state: QState) -> QState:
         )
     if not channel.is_trace_preserving():
         raise ValueError("apply() requires a trace-preserving channel")
-    return QState(channel.output_layout, _contract(state.matrix, channel._stack, (0,)))
+    return QState(channel.output_layout, _contract(state.matrix, channel._stack[None], (0,)))
 
 
 def apply_to_factors(channel: Channel, state: QState, factors: Sequence[int]) -> QState:
@@ -273,7 +275,7 @@ def apply_to_factors(channel: Channel, state: QState, factors: Sequence[int]) ->
     if not channel.is_trace_preserving():
         raise ValueError("apply_to_factors() requires a trace-preserving channel")
     dims = state.layout.dims
-    t = _contract(state.matrix.reshape(dims + dims), channel._stack, factors)
+    t = _contract(state.matrix.reshape(dims + dims), channel._stack[None], factors)
     return QState(state.layout, t.reshape(state.matrix.shape))
 
 
@@ -791,80 +793,63 @@ def _remap_steps(steps: Sequence[Step], fmap: Sequence[int]) -> tuple[Step, ...]
 @functools.lru_cache(maxsize=1024)
 def _contraction_plan(
     shape: tuple[int, ...], axes: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple[int, ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """How ``_contract`` lays out a density tensor of ``shape`` for ``axes``.
 
     Returns the axis order (the row axes ``axes``, every untouched axis,
-    the column axes ``axes``), its inverse, the touched dimension D and
-    the shape in that order.
+    the column axes ``axes``), its inverse and the shape in that order.
     """
     n = len(shape) // 2
     cols = tuple(n + a for a in axes)
     rest = tuple(i for i in range(2 * n) if i not in axes and i not in cols)
     order = axes + rest + cols
     inverse = tuple(int(i) for i in np.argsort(order))
-    return order, inverse, math.prod(shape[a] for a in axes), tuple(shape[i] for i in order)
+    return order, inverse, tuple(shape[i] for i in order)
 
 
-def _contract(t: np.ndarray, stack: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """sum_k K t K^dag on a density tensor t of shape dims + dims.
+_NO_FIX = np.ones((1, 1, 1, 1))
 
-    ``stack`` is a (K, E, D) Kraus stack acting on the factors ``axes``
-    (in that order).  t is laid out as a (D, R, D) matrix, rows and
-    columns on ``axes``.  The left products K_k t are one matmul of the
-    stacked (K*E, D) operators; the right products and the sum over k are
-    one more, of the K_k t side by side with the K_k^dag stacked.  The
-    Kraus set runs in chunks that keep the K x t intermediate within
-    ``_BATCH_ELEMS`` entries (one operator at a time past that).  A
-    rectangular stack (E != D) needs one axis, e.g. a whole matrix as t
-    with ``axes`` (0,); that axis then has dimension E in the output.
+
+def _contract(t: np.ndarray, a: np.ndarray, a_axes: Sequence[int],
+              b: np.ndarray = _NO_FIX, b_axes: Sequence[int] = ()) -> np.ndarray:
+    """sum_m sum_kj (A_mk x B_mj) t (A_mk x B_mj)^dag on a density tensor t of shape dims + dims.
+
+    ``a``: an (M, K, E, D) stack on the factors ``a_axes`` (in that order);
+    ``b``: an (M, J, Db, Db) stack on the disjoint ``b_axes``, by default
+    the 1 x 1 one on no factors, whose half then only sums the outcomes.
+    A rectangular ``a`` (E != D) needs one axis and no ``b``; that axis
+    then has dimension E in the output.  Outcomes run in ``_batches`` of
+    max(K, J) state-sized intermediates; one outcome that alone passes
+    ``_BATCH_ELEMS`` runs as its (k, j) pairs, each a one-operator outcome
+    of operator-sized copies of the stacks.
     """
-    order, inverse, d, shape = _contraction_plan(t.shape, tuple(axes))
-    e = stack.shape[1]
-    x = t.transpose(order).reshape(d, -1)
-    step = max(1, _BATCH_ELEMS // (x.size // d * max(d, e)))
-    acc = None
-    for lo in range(0, len(stack), step):
-        a = stack[lo : lo + step]
-        k = len(a)
-        y = (a.reshape(-1, d) @ x).reshape(k, -1, d).transpose(1, 0, 2).reshape(-1, k * d)
-        y = y @ a.conj().transpose(0, 2, 1).reshape(k * d, e)
-        if acc is None:
-            acc = y
-        else:
-            acc += y
-    if e != d:
-        shape = (e, *shape[1:-1], e)
-    return acc.reshape(shape).transpose(inverse)
-
-
-def _contract_pairs(t: np.ndarray, a: np.ndarray, a_axes: Sequence[int],
-                    b: np.ndarray, b_axes: Sequence[int]) -> np.ndarray:
-    """sum_m (A_m x B_m) t (A_m x B_m)^dag for an (M, K, Da, Da) stack on ``a_axes``
-    and an (M, J, Db, Db) stack on the disjoint ``b_axes``, in chunks of outcomes
-    whose c*max(K, J) state-sized intermediates fit in ``_BATCH_ELEMS`` entries.
-    """
-    order, inverse, _, shape = _contraction_plan(t.shape, tuple(a_axes) + tuple(b_axes))
-    (m, k, da, _), (_, j, db, _) = a.shape, b.shape
-    if max(k, j) * t.size > _BATCH_ELEMS:  # one outcome is too wide: run it operator by operator
-        return sum(_contract(_contract(t, a[p], a_axes), b[p], b_axes) for p in range(m))
+    order, inverse, shape = _contraction_plan(t.shape, tuple(a_axes) + tuple(b_axes))
+    (m, k, e, da), (_, j, db, _) = a.shape, b.shape
+    size = t.size // da * max(e, da)  # entries of one operator's state-sized intermediate
+    if k * j > 1 and max(k, j) * size > _BATCH_ELEMS:
+        a = np.repeat(a, j, axis=1).reshape(-1, 1, e, da)
+        b = np.broadcast_to(b[:, None], (m, k, j, db, db)).reshape(-1, 1, db, db)
+        m, k, j = len(a), 1, 1
     x = t.transpose(order).reshape(da, -1)
-    step = max(1, _BATCH_ELEMS // (max(k, j) * x.size))
-    acc = 0
-    for lo in range(0, m, step):
-        ac, bc = a[lo : lo + step], b[lo : lo + step]
-        c = len(ac)
-        # (c, k, Da, [Db, R, Da', Db']) -> (c, [Da, Db, R, Db'], k*Da') @ A^dag
-        y = (ac.reshape(-1, da) @ x).reshape(c, k, da, db, -1, da, db)
+    for lo, hi in _batches(m, max(k, j) * size):
+        ac, bc = a[lo:hi], b[lo:hi]
+        c = hi - lo
+        # (c, k, E, [Db, R, Da', Db']) -> (c, [E, Db, R, Db'], k*Da') @ A^dag
+        y = (ac.reshape(-1, da) @ x).reshape(c, k, e, db, -1, da, db)
         y = y.transpose(0, 2, 3, 4, 6, 1, 5).reshape(c, -1, k * da)
-        y = y @ ac.conj().transpose(0, 1, 3, 2).reshape(c, k * da, da)
-        # (c, Da, Db, R, Db', Da') -> (c, Db, [Da, R, Da', Db'])
-        y = y.reshape(c, da, db, -1, db, da).transpose(0, 2, 1, 3, 5, 4).reshape(c, db, -1)
-        y = (bc.reshape(c, j * db, db) @ y).reshape(c, j, db, -1, db)
-        y = y.transpose(2, 3, 0, 1, 4).reshape(-1, c * j * db)
-        acc = acc + y @ bc.conj().transpose(0, 1, 3, 2).reshape(c * j * db, db)
-    # acc is laid out (Db, Da, R, Da', Db'); the plan's order is (Da, Db, R, Da', Db')
-    return acc.reshape(db, da, -1).transpose(1, 0, 2).reshape(shape).transpose(inverse)
+        y = y @ ac.conj().transpose(0, 1, 3, 2).reshape(c, k * da, e)
+        if b_axes:
+            # (c, E, Db, R, Db', E') -> (c, Db, [E, R, E', Db'])
+            y = y.reshape(c, e, db, -1, db, e).transpose(0, 2, 1, 3, 5, 4).reshape(c, db, -1)
+            y = (bc.reshape(c, j * db, db) @ y).reshape(c, j, db, -1, db)
+            y = y.transpose(2, 3, 0, 1, 4).reshape(-1, c * j * db)
+            y = y @ bc.conj().transpose(0, 1, 3, 2).reshape(c * j * db, db)
+        else:  # no correction: B is the 1 x 1 one, so the B half only sums the outcomes
+            y = y.sum(0)
+        acc = acc + y if lo else y
+    # acc is laid out (Db, E, R, E', Db'); the plan's order is (E, Db, R, E', Db')
+    shape = (e, *shape[1:-1], e) if e != da else shape
+    return acc.reshape(db, e, -1).transpose(1, 0, 2).reshape(shape).transpose(inverse)
 
 
 def _register_block(n: int, register: int, value: int) -> tuple[slice, ...]:
@@ -877,13 +862,13 @@ def _register_block(n: int, register: int, value: int) -> tuple[slice, ...]:
 def _run_steps(steps: Sequence[Step], t: np.ndarray) -> np.ndarray:
     for s in steps:
         if isinstance(s, LocalChannel):
-            t = _contract(t, s._stack, s.factors)
+            t = _contract(t, s._stack[None], s.factors)
         elif isinstance(s, LocalInstrument) and s._fix is not None:
-            t = _contract_pairs(t, s.instrument._stack, s.factors, s._fix[1], s._fix[0])
+            t = _contract(t, s.instrument._stack, s.factors, s._fix[1], s._fix[0])
         elif isinstance(s, LocalInstrument):
             cases = s.case_map()
             t = sum(
-                _run_steps(cases.get(lab, ()), _contract(t, ch._stack, s.factors))
+                _run_steps(cases.get(lab, ()), _contract(t, ch._stack[None], s.factors))
                 for lab, ch in s.instrument.outcomes
             )
         elif isinstance(s, RegisterControlled):

@@ -321,6 +321,11 @@ class DecouplingCheck(NamedTuple):
     epsilon: float
 
 
+def _decoupling_bound(eps: float) -> float:
+    """eps + 6 sqrt(eps/2): the farthest mu_SC is from phi (x) mu_C when mu_S is eps from phi."""
+    return eps + 6.0 * math.sqrt(eps / 2.0)
+
+
 def decoupling_check(mu_sc: QState, phi: QState) -> DecouplingCheck:
     """Check ||mu_SC - phi (x) mu_C||_1 < eps + 6 sqrt(eps/2), eps = ||mu_S - phi||_1.
 
@@ -340,7 +345,7 @@ def decoupling_check(mu_sc: QState, phi: QState) -> DecouplingCheck:
     mu_c = partial_trace(mu_sc, c_idx)
     eps = trace_norm_dist(mu_s, phi)
     lhs = trace_norm_dist(mu_sc, tensor(phi, mu_c))
-    rhs = eps + 6.0 * math.sqrt(eps / 2.0)
+    rhs = _decoupling_bound(eps)
     passed = bool(lhs < rhs or lhs <= 1e-12)
     return DecouplingCheck(lhs=lhs, rhs=rhs, passed=passed, epsilon=eps)
 

@@ -80,8 +80,13 @@ def catalytic_convertible(
 
 
 def canonical_pure(probs: SchmidtVector) -> QState:
-    """The diagonal-amplitude pure state with the given Schmidt spectrum."""
+    """The diagonal-amplitude pure state with the given Schmidt spectrum.
+
+    Raises ``DimensionCapError`` before allocating past ``DIM_CAP``.
+    """
     d = len(probs)
+    if d * d > DIM_CAP:
+        raise DimensionCapError(f"pure state dimension {d * d} exceeds cap {DIM_CAP}")
     amps = np.zeros(d * d, dtype=complex)
     for i, p in enumerate(probs):
         amps[i * d + i] = math.sqrt(p)

@@ -227,8 +227,11 @@ def pure_state(layout: SystemLayout, amplitudes: Sequence[complex]) -> QState:
     """Rank-one state |v><v| from an amplitude vector (normalized internally).
 
     Raises StateInvariantError when the vector norm is not within 1e-8
-    of 1, to catch silently wrong inputs while allowing float dust.
+    of 1, to catch silently wrong inputs while allowing float dust, and
+    DimensionCapError before allocating past ``DIM_CAP``.
     """
+    if layout.total_dim > DIM_CAP:
+        raise DimensionCapError(f"pure state dimension {layout.total_dim} exceeds cap {DIM_CAP}")
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if v.size != layout.total_dim:
         raise LayoutMismatchError(f"vector length {v.size} != layout dim {layout.total_dim}")
@@ -474,8 +477,9 @@ class SchmidtVector:
             raise ValueError("Schmidt probabilities must be nonnegative")
         if not all(p[i] >= p[i + 1] for i in range(len(p) - 1)):
             raise ValueError("Schmidt probabilities must be descending")
-        if not abs(sum(p) - 1.0) <= 1e-12:
-            raise ValueError(f"Schmidt probabilities sum to {sum(p)!r}")
+        total = math.fsum(p)  # exact, so whatever ``of`` normalized passes at any length
+        if not abs(total - 1.0) <= 1e-12:
+            raise ValueError(f"Schmidt probabilities sum to {total!r}")
 
     @classmethod
     def of(cls, probs: Iterable[float]) -> "SchmidtVector":
@@ -504,6 +508,9 @@ class SchmidtVector:
         return SchmidtVector(self.probs + (0.0,) * (length - len(self.probs)))
 
     def tensor(self, other: "SchmidtVector") -> "SchmidtVector":
+        """The product spectrum; DimensionCapError past ``DIM_CAP`` entries (a state past it)."""
+        if (length := len(self) * len(other)) > DIM_CAP:
+            raise DimensionCapError(f"spectrum product length {length} exceeds cap {DIM_CAP}")
         prod = np.outer(np.asarray(self.probs), np.asarray(other.probs)).ravel()
         return SchmidtVector.of(prod)
 

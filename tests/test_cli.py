@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -585,6 +586,33 @@ def test_counts_past_their_work_budget_exit_1(tmp_path, command, text):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("catent: failed:"), proc.stderr
     assert "the budget is" in proc.stderr
+
+
+_TERMS_65 = ",".join(["1"] * 65)
+
+
+@pytest.mark.parametrize(
+    "command,text,dim",
+    [
+        ("pure-rate", f"source: {_TERMS_65}\ntarget: 1\n", "pure state dimension 4225"),
+        ("catalyze", f"rho: pure:{_TERMS_65}\nn: 2\n", "pure state dimension 4225"),
+        ("reduce", f"rho: pure:{_TERMS_65}\nsigma: singlet\nn: 2\nm: 1\n",
+         "pure state dimension 4225"),
+        ("synth-catalyst", f"rho: pure:{_TERMS_65}\nsigma: singlet\nn: 2\n",
+         "pure state dimension 4225"),
+        ("pure-rate", "source: 0.5,0.5\ntarget: 1\ncatalyst: " + ",".join(["1"] * 2049) + "\n",
+         "spectrum product length 4098"),
+    ],
+    ids=["pure-rate", "catalyze", "reduce", "synth-catalyst", "pure-rate-catalyst"],
+)
+def test_spectra_past_cap_exit_1_before_allocating(tmp_path, capsys, command, text, dim):
+    # a 65-term spectrum is a 4225-dim pure state, and a product spectrum
+    # past 4096 terms the spectrum of a reduced state past the cap
+    scn = _write(tmp_path, "s.scn", f"command: {command}\n{text}")
+    t0 = time.perf_counter()
+    assert cli.main([command, "--scenario", scn]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert f"{dim} exceeds cap 4096" in capsys.readouterr().err
 
 
 def test_catalyze_copies_past_cap_raise_the_cap_error():

@@ -4,9 +4,9 @@
 composition, on random small protocols; ``apply_to_factors`` is compared
 with Kraus sums of operators lifted to the full space by
 ``_embed_operator``; the contraction kernel ``_contract`` is compared with
-a per-operator ``tensordot`` loop.  A measure-and-correct step runs as one
-pair contraction (``_contract_pairs``); it is compared with the same step
-run outcome by outcome, the general path.
+a per-operator ``tensordot`` loop, with and without a correction stack.  A
+measure-and-correct step runs as one pair contraction; it is compared with
+the same step run outcome by outcome, the general path.
 """
 
 import copy
@@ -28,7 +28,6 @@ from catent.locc import (
     LoccProtocol,
     RegisterControlled,
     _contract,
-    _contract_pairs,
     _run_matrix,
     _embed_operator,
     _reorder_matrix,
@@ -297,9 +296,11 @@ def _tensordot_contract(t, kraus, axes):
 @SETTINGS
 @given(st.data())
 def test_contract_matches_tensordot_loop(data):
-    # dims 1-4, touched axes in any order, 1-17 operators (any: the kernel
-    # needs no channel), and tensors that are a register's diagonal block,
-    # a non-contiguous view with one axis sliced to size 1
+    # dims 1-4, touched axes in any order, 1-3 outcomes of 1-17 operators
+    # (any: the kernel needs no channel), tensors that are a register's
+    # diagonal block, a non-contiguous view with one axis sliced to size 1,
+    # and the batch budget forced down to one operator, which splits a wide
+    # outcome into one-operator outcomes
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     dims = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
     n = len(dims)
@@ -315,13 +316,14 @@ def test_contract_matches_tensordot_loop(data):
         free = list(range(n))
     axes = tuple(data.draw(st.permutations(free))[: data.draw(st.integers(1, len(free)))])
     d = math.prod(t.shape[a] for a in axes)
-    count = data.draw(st.integers(1, 17))
-    stack = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    m, count = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 17))
+    stack = rng.standard_normal((m, count, d, d)) + 1j * rng.standard_normal((m, count, d, d))
     # unit Frobenius norms keep every entry of the result within 1
     t = t / np.linalg.norm(t)
     stack = stack / np.linalg.norm(stack)
-    got = _contract(t, stack, axes)
-    want = _tensordot_contract(t, stack, axes)
+    with mock.patch.object(locc, "_BATCH_ELEMS", data.draw(st.integers(1, m * count * t.size))):
+        got = _contract(t, stack, axes)
+    want = sum(_tensordot_contract(t, stack[p], axes) for p in range(m))
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= TOL
 
@@ -411,7 +413,8 @@ def test_pair_path_matches_outcome_loop_on_random_instruments(data):
 @given(st.data())
 def test_contract_pairs_matches_outcome_loop_in_chunks(data):
     # the kernel alone, on register blocks (non-contiguous views) too, with
-    # the chunk size forced down to 1..M outcomes
+    # the chunk size forced down to 1..M outcomes, and below one outcome,
+    # which splits each outcome into its (k, j) operator pairs
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     dims = tuple(data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=4)))
     n = len(dims)
@@ -427,9 +430,11 @@ def test_contract_pairs_matches_outcome_loop_in_chunks(data):
     m, k, j = (data.draw(st.integers(1, 4)) for _ in range(3))
     a = rng.standard_normal((m, k, da, da)) + 1j * rng.standard_normal((m, k, da, da))
     b = rng.standard_normal((m, j, db, db))
-    want = sum(_contract(_contract(t, a[p], a_axes), b[p], b_axes) for p in range(m))
+    want = sum(
+        _tensordot_contract(_tensordot_contract(t, a[p], a_axes), b[p], b_axes) for p in range(m)
+    )
     with mock.patch.object(locc, "_BATCH_ELEMS", data.draw(st.integers(1, m * max(k, j) * t.size))):
-        got = _contract_pairs(t, a, a_axes, b, b_axes)
+        got = _contract(t, a, a_axes, b, b_axes)
     assert np.max(np.abs(got - want)) <= TOL * max(1.0, np.max(np.abs(want)))
 
 

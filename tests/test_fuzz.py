@@ -13,6 +13,8 @@ every step kind are mutated the same way: each one loads, or raises
 state and assembly documents.  Scenarios are drawn from the CLI's key
 table, ``cli._COMMANDS``, and run through ``cli.main``: each ends in a
 report, in exit 2, or in exit 1 from a typed error, with no numpy warning.
+Scenario text, line by line, parses to the dict a model of its grammar
+gives, or fails naming the first bad line.
 """
 
 import contextlib
@@ -540,6 +542,62 @@ def test_scenarios_from_the_key_table(tmp_path_factory, command, data):
         assert code == 1 and raised, scen
         _assert_typed(raised[-1])
         event(f"exit 1: {type(raised[-1]).__name__}")
+
+
+# scenario text: words have no whitespace and no line break, so the pads
+# drawn around them are all that ``parse_scenario`` strips
+_WORD = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")).filter(
+        lambda c: not c.isspace()
+    ),
+    min_size=1,
+    max_size=4,
+)
+_PAD = st.text(" \t", max_size=2)
+_KEY = st.one_of(st.sampled_from(["command", "seed", "rho"]), _WORD).filter(
+    lambda w: ":" not in w and not w.startswith("#")
+)
+_VALUE = st.lists(_WORD, max_size=3).map(" ".join)  # colons and '#' included
+
+
+@st.composite
+def _scenario_line(draw):
+    """(kind, line, key, value) of one scenario line."""
+    kinds = ["pair"] * 6 + ["comment", "blank"] * 2 + ["no-colon", "empty-key"]
+    kind = draw(st.sampled_from(kinds))
+    lpad, mid, rpad = draw(_PAD), draw(_PAD), draw(_PAD)
+    if kind == "pair":
+        key, value = draw(_KEY), draw(_VALUE)
+        return kind, f"{lpad}{key}{mid}:{draw(_PAD)}{value}{rpad}", key, value
+    if kind == "comment":
+        return kind, f"{lpad}#{draw(_VALUE)}{rpad}", None, None
+    if kind == "blank":
+        return kind, lpad, None, None
+    if kind == "no-colon":
+        return kind, f"{lpad}{draw(_KEY)}{rpad}", None, None
+    return kind, f"{lpad}{mid}:{draw(_VALUE)}{rpad}", None, None
+
+
+@SETTINGS
+@given(st.lists(_scenario_line(), max_size=8), st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_scenario_text_parses_to_its_model(lines, newline, trailing):
+    # the model: skip blanks and comments; the first line that is not a
+    # key: value pair or repeats a key is the error, named by its number
+    want, bad = {}, None
+    for ln, (kind, _, key, value) in enumerate(lines, start=1):
+        if kind in ("comment", "blank"):
+            continue
+        if kind != "pair" or key in want:
+            bad = ln
+            break
+        want[key] = value
+    text = newline.join(line for _, line, _, _ in lines) + (newline if trailing else "")
+    if bad is None:
+        assert cli.parse_scenario(text) == want
+    else:
+        with pytest.raises(errors.ScenarioError, match=rf"^line {bad}: "):
+            cli.parse_scenario(text)
+    event("error" if bad else f"{len(want)} keys")
 
 
 # ---------------------------------------------------------------------------

@@ -412,7 +412,9 @@ def test_pair_contraction_stays_within_the_batch_budget(dims, count, outcomes):
     assert step._fix is not None
     assert peak < 2 * locc._BATCH_ELEMS * 16 + 8 * rho.nbytes
     want = sum(
-        locc._contract(locc._contract(rho.reshape(dims * 2), ch._stack, (0,)), fix._stack, (1,))
+        locc._contract(
+            locc._contract(rho.reshape(dims * 2), ch._stack[None], (0,)), fix._stack[None], (1,)
+        )
         for _, ch in inst.outcomes
     )
     assert np.max(np.abs(out - want.reshape(rho.shape))) < 1e-12

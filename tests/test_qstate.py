@@ -360,6 +360,32 @@ def test_schmidt_vector_validation():
         SchmidtVector.of([])
 
 
+def test_schmidt_vector_accepts_every_length_it_normalizes():
+    # 1e5 equal terms: the sequential sum of the normalized vector misses 1
+    # by 1.9e-12, the exact sum by far less
+    sv = SchmidtVector.of([1.0] * 100000)
+    assert len(sv) == 100000 and abs(math.fsum(sv.probs) - 1.0) <= 1e-12
+
+
+def _no_outer(*args):
+    raise AssertionError("np.outer called past the cap")
+
+
+def test_schmidt_tensor_past_the_cap_is_refused_before_the_product(monkeypatch):
+    a = SchmidtVector.of([1.0] * 64)
+    assert len(a.tensor(a)) == 4096
+    monkeypatch.setattr(np, "outer", _no_outer)
+    with pytest.raises(DimensionCapError, match="4160 exceeds cap 4096"):
+        a.tensor(SchmidtVector.of([1.0] * 65))
+
+
+def test_pure_state_past_the_cap_is_refused_before_the_outer_product(monkeypatch):
+    amps = np.eye(65).reshape(-1) / math.sqrt(65)
+    monkeypatch.setattr(np, "outer", _no_outer)
+    with pytest.raises(DimensionCapError, match="4225 exceeds cap 4096"):
+        pure_state(SystemLayout([(0, 65), (1, 65)]), amps)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_schmidt_vector_refuses_non_finite(bad):
     for probs in ((bad,), (1.0, bad), (bad, 0.0)):
