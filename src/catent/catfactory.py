@@ -72,17 +72,20 @@ class CatalystAssembly:
     register (last factor, held by party 0).  Conditioned on register
     value r it holds r source copies followed by the n-copy output
     reduced to its first n-1-r copies; each phase has weight 1/n.
-    ``gamma_marginals[k]`` is the n-copy output reduced to copy k.
-    ``_run`` is the embedding's raw run on rho tensor tau that
-    ``build_catalyst`` checked, ``(mu, [mu_S, mu_C])``; an assembly read
-    from a document has none.
+    ``gamma_marginals[k]`` is the n-copy output reduced to copy k, so
+    ``n`` is their count.  ``_run`` is the embedding's raw run on rho
+    tensor tau that ``build_catalyst`` checked, ``(mu, [mu_S, mu_C])``; an
+    assembly read from a document has none.
     """
 
-    n: int
     tau: QState
     embedding: LoccProtocol
     gamma_marginals: tuple[QState, ...]
     _run: tuple[np.ndarray, list[np.ndarray]] | None = field(default=None, repr=False)
+
+    @property
+    def n(self) -> int:
+        return len(self.gamma_marginals)
 
     def expected_output(self) -> QState:
         """Average of the per-copy marginals: the exact one-copy output."""
@@ -100,11 +103,14 @@ class ReductionCertificate(NamedTuple):
     n: int
     m: int
     per_marginal_errors: tuple[float, ...]
-    rate_slack: float  # m / n
     catalyst_drifts: tuple[float, ...] = ()
     epsilon_initial: float = 0.0
     delta_single_shot: float = 0.0
     fixed_point_residual: float = 0.0
+
+    @property
+    def rate_slack(self) -> float:
+        return self.m / self.n
 
 
 def _copies_dim(d: int, n: int) -> int:
@@ -155,7 +161,7 @@ def build_catalyst(lambda_n: LoccProtocol, rho: QState, n: int) -> CatalystAssem
         raise LayoutMismatchError(
             f"protocol input {lambda_n.input_layout!r} is not {n} copies of {rho.layout!r}"
         )
-    if lambda_n.discard or lambda_n.relabel is not None or lambda_n.classical_factors:
+    if lambda_n.discard or lambda_n.relabel is not None:
         raise LayoutMismatchError("the n-copy protocol must keep all factors in place")
 
     # the n-copy output's per-copy marginals, then those of its first i copies
@@ -188,7 +194,7 @@ def build_catalyst(lambda_n: LoccProtocol, rho: QState, n: int) -> CatalystAssem
     embedding = controlled_on_register(n * f, branches, tuple((r + 1) % n for r in range(n)))
 
     run = _catalytic_step(embedding, (rho.matrix, tau.matrix), (range(f), range(f, len(joint))))
-    assembly = CatalystAssembly(n, tau, embedding, gamma_marginals, run)
+    assembly = CatalystAssembly(tau, embedding, gamma_marginals, run)
     mu_s, mu_c = run[1]
     drift = _herm_dist(mu_c, tau.matrix)
     eps = _herm_dist(mu_s, assembly.expected_output().matrix)
@@ -375,7 +381,6 @@ def _reuse(
         n=copies,
         m=copies,
         per_marginal_errors=tuple(errors),
-        rate_slack=1.0,
         catalyst_drifts=tuple(drifts),
         epsilon_initial=_herm_dist(tau_eps.matrix, tau.matrix),
         delta_single_shot=_herm_dist(s_star, sigma_m),
@@ -411,7 +416,7 @@ def verify_marginal_reduction(
     fs = len(sigma.layout)
     blocks = [range(j * fs, (j + 1) * fs) for j in range(m)]
     _, outs = _catalytic_step(lam, [rho.matrix] * n, blocks)
-    return ReductionCertificate(n, m, tuple(_herm_dist(o, sigma.matrix) for o in outs), m / n)
+    return ReductionCertificate(n, m, tuple(_herm_dist(o, sigma.matrix) for o in outs))
 
 
 def decoupled_catalysis_check(
@@ -451,14 +456,15 @@ def assembly_to_dict(assembly: CatalystAssembly) -> dict:
 def assembly_from_dict(doc: dict) -> CatalystAssembly:
     _io.check_format(doc, ASSEMBLY_FORMAT, "assembly")
     with _io.parsing("assembly"):
-        n = int(doc["n"])
         tau, embedding = doc["tau"], doc["embedding"]
         marginals = list(doc["gamma_marginals"])
-    if len(marginals) != n:
-        raise DocumentError(f"assembly of {n} copies has {len(marginals)} per-copy marginals")
+    tau = state_from_dict(tau)
+    # the register's last factor counts the phases, one per copy
+    if len(marginals) != tau.layout[-1].dim:
+        raise DocumentError(
+            f"assembly with a {tau.layout[-1].dim}-phase register has "
+            f"{len(marginals)} per-copy marginals"
+        )
     return CatalystAssembly(
-        n,
-        state_from_dict(tau),
-        protocol_from_dict(embedding),
-        tuple(state_from_dict(g) for g in marginals),
+        tau, protocol_from_dict(embedding), tuple(state_from_dict(g) for g in marginals)
     )

@@ -21,6 +21,8 @@ declared once, in ``_COMMANDS``; every key is parsed once, before the
 command runs.  Flags ``--scenario``, ``--seed``, ``--samples``, ``--out``
 fall back to environment variables with the ``CATENT_`` prefix, then to
 the scenario key of the same name, then to the table's defaults.
+``samples`` is a key of ``verify-lemma1`` and ``superadd`` only: no other
+command takes it, and none other reads ``CATENT_SAMPLES``.
 Reports are JSON with sorted keys and no timestamps, so one scenario
 plus one seed gives byte-identical output.  Exit status: 0 when every
 asserted invariant passed, 1 for a computed failure or domain error, 2
@@ -239,7 +241,7 @@ def _build_protocol(spec: str, rho: QState, sigma: QState, n: int) -> LoccProtoc
 
 # ---------------------------------------------------------------------------
 # command runners: each takes the scenario's parsed values (with the seed
-# and the sample count resolved) and returns (results, passed, samples_used)
+# and the sample count resolved) and returns (results, passed)
 
 
 def _cmd_catalyze(p):
@@ -258,7 +260,7 @@ def _cmd_catalyze(p):
     passed = cert.catalyst_drift < 1e-9
     if p["max_epsilon"] is not None:
         passed = passed and cert.epsilon_achieved <= p["max_epsilon"]
-    return results, passed, None
+    return results, passed
 
 
 def _cmd_reduce(p):
@@ -268,12 +270,7 @@ def _cmd_reduce(p):
     base = _build_protocol(p["protocol"], rho, sigma, n)
     if m < n:
         f = len(rho.layout)
-        base = LoccProtocol(
-            base.input_layout,
-            base.steps,
-            discard=tuple(range(m * f, n * f)),
-            classical_factors=base.classical_factors,
-        )
+        base = LoccProtocol(base.input_layout, base.steps, discard=tuple(range(m * f, n * f)))
     cert = verify_marginal_reduction(base, rho, sigma, n, m)
     eps = max(cert.per_marginal_errors)
     results = {
@@ -285,12 +282,11 @@ def _cmd_reduce(p):
         "delta": max(1.0 - cert.rate_slack, 1e-6),
     }
     passed = p["max_error"] is None or eps <= p["max_error"]
-    return results, passed, None
+    return results, passed
 
 
 def _cmd_lemma1(p):
-    count = 200 if p["samples"] is None else p["samples"]
-    aux, seed = p["aux_dim"], p["seed"]
+    count, aux, seed = p["samples"], p["aux_dim"], p["seed"]
     layout = PAIR_LAYOUT + SystemLayout([(0, aux)])
     # past DIM_CAP, random_state refuses the first sample before allocating
     if layout.total_dim <= DIM_CAP:
@@ -306,7 +302,7 @@ def _cmd_lemma1(p):
         if not chk.passed:
             violations += 1
     results = {"aux_dim": aux, "violations": violations, "scatter": scatter}
-    return results, violations == 0, count
+    return results, violations == 0
 
 
 def _cmd_bounds(p):
@@ -325,11 +321,11 @@ def _cmd_bounds(p):
         "extension_dim": sq.extension_dim,
     }
     passed = hb.lower <= hb.upper + 1e-9 and -1e-12 <= sq.value <= 0.5 * mi + 1e-9
-    return results, passed, None
+    return results, passed
 
 
 def _cmd_superadd(p):
-    count = 5 if p["samples"] is None else p["samples"]
+    count = p["samples"]
     _check_budget(f"{count} samples", count, SUPERADD_SAMPLE_BUDGET)
     eps, mix = p["eps"], p["mix"]
     psi = singlet()
@@ -351,7 +347,7 @@ def _cmd_superadd(p):
         except (BudgetError, BoundViolationError) as exc:
             rows.append({"error": str(exc), "ok": False})
             passed = False
-    return {"eps": eps, "mix": mix, "instances": rows}, passed, count
+    return {"eps": eps, "mix": mix, "instances": rows}, passed
 
 
 def _cmd_distill(p):
@@ -375,7 +371,7 @@ def _cmd_distill(p):
         results["sweep"] = recurrence_sweep(grid)
     if p["mc_samples"]:
         results["expected_copies_mc"] = expected_copies_mc(outcome, p["mc_samples"], seed=p["seed"])
-    return results, outcome.final_fidelity >= f_target, None
+    return results, outcome.final_fidelity >= f_target
 
 
 def _cmd_synth_catalyst(p):
@@ -402,7 +398,7 @@ def _cmd_synth_catalyst(p):
     passed = all(d <= eps + 1e-9 for d in cert.catalyst_drifts) and all(
         e <= bound for e in cert.per_marginal_errors
     )
-    return results, passed, None
+    return results, passed
 
 
 def _cmd_pure_rate(p):
@@ -418,18 +414,17 @@ def _cmd_pure_rate(p):
         if p["expect_catalytic"] is not None:
             passed = passed and catalytic.convertible == p["expect_catalytic"]
     try:
-        rate = pure_target_rate(canonical_pure(sv_s), sv_t)
+        rate = pure_target_rate(sv_s, sv_t)
         results["rate"] = rate._asdict()
     except DivergingRateError:
         results["rate"] = None
-    return results, passed, None
+    return results, passed
 
 
 # command -> (runner, {key: (parser, default)}), the one record of a command's
 # keys.  A parser takes the value and the key's name; a key whose default is
 # _REQUIRED must be given.  Every command also takes the keys of _COMMON.
-_COMMON = {"command": (_text, None), "seed": (_count(0), 0), "samples": (_count(1), None),
-           "out": (_text, None)}
+_COMMON = {"command": (_text, None), "seed": (_count(0), 0), "out": (_text, None)}
 _COMMANDS = {
     "catalyze": (_cmd_catalyze, {
         "rho": (_parse_state, _REQUIRED), "n": (_count(2), _REQUIRED),
@@ -441,12 +436,14 @@ _COMMANDS = {
         "n": (_count(1), _REQUIRED), "m": (_count(1), _REQUIRED),
         "protocol": (_text, "identity"), "max_error": (_float, None),
     }),
-    "verify-lemma1": (_cmd_lemma1, {"aux_dim": (_count(1), 2)}),
+    "verify-lemma1": (_cmd_lemma1, {"aux_dim": (_count(1), 2), "samples": (_count(1), 200)}),
     "bounds": (_cmd_bounds, {
         "state": (_parse_state, _REQUIRED), "budget": (_count(0), 60),
         "max_ext_dim": (_count(1), 8),
     }),
-    "superadd": (_cmd_superadd, {"eps": (_float, 0.3), "mix": (_float, 2e-4)}),
+    "superadd": (_cmd_superadd, {
+        "eps": (_float, 0.3), "mix": (_float, 2e-4), "samples": (_count(1), 5),
+    }),
     "distill": (_cmd_distill, {
         "f_initial": (_float, _REQUIRED), "f_target": (_float, _REQUIRED),
         "max_rounds": (_count(1), 200), "sweep_points": (_count(0), 0),
@@ -478,8 +475,8 @@ def run(
 ) -> dict:
     """Execute a parsed scenario and return the report dictionary.
 
-    ``seed`` and ``samples``, when given, override the scenario's keys and
-    are parsed and bounded as those are.
+    ``seed`` and ``samples``, when given, are handled as the scenario keys they
+    override: parsed, bounded, and refused by a command without the key.
     """
     scen = dict(scenario)
     cmd = command or scen.get("command")
@@ -491,21 +488,21 @@ def run(
         raise ScenarioError(f"scenario command {scen['command']!r} does not match {cmd!r}")
     runner, keys = _COMMANDS[cmd]
     table = {**_COMMON, **keys}
-    unknown = sorted(set(scen) - set(table))
+    overrides = {"seed": seed, "samples": samples}
+    given = {**scen, **{k: str(v) for k, v in overrides.items() if v is not None}}
+    unknown = sorted(set(given) - set(table))
     if unknown:
         raise ScenarioError(f"unknown keys for {cmd}: {', '.join(unknown)}")
     missing = sorted(k for k, (_, d) in keys.items() if d is _REQUIRED and k not in scen)
     if missing:
         raise ScenarioError(f"missing keys for {cmd}: {', '.join(missing)}")
-    overrides = {"seed": seed, "samples": samples}
-    given = {**scen, **{k: str(v) for k, v in overrides.items() if v is not None}}
     values = {k: parse(given[k], k) if k in given else d for k, (parse, d) in table.items()}
-    results, passed, used = runner(values)
+    results, passed = runner(values)
     return {
         "command": cmd,
         "scenario": scen,
         "seed": values["seed"],
-        "samples": used if used is not None else values["samples"],
+        "samples": values.get("samples"),
         "versions": {
             "catent": __version__,
             "numpy": np.__version__,
@@ -586,7 +583,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             with open(path, "r", encoding="utf-8") as fh:
                 scenario = parse_scenario(fh.read())
             seed = args.seed if args.seed is not None else _env_int("SEED")
-            samples = args.samples if args.samples is not None else _env_int("SAMPLES")
+            samples = args.samples
+            if samples is None and "samples" in _COMMANDS[args.command][1]:
+                samples = _env_int("SAMPLES")
             report = run(scenario, command=args.command, seed=seed, samples=samples)
             text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
             passed = bool(report["passed"])

@@ -140,7 +140,11 @@ class DistillRound(NamedTuple):
 @dataclass(frozen=True)
 class DistillRun:
     rounds: tuple[DistillRound, ...]
-    copies_consumed: float
+
+    @property
+    def copies_consumed(self) -> float:
+        """Expected input copies: the product of 2/p over the rounds."""
+        return math.prod((2.0 / r.success_probability for r in self.rounds), start=1.0)
 
     @property
     def final_fidelity(self) -> float:
@@ -164,16 +168,14 @@ def distill_to(f_target: float, f_initial: float, max_rounds: int = 200) -> Dist
     if not f_target < 1.0:
         raise ValueError(f"target {f_target} must be < 1 (unit fidelity needs infinitely many rounds)")
     rounds: list[DistillRound] = []
-    copies = 1.0
     f = float(f_initial)
     while f < f_target:
         if len(rounds) >= max_rounds:
             raise BudgetError(f"no convergence within {max_rounds} rounds")
         f_next, p = recurrence_step(f)
         rounds.append(DistillRound(f, f_next, p))
-        copies *= 2.0 / p
         f = f_next
-    return DistillRun(rounds=tuple(rounds), copies_consumed=copies)
+    return DistillRun(rounds=tuple(rounds))
 
 
 def expected_copies_mc(run: DistillRun, samples: int, seed: int = 0) -> float:

@@ -9,6 +9,8 @@ A protocol is an ordered list of steps on a fixed layout:
   party reacting to the message.
 * ``RegisterControlled``: classically reads a register factor, runs the
   branch for its value, then writes the branch's register update back.
+  The read decoheres the register; that is all that makes it classical,
+  and a protocol declares no list of registers.
 
 Locality is enforced structurally: the constructors refuse any step
 whose operators touch factors the acting party does not own.  Classical
@@ -222,9 +224,9 @@ class Channel:
     def completeness(self) -> np.ndarray:
         return _completeness(self._stack[None], self.input_layout.total_dim)[0]
 
-    def is_trace_preserving(self, tol: float = TP_TOL) -> bool:
+    def is_trace_preserving(self) -> bool:
         d = self.input_layout.total_dim
-        return bool(np.max(np.abs(self.completeness() - np.eye(d))) <= tol)
+        return bool(np.max(np.abs(self.completeness() - np.eye(d))) <= TP_TOL)
 
     def then(self, other: "Channel") -> "Channel":
         """Composition other(self(rho))."""
@@ -527,7 +529,7 @@ def _validate_steps(
 class LoccProtocol:
     """Validated step sequence with terminal discard and relabeling."""
 
-    __slots__ = ("input_layout", "steps", "discard", "relabel", "classical_factors")
+    __slots__ = ("input_layout", "steps", "discard", "relabel")
 
     def __init__(
         self,
@@ -536,7 +538,6 @@ class LoccProtocol:
         *,
         discard: Sequence[int] = (),
         relabel: Sequence[int] | None = None,
-        classical_factors: Sequence[int] = (),
     ):
         self.input_layout = input_layout
         self.steps = tuple(steps)
@@ -547,30 +548,18 @@ class LoccProtocol:
                 raise LayoutMismatchError(f"discard index {i} out of range")
         if len(self.discard) == len(input_layout):
             raise ValueError("cannot discard every factor")
-        self.classical_factors = tuple(sorted(set(int(i) for i in classical_factors)))
-        for i in self.classical_factors:
-            if not 0 <= i < len(input_layout):
-                raise LayoutMismatchError(f"classical factor index {i} out of range")
         if relabel is not None:
             relabel = tuple(int(i) for i in relabel)
             if sorted(relabel) != list(range(len(self._kept()))):
                 raise ValueError(f"relabel {relabel} is not a permutation of kept factors")
         self.relabel = relabel
 
-    def _kept(self, keep_classical: bool = True) -> list[int]:
-        """Input factors left after the discard (and the classical registers)."""
-        drop = set(self.discard)
-        if not keep_classical:
-            drop |= set(self.classical_factors)
-        return [i for i in range(len(self.input_layout)) if i not in drop]
+    def _kept(self) -> list[int]:
+        """Input factors left after the discard."""
+        return [i for i in range(len(self.input_layout)) if i not in self.discard]
 
-    def output_layout(self, *, keep_classical: bool = True) -> SystemLayout:
-        kept = self._kept(keep_classical)
-        if not kept:
-            raise ValueError("no factors left after discarding classical registers")
-        if self.relabel is not None and not keep_classical:
-            raise ValueError("cannot relabel after discarding classical registers")
-        layout = self.input_layout.subset(kept)
+    def output_layout(self) -> SystemLayout:
+        layout = self.input_layout.subset(self._kept())
         if self.relabel is not None:
             layout = layout.subset(self.relabel)
         return layout
@@ -707,7 +696,7 @@ def controlled_on_register(
     if updates is None:
         updates = tuple(range(len(branches)))
     step = RegisterControlled(register, tuple(b.steps for b in branches), tuple(updates))
-    return LoccProtocol(layout, (step,), classical_factors=(register,))
+    return LoccProtocol(layout, (step,))
 
 
 def embed_protocol(
@@ -727,11 +716,7 @@ def embed_protocol(
             )
     if protocol.discard or protocol.relabel is not None:
         raise ValueError("cannot embed a protocol with terminal discard or relabeling")
-    return LoccProtocol(
-        target_layout,
-        _remap_steps(protocol.steps, fmap),
-        classical_factors=tuple(fmap[i] for i in protocol.classical_factors),
-    )
+    return LoccProtocol(target_layout, _remap_steps(protocol.steps, fmap))
 
 
 def tensor_protocols(first: LoccProtocol, second: LoccProtocol) -> LoccProtocol:
@@ -753,8 +738,6 @@ def tensor_protocols(first: LoccProtocol, second: LoccProtocol) -> LoccProtocol:
         first.steps + _remap_steps(second.steps, range(f1, f1 + f2)),
         discard=first.discard + tuple(f1 + i for i in second.discard),
         relabel=relabel,
-        classical_factors=first.classical_factors
-        + tuple(f1 + i for i in second.classical_factors),
     )
 
 
@@ -959,7 +942,7 @@ def _steps_kraus(layout: SystemLayout, steps: Sequence[Step]) -> list[np.ndarray
     return ops
 
 
-def flatten(protocol: LoccProtocol, *, keep_classical: bool = True) -> Channel:
+def flatten(protocol: LoccProtocol) -> Channel:
     """Compose a protocol into a single trace-preserving channel.
 
     This is the Kraus-form export and the reference oracle for
@@ -967,8 +950,8 @@ def flatten(protocol: LoccProtocol, *, keep_classical: bool = True) -> Channel:
     is capped at ``KRAUS_CAP``.
     """
     layout = protocol.input_layout
-    out_layout = protocol.output_layout(keep_classical=keep_classical)
-    kept = protocol._kept(keep_classical)
+    out_layout = protocol.output_layout()
+    kept = protocol._kept()
     ops = _steps_kraus(layout, protocol.steps)
     if len(kept) < len(layout):
         # one partial-trace map per basis state j of the dropped factors
@@ -1073,7 +1056,6 @@ def protocol_to_dict(protocol: LoccProtocol) -> dict:
         "steps": [_encode_step(s) for s in protocol.steps],
         "discard": list(protocol.discard),
         "relabel": list(protocol.relabel) if protocol.relabel is not None else None,
-        "classical_factors": list(protocol.classical_factors),
     }
 
 
@@ -1085,11 +1067,8 @@ def protocol_from_dict(doc: dict) -> LoccProtocol:
         discard = tuple(int(i) for i in doc.get("discard") or ())
         relabel = doc.get("relabel")
         relabel = tuple(int(i) for i in relabel) if relabel is not None else None
-        classical = tuple(int(i) for i in doc.get("classical_factors") or ())
     steps = tuple(_decode_step(s, layout) for s in step_docs)
-    return LoccProtocol(
-        layout, steps, discard=discard, relabel=relabel, classical_factors=classical
-    )
+    return LoccProtocol(layout, steps, discard=discard, relabel=relabel)
 
 
 def save_protocol(protocol: LoccProtocol, path) -> None:

@@ -164,8 +164,10 @@ def squashed_upper(
     only the returned extension and the flag extension of a user
     ``decomposition``, which is outside input, are validated, so a
     negative weight raises ``StateInvariantError``.  ``DimensionCapError``
-    is raised first if the widest extension the rounds could build,
-    ``rho.total_dim * min(max_ext_dim, search_budget)``, exceeds ``DIM_CAP``.
+    is raised before any candidate if the widest extension a candidate
+    could build exceeds ``DIM_CAP``: ``rho.total_dim`` times the rank (the
+    eigenvector flags), the decomposition's length, or
+    ``min(max_ext_dim, search_budget)`` (the rounds).
     """
     layout = rho.layout
     if set(layout.parties) != {0, 1}:
@@ -174,12 +176,15 @@ def squashed_upper(
         raise ValueError(f"max_ext_dim must be >= 1, got {max_ext_dim}")
     if search_budget < 0:
         raise BudgetError(f"search_budget must be >= 0, got {search_budget}")
-    # round r extends the purifying factor to an output dimension of at
-    # most min(max_ext_dim, r + 1): check the largest before any candidate
-    ext = rho.total_dim * min(max_ext_dim, search_budget)
-    if ext > DIM_CAP:
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    # a flag extension has one flag per eigenvector or decomposition member,
+    # and round r extends the purifying factor to an output dimension of at
+    # most min(max_ext_dim, r + 1): check the widest before any candidate
+    rank = int(np.count_nonzero(vals > EIG_CUTOFF))
+    width = max(rank, len(decomposition or ()), min(max_ext_dim, search_budget))
+    if rho.total_dim * width > DIM_CAP:
         raise DimensionCapError(
-            f"extension dimension {ext} ({rho.total_dim} x {min(max_ext_dim, search_budget)}) "
+            f"extension dimension {rho.total_dim * width} ({rho.total_dim} x {width}) "
             f"exceeds cap {DIM_CAP}"
         )
 
@@ -187,8 +192,6 @@ def squashed_upper(
         return layout + SystemLayout([(2, dim_e)])
 
     candidates = [(rho.matrix, 1)]  # (extension matrix, dimension of E)
-
-    vals, vecs = np.linalg.eigh(rho.matrix)
     eig_parts = [(float(v), np.outer(u, u.conj())) for v, u in zip(vals, vecs.T)
                  if v > EIG_CUTOFF]
     if len(eig_parts) > 1:

@@ -10,6 +10,9 @@ array; the outcomes' Kraus operators and corrections are filled into two
 read-only stacks; the instrument and the step keep them, checked and run
 as stacks, and its channels and correction steps are views of them.  Every
 entry is real, so the stacks are float64: half the bytes of complex ones.
+The chain refuses, before it doubles its branches, to list more entries
+than one ``DIM_CAP`` x ``DIM_CAP`` matrix holds.  A pure source's
+conversion rate is read from its spectrum; no state is built.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionCapError, DivergingRateError, NotConvertibleError
 from .locc import Instrument, LocalChannel, LocalInstrument, LoccProtocol, _views
-from .measures import EdBounds, hashing_bounds
+from .measures import hashing_bounds
 from .qstate import DIM_CAP, QState, SchmidtVector, SystemLayout, pure_state
 
 __all__ = [
@@ -117,6 +120,13 @@ def _mixing_chain(target: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, n
         over = np.where(w > source + SUM_TOL)[0]
         if over.size == 0:
             break
+        # the outcomes' d x d operators may hold no more entries than one
+        # cap-sized matrix: refuse before the doubling passes that
+        if 2 * len(sigmas) * d * d > DIM_CAP**2:
+            raise DimensionCapError(
+                f"synthesis of {2 * len(sigmas)} outcomes of dimension {d} exceeds "
+                f"the {DIM_CAP}^2 entries of one cap-sized matrix"
+            )
         j = int(over[-1])
         under = np.where((np.arange(d) > j) & (w < source - SUM_TOL))[0]
         if under.size == 0:  # pragma: no cover - only if domination was violated
@@ -172,27 +182,23 @@ def synthesize_pure_protocol(
 
     if layout is None:
         layout = SystemLayout([(0, d), (1, d)])
-        a_factors: tuple[int, ...] = (0,)
-        b_factors: tuple[int, ...] = (1,)
-        da = db = d
-    else:
-        if layout.parties != (0, 1):
-            raise ValueError("layout must contain exactly parties 0 and 1")
-        a_factors = layout.party_factors(0)
-        b_factors = layout.party_factors(1)
-        da = layout.subset(a_factors).total_dim
-        db = layout.subset(b_factors).total_dim
-        if da > DIM_CAP:
-            # the padded spectra and every outcome's da x da operators
-            raise DimensionCapError(f"party dimension {da} exceeds cap {DIM_CAP}")
-        if da != db or da < d:
-            raise ValueError(
-                f"party dimensions ({da}, {db}) cannot hold a length-{d} spectrum"
-            )
-        if da > d:
-            t = np.pad(t, (0, da - d))
-            s = np.pad(s, (0, da - d))
-            d = da
+    if layout.parties != (0, 1):
+        raise ValueError("layout must contain exactly parties 0 and 1")
+    a_factors = layout.party_factors(0)
+    b_factors = layout.party_factors(1)
+    da = layout.subset(a_factors).total_dim
+    db = layout.subset(b_factors).total_dim
+    if da > DIM_CAP:
+        # the padded spectra and every outcome's da x da operators
+        raise DimensionCapError(f"party dimension {da} exceeds cap {DIM_CAP}")
+    if da != db or da < d:
+        raise ValueError(
+            f"party dimensions ({da}, {db}) cannot hold a length-{d} spectrum"
+        )
+    if da > d:
+        t = np.pad(t, (0, da - d))
+        s = np.pad(s, (0, da - d))
+        d = da
 
     sigmas, wts = _mixing_chain(t, s)
     ts = t[sigmas]
@@ -238,19 +244,23 @@ class PureRate(NamedTuple):
     upper: float
 
 
-def pure_target_rate(rho: QState, phi: SchmidtVector) -> PureRate:
+def pure_target_rate(rho: QState | SchmidtVector, phi: SchmidtVector) -> PureRate:
     """Asymptotic conversion-rate interval toward a pure target.
 
     The distillable entanglement of the source, sandwiched by the hashing
     bounds, is divided by the target's entanglement entropy.  For a pure
-    source the interval collapses to the exact reversible rate.  A product
-    target makes the rate diverge, which is reported as an error rather
-    than a number.
+    source the interval collapses to the exact reversible rate; a source
+    given as a ``SchmidtVector`` is that pure state, and both bounds are
+    its spectrum's entropy, with no state built.  A product target makes
+    the rate diverge, which is reported as an error rather than a number.
     """
     s_phi = phi.entropy()
     if s_phi < 1e-12:
         raise DivergingRateError(
             "target carries no entanglement; the conversion rate diverges"
         )
-    bounds: EdBounds = hashing_bounds(rho)
-    return PureRate(lower=bounds.lower / s_phi, upper=bounds.upper / s_phi)
+    if isinstance(rho, SchmidtVector):
+        lower = upper = rho.entropy()
+    else:
+        lower, upper = hashing_bounds(rho)
+    return PureRate(lower=lower / s_phi, upper=upper / s_phi)

@@ -424,9 +424,8 @@ def von_neumann_entropy(state: QState) -> float:
     return _entropy_from_probs(state.spectrum)
 
 
-def is_pure(state: QState, tol: float = PURITY_TOL) -> bool:
-    top = float(state.spectrum[-1])
-    return top >= 1.0 - tol
+def is_pure(state: QState) -> bool:
+    return float(state.spectrum[-1]) >= 1.0 - PURITY_TOL
 
 
 def _check_bipartition(

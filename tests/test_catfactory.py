@@ -258,11 +258,7 @@ def test_iterate_negative_control_growing_drift():
     asm = build_catalyst(_synth_lambda(2), rho, 2)
     joint = asm.embedding.input_layout
     dep = Channel.depolarizing(SystemLayout([(0, 2)]), 0.97)
-    bad = LoccProtocol(
-        joint,
-        asm.embedding.steps + (local_channel(joint, 0, (2,), dep.kraus),),
-        classical_factors=asm.embedding.classical_factors,
-    )
+    bad = LoccProtocol(joint, asm.embedding.steps + (local_channel(joint, 0, (2,), dep.kraus),))
     _, cert = iterate_reuse(bad, asm.tau, rho, 4, tau=asm.tau, sigma=sigma)
     assert cert.fixed_point_residual > 1e-3
     d = cert.catalyst_drifts
@@ -462,10 +458,7 @@ def test_relabeled_protocols_match_state_chain():
     emb = asm.embedding
     # hand back (party-0 system qubit, register) as the "system": the output
     # dims still match, so the certificate is computed on the relabeled split
-    lam = LoccProtocol(
-        emb.input_layout, emb.steps, relabel=(0, 4, 2, 3, 1),
-        classical_factors=emb.classical_factors,
-    )
+    lam = LoccProtocol(emb.input_layout, emb.steps, relabel=(0, 4, 2, 3, 1))
     got = verify_catalysis(lam, tau_eps, rho, sigma)
     want = _chain_catalysis(lam, tau_eps, rho, sigma)
     assert np.max(np.abs(np.subtract(got, want))) < 1e-12
@@ -488,16 +481,13 @@ def test_verify_catalysis_errors_match_state_chain():
     rho, sigma, asm, tau_eps = _noisy_setup(3)
     emb = asm.embedding
     lay = emb.input_layout
-    cf = emb.classical_factors
     cases = [
         # a discard breaks the split
-        (LoccProtocol(lay, emb.steps, discard=(1,), classical_factors=cf), asm.tau, sigma),
+        (LoccProtocol(lay, emb.steps, discard=(1,)), asm.tau, sigma),
         # a relabel that moves the dim-3 register into the system
-        (LoccProtocol(lay, emb.steps, relabel=(0, 6, 2, 3, 4, 5, 1), classical_factors=cf),
-         asm.tau, sigma),
+        (LoccProtocol(lay, emb.steps, relabel=(0, 6, 2, 3, 4, 5, 1)), asm.tau, sigma),
         # a relabel that moves a system qubit into the catalyst's register slot
-        (LoccProtocol(lay, emb.steps, relabel=(0, 1, 2, 3, 4, 6, 5), classical_factors=cf),
-         asm.tau, sigma),
+        (LoccProtocol(lay, emb.steps, relabel=(0, 1, 2, 3, 4, 6, 5)), asm.tau, sigma),
         # a sigma on the wrong dims
         (emb, asm.tau, maximally_mixed(SystemLayout([(0, 2), (1, 3)]))),
     ]

@@ -346,6 +346,22 @@ def test_samples_env_override(tmp_path, monkeypatch):
     assert rep["samples"] == 3 and len(rep["results"]["scatter"]) == 3
 
 
+def test_samples_only_where_there_are_samples(tmp_path, monkeypatch, capsys):
+    # verify-lemma1 and superadd read samples; the other commands refuse the
+    # key and the flag, and leave CATENT_SAMPLES unread
+    scn = _write(tmp_path, "d.scn", "command: distill\nf_initial: 0.8\nf_target: 0.9\n")
+    assert cli.main(["distill", "--scenario", scn, "--samples", "3"]) == 2
+    assert "unknown keys for distill: samples" in capsys.readouterr().err
+    with pytest.raises(ScenarioError, match="unknown keys for bounds: samples"):
+        cli.run({"command": "bounds", "state": "singlet", "samples": "3"})
+    monkeypatch.setenv("CATENT_SAMPLES", "3")
+    out = str(tmp_path / "d.json")
+    assert cli.main(["distill", "--scenario", scn, "--out", out]) == 0
+    assert json.load(open(out))["samples"] is None
+    assert cli.run({"command": "superadd"})["samples"] == 5
+    assert cli.run({"command": "verify-lemma1", "samples": "2"})["samples"] == 2
+
+
 def test_scenario_from_env_and_out_key(tmp_path, monkeypatch):
     out = tmp_path / "via-key.json"
     scn = _write(
@@ -519,9 +535,10 @@ def _run_limited(tmp_path, command, text, address_space_mb, timeout_s):
 
 @pytest.mark.parametrize("copies", [7, 10**9])
 def test_synth_catalyst_copies_past_cap_exits_1(tmp_path, copies):
-    # the reused copies come back as one product: 7 copies of a 4-dim pair
-    # are 16384-dim, 4 GiB as a dense matrix.  10**9 copies must neither
-    # loop nor build the integer 4**(10**9) to find that out.
+    # the CLI builds no product of the reused copies, but keeps the product
+    # cap of iterate_reuse as its bound: 7 copies of a 4-dim pair would be
+    # 16384-dim, 4 GiB as a dense matrix.  10**9 copies must neither loop
+    # nor build the integer 4**(10**9) to find that out.
     proc = _run_limited(
         tmp_path,
         "synth-catalyst",
@@ -594,7 +611,6 @@ _TERMS_65 = ",".join(["1"] * 65)
 @pytest.mark.parametrize(
     "command,text,dim",
     [
-        ("pure-rate", f"source: {_TERMS_65}\ntarget: 1\n", "pure state dimension 4225"),
         ("catalyze", f"rho: pure:{_TERMS_65}\nn: 2\n", "pure state dimension 4225"),
         ("reduce", f"rho: pure:{_TERMS_65}\nsigma: singlet\nn: 2\nm: 1\n",
          "pure state dimension 4225"),
@@ -603,7 +619,7 @@ _TERMS_65 = ",".join(["1"] * 65)
         ("pure-rate", "source: 0.5,0.5\ntarget: 1\ncatalyst: " + ",".join(["1"] * 2049) + "\n",
          "spectrum product length 4098"),
     ],
-    ids=["pure-rate", "catalyze", "reduce", "synth-catalyst", "pure-rate-catalyst"],
+    ids=["catalyze", "reduce", "synth-catalyst", "pure-rate-catalyst"],
 )
 def test_spectra_past_cap_exit_1_before_allocating(tmp_path, capsys, command, text, dim):
     # a 65-term spectrum is a 4225-dim pure state, and a product spectrum
@@ -613,6 +629,93 @@ def test_spectra_past_cap_exit_1_before_allocating(tmp_path, capsys, command, te
     assert cli.main([command, "--scenario", scn]) == 1
     assert time.perf_counter() - t0 < 1.0
     assert f"{dim} exceeds cap 4096" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("terms", [65, 10**4])
+def test_pure_rate_answers_from_the_source_spectrum(tmp_path, terms):
+    # a pure source's rate is its spectrum's entropy over the target's, so
+    # no state is built and the source is not held to the state cap (65
+    # terms would be a 4225-dim state)
+    source = ",".join(["1"] * terms)
+    scn = _write(tmp_path, "s.scn", f"command: pure-rate\nsource: {source}\ntarget: 0.5,0.5\n")
+    out = str(tmp_path / "r.json")
+    t0 = time.perf_counter()
+    assert cli.main(["pure-rate", "--scenario", scn, "--out", out]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    with open(out) as fh:
+        rate = json.load(fh)["results"]["rate"]
+    assert rate["lower"] == rate["upper"]
+    assert abs(rate["upper"] - math.log2(terms)) < 1e-12
+
+
+_TIMED_MAIN = """
+import sys, time
+from catent import cli
+t0 = time.perf_counter()
+code = cli.main(sys.argv[1:])
+print(f"seconds: {time.perf_counter() - t0:.3f}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _run_timed(tmp_path, command, text, address_space_mb=1024, timeout_s=60):
+    """``cli.main`` in a child under an address-space limit; returns the
+    process and the seconds ``main`` took, interpreter start excluded."""
+    def limit():
+        cap = address_space_mb * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    scn = _write(tmp_path, f"{command}.scn", text)
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED_MAIN, command, "--scenario", scn],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        timeout=timeout_s,
+        preexec_fn=limit,
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr
+    seconds = float(proc.stderr.strip().splitlines()[-1].removeprefix("seconds: "))
+    return proc, seconds
+
+
+@pytest.mark.parametrize(
+    "command,text,outcomes,dim",
+    [
+        ("catalyze", "rho: pure:0.5,0.3,0.2\nsigma: pure:0.6,0.3,0.1\nprotocol: synth\nn: 3\n",
+         32768, 27),
+        ("reduce", "rho: pure:0.5,0.5\nsigma: pure:0.75,0.25\nprotocol: synth\nn: 5\nm: 1\n",
+         32768, 32),
+        ("synth-catalyst", "rho: pure:0.5,0.5\nsigma: pure:0.75,0.25\nn: 5\n", 32768, 32),
+    ],
+    ids=["catalyze-n3", "reduce-n5", "synth-catalyst-n5"],
+)
+def test_synthesis_past_the_entry_cap_exits_1_before_allocating(tmp_path, command, text,
+                                                                outcomes, dim):
+    # the mixing chain doubles its branches each step: these ran out of
+    # memory at 2**22 and 2**23 branches (864 MiB and 2 GiB of index rows)
+    proc, seconds = _run_timed(tmp_path, command, text)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("catent: failed:"), proc.stderr
+    assert f"synthesis of {outcomes} outcomes of dimension {dim} exceeds" in proc.stderr
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("dims,width", [((8, 16), 128), ((8, 9), 72)])
+def test_squashed_flag_extension_past_cap_exits_1(tmp_path, dims, width):
+    # a full-rank state's eigenvector flags extend it by its rank: at 128
+    # dims that is a 16384-dim extension, 4 GiB as a matrix; at 72 dims the
+    # 5184-dim extension ran for 17 s, past the cap
+    from catent.qstate import SystemLayout, random_state
+
+    state = random_state(SystemLayout([(0, dims[0]), (1, dims[1])]), "ginibre_mixed", seed=1)
+    path = str(tmp_path / "state.json")
+    save_state(state, path)
+    proc, seconds = _run_timed(tmp_path, "bounds", f"state: file:{path}\nbudget: 0\n")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("catent: failed:"), proc.stderr
+    assert f"extension dimension {width * width} ({width} x {width}) exceeds cap 4096" in proc.stderr
+    assert seconds < 1.0
 
 
 def test_catalyze_copies_past_cap_raise_the_cap_error():

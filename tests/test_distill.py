@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from catent import distill
 from catent.distill import (
-    MC_COPY_BUDGET,
     PAIR_LAYOUT,
     DistillRun,
     distill_to,
@@ -144,9 +144,21 @@ def test_expected_copies_monte_carlo():
     assert abs(mc - run.copies_consumed) / run.copies_consumed < 0.1
 
 
-def test_expected_copies_mc_budget_checked_before_drawing():
-    # a run with no rounds costs exactly one copy per sample
-    at_budget = DistillRun(rounds=(), copies_consumed=MC_COPY_BUDGET)
+def test_copies_consumed_is_the_product_of_the_round_costs():
+    # multiplied left to right from 1.0, as distill_to multiplied it
+    run = distill_to(0.99, 0.75)
+    want = 1.0
+    for r in run.rounds:
+        want *= 2.0 / r.success_probability
+    assert run.copies_consumed == want == 8782.608608379338
+
+
+def test_expected_copies_mc_budget_checked_before_drawing(monkeypatch):
+    # a run with no rounds costs exactly one copy per sample; with a budget of
+    # one copy, one sample is at the budget
+    monkeypatch.setattr(distill, "MC_COPY_BUDGET", 1.0)
+    at_budget = DistillRun(rounds=())
+    assert at_budget.copies_consumed == 1.0
     assert expected_copies_mc(at_budget, samples=1) == 1.0
     with pytest.raises(BudgetError, match="budget"):
         expected_copies_mc(at_budget, samples=2)

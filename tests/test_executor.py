@@ -201,18 +201,14 @@ def _index_map_reorder(dims, order):
     return p
 
 
-def _index_map_flatten(protocol, keep_classical):
+def _index_map_flatten(protocol):
     """``flatten``'s Kraus list and output layout, built with the old index maps."""
     layout = protocol.input_layout
     ops = _steps_kraus(layout, protocol.steps)
     drop = set(protocol.discard)
-    if not keep_classical:
-        drop |= set(protocol.classical_factors)
     out_layout = layout
     if drop:
         kept = [i for i in range(len(layout)) if i not in drop]
-        if not kept:
-            raise ValueError("no factors left after discarding")
         dims = layout.dims
         d = layout.total_dim
         d_drop = int(np.prod([dims[i] for i in sorted(drop)]))
@@ -225,12 +221,10 @@ def _index_map_flatten(protocol, keep_classical):
             traces.append(v)
         ops = [v @ op for v in traces for op in ops]
         out_layout = layout.subset(kept)
-    if protocol.relabel is not None and keep_classical:
+    if protocol.relabel is not None:
         r = _index_map_reorder(out_layout.dims, protocol.relabel)
         ops = [r @ op for op in ops]
         out_layout = out_layout.subset(protocol.relabel)
-    elif protocol.relabel is not None:
-        raise ValueError("cannot relabel after discarding classical registers")
     return [op for op in ops if np.any(op)], out_layout
 
 
@@ -262,16 +256,9 @@ def test_flatten_matches_old_index_maps(layout, data):
         steps,
         discard=tuple(discard),
         relabel=data.draw(st.none() | st.permutations(range(n - len(discard)))),
-        classical_factors=tuple(data.draw(st.sets(st.integers(0, n - 1)))),
     )
-    keep_classical = data.draw(st.booleans())
-    try:
-        ops, out_layout = _index_map_flatten(protocol, keep_classical)
-    except ValueError:
-        with pytest.raises(ValueError):
-            flatten(protocol, keep_classical=keep_classical)
-        return
-    got = flatten(protocol, keep_classical=keep_classical)
+    ops, out_layout = _index_map_flatten(protocol)
+    got = flatten(protocol)
     assert got.output_layout == out_layout
     assert got._stack.tobytes() == np.array(ops).tobytes()
 
@@ -342,8 +329,7 @@ def _outcome_loop(protocol):
             object.__setattr__(s, "_fix", None)
         steps.append(s)
     return LoccProtocol(
-        protocol.input_layout, steps, discard=protocol.discard, relabel=protocol.relabel,
-        classical_factors=protocol.classical_factors,
+        protocol.input_layout, steps, discard=protocol.discard, relabel=protocol.relabel
     )
 
 

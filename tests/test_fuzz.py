@@ -2,8 +2,8 @@
 
 Random step trees over small layouts cover every step kind: local
 channels, instruments with and without a correction stack (derived from
-the cases or handed in), nested cases, register branches, and discard,
-relabel and classical factors.  Faults are injected at random.  A tree
+the cases or handed in), nested cases, register branches, discard and
+relabel.  Faults are injected at random.  A tree
 without a fault must construct, run on a random state and match
 ``flatten``; a tree with one must be refused at construction with a
 ``catent.errors`` type or a ``ValueError`` that catent raises itself,
@@ -94,7 +94,6 @@ class _Tree:
     def __init__(self, data, layout, rng):
         self.data, self.layout, self.rng = data, layout, rng
         self.faults: list[str] = []
-        self.registers: set[int] = set()
 
     def draw(self, strategy):
         return self.data.draw(strategy)
@@ -206,7 +205,6 @@ class _Tree:
 
     def controlled(self, free, depth):
         reg = self.draw(st.sampled_from(free))
-        self.registers.add(reg)
         event("controlled")
         rd = self.layout[reg].dim
         inner = [i for i in free if i != reg]
@@ -245,18 +243,14 @@ class _Tree:
         steps = self.steps(list(range(n)), depth=2)
         discard = sorted(self.draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
         relabel = self.draw(st.none() | st.permutations(range(n - len(discard))))
-        classical = sorted(self.registers)
-        fault = self.fault("discard_all", "discard_range", "relabel", "classical_range")
+        fault = self.fault("discard_all", "discard_range", "relabel")
         if fault == "discard_all":
             discard = list(range(n))
         elif fault == "discard_range":
             discard.append(n)
         elif fault == "relabel":
             relabel = [0] * (n - len(discard) + 1)
-        elif fault == "classical_range":
-            classical.append(-1)
-        return LoccProtocol(self.layout, steps, discard=discard, relabel=relabel,
-                            classical_factors=classical)
+        return LoccProtocol(self.layout, steps, discard=discard, relabel=relabel)
 
 
 _layouts = st.lists(
@@ -370,7 +364,7 @@ def _mutate(doc, data, kinds=_PROTOCOL_MUTATIONS):
         paths = [p for p, v in nodes if isinstance(v, dict) and "format" in v]
         node = _at(doc, data.draw(st.sampled_from(paths)))
         node["format"] = data.draw(st.sampled_from([f for f in _FORMATS if f != node["format"]]))
-    elif kind == "n":  # an assembly's copy count, off by one
+    elif kind == "n":  # an assembly's written copy count, off by one: not read
         doc["n"] += data.draw(st.sampled_from([-1, 1]))
     else:
         path = pick(lambda p, v: p[-1] == "branches" and isinstance(v, list))
@@ -647,12 +641,21 @@ def test_distill_round_budget_is_a_typed_error():
         cli.run(scen)
 
 
-def test_assembly_whose_n_disagrees_with_its_marginals_is_refused():
-    # it loaded, and its expected output then had trace 2/3
+def test_assembly_copy_count_is_its_number_of_marginals():
+    # a document's own n is not read.  One whose n said 3 of its 2 marginals
+    # once loaded with an expected output of trace 2/3, and was then refused
     doc = assembly_to_dict(_built_assembly())
+    assert doc["n"] == 2
     doc["n"] = 3
-    with pytest.raises(DocumentError, match="assembly of 3 copies has 2 per-copy marginals"):
-        assembly_from_dict(doc)
+    back = assembly_from_dict(doc)
+    assert back.n == 2
+    assert abs(np.trace(back.expected_output().matrix) - 1.0) < 1e-12
+    # the register still counts the copies: a marginal too many or too few
+    # is refused
+    marginals = doc["gamma_marginals"]
+    for wrong in (marginals + marginals[:1], marginals[:1], []):
+        with pytest.raises(DocumentError, match=f"2-phase register has {len(wrong)} per-copy"):
+            assembly_from_dict({**doc, "gamma_marginals": wrong})
 
 
 def test_local_instrument_checks_its_factors_first():

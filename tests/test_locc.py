@@ -760,7 +760,7 @@ def test_controlled_discard_register():
         basis_state(SystemLayout([(1, 2)]), (0,)),
     )
     kept = apply(flatten(proto), src)
-    dropped = apply(flatten(proto, keep_classical=False), src)
+    dropped = apply(flatten(LoccProtocol(lay, proto.steps, discard=(0,))), src)
     assert dropped.layout.dims == (2,)
     want = partial_trace(kept, (1,))
     assert np.max(np.abs(dropped.matrix - want.matrix)) < 1e-13
@@ -839,14 +839,9 @@ def test_relabel_reorders_output():
 
 def test_output_layout_consistency():
     lay = SystemLayout([(0, 2), (0, 2), (1, 2)])
-    proto = LoccProtocol(lay, discard=(1,), classical_factors=(0,))
+    proto = LoccProtocol(lay, discard=(1,))
     assert proto.output_layout().dims == (2, 2)
-    assert proto.output_layout(keep_classical=False).dims == (2,)
     assert flatten(proto).output_layout == proto.output_layout()
-    assert (
-        flatten(proto, keep_classical=False).output_layout
-        == proto.output_layout(keep_classical=False)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -867,9 +862,7 @@ def _rich_protocol():
     branch0 = identity_protocol(lay)
     branch1 = LoccProtocol(lay, inner)
     ctrl = controlled_on_register(0, [branch0, branch1], updates=(0, 0))
-    return LoccProtocol(
-        lay, ctrl.steps, discard=(1,), classical_factors=(0,)
-    )
+    return LoccProtocol(lay, ctrl.steps, discard=(1,))
 
 
 def test_protocol_dict_roundtrip_bit_exact():
@@ -882,7 +875,10 @@ def test_protocol_dict_roundtrip_bit_exact():
     for a, b in zip(k1, k2):
         assert np.array_equal(a, b)
     assert back.discard == proto.discard
-    assert back.classical_factors == proto.classical_factors
+    # an older document that still declares its classical registers loads
+    # as the same protocol, the key ignored
+    old = protocol_from_dict({**doc, "classical_factors": [0]})
+    assert protocol_to_dict(old) == doc and "classical_factors" not in doc
 
 
 def test_protocol_file_roundtrip(tmp_path):
