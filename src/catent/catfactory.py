@@ -10,9 +10,11 @@ catalyst marginal is reproduced exactly by this bookkeeping, and the
 handed-back copy averages the n-copy protocol's per-copy marginals.
 
 ``iterate_reuse`` drives a catalytic channel sequentially with a
-possibly imperfect catalyst and certifies non-accumulation: because
-trace distance is monotone under channels, every catalyst drift and
-per-copy error stays within the initial catalyst error.
+possibly imperfect catalyst, returns the per-copy outputs and certifies
+non-accumulation: because trace distance is monotone under channels,
+every catalyst drift and per-copy error stays within the initial
+catalyst error.  ``reuse_joint`` returns the joint of those copies,
+cross-copy correlations included.
 
 Every protocol run here is one raw step, ``_catalytic_step``; only the
 states a function returns are validated.  No run repeats within a call:
@@ -57,7 +59,6 @@ from .qstate import (
     is_pure,
     state_from_dict,
     state_to_dict,
-    tensor_all,
 )
 
 EXACTNESS_TOL = 1e-9
@@ -275,6 +276,25 @@ def _fixed_point(lam: LoccProtocol, rho: QState, start: np.ndarray) -> np.ndarra
     return x
 
 
+def _reuse_checks(lam: LoccProtocol, tau_eps: QState, rho: QState, copies: int):
+    """The checks of both reuse drivers; returns ``copies`` and ``d**copies`` (capped)."""
+    copies = int(copies)
+    if copies < 1:
+        raise ValueError(f"need at least one copy, got {copies}")
+    if lam.input_layout != rho.layout + tau_eps.layout:
+        raise LayoutMismatchError("protocol input must be one copy plus the catalyst")
+    if lam.discard or lam.relabel is not None:
+        raise LayoutMismatchError("protocol must keep the system+catalyst split")
+    ds, dc = rho.total_dim, tau_eps.total_dim
+    if ds * dc > DIM_CAP:
+        raise DimensionCapError(f"joint dimension {ds * dc} exceeds cap {DIM_CAP}")
+    # no product of the copies is built, but they stay within the cap it would have
+    out_dim = _copies_dim(ds, copies)
+    if out_dim > DIM_CAP:
+        raise DimensionCapError(f"{copies} output copies of dimension {ds} exceed cap {DIM_CAP}")
+    return copies, out_dim
+
+
 def iterate_reuse(
     lam: LoccProtocol,
     tau_eps: QState,
@@ -283,16 +303,14 @@ def iterate_reuse(
     *,
     tau: QState | None = None,
     sigma: QState | None = None,
-    track_joint: bool = False,
-) -> tuple[QState, ReductionCertificate]:
+    _run: tuple[np.ndarray, Sequence[np.ndarray]] | None = None,
+) -> tuple[tuple[QState, ...], ReductionCertificate]:
     """Drive a catalytic channel ``copies`` times, reusing the catalyst.
 
-    Returns the converted copies and a certificate.  Earlier copies are
-    tracked through their marginals only; that is exact for every
+    Returns the per-copy output states and a certificate.  Earlier copies
+    are tracked through their marginals only; that is exact for every
     certified quantity because the channel touches one fresh copy at a
-    time, and the returned state is then the product of those
-    marginals.  ``track_joint`` keeps the full joint instead (subject
-    to the dimension cap) so cross-copy correlations survive.
+    time.  ``reuse_joint`` keeps the cross-copy correlations instead.
 
     ``tau`` is the exact reusable catalyst; left unset it is computed
     as a fixed point of the induced catalyst update seeded at
@@ -301,83 +319,33 @@ def iterate_reuse(
     a block of iterates (see ``_fixed_point``).  The achieved
     ``fixed_point_residual`` is reported, not enforced.  ``sigma``
     defaults to the output marginal at the exact catalyst, which makes
-    ``delta_single_shot`` zero.
+    ``delta_single_shot`` zero.  ``_run`` is lam's raw run on rho tensor
+    ``tau``, as an assembly keeps it; it is run here otherwise.
     """
-    outputs, joint, cert = _reuse(lam, tau_eps, rho, copies, tau, sigma, track_joint)
-    return (tensor_all(outputs) if joint is None else joint), cert
-
-
-def _reuse(
-    lam: LoccProtocol,
-    tau_eps: QState,
-    rho: QState,
-    copies: int,
-    tau: QState | None,
-    sigma: QState | None,
-    track_joint: bool,
-    at_tau: Sequence[np.ndarray] | None = None,
-) -> tuple[list[QState], QState | None, ReductionCertificate]:
-    """``iterate_reuse`` short of the product of its per-copy outputs.
-
-    Returns those outputs, the joint state ``iterate_reuse`` returns under
-    ``track_joint`` (else None) and the certificate; every check and cap
-    of ``iterate_reuse`` is here.  ``at_tau`` is lam's raw (system,
-    catalyst) output on rho tensor ``tau`` when the caller has it, as an
-    assembly's ``_run[1]``; it is run here otherwise.
-    """
-    copies = int(copies)
-    if copies < 1:
-        raise ValueError(f"need at least one copy, got {copies}")
-    if lam.input_layout != rho.layout + tau_eps.layout:
-        raise LayoutMismatchError("protocol input must be one copy plus the catalyst")
-    if lam.discard or lam.relabel is not None:
-        raise LayoutMismatchError("protocol must keep the system+catalyst split")
+    copies, _ = _reuse_checks(lam, tau_eps, rho, copies)
     f = len(rho.layout)
-    ds, dc = rho.total_dim, tau_eps.total_dim
-    if ds * dc > DIM_CAP:
-        raise DimensionCapError(f"joint dimension {ds * dc} exceeds cap {DIM_CAP}")
-    # the returned state spans every copy
-    out_dim = _copies_dim(ds, copies)
-    if out_dim > DIM_CAP:
-        raise DimensionCapError(f"{copies} output copies of dimension {ds} exceed cap {DIM_CAP}")
-    if track_joint and out_dim * dc > DIM_CAP:
-        raise DimensionCapError(
-            f"joint tracking of {copies} copies needs dimension "
-            f"{out_dim * dc} > cap {DIM_CAP}"
-        )
     split = (range(f), range(f, len(lam.input_layout)))  # system, catalyst
 
     if tau is None:
         tau = QState(tau_eps.layout, _fixed_point(lam, rho, tau_eps.matrix))
     elif tau.layout != tau_eps.layout:
         raise LayoutMismatchError("tau and tau_eps layouts differ")
-    if at_tau is None:
-        at_tau = _catalytic_step(lam, (rho.matrix, tau.matrix), split)[1]
-    s_star, tau_next = at_tau
+    if _run is None:
+        _run = _catalytic_step(lam, (rho.matrix, tau.matrix), split)
+    s_star, tau_next = _run[1]
     if sigma is not None and sigma.layout.dims != rho.layout.dims:
         raise LayoutMismatchError(f"dims {rho.layout.dims} vs {sigma.layout.dims}")
     sigma_m = s_star if sigma is None else sigma.matrix
 
     errors, drifts, outputs = [], [], []
     cat = tau_eps.matrix
-    # the joint keeps the catalyst in front and appends each fresh copy, so
-    # its copies stay in chronological order
-    joint, joint_layout = tau_eps.matrix, tau_eps.layout
     for _ in range(copies):
         _, (out_i, cat) = _catalytic_step(lam, (rho.matrix, cat), split)
         errors.append(_herm_dist(out_i, sigma_m))
         drifts.append(_herm_dist(cat, tau.matrix))
         outputs.append(QState(rho.layout, out_i))
-        if track_joint:
-            joint_layout = joint_layout + rho.layout
-            k = len(joint_layout)
-            step = embed_protocol(lam, joint_layout, [*range(k - f, k), *range(len(tau.layout))])
-            joint, _ = _catalytic_step(step, (joint, rho.matrix), ())
-    if track_joint:
-        kept = range(len(tau.layout), len(joint_layout))
-        joint = QState(rho.layout.power(copies), _reduce_matrix(joint, joint_layout.dims, kept))
 
-    cert = ReductionCertificate(
+    return tuple(outputs), ReductionCertificate(
         n=copies,
         m=copies,
         per_marginal_errors=tuple(errors),
@@ -386,7 +354,31 @@ def _reuse(
         delta_single_shot=_herm_dist(s_star, sigma_m),
         fixed_point_residual=_herm_dist(tau_next, tau.matrix),
     )
-    return outputs, (joint if track_joint else None), cert
+
+
+def reuse_joint(lam: LoccProtocol, tau_eps: QState, rho: QState, copies: int) -> QState:
+    """The joint state of ``copies`` outputs of the channel reused on ``tau_eps``.
+
+    Unlike ``iterate_reuse`` it keeps every cross-copy correlation, so the
+    joint of the catalyst and all copies so far must stay within the cap.
+    """
+    copies, out_dim = _reuse_checks(lam, tau_eps, rho, copies)
+    if out_dim * tau_eps.total_dim > DIM_CAP:
+        raise DimensionCapError(
+            f"joint tracking of {copies} copies needs dimension "
+            f"{out_dim * tau_eps.total_dim} > cap {DIM_CAP}"
+        )
+    f = len(rho.layout)
+    # the joint keeps the catalyst in front and appends each fresh copy, so
+    # its copies stay in chronological order
+    joint, joint_layout = tau_eps.matrix, tau_eps.layout
+    for _ in range(copies):
+        joint_layout = joint_layout + rho.layout
+        k = len(joint_layout)
+        step = embed_protocol(lam, joint_layout, [*range(k - f, k), *range(len(tau_eps.layout))])
+        joint, _ = _catalytic_step(step, (joint, rho.matrix), ())
+    kept = range(len(tau_eps.layout), len(joint_layout))
+    return QState(rho.layout.power(copies), _reduce_matrix(joint, joint_layout.dims, kept))
 
 
 def verify_marginal_reduction(
@@ -460,11 +452,18 @@ def assembly_from_dict(doc: dict) -> CatalystAssembly:
         marginals = list(doc["gamma_marginals"])
     tau = state_from_dict(tau)
     # the register's last factor counts the phases, one per copy
-    if len(marginals) != tau.layout[-1].dim:
+    n = len(marginals)
+    if n != tau.layout[-1].dim:
         raise DocumentError(
-            f"assembly with a {tau.layout[-1].dim}-phase register has "
-            f"{len(marginals)} per-copy marginals"
+            f"assembly with a {tau.layout[-1].dim}-phase register has {n} per-copy marginals"
         )
-    return CatalystAssembly(
-        tau, protocol_from_dict(embedding), tuple(state_from_dict(g) for g in marginals)
-    )
+    embedding = protocol_from_dict(embedding)
+    gammas = tuple(state_from_dict(g) for g in marginals)
+    # every copy on one layout L, tau on n-1 copies of L and party 0's register
+    lay = gammas[0].layout
+    want = lay.factors * (n - 1) + ((0, n),)
+    if any(g.layout != lay for g in gammas) or tau.layout.factors != want:
+        raise DocumentError(
+            f"assembly marginals on {[g.layout for g in gammas]} do not fit tau on {tau.layout!r}"
+        )
+    return CatalystAssembly(tau, embedding, gammas)

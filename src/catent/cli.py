@@ -45,8 +45,8 @@ import numpy as np
 from . import __version__
 from .catfactory import (
     _copies_dim,
-    _reuse,
     build_catalyst,
+    iterate_reuse,
     verify_catalysis,
     verify_marginal_reduction,
 )
@@ -379,9 +379,9 @@ def _cmd_synth_catalyst(p):
     lam = _build_protocol(p["protocol"], rho, sigma, n)
     asm = build_catalyst(lam, rho, n)
     tau_eps, synth_dist = synthesize_tau_eps(asm.tau, p["f_resource"])
-    # the certificate alone: the product of the outputs is never built, and
     # the run at tau is the one the build's checks made
-    _, _, cert = _reuse(asm.embedding, tau_eps, rho, copies, asm.tau, sigma, False, asm._run[1])
+    _, cert = iterate_reuse(asm.embedding, tau_eps, rho, copies, tau=asm.tau, sigma=sigma,
+                            _run=asm._run)
     results = {
         "n": n,
         "copies": copies,

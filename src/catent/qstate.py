@@ -122,9 +122,7 @@ class SystemLayout:
     def __iter__(self):
         return iter(self.factors)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return SystemLayout(self.factors[i])
+    def __getitem__(self, i: int) -> Factor:
         return self.factors[i]
 
     def __eq__(self, other) -> bool:
@@ -154,7 +152,7 @@ def _validate_density(
     if m.shape != (dim, dim):
         raise StateInvariantError(f"matrix shape {m.shape} does not match layout dim {dim}")
     with np.errstate(invalid="ignore"):  # inf - inf; a non-finite entry is named below
-        herm_err = float(np.max(np.abs(m - m.conj().T))) if dim else 0.0
+        herm_err = float(np.max(np.abs(m - m.conj().T)))
     if not herm_err <= HERM_TOL:
         for i, j in np.argwhere(~np.isfinite(m))[:1]:
             raise StateInvariantError(f"matrix entry ({i}, {j}) is not finite: {m[i, j]}")

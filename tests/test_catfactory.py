@@ -8,12 +8,12 @@ from catent.catfactory import (
     _catalytic_step,
     _fixed_point,
     _herm_dist,
-    _reuse,
     assembly_from_dict,
     assembly_to_dict,
     build_catalyst,
     decoupled_catalysis_check,
     iterate_reuse,
+    reuse_joint,
     verify_catalysis,
     verify_marginal_reduction,
 )
@@ -45,7 +45,6 @@ from catent.qstate import (
     permute_factors,
     random_state,
     tensor,
-    tensor_all,
     trace_norm_dist,
 )
 
@@ -223,7 +222,7 @@ def test_iterate_exact_catalyst_constant_delta():
         assert abs(e - cert.delta_single_shot) < 1e-9
     for d in cert.catalyst_drifts:
         assert d < 1e-9
-    assert out.layout == PAIR.power(4)
+    assert len(out) == 4 and all(o.layout == PAIR for o in out)
 
 
 def test_iterate_depolarized_catalyst_non_accumulation():
@@ -273,32 +272,34 @@ def test_track_joint_cross_check():
     asm = build_catalyst(_synth_lambda(2), rho, 2)
     mix = maximally_mixed(asm.tau.layout)
     tau_eps = QState(asm.tau.layout, 0.98 * asm.tau.matrix + 0.02 * mix.matrix)
-    out_m, cert_m = iterate_reuse(asm.embedding, tau_eps, rho, 3, tau=asm.tau, sigma=sigma)
-    out_j, cert_j = iterate_reuse(
-        asm.embedding, tau_eps, rho, 3, tau=asm.tau, sigma=sigma, track_joint=True
-    )
-    assert np.allclose(cert_m.per_marginal_errors, cert_j.per_marginal_errors, atol=1e-12)
-    assert out_j.layout == PAIR.power(3)
-    for i in range(3):
-        a = partial_trace(out_j, range(2 * i, 2 * i + 2))
-        b = partial_trace(out_m, range(2 * i, 2 * i + 2))
-        assert trace_norm_dist(a, b) < 1e-10
+    outs, cert = iterate_reuse(asm.embedding, tau_eps, rho, 3, tau=asm.tau, sigma=sigma)
+    joint = reuse_joint(asm.embedding, tau_eps, rho, 3)
+    assert joint.layout == PAIR.power(3)
+    for i, out in enumerate(outs):
+        a = partial_trace(joint, range(2 * i, 2 * i + 2))
+        assert trace_norm_dist(a, out) < 1e-10
+        assert abs(trace_norm_dist(a, sigma) - cert.per_marginal_errors[i]) < 1e-10
 
 
 def test_track_joint_dimension_cap():
     rho = canonical_pure((0.5, 0.5))
     asm = build_catalyst(_synth_lambda(2), rho, 2)
-    with pytest.raises(DimensionCapError):
-        iterate_reuse(asm.embedding, asm.tau, rho, 5, tau=asm.tau, track_joint=True)
+    # 5 copies fit the cap on their own, but not beside the 8-dim catalyst
+    iterate_reuse(asm.embedding, asm.tau, rho, 5)
+    with pytest.raises(DimensionCapError, match="joint tracking of 5 copies needs dimension 8192"):
+        reuse_joint(asm.embedding, asm.tau, rho, 5)
 
 
 def test_iterate_validations():
     rho = canonical_pure((0.5, 0.5))
     asm = build_catalyst(_synth_lambda(2), rho, 2)
-    with pytest.raises(ValueError):
-        iterate_reuse(asm.embedding, asm.tau, rho, 0)
-    with pytest.raises(LayoutMismatchError):
-        iterate_reuse(identity_protocol(PAIR), asm.tau, rho, 1)
+    for fn in (iterate_reuse, reuse_joint):
+        with pytest.raises(ValueError, match="need at least one copy, got 0"):
+            fn(asm.embedding, asm.tau, rho, 0)
+        with pytest.raises(LayoutMismatchError, match="one copy plus the catalyst"):
+            fn(identity_protocol(PAIR), asm.tau, rho, 1)
+        with pytest.raises(DimensionCapError, match="7 output copies of dimension 4 exceed cap"):
+            fn(asm.embedding, asm.tau, rho, 7)
     with pytest.raises(LayoutMismatchError):
         iterate_reuse(asm.embedding, asm.tau, rho, 1, tau=maximally_mixed(PAIR))
 
@@ -396,7 +397,7 @@ def _chain_reuse(lam, tau_eps, rho, copies, tau, sigma, track_joint):
         order = [(copies - 1 - b) * f + t for b in range(copies) for t in range(f)]
         out = permute_factors(body, order)
     else:
-        out = tensor_all(outputs)
+        out = tuple(outputs)
     fields = (errors, drifts, trace_norm_dist(tau_eps, tau), delta, residual)
     return out, fields
 
@@ -437,20 +438,36 @@ def test_marginal_reduction_matches_state_chain(n):
 def test_iterate_reuse_matches_state_chain(n, track_joint):
     rho, sigma, asm, tau_eps = _noisy_setup(n)
     copies = 3 if n == 2 else 2
-    out, cert = iterate_reuse(
-        asm.embedding, tau_eps, rho, copies, tau=asm.tau, sigma=sigma, track_joint=track_joint
-    )
+    out, cert = iterate_reuse(asm.embedding, tau_eps, rho, copies, tau=asm.tau, sigma=sigma)
     want_out, (errors, drifts, eps0, delta, residual) = _chain_reuse(
         asm.embedding, tau_eps, rho, copies, asm.tau, sigma, track_joint
     )
+    if track_joint:
+        out, want_out = (reuse_joint(asm.embedding, tau_eps, rho, copies),), (want_out,)
     assert np.max(np.abs(np.subtract(cert.per_marginal_errors, errors))) < 1e-12
     assert np.max(np.abs(np.subtract(cert.catalyst_drifts, drifts))) < 1e-12
     assert abs(cert.epsilon_initial - eps0) < 1e-12
     assert abs(cert.delta_single_shot - delta) < 1e-12
     assert abs(cert.fixed_point_residual - residual) < 1e-12
-    assert out.layout == want_out.layout
-    assert np.max(np.abs(out.matrix - want_out.matrix)) < 1e-12
+    for got, want in zip(out, want_out, strict=True):
+        assert got.layout == want.layout
+        assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
     assert cert.epsilon_initial > 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_iterate_reuse_returns_the_per_copy_outputs(n):
+    rho, sigma, asm, tau_eps = _noisy_setup(n)
+    # each output is the matching marginal of the chain's joint of all copies
+    out, _ = iterate_reuse(asm.embedding, tau_eps, rho, 3, tau=asm.tau, sigma=sigma)
+    joint, _ = _chain_reuse(asm.embedding, tau_eps, rho, 3, asm.tau, sigma, True)
+    assert type(out) is tuple and len(out) == 3
+    for k, got in enumerate(out):
+        assert isinstance(got, QState) and got.layout == rho.layout
+        want = joint.marginal(range(2 * k, 2 * k + 2))
+        assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
+    # the copies differ: the catalyst drifts back towards tau between them
+    assert np.max(np.abs(out[0].matrix - out[2].matrix)) > 1e-6
 
 
 def test_relabeled_protocols_match_state_chain():
@@ -642,6 +659,19 @@ def test_cli_catalyst_commands_run_the_embedding_once_at_tau(n, step_count):
     assert len(step_count) == 2 + 3
 
 
+def test_cli_synth_catalyst_reuses_through_iterate_reuse(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return iterate_reuse(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "iterate_reuse", counted)
+    cli.run({"command": "synth-catalyst", "rho": "pure:0.5,0.5", "sigma": "pure:0.75,0.25",
+             "n": "2", "copies": "3"})
+    assert len(calls) == 1 and calls[0]["_run"] is not None
+
+
 def _catalyze_oracle(scen):
     # the catalyze certificate as it was computed: build, then verify_catalysis
     rho = cli._parse_state(scen["rho"], "rho")
@@ -653,12 +683,13 @@ def _catalyze_oracle(scen):
 
 
 def _synth_catalyst_oracle(scen):
-    # the synth-catalyst certificate as it was computed: _reuse runs the step at tau
+    # the synth-catalyst certificate without the run the build kept: the step at
+    # tau runs again
     rho, sigma = (cli._parse_state(scen[k], k) for k in ("rho", "sigma"))
     n, copies = int(scen["n"]), int(scen["copies"])
     asm = build_catalyst(cli._build_protocol("synth", rho, sigma, n), rho, n)
     tau_eps, _ = distill.synthesize_tau_eps(asm.tau, float(scen["f_resource"]))
-    return _reuse(asm.embedding, tau_eps, rho, copies, asm.tau, sigma, False)[2]
+    return iterate_reuse(asm.embedding, tau_eps, rho, copies, tau=asm.tau, sigma=sigma)[1]
 
 
 def _noisy_file(tmp_path, n):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -148,6 +149,15 @@ def test_readme_key_table_is_the_command_table():
         rows.append(f"| `{command}` | {required} | {optional} |")
     readme = open(os.path.join(os.path.dirname(_SRC), "README.md"), encoding="utf-8").read()
     assert "\n".join(rows) + "\n" in readme
+
+
+def test_readme_library_quick_start_runs(capsys):
+    readme = open(os.path.join(os.path.dirname(_SRC), "README.md"), encoding="utf-8").read()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("5 SystemLayout(0:2, 1:2)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +545,8 @@ def _run_limited(tmp_path, command, text, address_space_mb, timeout_s):
 
 @pytest.mark.parametrize("copies", [7, 10**9])
 def test_synth_catalyst_copies_past_cap_exits_1(tmp_path, copies):
-    # the CLI builds no product of the reused copies, but keeps the product
-    # cap of iterate_reuse as its bound: 7 copies of a 4-dim pair would be
+    # iterate_reuse builds no product of the reused copies, but keeps the cap
+    # such a product would have as its bound: 7 copies of a 4-dim pair would be
     # 16384-dim, 4 GiB as a dense matrix.  10**9 copies must neither loop
     # nor build the integer 4**(10**9) to find that out.
     proc = _run_limited(

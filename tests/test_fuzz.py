@@ -366,6 +366,12 @@ def _mutate(doc, data, kinds=_PROTOCOL_MUTATIONS):
         node["format"] = data.draw(st.sampled_from([f for f in _FORMATS if f != node["format"]]))
     elif kind == "n":  # an assembly's written copy count, off by one: not read
         doc["n"] += data.draw(st.sampled_from([-1, 1]))
+    elif kind == "marginal":  # one per-copy marginal replaced by a state on another layout
+        marginals = doc["gamma_marginals"]
+        i = data.draw(st.integers(0, len(marginals) - 1))
+        old = SystemLayout(marginals[i]["factors"])
+        layout = data.draw(_layouts.filter(lambda lay: lay != old))
+        marginals[i] = state_to_dict(random_state(layout, "ginibre_mixed", seed=i))
     else:
         path = pick(lambda p, v: p[-1] == "branches" and isinstance(v, list))
         if path is None:
@@ -432,7 +438,7 @@ def test_state_and_assembly_documents(kind, data):
         load, kinds = state_from_dict, _DOCUMENT_MUTATIONS
     else:
         doc, load = assembly_to_dict(_built_assembly()), assembly_from_dict
-        kinds = _DOCUMENT_MUTATIONS + ["n"]
+        kinds = _DOCUMENT_MUTATIONS + ["n", "marginal"]
     doc = json.loads(json.dumps(doc))
     assume(_mutate(doc, data, kinds))
     try:
@@ -656,6 +662,22 @@ def test_assembly_copy_count_is_its_number_of_marginals():
     for wrong in (marginals + marginals[:1], marginals[:1], []):
         with pytest.raises(DocumentError, match=f"2-phase register has {len(wrong)} per-copy"):
             assembly_from_dict({**doc, "gamma_marginals": wrong})
+
+
+def test_assembly_marginals_share_one_layout_with_the_catalyst():
+    # a second marginal on a 9-dim state once loaded, and its expected output
+    # raised numpy's untyped "operands could not be broadcast together"
+    doc = assembly_to_dict(_built_assembly())
+    first = doc["gamma_marginals"][0]
+    nine = state_to_dict(random_state(SystemLayout([(0, 3), (1, 3)]), "ginibre_mixed", seed=0))
+    swapped = state_to_dict(random_state(SystemLayout([(1, 2), (0, 2)]), "ginibre_mixed", seed=0))
+    for wrong in ([first, nine], [swapped, first], [swapped, swapped]):
+        with pytest.raises(DocumentError, match="marginals on .* do not fit tau"):
+            assembly_from_dict({**doc, "gamma_marginals": wrong})
+    # the register is party 0's
+    tau = {**doc["tau"], "factors": doc["tau"]["factors"][:-1] + [[1, 2]]}
+    with pytest.raises(DocumentError, match=r"do not fit tau on SystemLayout\(0:2, 1:2, 1:2\)"):
+        assembly_from_dict({**doc, "tau": tau})
 
 
 def test_local_instrument_checks_its_factors_first():
