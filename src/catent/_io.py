@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DocumentError
+from .errors import DimensionCapError, DocumentError
 
 
 def check_format(doc, fmt: str, what: str) -> None:
@@ -28,10 +28,10 @@ def check_format(doc, fmt: str, what: str) -> None:
 @contextmanager
 def parsing(what: str):
     """Report a missing key, a wrong-typed entry or a number past the float range
-    in the block as DocumentError."""
+    in the block as DocumentError; a layout past a limit stays a DimensionCapError."""
     try:
         yield
-    except DocumentError:
+    except (DocumentError, DimensionCapError):
         raise
     except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise DocumentError(f"malformed {what} document: {exc!r}") from exc
@@ -46,8 +46,12 @@ def write_document(doc: dict, path) -> None:
 
 
 def read_document(path):
+    """The JSON value in the file at ``path``; DocumentError past json's nesting depth."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise DocumentError(f"document {path} is nested too deeply to read") from None
 
 
 def encode_matrix(matrix: np.ndarray) -> dict:

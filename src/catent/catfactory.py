@@ -34,7 +34,6 @@ import numpy as np
 from . import _io
 from .errors import (
     BoundViolationError,
-    DimensionCapError,
     DocumentError,
     LayoutMismatchError,
     NotPureError,
@@ -51,7 +50,6 @@ from .locc import (  # noqa: F401  (apply is re-exported as catfactory.apply)
 )
 from .measures import _decoupling_bound
 from .qstate import (
-    DIM_CAP,
     QState,
     SystemLayout,
     _herm_dist,
@@ -114,12 +112,6 @@ class ReductionCertificate(NamedTuple):
         return self.m / self.n
 
 
-def _copies_dim(d: int, n: int) -> int:
-    """``d**n`` within ``DIM_CAP``, else a number past it, never a huge integer."""
-    # any d >= 2 to the power DIM_CAP.bit_length() is past the cap
-    return d ** min(n, DIM_CAP.bit_length())
-
-
 def _catalytic_step(
     lam: LoccProtocol, operands: Sequence[np.ndarray], parts: Sequence[Sequence[int]]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -129,9 +121,6 @@ def _catalytic_step(
     ``lam.output_layout()``, unvalidated.  Linear in each operand, so an
     operand need not be a state.
     """
-    d = lam.input_layout.total_dim
-    if d > DIM_CAP:
-        raise DimensionCapError(f"tensor product dimension {d} exceeds cap {DIM_CAP}")
     mu = _run_matrix(lam, functools.reduce(np.kron, operands))
     dims = lam.output_layout().dims
     return mu, [_reduce_matrix(mu, dims, p) for p in parts]
@@ -152,13 +141,11 @@ def build_catalyst(lambda_n: LoccProtocol, rho: QState, n: int) -> CatalystAssem
     n = int(n)
     if n < 2:
         raise ValueError(f"need n >= 2 copies, got {n}")
-    if _copies_dim(rho.total_dim, n) * n > DIM_CAP:
-        raise DimensionCapError(
-            f"{n} copies of dimension {rho.total_dim} and an {n}-phase register "
-            f"exceed cap {DIM_CAP}"
-        )
+    copies = rho.layout.power(n)
+    # the fresh copy and the catalyst, refused here before the n-copy run
+    joint = copies + SystemLayout([(0, n)])
     f = len(rho.layout)
-    if lambda_n.input_layout != rho.layout.power(n):
+    if lambda_n.input_layout != copies:
         raise LayoutMismatchError(
             f"protocol input {lambda_n.input_layout!r} is not {n} copies of {rho.layout!r}"
         )
@@ -180,8 +167,6 @@ def build_catalyst(lambda_n: LoccProtocol, rho: QState, n: int) -> CatalystAssem
         for r in range(n)
     )
     tau = QState(cat_layout, tau_m)
-
-    joint = rho.layout + cat_layout
 
     def cycle(src: Sequence[int]) -> LoccProtocol:
         # copy block t takes block src[t]; the register stays
@@ -277,7 +262,7 @@ def _fixed_point(lam: LoccProtocol, rho: QState, start: np.ndarray) -> np.ndarra
 
 
 def _reuse_checks(lam: LoccProtocol, tau_eps: QState, rho: QState, copies: int):
-    """The checks of both reuse drivers; returns ``copies`` and ``d**copies`` (capped)."""
+    """The checks of both reuse drivers; returns ``copies`` and their layout."""
     copies = int(copies)
     if copies < 1:
         raise ValueError(f"need at least one copy, got {copies}")
@@ -285,14 +270,8 @@ def _reuse_checks(lam: LoccProtocol, tau_eps: QState, rho: QState, copies: int):
         raise LayoutMismatchError("protocol input must be one copy plus the catalyst")
     if lam.discard or lam.relabel is not None:
         raise LayoutMismatchError("protocol must keep the system+catalyst split")
-    ds, dc = rho.total_dim, tau_eps.total_dim
-    if ds * dc > DIM_CAP:
-        raise DimensionCapError(f"joint dimension {ds * dc} exceeds cap {DIM_CAP}")
-    # no product of the copies is built, but they stay within the cap it would have
-    out_dim = _copies_dim(ds, copies)
-    if out_dim > DIM_CAP:
-        raise DimensionCapError(f"{copies} output copies of dimension {ds} exceed cap {DIM_CAP}")
-    return copies, out_dim
+    # no product of the copies is built, but they stay within the limits it would have
+    return copies, rho.layout.power(copies)
 
 
 def iterate_reuse(
@@ -321,6 +300,10 @@ def iterate_reuse(
     defaults to the output marginal at the exact catalyst, which makes
     ``delta_single_shot`` zero.  ``_run`` is lam's raw run on rho tensor
     ``tau``, as an assembly keeps it; it is run here otherwise.
+
+    No product of the copies is built, but ``copies`` past the limits of
+    that product's layout is refused by ``SystemLayout.power`` before the
+    first step.
     """
     copies, _ = _reuse_checks(lam, tau_eps, rho, copies)
     f = len(rho.layout)
@@ -362,23 +345,16 @@ def reuse_joint(lam: LoccProtocol, tau_eps: QState, rho: QState, copies: int) ->
     Unlike ``iterate_reuse`` it keeps every cross-copy correlation, so the
     joint of the catalyst and all copies so far must stay within the cap.
     """
-    copies, out_dim = _reuse_checks(lam, tau_eps, rho, copies)
-    if out_dim * tau_eps.total_dim > DIM_CAP:
-        raise DimensionCapError(
-            f"joint tracking of {copies} copies needs dimension "
-            f"{out_dim * tau_eps.total_dim} > cap {DIM_CAP}"
-        )
-    f = len(rho.layout)
+    copies, out_layout = _reuse_checks(lam, tau_eps, rho, copies)
     # the joint keeps the catalyst in front and appends each fresh copy, so
-    # its copies stay in chronological order
-    joint, joint_layout = tau_eps.matrix, tau_eps.layout
-    for _ in range(copies):
-        joint_layout = joint_layout + rho.layout
-        k = len(joint_layout)
-        step = embed_protocol(lam, joint_layout, [*range(k - f, k), *range(len(tau_eps.layout))])
+    # its copies stay in chronological order; refused here before the first step
+    full = tau_eps.layout + out_layout
+    f, c = len(rho.layout), len(tau_eps.layout)
+    joint = tau_eps.matrix
+    for k in range(c + f, len(full) + 1, f):
+        step = embed_protocol(lam, full.subset(range(k)), [*range(k - f, k), *range(c)])
         joint, _ = _catalytic_step(step, (joint, rho.matrix), ())
-    kept = range(len(tau_eps.layout), len(joint_layout))
-    return QState(rho.layout.power(copies), _reduce_matrix(joint, joint_layout.dims, kept))
+    return QState(out_layout, _reduce_matrix(joint, full.dims, range(c, len(full))))
 
 
 def verify_marginal_reduction(

@@ -42,9 +42,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _io
 from .catfactory import (
-    _copies_dim,
     build_catalyst,
     iterate_reuse,
     verify_catalysis,
@@ -61,7 +60,6 @@ from .distill import (
 from .errors import (
     BoundViolationError,
     BudgetError,
-    DimensionCapError,
     DivergingRateError,
     DocumentError,
     MissingSeriesError,
@@ -83,7 +81,6 @@ from .purecat import (
     synthesize_pure_protocol,
 )
 from .qstate import (
-    DIM_CAP,
     QState,
     SchmidtVector,
     SystemLayout,
@@ -222,18 +219,17 @@ def _parse_state(spec: str, what: str) -> QState:
 
 
 def _build_protocol(spec: str, rho: QState, sigma: QState, n: int) -> LoccProtocol:
-    # refuse n past the cap before any n-copy spectrum or layout is built
-    if _copies_dim(rho.total_dim, n) > DIM_CAP:
-        raise DimensionCapError(f"{n} copies of dimension {rho.total_dim} exceed cap {DIM_CAP}")
+    # refuses n past a limit before any n-copy spectrum is built
+    layout = rho.layout.power(n)
     if spec == "identity":
-        return identity_protocol(rho.layout.power(n))
+        return identity_protocol(layout)
     if spec == "synth":
         if not (is_pure(rho) and is_pure(sigma)):
             raise ScenarioError("synth protocol needs pure rho and sigma")
         s, t = (
             functools.reduce(SchmidtVector.tensor, [schmidt_decompose(x)] * n) for x in (rho, sigma)
         )
-        return synthesize_pure_protocol(s, t, layout=rho.layout.power(n))
+        return synthesize_pure_protocol(s, t, layout=layout)
     if spec.startswith("file:"):
         return load_protocol(spec[5:].strip())
     raise ScenarioError(f"unknown protocol {spec!r}")
@@ -287,11 +283,9 @@ def _cmd_reduce(p):
 
 def _cmd_lemma1(p):
     count, aux, seed = p["samples"], p["aux_dim"], p["seed"]
-    layout = PAIR_LAYOUT + SystemLayout([(0, aux)])
-    # past DIM_CAP, random_state refuses the first sample before allocating
-    if layout.total_dim <= DIM_CAP:
-        work = count * _dim_cost(layout.total_dim)
-        _check_budget(f"{count} samples at aux_dim {aux}", work, LEMMA1_SAMPLE_BUDGET)
+    layout = SystemLayout([*PAIR_LAYOUT, (0, aux)])
+    work = count * _dim_cost(layout.total_dim)
+    _check_budget(f"{count} samples at aux_dim {aux}", work, LEMMA1_SAMPLE_BUDGET)
     scatter = []
     violations = 0
     for i in range(count):
@@ -513,24 +507,33 @@ def run(
     }
 
 
+# plot kind -> (the report's results key, the series' name, its CSV columns)
+_PLOTS = {
+    "distill": ("sweep", "distillation sweep", ("F_in", "F_out", "p", "expected_copies")),
+    "decoupling": ("scatter", "decoupling scatter", ("eps", "lhs", "rhs")),
+}
+
+
 def emit_plotdata(report: Mapping, kind: str) -> str:
-    """Render one report series as CSV with a stable column order."""
-    results = report.get("results") or {}
-    if kind == "distill":
-        rows = results.get("sweep")
-        if not rows:
-            raise MissingSeriesError("report has no distillation sweep series")
-        cols = ("F_in", "F_out", "p", "expected_copies")
-        lines = [",".join(cols)]
-        lines += [",".join(repr(float(r[c])) for c in cols) for r in rows]
-    elif kind == "decoupling":
-        rows = results.get("scatter")
-        if not rows:
-            raise MissingSeriesError("report has no decoupling scatter series")
-        lines = ["eps,lhs,rhs"]
-        lines += [",".join(repr(float(x)) for x in r) for r in rows]
-    else:
+    """Render one report series as CSV with a stable column order.
+
+    A report not shaped as its command writes it raises DocumentError.
+    """
+    if kind not in _PLOTS:
         raise MissingSeriesError(f"unknown plot kind {kind!r}")
+    key, name, cols = _PLOTS[kind]
+    with _io.parsing("report"):
+        rows = (report.get("results") or {}).get(key)
+    if not rows:
+        raise MissingSeriesError(f"report has no {name} series")
+    with _io.parsing("report"):
+        # a sweep row maps each column to its value; a scatter row lists them in order
+        if kind == "distill":
+            rows = [[r[c] for c in cols] for r in rows]
+        table = np.asarray(rows, dtype=float)
+        if table.ndim != 2 or table.shape[1] != len(cols):
+            raise DocumentError(f"malformed report document: {name} rows of shape {table.shape}")
+    lines = [",".join(cols)] + [",".join(map(repr, r)) for r in table.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -571,9 +574,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             kind = args.kind or _env("KIND")
             if not path or not kind:
                 raise ScenarioError("plotdata needs --report and --kind")
-            with open(path, "r", encoding="utf-8") as fh:
-                report = json.load(fh)
-            text = emit_plotdata(report, kind)
+            text = emit_plotdata(_io.read_document(path), kind)
             passed = True
             out = args.out or _env("OUT")
         else:

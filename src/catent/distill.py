@@ -16,9 +16,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, DimensionCapError, LayoutMismatchError
+from .errors import BudgetError, LayoutMismatchError
 from .locc import _embed_operator, apply_to_factors, teleport_channel
-from .qstate import DIM_CAP, QState, SystemLayout, trace_norm_dist
+from .qstate import QState, SystemLayout, trace_norm_dist
 
 __all__ = [
     "PAIR_LAYOUT",
@@ -231,8 +231,6 @@ def synthesize_tau_eps(tau: QState, f_resource: float) -> tuple[QState, float]:
     locally).  Returns the approximation and its trace distance to tau.
     """
     f = _check_f(f_resource)
-    if tau.total_dim > DIM_CAP:
-        raise DimensionCapError(f"catalyst dim {tau.total_dim} exceeds {DIM_CAP}")
     state = tau
     for i, factor in enumerate(tau.layout):
         if factor.party == 1:

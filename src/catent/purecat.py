@@ -85,15 +85,15 @@ def catalytic_convertible(
 def canonical_pure(probs: SchmidtVector) -> QState:
     """The diagonal-amplitude pure state with the given Schmidt spectrum.
 
-    Raises ``DimensionCapError`` before allocating past ``DIM_CAP``.
+    Its layout is built before the amplitudes, so a spectrum past
+    ``DIM_CAP`` (a d x d state) raises ``DimensionCapError`` there.
     """
     d = len(probs)
-    if d * d > DIM_CAP:
-        raise DimensionCapError(f"pure state dimension {d * d} exceeds cap {DIM_CAP}")
+    layout = SystemLayout([(0, d), (1, d)])
     amps = np.zeros(d * d, dtype=complex)
     for i, p in enumerate(probs):
         amps[i * d + i] = math.sqrt(p)
-    return pure_state(SystemLayout([(0, d), (1, d)]), amps)
+    return pure_state(layout, amps)
 
 
 def _mixing_chain(target: np.ndarray, source: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,9 +188,6 @@ def synthesize_pure_protocol(
     b_factors = layout.party_factors(1)
     da = layout.subset(a_factors).total_dim
     db = layout.subset(b_factors).total_dim
-    if da > DIM_CAP:
-        # the padded spectra and every outcome's da x da operators
-        raise DimensionCapError(f"party dimension {da} exceeds cap {DIM_CAP}")
     if da != db or da < d:
         raise ValueError(
             f"party dimensions ({da}, {db}) cannot hold a length-{d} spectrum"

@@ -8,8 +8,11 @@ Conventions
   ``kron(factor0, factor1, ...)``.
 * All entropies are base 2.
 * Everything is dense ``complex128``.  The practical cap is
-  ``DIM_CAP = 4096`` for the total dimension; operations that can blow
-  past it check explicitly.
+  ``DIM_CAP = 4096`` for the total dimension, and a layout holds at most
+  ``MAX_FACTORS = 32`` factors (the executor gives each factor two numpy
+  axes, and numpy stops at 64).  ``SystemLayout`` refuses either limit
+  where it is built, so every state, protocol and product is refused
+  before it allocates.
 
 Numerical tolerances
 --------------------
@@ -40,6 +43,7 @@ spectrum cannot be derived.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -56,6 +60,7 @@ from .errors import (
 )
 
 DIM_CAP = 4096
+MAX_FACTORS = 32
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -76,22 +81,32 @@ class Factor(NamedTuple):
 
 
 class SystemLayout:
-    """Ordered list of ``(party, dim)`` tensor factors."""
+    """Ordered list of ``(party, dim)`` tensor factors.
+
+    Raises ``DimensionCapError`` for more than ``MAX_FACTORS`` factors,
+    reading no further than one past it, or a total dimension past
+    ``DIM_CAP``: the one check of both limits.
+    """
 
     __slots__ = ("factors", "total_dim")
 
     def __init__(self, factors: Iterable[tuple[int, int] | Factor]):
-        fs = tuple(Factor(int(p), int(d)) for p, d in factors)
+        fs = tuple(Factor(int(p), int(d)) for p, d in itertools.islice(factors, MAX_FACTORS + 1))
         if not fs:
             raise ValueError("layout needs at least one factor")
+        if len(fs) > MAX_FACTORS:
+            raise DimensionCapError(f"layout has more than {MAX_FACTORS} factors")
         for f in fs:
             if f.dim < 1:
                 raise ValueError(f"factor dimension must be >= 1, got {f.dim}")
             if f.party < 0:
                 raise ValueError(f"party id must be >= 0, got {f.party}")
-        self.factors = fs
         # exact integer product: a fixed-width one wraps past 2**63
-        self.total_dim: int = math.prod(f.dim for f in fs)
+        total = math.prod(f.dim for f in fs)
+        if total > DIM_CAP:
+            raise DimensionCapError(f"layout dimension {total} exceeds cap {DIM_CAP}")
+        self.factors = fs
+        self.total_dim: int = total
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -109,8 +124,18 @@ class SystemLayout:
         return SystemLayout(self.factors[i] for i in indices)
 
     def power(self, n: int) -> "SystemLayout":
+        """``n`` copies; refused before the factors are repeated, for any ``n``."""
         if n < 1:
             raise ValueError("tensor power needs n >= 1")
+        # any dimension >= 2 to the power DIM_CAP.bit_length() is past the cap
+        if self.total_dim ** min(n, DIM_CAP.bit_length()) > DIM_CAP:
+            raise DimensionCapError(
+                f"{n} copies of dimension {self.total_dim} exceed cap {DIM_CAP}"
+            )
+        if n * len(self) > MAX_FACTORS:
+            raise DimensionCapError(
+                f"{n} copies of a {len(self)}-factor layout exceed {MAX_FACTORS} factors"
+            )
         return SystemLayout(self.factors * n)
 
     def __add__(self, other: "SystemLayout") -> "SystemLayout":
@@ -225,11 +250,10 @@ def pure_state(layout: SystemLayout, amplitudes: Sequence[complex]) -> QState:
     """Rank-one state |v><v| from an amplitude vector (normalized internally).
 
     Raises StateInvariantError when the vector norm is not within 1e-8
-    of 1, to catch silently wrong inputs while allowing float dust, and
-    DimensionCapError before allocating past ``DIM_CAP``.
+    of 1, to catch silently wrong inputs while allowing float dust.  A
+    layout past a limit was refused where it was built, so the density
+    matrix is never formed past ``DIM_CAP``.
     """
-    if layout.total_dim > DIM_CAP:
-        raise DimensionCapError(f"pure state dimension {layout.total_dim} exceeds cap {DIM_CAP}")
     v = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if v.size != layout.total_dim:
         raise LayoutMismatchError(f"vector length {v.size} != layout dim {layout.total_dim}")
@@ -276,8 +300,6 @@ def random_state(layout: SystemLayout, ensemble: str = "haar_pure", seed: int = 
     G G^dag / tr from a square complex Ginibre matrix.
     """
     d = layout.total_dim
-    if d > DIM_CAP:
-        raise DimensionCapError(f"random state dimension {d} exceeds cap {DIM_CAP}")
     rng = np.random.default_rng(seed)
     if ensemble == "haar_pure":
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -294,14 +316,15 @@ def random_state(layout: SystemLayout, ensemble: str = "haar_pure", seed: int = 
 
 
 def tensor(a: QState, b: QState) -> QState:
-    """a ⊗ b; raises DimensionCapError before allocating past ``DIM_CAP``."""
+    """a ⊗ b; raises DimensionCapError before allocating past a layout limit."""
     return tensor_all((a, b))
 
 
 def tensor_all(states: Sequence[QState]) -> QState:
     """The product of ``states`` in order, built in one pass and validated once.
 
-    The cap is checked before anything is allocated.  The matrix is one
+    The product layout is built first, so a product past ``DIM_CAP`` or
+    ``MAX_FACTORS`` is refused before anything is allocated.  The matrix is one
     Kronecker chain and the spectrum the sorted products, each bit for bit
     what chained ``tensor`` calls give, unless a partial product's derived
     spectrum dips below ``-PSD_TOL / 2``: the chain recomputes that one by
@@ -309,17 +332,12 @@ def tensor_all(states: Sequence[QState]) -> QState:
     """
     if not states:
         raise ValueError("need at least one state")
-    dim = states[0].total_dim
-    for s in states[1:]:
-        dim *= s.total_dim
-        if dim > DIM_CAP:
-            raise DimensionCapError(f"tensor product dimension {dim} exceeds cap {DIM_CAP}")
     if len(states) == 1:
         return states[0]
+    layout = SystemLayout(f for s in states for f in s.layout)
     spectrum = states[0].spectrum
     for s in states[1:]:
         spectrum = np.sort(np.outer(spectrum, s.spectrum), axis=None)
-    layout = SystemLayout(f for s in states for f in s.layout)
     matrix = functools.reduce(np.kron, (s.matrix for s in states))
     return QState(layout, matrix, _spectrum=spectrum)
 

@@ -286,8 +286,24 @@ def test_track_joint_dimension_cap():
     asm = build_catalyst(_synth_lambda(2), rho, 2)
     # 5 copies fit the cap on their own, but not beside the 8-dim catalyst
     iterate_reuse(asm.embedding, asm.tau, rho, 5)
-    with pytest.raises(DimensionCapError, match="joint tracking of 5 copies needs dimension 8192"):
+    with pytest.raises(DimensionCapError, match="layout dimension 8192 exceeds cap 4096"):
         reuse_joint(asm.embedding, asm.tau, rho, 5)
+
+
+def test_reuse_of_a_one_dimensional_state_is_refused_at_once(monkeypatch):
+    # one-dimensional copies add no dimension, but 10**9 of them are 2 * 10**9
+    # factors: refused before the first of 10**9 steps
+    rho = canonical_pure((1.0,))
+    asm = build_catalyst(identity_protocol(rho.layout.power(2)), rho, 2)
+
+    def refuse(*args):
+        raise AssertionError("a step ran before the refusal")
+
+    monkeypatch.setattr(catfactory, "_catalytic_step", refuse)
+    want = "^1000000000 copies of a 2-factor layout exceed 32 factors$"
+    for fn in (iterate_reuse, reuse_joint):
+        with pytest.raises(DimensionCapError, match=want):
+            fn(asm.embedding, asm.tau, rho, 10**9)
 
 
 def test_iterate_validations():
@@ -298,7 +314,7 @@ def test_iterate_validations():
             fn(asm.embedding, asm.tau, rho, 0)
         with pytest.raises(LayoutMismatchError, match="one copy plus the catalyst"):
             fn(identity_protocol(PAIR), asm.tau, rho, 1)
-        with pytest.raises(DimensionCapError, match="7 output copies of dimension 4 exceed cap"):
+        with pytest.raises(DimensionCapError, match="7 copies of dimension 4 exceed cap"):
             fn(asm.embedding, asm.tau, rho, 7)
     with pytest.raises(LayoutMismatchError):
         iterate_reuse(asm.embedding, asm.tau, rho, 1, tau=maximally_mixed(PAIR))

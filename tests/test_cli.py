@@ -512,6 +512,52 @@ def test_plotdata_missing_series_exits_2(tmp_path):
     assert cli.main(["plotdata", "--report", rep, "--kind", "waterfall"]) == 2
 
 
+@pytest.mark.parametrize(
+    "kind,doc",
+    [
+        ("distill", [1, 2]),
+        ("distill", {"results": [1]}),
+        ("distill", {"results": {"sweep": [{"F_in": 1}]}}),
+        ("distill", {"results": {"sweep": [1]}}),
+        ("decoupling", {"results": {"scatter": 5}}),
+        ("decoupling", {"results": {"scatter": [[1, "x"]]}}),
+        ("decoupling", {"results": {"scatter": [[1, 2]]}}),
+        ("decoupling", {"results": {"scatter": ["123"]}}),
+    ],
+)
+def test_plotdata_malformed_report_exits_2(tmp_path, capsys, kind, doc):
+    rep = _write(tmp_path, "r.json", json.dumps(doc))
+    assert cli.main(["plotdata", "--report", rep, "--kind", kind]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("catent: error: malformed report document") and err.count("\n") == 1
+
+
+_DEEP = "[" * 10**5 + "]" * 10**5
+
+
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (["bounds"], '{"format": "catent-state-v1", "factors": %s}' % _DEEP),
+        (["catalyze"], '{"format": "catent-protocol-v1", "steps": %s}' % _DEEP),
+        (["plotdata", "--kind", "distill", "--report"], _DEEP),
+    ],
+    ids=["state", "protocol", "report"],
+)
+def test_documents_nested_past_json_depth_exit_2(tmp_path, capsys, argv, doc):
+    path = _write(tmp_path, "deep.json", doc)
+    if argv[0] == "bounds":
+        argv = [*argv, "--scenario", _write(tmp_path, "s.scn", f"state: file:{path}\n")]
+    elif argv[0] == "catalyze":
+        text = f"rho: singlet\nn: 2\nprotocol: file:{path}\n"
+        argv = [*argv, "--scenario", _write(tmp_path, "s.scn", text)]
+    else:
+        argv = [*argv, path]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"catent: error: document {path} is nested too deeply to read\n"
+
+
 @pytest.mark.parametrize("kind", ["distill", "decoupling", "waterfall"])
 def test_emit_plotdata_requires_series(kind):
     with pytest.raises(MissingSeriesError):
@@ -558,7 +604,7 @@ def test_synth_catalyst_copies_past_cap_exits_1(tmp_path, copies):
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("catent: failed:"), proc.stderr
-    assert f"{copies} output copies of dimension 4 exceed cap 4096" in proc.stderr
+    assert f"{copies} copies of dimension 4 exceed cap 4096" in proc.stderr
 
 
 def test_verify_lemma1_aux_dim_past_cap_exits_1(tmp_path):
@@ -572,7 +618,7 @@ def test_verify_lemma1_aux_dim_past_cap_exits_1(tmp_path):
     )
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("catent: failed:"), proc.stderr
-    assert "random state dimension 400000 exceeds cap 4096" in proc.stderr
+    assert "layout dimension 400000 exceeds cap 4096" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -621,11 +667,11 @@ _TERMS_65 = ",".join(["1"] * 65)
 @pytest.mark.parametrize(
     "command,text,dim",
     [
-        ("catalyze", f"rho: pure:{_TERMS_65}\nn: 2\n", "pure state dimension 4225"),
+        ("catalyze", f"rho: pure:{_TERMS_65}\nn: 2\n", "layout dimension 4225"),
         ("reduce", f"rho: pure:{_TERMS_65}\nsigma: singlet\nn: 2\nm: 1\n",
-         "pure state dimension 4225"),
+         "layout dimension 4225"),
         ("synth-catalyst", f"rho: pure:{_TERMS_65}\nsigma: singlet\nn: 2\n",
-         "pure state dimension 4225"),
+         "layout dimension 4225"),
         ("pure-rate", "source: 0.5,0.5\ntarget: 1\ncatalyst: " + ",".join(["1"] * 2049) + "\n",
          "spectrum product length 4098"),
     ],
@@ -726,6 +772,47 @@ def test_squashed_flag_extension_past_cap_exits_1(tmp_path, dims, width):
     assert proc.stderr.startswith("catent: failed:"), proc.stderr
     assert f"extension dimension {width * width} ({width} x {width}) exceeds cap 4096" in proc.stderr
     assert seconds < 1.0
+
+
+_PURE_1 = {
+    "catalyze": "rho: pure:1\n",
+    "reduce": "rho: pure:1\nsigma: pure:1\nm: 1\n",
+    "synth-catalyst": "rho: pure:1\nsigma: pure:1\n",
+}
+
+
+@pytest.mark.parametrize(
+    "command,n",
+    [(c, n) for c in _PURE_1 for n in (17, 40, 10**30)] + [("catalyze", 16)],
+)
+def test_copies_past_the_factor_limit_exit_1(tmp_path, command, n):
+    # one-dimensional copies stay within DIM_CAP at any n, but each adds two
+    # factors, and numpy holds at most 64 axes, two a factor: 17 copies (or
+    # the catalyst of 16 beside its register) pass the 32-factor limit
+    proc, seconds = _run_timed(tmp_path, command, f"{_PURE_1[command]}n: {n}\n")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("catent: failed:") and "32 factors" in proc.stderr
+    assert seconds < 1.0
+
+
+def test_reduce_at_the_factor_limit_runs(tmp_path):
+    proc, _ = _run_timed(tmp_path, "reduce", f"{_PURE_1['reduce']}n: 16\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "factors,want",
+    [([[0, 65], [1, 65]], "layout dimension 4225 exceeds cap 4096"),
+     ([[0, 1]] * 33, "layout has more than 32 factors")],
+    ids=["dimension", "factors"],
+)
+def test_state_document_past_a_limit_exits_1(tmp_path, capsys, factors, want):
+    # a document past a limit is refused like any other state past it
+    doc = {**state_to_dict(singlet()), "factors": factors}
+    path = _write(tmp_path, "big.json", json.dumps(doc))
+    scn = _write(tmp_path, "s.scn", f"state: file:{path}\n")
+    assert cli.main(["bounds", "--scenario", scn]) == 1
+    assert capsys.readouterr().err == f"catent: failed: {want}\n"
 
 
 def test_catalyze_copies_past_cap_raise_the_cap_error():

@@ -470,7 +470,7 @@ def test_assembly_read_back_verifies_as_built():
 
 _BIG = str(10**30)
 _EDGES = {  # per parser: (values that may run, edge values and junk)
-    cli._int: (["1", "2", "3"], ["-1", "0", _BIG, "nan", "", "ten"]),
+    cli._int: (["1", "2", "3", "16", "17", "40"], ["-1", "0", _BIG, "nan", "", "ten"]),
     cli._float: (["0.75", "0.9", "1", "2"], ["-1", "0", "3", _BIG, "nan", "-inf", "", "ten"]),
     cli._bool: (["true", "false"], ["True", "1", "", "ten"]),
     cli._parse_state: (

@@ -200,10 +200,10 @@ def test_synthesize_layout_validation():
         synthesize_pure_protocol(src, tgt, layout=SystemLayout([(0, 2), (1, 3)]))
     with pytest.raises(ValueError):
         synthesize_pure_protocol(src, tgt, layout=SystemLayout([(0, 2), (2, 2)]))
-    # party dimension 2**64: an int64 product wraps to 0 here
-    huge = SystemLayout([(0, 2**32), (0, 2**32), (1, 2**32), (1, 2**32)])
-    with pytest.raises(DimensionCapError, match="party dimension 18446744073709551616"):
-        synthesize_pure_protocol(src, tgt, layout=huge)
+    # party dimension 2**64: an int64 product wraps to 0 here; the whole
+    # 2**128-dim layout is refused where it is built, before any protocol
+    with pytest.raises(DimensionCapError, match=f"^layout dimension {2**128} exceeds cap 4096$"):
+        SystemLayout([(0, 2**32), (0, 2**32), (1, 2**32), (1, 2**32)])
 
 
 def _dict_mixing_chain(target, source):

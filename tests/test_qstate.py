@@ -1,4 +1,8 @@
 import math
+import os
+import resource
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -82,8 +86,71 @@ def test_layout_basics():
 
 
 def test_layout_total_dim_is_exact():
-    # a fixed-width product wraps to 0 here and would slip past DIM_CAP gates
-    assert SystemLayout([(0, 2**32), (1, 2**32)]).total_dim == 2**64
+    # a fixed-width product wraps to 0 here and would slip past the cap
+    with pytest.raises(DimensionCapError, match="^layout dimension 18446744073709551616 exceeds"):
+        SystemLayout([(0, 2**32), (1, 2**32)])
+
+
+def test_layout_refuses_more_than_max_factors():
+    # the executor gives each factor two numpy axes, and numpy stops at 64
+    assert qstate.MAX_FACTORS == 32 and len(SystemLayout([(0, 1)] * 32)) == 32
+    with pytest.raises(DimensionCapError, match="^layout has more than 32 factors$"):
+        SystemLayout([(0, 1)] * 33)
+
+    def factors():
+        yield from [(0, 1)] * 33
+        raise AssertionError("read past the first factor beyond the limit")
+
+    with pytest.raises(DimensionCapError, match="more than 32 factors"):
+        SystemLayout(factors())
+
+
+def test_layout_power_names_the_copies_and_their_dimension():
+    pair = SystemLayout([(0, 2), (1, 2)])
+    assert pair.power(6).total_dim == 4096
+    with pytest.raises(DimensionCapError, match="^7 copies of dimension 4 exceed cap 4096$"):
+        pair.power(7)
+    assert len(SystemLayout([(0, 1), (1, 1)]).power(16)) == 32
+    want = "^17 copies of a 2-factor layout exceed 32 factors$"
+    with pytest.raises(DimensionCapError, match=want):
+        SystemLayout([(0, 1), (1, 1)]).power(17)
+
+
+_HUGE_POWER = """
+import tracemalloc
+from catent.errors import DimensionCapError
+from catent.qstate import SystemLayout
+
+tracemalloc.start()
+for layout in (SystemLayout([(0, 2)]), SystemLayout([(0, 1)])):
+    try:
+        layout.power(10**9)
+    except DimensionCapError as exc:
+        print(exc)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_layout_power_refused_before_repeating_its_factors():
+    # 10**9 copies would be a tuple of 8 GB: the refusal must come first.  A
+    # child under a 1 GiB address-space limit, so an allocation fails the
+    # test instead of taking the suite down.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _HUGE_POWER],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qstate.__file__))),
+        timeout=30,
+        preexec_fn=limit,
+    )
+    assert proc.returncode == 0, proc.stderr
+    refused, refused_1, peak = proc.stdout.splitlines()
+    assert refused == "1000000000 copies of dimension 2 exceed cap 4096"
+    assert refused_1 == "1000000000 copies of a 1-factor layout exceed 32 factors"
+    assert int(peak) < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +782,8 @@ def test_tensor_all_cap_checked_before_allocating(monkeypatch):
 
     monkeypatch.setattr(np, "kron", refuse)
     monkeypatch.setattr(np, "outer", refuse)
-    # the chain stopped at the same partial product, 4**7, after building 4**6
-    want = "^tensor product dimension 16384 exceeds cap 4096$"
+    # the product layout is refused before any spectrum or matrix is built
+    want = "^layout dimension 16384 exceeds cap 4096$"
     with pytest.raises(DimensionCapError, match=want):
         tensor_all([pair] * 7)
     with pytest.raises(DimensionCapError, match="dimension 4160 exceeds"):
