@@ -42,7 +42,12 @@ the top eigenvalue of its total K^dag K, which bounds every outcome's,
 and single outcomes only past that bound.  A protocol's steps are
 checked in one walk of the tree, each where the walk meets it; a
 correction stack is checked as one, in slices within ``_BATCH_ELEMS``.
-A failed check names a non-finite entry.
+A failed check names a non-finite entry.  The pure-conversion synthesis
+builds its step, and ``_remap_steps`` remaps instrument steps, with
+Python's cyclic garbage collector held off (``_GcHeld``) and then set
+back as the caller had it: a 32768-outcome step makes a few objects per
+outcome and no reference cycles.  Cases that view the rows of their
+correction stack are remapped by one ``_views`` call on it.
 
 ``flatten`` composes a protocol into a single :class:`Channel` (Kraus
 form).  It is the Kraus-form export and the reference oracle the
@@ -53,6 +58,7 @@ step counts and is bounded by ``KRAUS_CAP``.
 from __future__ import annotations
 
 import functools
+import gc
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -139,6 +145,24 @@ def _check_kraus_shape(
     want = (output_layout.total_dim, input_layout.total_dim)
     if shape != want:
         raise LayoutMismatchError(f"Kraus shape {shape} does not match {want}")
+
+
+class _GcHeld:
+    """Hold the cyclic GC off while a wide step is built; give back the caller's setting.
+
+    Such a build makes a few objects per outcome and no reference cycles,
+    so the hundreds of collections it set off, a few of them full, freed
+    nothing.  The one collection due on exit runs at the caller's next
+    allocation.
+    """
+
+    def __enter__(self):
+        self._enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc):
+        if self._enabled:
+            gc.enable()
 
 
 def _views(cls, stack: np.ndarray, **fields) -> list:
@@ -326,8 +350,12 @@ class Instrument:
         labels = self.labels
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate outcome labels in {labels}")
-        layouts = [(ch.input_layout, ch.output_layout) for _, ch in self.outcomes]
-        if len({(id(i), id(o)) for i, o in layouts}) != 1 and len(set(layouts)) != 1:
+        # views share their layout objects: equality is tested only past identity
+        first = self.outcomes[0][1]
+        if not all(
+            ch.input_layout is first.input_layout and ch.output_layout is first.output_layout
+            for _, ch in self.outcomes
+        ) and len({(ch.input_layout, ch.output_layout) for _, ch in self.outcomes}) != 1:
             raise LayoutMismatchError("all instrument outcomes must share one layout")
         if self._stack is None:
             object.__setattr__(self, "_stack", _join([ch._stack for _, ch in self.outcomes]))
@@ -363,7 +391,7 @@ class Instrument:
     def input_layout(self) -> SystemLayout:
         return self.outcomes[0][1].input_layout
 
-    @property
+    @functools.cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(lab for lab, _ in self.outcomes)
 
@@ -391,7 +419,8 @@ class LocalInstrument:
     instrument: Instrument
     # continuation steps per outcome label, run before the next top-level step
     cases: tuple[tuple[str, tuple["Step", ...]], ...] = ()
-    # (factors, (M, J, d, d) stack) of the corrections, built from cases unless handed in
+    # (factors, (M, J, d, d) stack) of the corrections, built from cases unless
+    # handed in; the cases of a stack handed in are views of its rows
     _fix: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -467,7 +496,11 @@ def _check_local(layout: SystemLayout, party: int, factors: tuple, stack: np.nda
         )
     for lo, hi in _batches(len(stack), (2 * stack.shape[1] + 1) * d * d):
         batch = stack[lo:hi]
-        if not np.max(np.abs(_completeness(batch, d) - np.eye(d))) <= TP_TOL:
+        dev = _completeness(batch, d)
+        dev -= np.eye(d)
+        # in place on a real stack; a complex one's magnitudes need a real array
+        dev = np.abs(dev, out=dev if dev.dtype == np.float64 else None)
+        if not np.max(dev) <= TP_TOL:
             _refuse_non_finite(batch, ["local channel step"] * len(batch))
             raise ValueError("local channel step must be trace-preserving")
 
@@ -741,23 +774,48 @@ def tensor_protocols(first: LoccProtocol, second: LoccProtocol) -> LoccProtocol:
     )
 
 
+def _cases_view_rows(s: LocalInstrument) -> bool:
+    """Whether case m of ``s`` is one ``LocalChannel`` viewing row m of its correction stack.
+
+    ``_stack_corrections`` copies, so only a stack handed in (the
+    synthesis's, or one remapped from it) shares memory with its cases,
+    and such cases view its rows in outcome order: one identity test per
+    case tells them apart.
+    """
+    stack = s._fix[1]
+    owner = stack if stack.base is None else stack.base
+    return len(s.cases) == len(stack) and all(
+        lab == want and len(c) == 1 and isinstance(c[0], LocalChannel)
+        and c[0]._stack.base is owner
+        for (lab, c), want in zip(s.cases, s.instrument.labels)
+    )
+
+
 def _remap_steps(steps: Sequence[Step], fmap: Sequence[int]) -> tuple[Step, ...]:
-    """Re-index steps through ``fmap`` (old factor index -> new index)."""
+    """Re-index steps through ``fmap`` (old factor index -> new index).
+
+    Channels become views of the original read-only stacks.  An instrument
+    step is rebuilt with the cyclic GC held off; when its corrections view
+    the rows of its correction stack, its cases are one ``_views`` call on
+    that stack, not one per case.
+    """
     out = []
     for s in steps:
-        if isinstance(s, LocalChannel):  # a view of the original's read-only stack
+        if isinstance(s, LocalChannel):
             out += _views(LocalChannel, s._stack[None], party=s.party,
                           factors=tuple(fmap[i] for i in s.factors))
         elif isinstance(s, LocalInstrument):  # the remapped cases and _fix keep its stacks
-            out.append(
-                LocalInstrument(
-                    s.party,
-                    tuple(fmap[i] for i in s.factors),
-                    s.instrument,
-                    tuple((lab, _remap_steps(cont, fmap)) for lab, cont in s.cases),
-                    s._fix and (tuple(fmap[i] for i in s._fix[0]), s._fix[1]),
-                )
-            )
+            fix = s._fix and (tuple(fmap[i] for i in s._fix[0]), s._fix[1])
+            with _GcHeld():
+                if fix and _cases_view_rows(s):
+                    views = _views(LocalChannel, fix[1], party=s.cases[0][1][0].party,
+                                   factors=fix[0])
+                    cases = tuple(zip(s.instrument.labels, ((v,) for v in views)))
+                else:
+                    cases = tuple((lab, _remap_steps(cont, fmap)) for lab, cont in s.cases)
+                out.append(LocalInstrument(
+                    s.party, tuple(fmap[i] for i in s.factors), s.instrument, cases, fix
+                ))
         else:
             out.append(
                 RegisterControlled(

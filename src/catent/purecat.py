@@ -11,8 +11,10 @@ read-only stacks; the instrument and the step keep them, checked and run
 as stacks, and its channels and correction steps are views of them.  Every
 entry is real, so the stacks are float64: half the bytes of complex ones.
 The chain refuses, before it doubles its branches, to list more entries
-than one ``DIM_CAP`` x ``DIM_CAP`` matrix holds.  A pure source's
-conversion rate is read from its spectrum; no state is built.
+than one ``DIM_CAP`` x ``DIM_CAP`` matrix holds.  The build holds the
+cyclic garbage collector off: its objects form no reference cycles.  A
+pure source's conversion rate is read from its spectrum; no state is
+built.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionCapError, DivergingRateError, NotConvertibleError
-from .locc import Instrument, LocalChannel, LocalInstrument, LoccProtocol, _views
+from .locc import Instrument, LocalChannel, LocalInstrument, LoccProtocol, _GcHeld, _views
 from .measures import hashing_bounds
 from .qstate import DIM_CAP, QState, SchmidtVector, SystemLayout, pure_state
 
@@ -169,71 +171,74 @@ def synthesize_pure_protocol(
     spectrum can give up to 2^(d-1) outcomes (32768 at d=16).  The
     decomposition is part of the reference behaviour: on noisy inputs the
     channel, not only the conversion, depends on it, and the frozen
-    benchmark reports record it.
+    benchmark reports record it.  The whole build, 65536 views at d=16,
+    runs with Python's cyclic garbage collector held off, and the caller's
+    setting is restored on return or on an error.
     """
-    report = majorizes(target, source)
-    if not report.convertible:
-        raise NotConvertibleError(
-            f"target does not dominate source (first violation at prefix "
-            f"{report.violated_index})"
+    with _GcHeld():
+        report = majorizes(target, source)
+        if not report.convertible:
+            raise NotConvertibleError(
+                f"target does not dominate source (first violation at prefix "
+                f"{report.violated_index})"
+            )
+        t, s = _padded_pair(target, source)
+        d = len(t)
+
+        if layout is None:
+            layout = SystemLayout([(0, d), (1, d)])
+        if layout.parties != (0, 1):
+            raise ValueError("layout must contain exactly parties 0 and 1")
+        a_factors = layout.party_factors(0)
+        b_factors = layout.party_factors(1)
+        da = layout.subset(a_factors).total_dim
+        db = layout.subset(b_factors).total_dim
+        if da != db or da < d:
+            raise ValueError(
+                f"party dimensions ({da}, {db}) cannot hold a length-{d} spectrum"
+            )
+        if da > d:
+            t = np.pad(t, (0, da - d))
+            s = np.pad(s, (0, da - d))
+            d = da
+
+        sigmas, wts = _mixing_chain(t, s)
+        ts = t[sigmas]
+
+        # completeness identity: the mixture of permuted targets is the source
+        recon = (wts[:, None] * ts).sum(axis=0)
+        if np.max(np.abs(recon - s)) > 1e-10:  # pragma: no cover - internal consistency
+            raise NotConvertibleError("permutation mixture does not reproduce the source")
+
+        # outcome m sends basis vector i to sigma_m(i) on both sides.  Its
+        # amplitude is sqrt(wt * t[sigma_m(i)] / s[i]) in exactly this order
+        # (another order moves the last bit on non-dyadic spectra); where the
+        # source has no weight any isometric completion works, here sqrt(wt).
+        live = s > SUM_TOL
+        amps = np.where(
+            live,
+            np.sqrt(wts[:, None] * ts / np.where(live, s, 1.0)),
+            np.sqrt(wts)[:, None],
         )
-    t, s = _padded_pair(target, source)
-    d = len(t)
+        rows = np.arange(len(wts))[:, None]
+        cols = np.arange(d)[None, :]
+        # every entry is real, so float64 stacks hold the same values in half
+        # the bytes of complex ones (268 MB -> 134 MB for both at d=16)
+        kraus = np.zeros((len(wts), 1, d, d))
+        kraus[rows, 0, sigmas, cols] = amps
+        corrs = np.zeros((len(wts), 1, d, d))
+        corrs[rows, 0, sigmas, cols] = 1.0
+        kraus.setflags(write=False)
+        corrs.setflags(write=False)
 
-    if layout is None:
-        layout = SystemLayout([(0, d), (1, d)])
-    if layout.parties != (0, 1):
-        raise ValueError("layout must contain exactly parties 0 and 1")
-    a_factors = layout.party_factors(0)
-    b_factors = layout.party_factors(1)
-    da = layout.subset(a_factors).total_dim
-    db = layout.subset(b_factors).total_dim
-    if da != db or da < d:
-        raise ValueError(
-            f"party dimensions ({da}, {db}) cannot hold a length-{d} spectrum"
-        )
-    if da > d:
-        t = np.pad(t, (0, da - d))
-        s = np.pad(s, (0, da - d))
-        d = da
-
-    sigmas, wts = _mixing_chain(t, s)
-    ts = t[sigmas]
-
-    # completeness identity: the mixture of permuted targets is the source
-    recon = (wts[:, None] * ts).sum(axis=0)
-    if np.max(np.abs(recon - s)) > 1e-10:  # pragma: no cover - internal consistency
-        raise NotConvertibleError("permutation mixture does not reproduce the source")
-
-    # outcome m sends basis vector i to sigma_m(i) on both sides.  Its
-    # amplitude is sqrt(wt * t[sigma_m(i)] / s[i]) in exactly this order
-    # (another order moves the last bit on non-dyadic spectra); where the
-    # source has no weight any isometric completion works, here sqrt(wt).
-    live = s > SUM_TOL
-    amps = np.where(
-        live,
-        np.sqrt(wts[:, None] * ts / np.where(live, s, 1.0)),
-        np.sqrt(wts)[:, None],
-    )
-    rows = np.arange(len(wts))[:, None]
-    cols = np.arange(d)[None, :]
-    # every entry is real, so float64 stacks hold the same values in half
-    # the bytes of complex ones (268 MB -> 134 MB for both at d=16)
-    kraus = np.zeros((len(wts), 1, d, d))
-    kraus[rows, 0, sigmas, cols] = amps
-    corrs = np.zeros((len(wts), 1, d, d))
-    corrs[rows, 0, sigmas, cols] = 1.0
-    kraus.setflags(write=False)
-    corrs.setflags(write=False)
-
-    # every outcome and correction is a view of these two stacks, which
-    # the instrument and the step keep; they are checked and run as stacks
-    labels = [f"m{m}" for m in range(len(wts))]
-    instrument = Instrument._from_stack(labels, kraus, layout.subset(a_factors))
-    fixes = _views(LocalChannel, corrs, party=1, factors=b_factors)
-    cases = tuple(zip(labels, ((c,) for c in fixes)))
-    step = LocalInstrument(0, a_factors, instrument, cases, (b_factors, corrs))
-    return LoccProtocol(layout, (step,))
+        # every outcome and correction is a view of these two stacks, which
+        # the instrument and the step keep; they are checked and run as stacks
+        labels = [f"m{m}" for m in range(len(wts))]
+        instrument = Instrument._from_stack(labels, kraus, layout.subset(a_factors))
+        fixes = _views(LocalChannel, corrs, party=1, factors=b_factors)
+        cases = tuple(zip(labels, ((c,) for c in fixes)))
+        step = LocalInstrument(0, a_factors, instrument, cases, (b_factors, corrs))
+        return LoccProtocol(layout, (step,))
 
 
 class PureRate(NamedTuple):

@@ -148,6 +148,18 @@ def test_stacked_channel_algebra_matches_per_operator_forms(seed):
     assert (got.input_layout, got.output_layout) == (want.input_layout, want.output_layout)
     assert got._stack.shape == want._stack.shape
     assert np.max(np.abs(got._stack - want._stack)) <= 1e-12
+    # a float64 stack's completeness is the conjugate form's, bit for bit,
+    # and allocates its result only: the stack is not copied
+    real = rng.standard_normal((300, 2, d1, d0))
+    tracemalloc.start()
+    try:
+        comps = locc._completeness(real, d0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    a = real.reshape(300, -1, d0)
+    assert comps.dtype == np.float64 and peak < comps.nbytes + 4096
+    assert comps.tobytes() == (np.conjugate(a).transpose(0, 2, 1) @ a).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -265,6 +277,16 @@ def test_instrument_validation():
     # the per-outcome pass finds nothing and the total check fails
     with pytest.raises(ValueError, match="do not sum to a trace-preserving map"):
         Instrument.from_kraus(Q0, [("a", [0.75 * np.eye(2)]), ("b", [0.75 * np.eye(2)])])
+    # outcomes on equal but distinct layout objects share one layout; mixed ones do not
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    inst = Instrument((("a", Channel((p0,), Q0, Q0)),
+                       ("b", Channel((p1,), SystemLayout([(0, 2)]), SystemLayout([(0, 2)])))))
+    assert inst.labels == ("a", "b") == tuple(lab for lab, _ in inst.outcomes)
+    q1 = SystemLayout([(1, 2)])
+    with pytest.raises(LayoutMismatchError, match="must share one layout"):
+        Instrument((("a", Channel((p0,), Q0, Q0)), ("b", Channel((p1,), q1, q1))))
+    with pytest.raises(LayoutMismatchError, match="must share one layout"):
+        Instrument((("a", Channel((p0,), Q0, Q0)), ("b", Channel((p1,), Q0, q1))))
 
 
 def test_instrument_names_bad_outcome_beyond_first_batch():
@@ -426,14 +448,28 @@ def test_local_channel_without_kraus_is_not_tp():
         LoccProtocol(PAIR, [LocalChannel(1, (1,), (X,)), LocalChannel(1, (1,), ())])
 
 
+def _real_correction_step(*kraus_sets):
+    """Z measurement whose corrections on factor 1 are views of a float64 stack handed in,
+    as the synthesis builds its step."""
+    stack = np.stack([np.real(ks) for ks in kraus_sets])
+    stack.setflags(write=False)
+    views = locc._views(LocalChannel, stack, party=1, factors=(1,))
+    cases = tuple(zip(("0", "1"), ((v,) for v in views)))
+    return LocalInstrument(0, (0,), _z_measurement(), cases, ((1,), stack))
+
+
 @pytest.mark.parametrize("count", [1, 2])
-@pytest.mark.parametrize("where", ["instrument_case", "register_branch", "after_300_steps"])
+@pytest.mark.parametrize(
+    "where", ["instrument_case", "float64_stack", "register_branch", "after_300_steps"]
+)
 def test_non_tp_local_channel_rejected_anywhere(where, count):
     def tree(last: LocalChannel):
         flip = LocalChannel(1, (1,), (X / math.sqrt(count),) * count)
         if where == "instrument_case":
             inst = _z_measurement()
             return PAIR, [LocalInstrument(0, (0,), inst, (("0", (flip,)), ("1", (last,))))]
+        if where == "float64_stack":
+            return PAIR, [_real_correction_step(flip.kraus, last.kraus)]
         if where == "register_branch":
             lay = SystemLayout([(0, 2), (1, 2), (0, 2)])
             return lay, [RegisterControlled(2, ((flip,), (last,)), (0, 1))]
@@ -541,6 +577,9 @@ def test_non_finite_kraus_entry_is_named(bad, pos):
     # a correction stack names the entry too
     with pytest.raises(ValueError, match="local channel step: Kraus operator 0 " + where):
         LoccProtocol(PAIR, [LocalInstrument(0, (0,), _z_measurement(), (("1", (LocalChannel(1, (1,), (k,)),)),))])
+    # and a float64 one handed in, as the synthesis's is
+    with pytest.raises(ValueError, match="local channel step: Kraus operator 0 " + where):
+        LoccProtocol(PAIR, [_real_correction_step([X], [k])])
 
 
 def test_padded_instrument_stack_checks_like_its_outcomes():

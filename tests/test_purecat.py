@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import tracemalloc
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catent import locc
 from catent.errors import DimensionCapError, DivergingRateError, NotConvertibleError
 from catent.locc import (
     Instrument,
@@ -402,6 +404,34 @@ def test_wide_synthesis_memory_peak():
     assert peak < 200 * 2**20
 
 
+def test_wide_synthesis_runs_no_garbage_collection():
+    # the 32768-outcome build made hundreds of collections, three of them
+    # full ones; it holds the collector off and gives back its setting
+    pair = _width_16_pair()
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()  # no collection is due as the call starts
+    gc.callbacks.append(count)
+    try:
+        synthesize_pure_protocol(*pair)
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == [] and gc.isenabled()
+    gc.disable()  # a caller that turned the collector off keeps it off
+    try:
+        synthesize_pure_protocol(*pair)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    with pytest.raises(NotConvertibleError):
+        synthesize_pure_protocol(pair[1], pair[0])
+    assert gc.isenabled()
+
+
 def _synthesis_digest(n):
     """SHA-256 over the labels, then the Kraus operators and the corrections as complex128."""
     (step,) = synthesize_pure_protocol(*_copies_pair((0.5, 0.5), (0.7731, 0.2269), n)).steps
@@ -503,6 +533,26 @@ def test_embedding_shares_the_synthesis_stacks():
         assert lab == lab0 and c.factors == tuple(fmap[i] for i in c0.factors)
         assert c._stack.base is base and c.kraus[0].base is base
     assert np.shares_memory(moved.cases[-1][1][0]._stack, step.cases[-1][1][0]._stack)
+
+
+def test_embedding_views_the_correction_stack_in_one_call(monkeypatch):
+    # the 8 corrections of the n=2 synthesis view the rows of its stack, so
+    # the embedding remaps them with one _views call, not one per case
+    proto = synthesize_pure_protocol(
+        *_copies_pair((0.5, 0.5), (0.7731, 0.2269), 2),
+        layout=SystemLayout([(0, 2), (1, 2)]).power(2),
+    )
+    calls = []
+
+    def views(cls, stack, **fields):
+        calls.append(len(stack))
+        return real_views(cls, stack, **fields)
+
+    real_views = locc._views
+    monkeypatch.setattr(locc, "_views", views)
+    (moved,) = _catalyst_embedding(proto, 2).steps
+    assert calls == [8] and len(moved.cases) == 8
+    assert all(c._stack.base is proto.steps[0]._fix[1] for _, (c,) in moved.cases)
 
 
 def test_embedding_runs_like_complex_rebuild():
