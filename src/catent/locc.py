@@ -42,12 +42,9 @@ the top eigenvalue of its total K^dag K, which bounds every outcome's,
 and single outcomes only past that bound.  A protocol's steps are
 checked in one walk of the tree, each where the walk meets it; a
 correction stack is checked as one, in slices within ``_BATCH_ELEMS``.
-A failed check names a non-finite entry.  The pure-conversion synthesis
-builds its step, and ``_remap_steps`` remaps instrument steps, with
-Python's cyclic garbage collector held off (``_GcHeld``) and then set
-back as the caller had it: a 32768-outcome step makes a few objects per
-outcome and no reference cycles.  Cases that view the rows of their
-correction stack are remapped by one ``_views`` call on it.
+A failed check names a non-finite entry.  ``_remap_steps`` remaps an
+instrument step's cases like any other steps and passes its correction
+stack on unchanged.
 
 ``flatten`` composes a protocol into a single :class:`Channel` (Kraus
 form).  It is the Kraus-form export and the reference oracle the
@@ -58,7 +55,6 @@ step counts and is bounded by ``KRAUS_CAP``.
 from __future__ import annotations
 
 import functools
-import gc
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -147,22 +143,12 @@ def _check_kraus_shape(
         raise LayoutMismatchError(f"Kraus shape {shape} does not match {want}")
 
 
-class _GcHeld:
-    """Hold the cyclic GC off while a wide step is built; give back the caller's setting.
-
-    Such a build makes a few objects per outcome and no reference cycles,
-    so the hundreds of collections it set off, a few of them full, freed
-    nothing.  The one collection due on exit runs at the caller's next
-    allocation.
-    """
-
-    def __enter__(self):
-        self._enabled = gc.isenabled()
-        gc.disable()
-
-    def __exit__(self, *exc):
-        if self._enabled:
-            gc.enable()
+def _check_product(count: int, op_elems: int) -> None:
+    """Refuse, before it is formed, a Kraus set of ``count`` operators of ``op_elems`` entries
+    each past ``KRAUS_CAP`` operators or the entries of one cap-sized matrix."""
+    if count > KRAUS_CAP or count * op_elems > DIM_CAP**2:
+        raise DimensionCapError(f"{count} Kraus operators of {op_elems} entries exceed "
+                                f"{KRAUS_CAP} operators or {DIM_CAP}^2 entries")
 
 
 def _views(cls, stack: np.ndarray, **fields) -> list:
@@ -230,10 +216,15 @@ class Channel:
 
     @classmethod
     def depolarizing(cls, layout: SystemLayout, keep_prob: float) -> "Channel":
-        """rho -> keep_prob * rho + (1 - keep_prob) * I/d on the whole layout."""
+        """rho -> keep_prob * rho + (1 - keep_prob) * I/d on the whole layout.
+
+        Refused before allocating when d^2 passes ``DIM_CAP`` (d > 64): the
+        d^2 matrix units would hold more entries than one cap-sized matrix.
+        """
         if not 0.0 <= keep_prob <= 1.0:
             raise ValueError(f"keep_prob must be in [0, 1], got {keep_prob}")
         d = layout.total_dim
+        _check_product(d * d, d * d)  # the matrix units
         w = (1.0 - keep_prob) / d
         # sqrt(keep_prob) I, then sqrt(w) E_ij for every matrix unit, i major
         ks = []
@@ -256,18 +247,18 @@ class Channel:
         """Composition other(self(rho))."""
         if other.input_layout.dims != self.output_layout.dims:
             raise LayoutMismatchError("channel composition dims do not chain")
+        (k1, _, c1), (k2, r2, _) = self._stack.shape, other._stack.shape
+        _check_product(k1 * k2, r2 * c1)
         ks = other._stack[:, None] @ self._stack[None]
         return Channel(ks.reshape(-1, *ks.shape[2:]), self.input_layout, other.output_layout)
 
     def tensor(self, other: "Channel") -> "Channel":
         """self (x) other: operator i * len(other.kraus) + j is kron(self's i, other's j)."""
         (ka, ra, ca), (kb, rb, cb) = self._stack.shape, other._stack.shape
+        ins, outs = self.input_layout + other.input_layout, self.output_layout + other.output_layout
+        _check_product(ka * kb, ra * rb * ca * cb)
         ks = self._stack[:, None, :, None, :, None] * other._stack[None, :, None, :, None, :]
-        return Channel(
-            ks.reshape(ka * kb, ra * rb, ca * cb),
-            self.input_layout + other.input_layout,
-            self.output_layout + other.output_layout,
-        )
+        return Channel(ks.reshape(ka * kb, ra * rb, ca * cb), ins, outs)
 
     def choi(self) -> np.ndarray:
         """Choi matrix in a fixed row-major vec convention, for map equality tests."""
@@ -774,56 +765,27 @@ def tensor_protocols(first: LoccProtocol, second: LoccProtocol) -> LoccProtocol:
     )
 
 
-def _cases_view_rows(s: LocalInstrument) -> bool:
-    """Whether case m of ``s`` is one ``LocalChannel`` viewing row m of its correction stack.
-
-    ``_stack_corrections`` copies, so only a stack handed in (the
-    synthesis's, or one remapped from it) shares memory with its cases,
-    and such cases view its rows in outcome order: one identity test per
-    case tells them apart.
-    """
-    stack = s._fix[1]
-    owner = stack if stack.base is None else stack.base
-    return len(s.cases) == len(stack) and all(
-        lab == want and len(c) == 1 and isinstance(c[0], LocalChannel)
-        and c[0]._stack.base is owner
-        for (lab, c), want in zip(s.cases, s.instrument.labels)
-    )
-
-
 def _remap_steps(steps: Sequence[Step], fmap: Sequence[int]) -> tuple[Step, ...]:
     """Re-index steps through ``fmap`` (old factor index -> new index).
 
     Channels become views of the original read-only stacks.  An instrument
-    step is rebuilt with the cyclic GC held off; when its corrections view
-    the rows of its correction stack, its cases are one ``_views`` call on
-    that stack, not one per case.
+    step keeps its instrument; its cases are remapped like any other steps
+    and its correction stack is passed on unchanged.
     """
     out = []
     for s in steps:
         if isinstance(s, LocalChannel):
             out += _views(LocalChannel, s._stack[None], party=s.party,
                           factors=tuple(fmap[i] for i in s.factors))
-        elif isinstance(s, LocalInstrument):  # the remapped cases and _fix keep its stacks
+        elif isinstance(s, LocalInstrument):
+            cases = tuple((lab, _remap_steps(cont, fmap)) for lab, cont in s.cases)
             fix = s._fix and (tuple(fmap[i] for i in s._fix[0]), s._fix[1])
-            with _GcHeld():
-                if fix and _cases_view_rows(s):
-                    views = _views(LocalChannel, fix[1], party=s.cases[0][1][0].party,
-                                   factors=fix[0])
-                    cases = tuple(zip(s.instrument.labels, ((v,) for v in views)))
-                else:
-                    cases = tuple((lab, _remap_steps(cont, fmap)) for lab, cont in s.cases)
-                out.append(LocalInstrument(
-                    s.party, tuple(fmap[i] for i in s.factors), s.instrument, cases, fix
-                ))
+            out.append(LocalInstrument(
+                s.party, tuple(fmap[i] for i in s.factors), s.instrument, cases, fix
+            ))
         else:
-            out.append(
-                RegisterControlled(
-                    fmap[s.register],
-                    tuple(_remap_steps(b, fmap) for b in s.branches),
-                    s.updates,
-                )
-            )
+            branches = tuple(_remap_steps(b, fmap) for b in s.branches)
+            out.append(RegisterControlled(fmap[s.register], branches, s.updates))
     return tuple(out)
 
 

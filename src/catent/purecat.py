@@ -19,13 +19,14 @@ built.
 
 from __future__ import annotations
 
+import gc
 import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DimensionCapError, DivergingRateError, NotConvertibleError
-from .locc import Instrument, LocalChannel, LocalInstrument, LoccProtocol, _GcHeld, _views
+from .locc import Instrument, LocalChannel, LocalInstrument, LoccProtocol, _views
 from .measures import hashing_bounds
 from .qstate import DIM_CAP, QState, SchmidtVector, SystemLayout, pure_state
 
@@ -175,7 +176,9 @@ def synthesize_pure_protocol(
     runs with Python's cyclic garbage collector held off, and the caller's
     setting is restored on return or on an error.
     """
-    with _GcHeld():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
         report = majorizes(target, source)
         if not report.convertible:
             raise NotConvertibleError(
@@ -239,6 +242,9 @@ def synthesize_pure_protocol(
         cases = tuple(zip(labels, ((c,) for c in fixes)))
         step = LocalInstrument(0, a_factors, instrument, cases, (b_factors, corrs))
         return LoccProtocol(layout, (step,))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class PureRate(NamedTuple):

@@ -286,10 +286,11 @@ def singlet() -> QState:
 
 
 def maximally_entangled(dim: int) -> QState:
-    """sum_i |ii>/sqrt(d) on layout [(0,d),(1,d)]."""
+    """sum_i |ii>/sqrt(d) on layout [(0,d),(1,d)], which is built first, as the cap check."""
+    layout = SystemLayout([(0, dim), (1, dim)])
     v = np.zeros(dim * dim, dtype=complex)
     v[:: dim + 1] = 1.0 / math.sqrt(dim)
-    return pure_state(SystemLayout([(0, dim), (1, dim)]), v)
+    return pure_state(layout, v)
 
 
 def random_state(layout: SystemLayout, ensemble: str = "haar_pure", seed: int = 0) -> QState:

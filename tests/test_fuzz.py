@@ -39,6 +39,8 @@ from catent.catfactory import (
 )
 from catent.errors import BudgetError, DocumentError, LayoutMismatchError
 from catent.locc import (
+    KRAUS_CAP,
+    Channel,
     Instrument,
     LocalChannel,
     LocalInstrument,
@@ -54,8 +56,10 @@ from catent.locc import (
 )
 from catent.purecat import canonical_pure, synthesize_pure_protocol
 from catent.qstate import (
+    DIM_CAP,
     SchmidtVector,
     SystemLayout,
+    maximally_entangled,
     random_state,
     state_from_dict,
     state_to_dict,
@@ -702,6 +706,68 @@ def test_local_channel_without_kraus_is_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+# the most entries a draw inside the caps may build and still be run: larger
+# ones would only cost memory, and the refusal tests of test_locc and
+# test_qstate pin the boundary
+_BUILD_BUDGET = 2**21
+
+
+@st.composite
+def _kraus_shape(draw, cols):
+    """(K, rows, cols) of a Kraus stack of at most 2**16 entries."""
+    rows = draw(st.integers(1, min(DIM_CAP, 2**16 // cols)))
+    return draw(st.integers(1, 2**16 // (rows * cols))), rows, cols
+
+
+def _zeros(k, rows, cols):
+    return Channel(np.zeros((k, rows, cols)), SystemLayout([(0, cols)]), SystemLayout([(0, rows)]))
+
+
+@SETTINGS
+@given(st.sampled_from(["depolarizing", "then", "tensor", "maximally_entangled"]), st.data())
+def test_channel_and_pair_builders_finish_or_refuse_before_allocating(kind, data):
+    # dimensions up to DIM_CAP: a build past a cap raises DimensionCapError
+    # within 1 MB; any other build finishes with the expected shape
+    dim = st.one_of(st.integers(1, 64), st.integers(1, DIM_CAP))
+    if kind in ("depolarizing", "maximally_entangled"):
+        d, keep = data.draw(dim), data.draw(st.floats(0.0, 1.0))
+        refused, size, shape = d * d > DIM_CAP, (d * d + 1) * d * d, (d, d)
+        if kind == "depolarizing":
+            build = functools.partial(Channel.depolarizing, SystemLayout([(0, d)]), keep)
+        else:
+            build = functools.partial(maximally_entangled, d)
+    else:
+        k1, r1, c1 = data.draw(_kraus_shape(data.draw(dim)))
+        if kind == "then":
+            k2, r2, c2 = data.draw(_kraus_shape(r1))
+            count, rows, cols = k1 * k2, r2, c1
+            build = _zeros(k1, r1, c1).then
+        else:
+            k2, r2, c2 = data.draw(_kraus_shape(data.draw(dim)))
+            count, rows, cols = k1 * k2, r1 * r2, c1 * c2
+            build = _zeros(k1, r1, c1).tensor
+        second, size, shape = _zeros(k2, r2, c2), count * rows * cols, (count, rows, cols)
+        refused = max(rows, cols) > DIM_CAP or count > KRAUS_CAP or size > DIM_CAP**2
+        build = functools.partial(build, second)
+    if not refused and size > _BUILD_BUDGET:
+        event(f"{kind}: inside the caps, not run")
+        return
+    event(f"{kind}: {'refused' if refused else 'finishes'}")
+    tracemalloc.start()
+    try:
+        out = build()
+    except errors.DimensionCapError:
+        assert refused and tracemalloc.get_traced_memory()[1] < 2**20
+        return
+    finally:
+        tracemalloc.stop()
+    assert not refused
+    if kind == "maximally_entangled":
+        assert out.layout.total_dim == d * d
+    else:
+        assert out._stack.shape[-len(shape):] == shape
 
 
 @pytest.mark.filterwarnings("error")

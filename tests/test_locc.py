@@ -44,6 +44,7 @@ from catent.qstate import (
     tensor,
     trace_norm_dist,
 )
+from test_qstate import run_under_1gib
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -169,6 +170,71 @@ def test_depolarizing_stack_is_the_matrix_unit_set(d, keep_prob):
     want = _matrix_unit_depolarizing(d, keep_prob)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+_PAST_THE_CAPS = """
+import tracemalloc
+import numpy as np
+from catent.locc import Channel, teleport_channel
+from catent.qstate import SystemLayout
+
+
+def dep(d):
+    return Channel.depolarizing(SystemLayout([(0, d)]), 0.5)
+
+
+def zeros(k, rows, cols):
+    return Channel(np.zeros((k, rows, cols)), SystemLayout([(0, cols)]), SystemLayout([(0, rows)]))
+
+
+d16, d32 = dep(16), dep(32)
+wide, tall = zeros(65, 1, 64), zeros(65, 64, 1)
+i64, i128 = Channel.identity(SystemLayout([(0, 64)])), Channel.identity(SystemLayout([(0, 128)]))
+cases = {
+    "depolarizing-65": lambda: dep(65),
+    "depolarizing-4096": lambda: dep(4096),
+    "teleport-128": lambda: teleport_channel(0.5, 128),
+    "then-kraus": lambda: d32.then(d32),
+    "then-entries": lambda: wide.then(tall),
+    "tensor-16x16": lambda: d16.tensor(d16),
+    "tensor-layout": lambda: i64.tensor(i128),
+}
+for name, build in cases.items():
+    tracemalloc.start()
+    try:
+        build()
+        print(name, "built")
+    except Exception as exc:
+        print(name, type(exc).__name__, tracemalloc.get_traced_memory()[1], exc)
+    finally:
+        tracemalloc.stop()
+"""
+
+
+def test_channels_past_the_caps_are_refused_before_allocating():
+    # each built its Kraus stack first: depolarizing(4096) and the 16 x 16
+    # tensor raised numpy's untyped MemoryError (4.00 PiB, 64.5 GiB), and
+    # depolarizing(128) asked for two 4 GiB arrays
+    past = "exceed 65536 operators or 4096^2 entries"
+    want = {
+        "depolarizing-65": f"4225 Kraus operators of 4225 entries {past}",
+        "depolarizing-4096": f"16777216 Kraus operators of 16777216 entries {past}",
+        "teleport-128": f"16384 Kraus operators of 16384 entries {past}",
+        "then-kraus": f"1050625 Kraus operators of 1024 entries {past}",
+        "then-entries": f"4225 Kraus operators of 4096 entries {past}",
+        "tensor-16x16": f"66049 Kraus operators of 65536 entries {past}",
+        "tensor-layout": "layout dimension 8192 exceeds cap 4096",
+    }
+    got = {}
+    for line in run_under_1gib(_PAST_THE_CAPS):
+        name, _, outcome = line.partition(" ")
+        assert outcome.startswith("DimensionCapError "), line
+        _, peak, message = outcome.split(" ", 2)
+        assert int(peak) < 2**20, line
+        got[name] = message
+    assert got == want
+    # d = 64 is inside the cap: its 4096 matrix units hold 4096^2 entries
+    locc._check_product(64 * 64, 64 * 64)
 
 
 def test_unitary_constructors_reject_non_unitary_and_non_square():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catent import locc
 from catent.errors import DimensionCapError, DivergingRateError, NotConvertibleError
 from catent.locc import (
     Instrument,
@@ -533,26 +532,6 @@ def test_embedding_shares_the_synthesis_stacks():
         assert lab == lab0 and c.factors == tuple(fmap[i] for i in c0.factors)
         assert c._stack.base is base and c.kraus[0].base is base
     assert np.shares_memory(moved.cases[-1][1][0]._stack, step.cases[-1][1][0]._stack)
-
-
-def test_embedding_views_the_correction_stack_in_one_call(monkeypatch):
-    # the 8 corrections of the n=2 synthesis view the rows of its stack, so
-    # the embedding remaps them with one _views call, not one per case
-    proto = synthesize_pure_protocol(
-        *_copies_pair((0.5, 0.5), (0.7731, 0.2269), 2),
-        layout=SystemLayout([(0, 2), (1, 2)]).power(2),
-    )
-    calls = []
-
-    def views(cls, stack, **fields):
-        calls.append(len(stack))
-        return real_views(cls, stack, **fields)
-
-    real_views = locc._views
-    monkeypatch.setattr(locc, "_views", views)
-    (moved,) = _catalyst_embedding(proto, 2).steps
-    assert calls == [8] and len(moved.cases) == 8
-    assert all(c._stack.base is proto.steps[0]._fix[1] for _, (c,) in moved.cases)
 
 
 def test_embedding_runs_like_complex_rebuild():

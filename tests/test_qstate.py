@@ -131,15 +131,17 @@ print(tracemalloc.get_traced_memory()[1])
 """
 
 
-def test_layout_power_refused_before_repeating_its_factors():
-    # 10**9 copies would be a tuple of 8 GB: the refusal must come first.  A
-    # child under a 1 GiB address-space limit, so an allocation fails the
-    # test instead of taking the suite down.
+def run_under_1gib(script: str) -> list[str]:
+    """The output lines of ``script`` run in a child under a 1 GiB address-space limit.
+
+    A refusal that comes too late then fails the test with a MemoryError
+    instead of taking the suite down.
+    """
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
     proc = subprocess.run(
-        [sys.executable, "-c", _HUGE_POWER],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qstate.__file__))),
@@ -147,7 +149,12 @@ def test_layout_power_refused_before_repeating_its_factors():
         preexec_fn=limit,
     )
     assert proc.returncode == 0, proc.stderr
-    refused, refused_1, peak = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_layout_power_refused_before_repeating_its_factors():
+    # 10**9 copies would be a tuple of 8 GB: the refusal must come first
+    refused, refused_1, peak = run_under_1gib(_HUGE_POWER)
     assert refused == "1000000000 copies of dimension 2 exceed cap 4096"
     assert refused_1 == "1000000000 copies of a 1-factor layout exceed 32 factors"
     assert int(peak) < 2**20
@@ -505,6 +512,27 @@ def test_random_ensembles():
 def test_maximally_entangled():
     s = maximally_entangled(3)
     assert abs(entanglement_entropy(s) - math.log2(3)) < 1e-10
+
+
+_HUGE_PAIR = """
+import tracemalloc
+from catent.qstate import maximally_entangled
+
+tracemalloc.start()
+try:
+    maximally_entangled(10**5)
+except Exception as exc:
+    print(type(exc).__name__, tracemalloc.get_traced_memory()[1], exc)
+"""
+
+
+def test_maximally_entangled_past_the_cap_is_refused_before_allocating():
+    # the 10**10 amplitudes were allocated before the layout: numpy raised
+    # an untyped MemoryError for 149 GiB
+    (line,) = run_under_1gib(_HUGE_PAIR)
+    name, peak, message = line.split(" ", 2)
+    assert (name, message) == ("DimensionCapError", "layout dimension 10000000000 exceeds cap 4096")
+    assert int(peak) < 2**20
 
 
 # ---------------------------------------------------------------------------
