@@ -149,7 +149,7 @@ def build_catalyst(lambda_n: LoccProtocol, rho: QState, n: int) -> CatalystAssem
         raise LayoutMismatchError(
             f"protocol input {lambda_n.input_layout!r} is not {n} copies of {rho.layout!r}"
         )
-    if lambda_n.discard or lambda_n.relabel is not None:
+    if lambda_n.keep is not None:
         raise LayoutMismatchError("the n-copy protocol must keep all factors in place")
 
     # the n-copy output's per-copy marginals, then those of its first i copies
@@ -268,7 +268,7 @@ def _reuse_checks(lam: LoccProtocol, tau_eps: QState, rho: QState, copies: int):
         raise ValueError(f"need at least one copy, got {copies}")
     if lam.input_layout != rho.layout + tau_eps.layout:
         raise LayoutMismatchError("protocol input must be one copy plus the catalyst")
-    if lam.discard or lam.relabel is not None:
+    if lam.keep is not None:
         raise LayoutMismatchError("protocol must keep the system+catalyst split")
     # no product of the copies is built, but they stay within the limits it would have
     return copies, rho.layout.power(copies)
@@ -363,7 +363,7 @@ def verify_marginal_reduction(
     """Certify an n-to-m conversion copy by copy.
 
     The protocol consumes n copies of rho and must emit m copies on
-    sigma's layout (surplus factors discarded inside the protocol).
+    sigma's layout (its ``keep`` traces out the surplus factors).
     The certificate lists each kept copy's distance to sigma and the
     achieved rate m/n.
     """

@@ -264,9 +264,10 @@ def _cmd_reduce(p):
     if m > n:
         raise ScenarioError(f"need 1 <= m <= n, got m={m}, n={n}")
     base = _build_protocol(p["protocol"], rho, sigma, n)
-    if m < n:
+    if m < n:  # the first m copies of the protocol's own output
         f = len(rho.layout)
-        base = LoccProtocol(base.input_layout, base.steps, discard=tuple(range(m * f, n * f)))
+        keep = (base.keep or range(n * f))[: m * f]
+        base = LoccProtocol(base.input_layout, base.steps, keep=keep)
     cert = verify_marginal_reduction(base, rho, sigma, n, m)
     eps = max(cert.per_marginal_errors)
     results = {

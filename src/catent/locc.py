@@ -22,8 +22,9 @@ reshaped to one tensor axis per factor: each local Kraus set is
 contracted on the axes it touches, instrument outcomes run their
 continuations and are summed, and register branches run on the
 register's diagonal blocks.  No full-dimension operator is built.
-Terminal bookkeeping (discarding ancilla factors, relabeling the
-survivors) is part of the protocol and is applied last.
+One terminal map ends the protocol and is applied last, as one partial
+trace: ``keep``, where output factor t is input factor ``keep[t]`` and
+factors not listed are traced out.
 
 Every Kraus set is stored once, as a read-only stack the public
 ``kraus`` tuples view: (K, rows, cols) for a channel, outcome-major and
@@ -64,7 +65,7 @@ import numpy as np
 
 from . import _io
 from .errors import DimensionCapError, DocumentError, LayoutMismatchError, LocalityError
-from .qstate import DIM_CAP, QState, SystemLayout, _permute_matrix, _reduce_matrix
+from .qstate import DIM_CAP, QState, SystemLayout, _reduce_matrix
 
 TP_TOL = 1e-9
 KRAUS_CAP = 65536
@@ -376,7 +377,7 @@ class Instrument:
     def from_kraus(
         cls, layout: SystemLayout, outcomes: Sequence[tuple[str, Sequence[np.ndarray]]]
     ) -> "Instrument":
-        return cls(tuple((lab, Channel(tuple(ks), layout, layout)) for lab, ks in outcomes))
+        return cls(tuple((str(lab), Channel(tuple(ks), layout, layout)) for lab, ks in outcomes))
 
     @property
     def input_layout(self) -> SystemLayout:
@@ -551,48 +552,39 @@ def _validate_steps(
 
 
 class LoccProtocol:
-    """Validated step sequence with terminal discard and relabeling."""
+    """Validated step sequence with one terminal map, ``keep``.
 
-    __slots__ = ("input_layout", "steps", "discard", "relabel")
+    Output factor t is input factor ``keep[t]``, the gather convention of
+    ``permute_factors`` and ``perm_unitary``; factors not listed are traced
+    out.  ``None`` keeps every factor in place, and a ``keep`` that lists
+    every factor in order is stored as ``None``.
+    """
+
+    __slots__ = ("input_layout", "steps", "keep")
 
     def __init__(
         self,
         input_layout: SystemLayout,
         steps: Sequence[Step] = (),
         *,
-        discard: Sequence[int] = (),
-        relabel: Sequence[int] | None = None,
+        keep: Sequence[int] | None = None,
     ):
         self.input_layout = input_layout
         self.steps = tuple(steps)
         _validate_steps(input_layout, self.steps)
-        self.discard = tuple(sorted(set(int(i) for i in discard)))
-        for i in self.discard:
-            if not 0 <= i < len(input_layout):
-                raise LayoutMismatchError(f"discard index {i} out of range")
-        if len(self.discard) == len(input_layout):
-            raise ValueError("cannot discard every factor")
-        if relabel is not None:
-            relabel = tuple(int(i) for i in relabel)
-            if sorted(relabel) != list(range(len(self._kept()))):
-                raise ValueError(f"relabel {relabel} is not a permutation of kept factors")
-        self.relabel = relabel
-
-    def _kept(self) -> list[int]:
-        """Input factors left after the discard."""
-        return [i for i in range(len(self.input_layout)) if i not in self.discard]
+        if keep is not None:
+            keep = tuple(int(i) for i in keep)
+            if not keep or len(set(keep)) != len(keep):
+                raise ValueError(f"a protocol keeps at least one factor, each once: keep={keep}")
+            if not set(keep) <= set(range(len(input_layout))):
+                raise LayoutMismatchError(f"keep {keep} out of range for {input_layout!r}")
+        self.keep = None if keep == tuple(range(len(input_layout))) else keep
 
     def output_layout(self) -> SystemLayout:
-        layout = self.input_layout.subset(self._kept())
-        if self.relabel is not None:
-            layout = layout.subset(self.relabel)
-        return layout
+        return self.input_layout if self.keep is None else self.input_layout.subset(self.keep)
 
     def __repr__(self) -> str:
-        return (
-            f"LoccProtocol({self.input_layout!r}, {len(self.steps)} steps, "
-            f"discard={self.discard})"
-        )
+        return f"LoccProtocol({self.input_layout!r}, {len(self.steps)} steps, keep={self.keep})"
 
 
 def identity_protocol(layout: SystemLayout) -> LoccProtocol:
@@ -714,8 +706,8 @@ def controlled_on_register(
     for b in branches:
         if b.input_layout != layout:
             raise LayoutMismatchError("all branches must share the control layout")
-        if b.discard or b.relabel is not None:
-            raise ValueError("branch protocols must not discard or relabel factors")
+        if b.keep is not None:
+            raise ValueError("branch protocols must keep every factor in place")
     # the register's range and its one branch per value are checked as a step
     if updates is None:
         updates = tuple(range(len(branches)))
@@ -738,30 +730,22 @@ def embed_protocol(
                 f"factor {old} {protocol.input_layout[old]} cannot map onto "
                 f"{new} {target_layout[new]}"
             )
-    if protocol.discard or protocol.relabel is not None:
-        raise ValueError("cannot embed a protocol with terminal discard or relabeling")
+    if protocol.keep is not None:
+        raise ValueError("cannot embed a protocol whose keep drops or moves factors")
     return LoccProtocol(target_layout, _remap_steps(protocol.steps, fmap))
 
 
 def tensor_protocols(first: LoccProtocol, second: LoccProtocol) -> LoccProtocol:
     """Run two protocols side by side: ``first`` on the leading factors.
 
-    Each side keeps its own discard and relabeling; the output layout is
-    ``first``'s output followed by ``second``'s.
+    Each side keeps its own ``keep``; the output layout is ``first``'s
+    output followed by ``second``'s.
     """
-    f1 = len(first.input_layout)
-    f2 = len(second.input_layout)
-    kept1 = f1 - len(first.discard)
-    relabel = None
-    if first.relabel is not None or second.relabel is not None:
-        r1 = first.relabel if first.relabel is not None else range(kept1)
-        r2 = second.relabel if second.relabel is not None else range(f2 - len(second.discard))
-        relabel = tuple(r1) + tuple(kept1 + j for j in r2)
+    f1, f2 = len(first.input_layout), len(second.input_layout)
     return LoccProtocol(
         first.input_layout + second.input_layout,
         first.steps + _remap_steps(second.steps, range(f1, f1 + f2)),
-        discard=first.discard + tuple(f1 + i for i in second.discard),
-        relabel=relabel,
+        keep=(*(first.keep or range(f1)), *(f1 + i for i in second.keep or range(f2))),
     )
 
 
@@ -899,12 +883,8 @@ def _run_matrix(protocol: LoccProtocol, matrix: np.ndarray) -> np.ndarray:
     # each step was checked trace-preserving when the protocol was built
     if abs(np.trace(out) - np.trace(matrix)) > TP_TOL:
         raise RuntimeError("protocol run did not preserve the trace (internal bug)")
-    if protocol.discard:
-        keep = protocol._kept()
-        out = _reduce_matrix(out, dims, keep)
-        dims = tuple(dims[i] for i in keep)
-    if protocol.relabel is not None:
-        out = _permute_matrix(out, dims, protocol.relabel)
+    if protocol.keep is not None:
+        out = _reduce_matrix(out, dims, protocol.keep)
     return out
 
 
@@ -969,23 +949,18 @@ def flatten(protocol: LoccProtocol) -> Channel:
     ``run_protocol``; its Kraus count, the product of the step counts,
     is capped at ``KRAUS_CAP``.
     """
-    layout = protocol.input_layout
-    out_layout = protocol.output_layout()
-    kept = protocol._kept()
+    layout, keep = protocol.input_layout, protocol.keep
     ops = _steps_kraus(layout, protocol.steps)
-    if len(kept) < len(layout):
-        # one partial-trace map per basis state j of the dropped factors
+    if keep is not None:
+        # one trace map per basis state of the dropped factors, the rest in ``keep``'s order
         d = layout.total_dim
-        d_drop = d // math.prod(layout[i].dim for i in kept)
-        pos = _positions(layout.dims, kept)
+        d_drop = d // math.prod(layout[i].dim for i in keep)
+        pos = _positions(layout.dims, keep)
         traces = np.zeros((d_drop, d // d_drop, d), dtype=complex)
         traces[pos % d_drop, pos // d_drop, np.arange(d)] = 1.0
         ops = [v @ op for v in traces for op in ops]
-    if protocol.relabel is not None:
-        r = _reorder_matrix([layout[i].dim for i in kept], protocol.relabel)
-        ops = [r @ op for op in ops]
     ops = [op for op in ops if np.any(op)]
-    chan = Channel(tuple(ops), layout, out_layout)
+    chan = Channel(tuple(ops), layout, protocol.output_layout())
     if not chan.is_trace_preserving():
         raise RuntimeError("flattened protocol is not trace-preserving (internal bug)")
     return chan
@@ -1070,12 +1045,16 @@ def _decode_step(doc: dict, layout: SystemLayout) -> Step:
 
 
 def protocol_to_dict(protocol: LoccProtocol) -> dict:
+    # ``keep`` as the factors it drops and, unless in order, the order of the rest
+    n = len(protocol.input_layout)
+    keep = list(protocol.keep or range(n))
+    kept = sorted(keep)
     return {
         "format": PROTOCOL_FORMAT,
         "factors": [[f.party, f.dim] for f in protocol.input_layout],
         "steps": [_encode_step(s) for s in protocol.steps],
-        "discard": list(protocol.discard),
-        "relabel": list(protocol.relabel) if protocol.relabel is not None else None,
+        "discard": [i for i in range(n) if i not in keep],
+        "relabel": None if keep == kept else [kept.index(i) for i in keep],
     }
 
 
@@ -1084,11 +1063,17 @@ def protocol_from_dict(doc: dict) -> LoccProtocol:
     with _io.parsing("protocol"):
         layout = SystemLayout([(int(p), int(d)) for p, d in doc["factors"]])
         step_docs = list(doc["steps"])
-        discard = tuple(int(i) for i in doc.get("discard") or ())
+        discard = {int(i) for i in doc.get("discard") or ()}
         relabel = doc.get("relabel")
         relabel = tuple(int(i) for i in relabel) if relabel is not None else None
     steps = tuple(_decode_step(s, layout) for s in step_docs)
-    return LoccProtocol(layout, steps, discard=discard, relabel=relabel)
+    # ``relabel`` orders the factors ``discard`` leaves; keeping none is an empty ``keep``
+    if not discard <= set(range(len(layout))):
+        raise LayoutMismatchError(f"discard {sorted(discard)} out of range for {layout!r}")
+    kept = [i for i in range(len(layout)) if i not in discard]
+    if relabel is not None and sorted(relabel) != list(range(len(kept))):
+        raise ValueError(f"relabel {relabel} is not a permutation of kept factors")
+    return LoccProtocol(layout, steps, keep=[kept[j] for j in relabel or range(len(kept))])
 
 
 def save_protocol(protocol: LoccProtocol, path) -> None:

@@ -375,7 +375,7 @@ def permute_factors(state: QState, order: Sequence[int]) -> QState:
 
 
 def _reduce_matrix(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Raw partial trace onto the sorted factor indices ``keep``; no validation."""
+    """Raw partial trace onto the factors ``keep``, in that order; no validation."""
     dims = tuple(dims)
     n = len(dims)
     drop = [i for i in range(n) if i not in keep]

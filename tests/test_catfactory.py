@@ -191,7 +191,7 @@ def test_build_validations():
     with pytest.raises(LayoutMismatchError):
         build_catalyst(identity_protocol(PAIR.power(3)), rho, 2)
     with pytest.raises(LayoutMismatchError):
-        build_catalyst(LoccProtocol(PAIR.power(2), (), discard=(3,)), rho, 2)
+        build_catalyst(LoccProtocol(PAIR.power(2), (), keep=(0, 1, 2)), rho, 2)
     with pytest.raises(DimensionCapError):
         build_catalyst(identity_protocol(PAIR.power(5)), rho, 5)
     # the cap comes first, and without building the integer 4**(10**7),
@@ -281,6 +281,18 @@ def test_track_joint_cross_check():
         assert abs(trace_norm_dist(a, sigma) - cert.per_marginal_errors[i]) < 1e-10
 
 
+@pytest.mark.parametrize("keep", [(0, 1, 2, 3), (1, 0, 2, 3, 4), (2, 3, 0, 1, 4)])
+def test_reuse_refuses_a_protocol_whose_keep_is_set(keep):
+    # a copy and the catalyst (a copy and a register): five factors
+    rho = canonical_pure((0.5, 0.5))
+    asm = build_catalyst(_synth_lambda(2), rho, 2)
+    emb = asm.embedding
+    lam = LoccProtocol(emb.input_layout, emb.steps, keep=keep)
+    for reuse in (iterate_reuse, reuse_joint):
+        with pytest.raises(LayoutMismatchError, match="system\\+catalyst split"):
+            reuse(lam, asm.tau, rho, 2)
+
+
 def test_track_joint_dimension_cap():
     rho = canonical_pure((0.5, 0.5))
     asm = build_catalyst(_synth_lambda(2), rho, 2)
@@ -334,7 +346,7 @@ def test_marginal_reduction_identity():
 
 def test_marginal_reduction_with_discard():
     rho = random_state(PAIR, "ginibre_mixed", seed=8)
-    lam = LoccProtocol(PAIR.power(3), (), discard=(4, 5))
+    lam = LoccProtocol(PAIR.power(3), (), keep=range(4))
     cert = verify_marginal_reduction(lam, rho, rho, 3, 2)
     assert cert.m == 2
     assert abs(cert.rate_slack - 2 / 3) < 1e-15
@@ -357,7 +369,7 @@ def test_marginal_reduction_validations():
         verify_marginal_reduction(ident3, rho, rho, 3, 4)
     with pytest.raises(LayoutMismatchError):
         verify_marginal_reduction(ident3, rho, rho, 2, 2)
-    lam = LoccProtocol(PAIR.power(3), (), discard=(4, 5))
+    lam = LoccProtocol(PAIR.power(3), (), keep=range(4))
     with pytest.raises(LayoutMismatchError):
         verify_marginal_reduction(lam, rho, rho, 3, 1)
 
@@ -442,7 +454,7 @@ def test_marginal_reduction_matches_state_chain(n):
     rho, sigma, _, _ = _noisy_setup(n)
     lam = _noisy_lambda(n, 0.9)
     for m in range(1, n + 1):
-        keep = LoccProtocol(lam.input_layout, lam.steps, discard=range(2 * m, 2 * n))
+        keep = LoccProtocol(lam.input_layout, lam.steps, keep=range(2 * m))
         got = verify_marginal_reduction(keep, rho, sigma, n, m).per_marginal_errors
         want = _chain_reduction(keep, rho, sigma, n, m)
         assert np.max(np.abs(np.subtract(got, want))) < 1e-12
@@ -490,14 +502,14 @@ def test_relabeled_protocols_match_state_chain():
     rho, sigma, asm, tau_eps = _noisy_setup(2)
     emb = asm.embedding
     # hand back (party-0 system qubit, register) as the "system": the output
-    # dims still match, so the certificate is computed on the relabeled split
-    lam = LoccProtocol(emb.input_layout, emb.steps, relabel=(0, 4, 2, 3, 1))
+    # dims still match, so the certificate is computed on the reordered split
+    lam = LoccProtocol(emb.input_layout, emb.steps, keep=(0, 4, 2, 3, 1))
     got = verify_catalysis(lam, tau_eps, rho, sigma)
     want = _chain_catalysis(lam, tau_eps, rho, sigma)
     assert np.max(np.abs(np.subtract(got, want))) < 1e-12
     # swapped output copies of a 3-to-2 reduction
     base = _noisy_lambda(3, 0.9)
-    lam = LoccProtocol(base.input_layout, base.steps, discard=(4, 5), relabel=(2, 3, 0, 1))
+    lam = LoccProtocol(base.input_layout, base.steps, keep=(2, 3, 0, 1))
     got = verify_marginal_reduction(lam, rho, sigma, 3, 2).per_marginal_errors
     want = _chain_reduction(lam, rho, sigma, 3, 2)
     assert np.max(np.abs(np.subtract(got, want))) < 1e-12
@@ -515,12 +527,12 @@ def test_verify_catalysis_errors_match_state_chain():
     emb = asm.embedding
     lay = emb.input_layout
     cases = [
-        # a discard breaks the split
-        (LoccProtocol(lay, emb.steps, discard=(1,)), asm.tau, sigma),
-        # a relabel that moves the dim-3 register into the system
-        (LoccProtocol(lay, emb.steps, relabel=(0, 6, 2, 3, 4, 5, 1)), asm.tau, sigma),
-        # a relabel that moves a system qubit into the catalyst's register slot
-        (LoccProtocol(lay, emb.steps, relabel=(0, 1, 2, 3, 4, 6, 5)), asm.tau, sigma),
+        # a dropped factor breaks the split
+        (LoccProtocol(lay, emb.steps, keep=(0, 2, 3, 4, 5, 6)), asm.tau, sigma),
+        # a keep that moves the dim-3 register into the system
+        (LoccProtocol(lay, emb.steps, keep=(0, 6, 2, 3, 4, 5, 1)), asm.tau, sigma),
+        # a keep that moves a system qubit into the catalyst's register slot
+        (LoccProtocol(lay, emb.steps, keep=(0, 1, 2, 3, 4, 6, 5)), asm.tau, sigma),
         # a sigma on the wrong dims
         (emb, asm.tau, maximally_mixed(SystemLayout([(0, 2), (1, 3)]))),
     ]

@@ -14,8 +14,23 @@ import pytest
 
 import catent
 from catent import cli
-from catent.errors import DimensionCapError, MissingSeriesError, ScenarioError
-from catent.qstate import save_state, singlet, state_to_dict
+from catent.errors import (
+    DimensionCapError,
+    DocumentError,
+    LayoutMismatchError,
+    MissingSeriesError,
+    ScenarioError,
+)
+from catent.locc import (
+    Channel,
+    LoccProtocol,
+    identity_protocol,
+    local_channel,
+    protocol_from_dict,
+    protocol_to_dict,
+    save_protocol,
+)
+from catent.qstate import SystemLayout, save_state, singlet, state_to_dict
 
 
 def _write(tmp_path, name, text):
@@ -200,6 +215,64 @@ def test_reduce_report(tmp_path):
     assert res["rate"] == pytest.approx(2.0 / 3.0)
     assert res["delta"] == pytest.approx(1.0 / 3.0)
     assert len(res["per_marginal_errors"]) == 2
+
+
+def _save_noisy_copy_0(path, keep):
+    """Three singlet slots, copy 0's first qubit depolarized (keep 0.5), the
+    output handed back as ``keep``."""
+    lay = SystemLayout([(0, 2), (1, 2)]).power(3)
+    noise = Channel.depolarizing(SystemLayout([(0, 2)]), 0.5).kraus
+    save_protocol(LoccProtocol(lay, [local_channel(lay, 0, (0,), noise)], keep=keep), path)
+
+
+@pytest.mark.parametrize("m,want", [(3, [0.0, 0.0, 0.75]), (2, [0.0, 0.0])])
+def test_reduce_keeps_the_first_m_copies_of_a_file_protocols_output(tmp_path, m, want):
+    # the noisy copy 0 is handed back last, so the first two copies are clean
+    path = tmp_path / "p.json"
+    _save_noisy_copy_0(path, (4, 5, 2, 3, 0, 1))
+    code, rep = _report(
+        tmp_path, "reduce",
+        f"rho: singlet\nsigma: singlet\nn: 3\nm: {m}\nprotocol: file:{path}\n",
+    )
+    assert code == 0
+    assert rep["results"]["per_marginal_errors"] == pytest.approx(want, abs=1e-12)
+
+
+def test_reduce_refuses_a_file_protocol_that_keeps_fewer_than_m_copies(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    _save_noisy_copy_0(path, (2, 3))
+    text = f"rho: singlet\nsigma: singlet\nn: 3\nm: 2\nprotocol: file:{path}\n"
+    scn = _write(tmp_path, "r.scn", text)
+    assert cli.main(["reduce", "--scenario", scn]) == 1
+    assert "is not 2 copies" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "keys,error,code",
+    [
+        ({"discard": [4]}, LayoutMismatchError, 1),
+        ({"discard": [-1, 0]}, LayoutMismatchError, 1),
+        ({"discard": [0, 1, 2, 3]}, ValueError, 1),
+        ({"discard": [0, 1, 2, 3], "relabel": []}, ValueError, 1),
+        ({"relabel": [0, 0, 1, 2]}, ValueError, 1),
+        ({"discard": [3], "relabel": [0, 1]}, ValueError, 1),
+        ({"discard": [3], "relabel": [0, 1, 3]}, ValueError, 1),
+        ({"discard": ["x"]}, DocumentError, 2),
+        ({"relabel": [0, None, 1, 2]}, DocumentError, 2),
+        ({"relabel": 7}, DocumentError, 2),
+    ],
+    ids=["discard-past", "discard-negative", "discard-all", "discard-all-relabel-empty",
+         "relabel-repeat", "relabel-short", "relabel-past", "discard-str", "relabel-none",
+         "relabel-int"],
+)
+def test_malformed_discard_or_relabel_keeps_its_error_type(tmp_path, keys, error, code):
+    doc = {**protocol_to_dict(identity_protocol(SystemLayout([(0, 2), (1, 2)]).power(2))), **keys}
+    with pytest.raises(ValueError) as err:
+        protocol_from_dict(doc)
+    assert type(err.value) is error
+    path = _write(tmp_path, "p.json", json.dumps(doc))
+    scn = _write(tmp_path, "c.scn", f"rho: singlet\nn: 2\nprotocol: file:{path}\n")
+    assert cli.main(["catalyze", "--scenario", scn]) == code
 
 
 def test_lemma1_report(tmp_path):

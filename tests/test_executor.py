@@ -11,6 +11,7 @@ the same step run outcome by outcome, the general path.
 
 import copy
 import functools
+import json
 import math
 from unittest import mock
 
@@ -123,16 +124,20 @@ def _steps(draw, layout, rng, depth, fixed=frozenset()):
     return steps
 
 
+def _keeps(n):
+    """``None``, or any non-empty list of distinct factors of ``n``."""
+    return st.none() | st.permutations(range(n)).flatmap(
+        lambda p: st.integers(1, n).map(lambda k: p[:k])
+    )
+
+
 @st.composite
 def _protocols(draw, max_factors=3):
     layout = draw(_layouts(max_factors))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     steps = draw(_steps(layout, rng, depth=2))
     assume(_kraus_count(steps) <= 500)
-    n = len(layout)
-    discard = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
-    relabel = draw(st.none() | st.permutations(range(n - len(discard))))
-    return LoccProtocol(layout, steps, discard=tuple(discard), relabel=relabel)
+    return LoccProtocol(layout, steps, keep=draw(_keeps(len(layout))))
 
 
 @SETTINGS
@@ -202,30 +207,32 @@ def _index_map_reorder(dims, order):
 
 
 def _index_map_flatten(protocol):
-    """``flatten``'s Kraus list and output layout, built with the old index maps."""
+    """``flatten``'s Kraus list and output layout, built with the old index maps.
+
+    The factors ``keep`` drops are traced out by one map per basis state of
+    theirs onto the rest in order, and a reorder of the rest follows.  The
+    two maps are composed before an operator meets them: ``r @ (v @ op)``
+    and ``(r @ v) @ op`` may differ in the sign of a zero entry.
+    """
     layout = protocol.input_layout
     ops = _steps_kraus(layout, protocol.steps)
-    drop = set(protocol.discard)
-    out_layout = layout
-    if drop:
-        kept = [i for i in range(len(layout)) if i not in drop]
-        dims = layout.dims
-        d = layout.total_dim
-        d_drop = int(np.prod([dims[i] for i in sorted(drop)]))
-        pos = _index_map(dims, kept + sorted(drop))
-        traces = []
-        for j in range(d_drop):
-            cols = np.where(pos % d_drop == j)[0]
-            v = np.zeros((d // d_drop, d), dtype=complex)
-            v[pos[cols] // d_drop, cols] = 1.0
-            traces.append(v)
-        ops = [v @ op for v in traces for op in ops]
-        out_layout = layout.subset(kept)
-    if protocol.relabel is not None:
-        r = _index_map_reorder(out_layout.dims, protocol.relabel)
-        ops = [r @ op for op in ops]
-        out_layout = out_layout.subset(protocol.relabel)
-    return [op for op in ops if np.any(op)], out_layout
+    if protocol.keep is None:
+        return [op for op in ops if np.any(op)], layout
+    keep, kept = list(protocol.keep), sorted(protocol.keep)
+    drop = [i for i in range(len(layout)) if i not in keep]
+    dims = layout.dims
+    d = layout.total_dim
+    d_drop = int(np.prod([dims[i] for i in drop]))
+    pos = _index_map(dims, kept + drop)
+    traces = []
+    for j in range(d_drop):
+        cols = np.where(pos % d_drop == j)[0]
+        v = np.zeros((d // d_drop, d), dtype=complex)
+        v[pos[cols] // d_drop, cols] = 1.0
+        traces.append(v)
+    r = _index_map_reorder(layout.subset(kept).dims, [kept.index(i) for i in keep])
+    ops = [(r @ v) @ op for v in traces for op in ops]
+    return [op for op in ops if np.any(op)], layout.subset(keep)
 
 
 @SETTINGS
@@ -249,18 +256,33 @@ def test_flatten_matches_old_index_maps(layout, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     steps = data.draw(_steps(layout, rng, depth=2))
     assume(_kraus_count(steps) <= 500)
-    n = len(layout)
-    discard = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
-    protocol = LoccProtocol(
-        layout,
-        steps,
-        discard=tuple(discard),
-        relabel=data.draw(st.none() | st.permutations(range(n - len(discard)))),
-    )
+    protocol = LoccProtocol(layout, steps, keep=data.draw(_keeps(len(layout))))
     ops, out_layout = _index_map_flatten(protocol)
     got = flatten(protocol)
     assert got.output_layout == out_layout
     assert got._stack.tobytes() == np.array(ops).tobytes()
+
+
+@SETTINGS
+@given(_layouts(), st.data())
+def test_discard_relabel_documents_reencode_byte_identically(layout, data):
+    # a document writes ``keep`` as ``discard`` and a ``relabel`` of the
+    # factors ``discard`` leaves; every pair of them decodes and re-encodes
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    steps = data.draw(_steps(layout, rng, depth=1))
+    n = len(layout)
+    discard = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
+    kept = [i for i in range(n) if i not in discard]
+    relabel = data.draw(st.none() | st.permutations(range(len(kept))))
+    doc = {**protocol_to_dict(LoccProtocol(layout, steps)), "discard": discard, "relabel": relabel}
+    back = protocol_from_dict(doc)
+    keep = [kept[j] for j in relabel or range(len(kept))]
+    assert list(back.keep or range(n)) == keep
+    assert back.output_layout() == layout.subset(keep)
+    # a relabel that leaves every kept factor in place is written as null
+    if relabel == list(range(len(kept))):
+        doc["relabel"] = None
+    assert json.dumps(protocol_to_dict(back)) == json.dumps(doc)
 
 
 def _tensordot_contract(t, kraus, axes):
@@ -328,9 +350,7 @@ def _outcome_loop(protocol):
             s = copy.copy(s)
             object.__setattr__(s, "_fix", None)
         steps.append(s)
-    return LoccProtocol(
-        protocol.input_layout, steps, discard=protocol.discard, relabel=protocol.relabel
-    )
+    return LoccProtocol(protocol.input_layout, steps, keep=protocol.keep)
 
 
 def _assert_pair_path_matches_loop(protocol, matrix):

@@ -2,8 +2,8 @@
 
 Random step trees over small layouts cover every step kind: local
 channels, instruments with and without a correction stack (derived from
-the cases or handed in), nested cases, register branches, discard and
-relabel.  Faults are injected at random.  A tree
+the cases or handed in), nested cases, register branches and the
+terminal ``keep``.  Faults are injected at random.  A tree
 without a fault must construct, run on a random state and match
 ``flatten``; a tree with one must be refused at construction with a
 ``catent.errors`` type or a ``ValueError`` that catent raises itself,
@@ -245,16 +245,17 @@ class _Tree:
     def protocol(self):
         n = len(self.layout)
         steps = self.steps(list(range(n)), depth=2)
-        discard = sorted(self.draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
-        relabel = self.draw(st.none() | st.permutations(range(n - len(discard))))
-        fault = self.fault("discard_all", "discard_range", "relabel")
-        if fault == "discard_all":
-            discard = list(range(n))
-        elif fault == "discard_range":
-            discard.append(n)
-        elif fault == "relabel":
-            relabel = [0] * (n - len(discard) + 1)
-        return LoccProtocol(self.layout, steps, discard=discard, relabel=relabel)
+        keep = self.draw(st.permutations(range(n)))[: self.draw(st.integers(1, n))]
+        fault = self.fault("keep_empty", "keep_repeat", "keep_range")
+        if fault == "keep_empty":
+            keep = []
+        elif fault == "keep_repeat":
+            keep.append(keep[0])
+        elif fault == "keep_range":
+            keep.append(self.draw(st.sampled_from([n, -1])))
+        elif self.draw(st.booleans()):
+            keep = None
+        return LoccProtocol(self.layout, steps, keep=keep)
 
 
 _layouts = st.lists(

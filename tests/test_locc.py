@@ -727,7 +727,7 @@ def test_teleportation_integration():
     proto = LoccProtocol(
         layout,
         [local_instrument(layout, 0, (0, 1), outcomes, cases=cases)],
-        discard=(0, 1),
+        keep=(2,),
     )
     ch = flatten(proto)
     assert ch.output_layout.dims == (2,)
@@ -865,7 +865,7 @@ def test_controlled_discard_register():
         basis_state(SystemLayout([(1, 2)]), (0,)),
     )
     kept = apply(flatten(proto), src)
-    dropped = apply(flatten(LoccProtocol(lay, proto.steps, discard=(0,))), src)
+    dropped = apply(flatten(LoccProtocol(lay, proto.steps, keep=(1,))), src)
     assert dropped.layout.dims == (2,)
     want = partial_trace(kept, (1,))
     assert np.max(np.abs(dropped.matrix - want.matrix)) < 1e-13
@@ -912,15 +912,15 @@ def test_embed_protocol_rejects_mismatch():
     with pytest.raises(LayoutMismatchError):
         embed_protocol(proto, big, (1, 1))  # not injective
     with pytest.raises(ValueError):
-        embed_protocol(LoccProtocol(PAIR, discard=(0,)), big, (1, 0))
+        embed_protocol(LoccProtocol(PAIR, keep=(1,)), big, (1, 0))
 
 
 # ---------------------------------------------------------------------------
-# terminal discard / relabel
+# the terminal map ``keep``
 
 
 def test_discard_is_partial_trace():
-    proto = LoccProtocol(PAIR, discard=(1,))
+    proto = LoccProtocol(PAIR, keep=(0,))
     s = random_state(PAIR, "ginibre_mixed", seed=12)
     out = apply(flatten(proto), s)
     want = partial_trace(s, (0,))
@@ -930,21 +930,24 @@ def test_discard_is_partial_trace():
 
 def test_relabel_reorders_output():
     lay = SystemLayout([(0, 2), (1, 3)])
-    proto = LoccProtocol(lay, relabel=(1, 0))
+    proto = LoccProtocol(lay, keep=(1, 0))
     s = random_state(lay, "ginibre_mixed", seed=13)
     out = apply(flatten(proto), s)
     want = permute_factors(s, (1, 0))
     assert out.layout == want.layout
     assert np.max(np.abs(out.matrix - want.matrix)) < 1e-13
-    with pytest.raises(ValueError):
-        LoccProtocol(lay, relabel=(0, 0))
-    with pytest.raises(ValueError):
-        LoccProtocol(lay, discard=(0, 1))
+    with pytest.raises(ValueError, match=r"each once: keep=\(0, 0\)"):
+        LoccProtocol(lay, keep=(0, 0))
+    with pytest.raises(ValueError, match=r"at least one factor, each once: keep=\(\)"):
+        LoccProtocol(lay, keep=())
+    for bad in [(2,), (0, -1)]:
+        with pytest.raises(LayoutMismatchError, match="out of range for SystemLayout"):
+            LoccProtocol(lay, keep=bad)
 
 
 def test_output_layout_consistency():
     lay = SystemLayout([(0, 2), (0, 2), (1, 2)])
-    proto = LoccProtocol(lay, discard=(1,))
+    proto = LoccProtocol(lay, keep=(0, 2))
     assert proto.output_layout().dims == (2, 2)
     assert flatten(proto).output_layout == proto.output_layout()
 
@@ -967,7 +970,7 @@ def _rich_protocol():
     branch0 = identity_protocol(lay)
     branch1 = LoccProtocol(lay, inner)
     ctrl = controlled_on_register(0, [branch0, branch1], updates=(0, 0))
-    return LoccProtocol(lay, ctrl.steps, discard=(1,))
+    return LoccProtocol(lay, ctrl.steps, keep=(0, 2))
 
 
 def test_protocol_dict_roundtrip_bit_exact():
@@ -979,7 +982,7 @@ def test_protocol_dict_roundtrip_bit_exact():
     assert len(k1) == len(k2)
     for a, b in zip(k1, k2):
         assert np.array_equal(a, b)
-    assert back.discard == proto.discard
+    assert back.keep == proto.keep == (0, 2)
     # an older document that still declares its classical registers loads
     # as the same protocol, the key ignored
     old = protocol_from_dict({**doc, "classical_factors": [0]})
@@ -992,6 +995,25 @@ def test_protocol_file_roundtrip(tmp_path):
     save_protocol(proto, path)
     back = load_protocol(path)
     assert np.max(np.abs(flatten(back).choi() - flatten(proto).choi())) == 0.0
+
+
+def test_outcome_labels_are_strings_however_given():
+    # an instrument's labels are strings, as its case labels are, so an
+    # int-labelled build is the str-labelled one
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    flip = [local_unitary(PAIR, 1, (1,), X)]
+    ints = LoccProtocol(PAIR, [local_instrument(PAIR, 0, (0,), [(0, [p0]), (1, [p1])], {1: flip})])
+    strs = LoccProtocol(
+        PAIR, [local_instrument(PAIR, 0, (0,), [("0", [p0]), ("1", [p1])], {"1": flip})]
+    )
+    assert Instrument.from_kraus(Q0, [(0, [p0]), (1, [p1])]).labels == ("0", "1")
+    assert ints.steps[0].instrument.labels == ("0", "1")
+    doc = protocol_to_dict(ints)
+    assert doc == protocol_to_dict(strs)
+    rho = random_state(PAIR, "ginibre_mixed", seed=3)
+    want = run_protocol(strs, rho).matrix
+    for p in (ints, protocol_from_dict(doc)):
+        assert run_protocol(p, rho).matrix.tobytes() == want.tobytes()
 
 
 def test_protocol_format_guard():
@@ -1123,7 +1145,7 @@ def test_apply_matches_kraus_loop(din, dout, k):
 def test_apply_of_a_discarding_protocol_matches_kraus_loop():
     lay = PAIR.power(2)
     proto = LoccProtocol(lay, (local_channel(lay, 0, (0, 2), _random_channel(4, 4, 3, 9).kraus),),
-                         discard=(1, 2))
+                         keep=(0, 3))
     flat = flatten(proto)
     assert flat._stack.shape[1:] == (4, 16)
     s = random_state(lay, "ginibre_mixed", seed=4)
