@@ -37,6 +37,14 @@ def parsing(what: str):
         raise DocumentError(f"malformed {what} document: {exc!r}") from exc
 
 
+def integers(values) -> tuple[int, ...]:
+    """A JSON list of integers as a tuple; DocumentError for any other value, or for an
+    entry that is a bool, a float (``2.0`` too) or a string.  A scalar field reads as ``[v]``."""
+    if type(values) is not list or not all(type(i) is int for i in values):
+        raise DocumentError(f"expected a list of JSON integers, got {values!r}")
+    return tuple(values)
+
+
 def write_document(doc: dict, path) -> None:
     """Write ``doc`` as one line of compact JSON, encoded before the file is
     opened, so a document that cannot be encoded (say, a NaN) leaves no file."""
@@ -62,7 +70,7 @@ def encode_matrix(matrix: np.ndarray) -> dict:
 
 def decode_matrix(doc: dict) -> np.ndarray:
     with parsing("matrix"):
-        shape = tuple(int(s) for s in doc["shape"])
+        shape = integers(doc["shape"])
         entries = doc["entries"]
         # every entry must be a [re, im] list: a two-character string would
         # otherwise unpack into two hex digits

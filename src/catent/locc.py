@@ -411,8 +411,8 @@ class LocalInstrument:
     instrument: Instrument
     # continuation steps per outcome label, run before the next top-level step
     cases: tuple[tuple[str, tuple["Step", ...]], ...] = ()
-    # (factors, (M, J, d, d) stack) of the corrections, built from cases unless
-    # handed in; the cases of a stack handed in are views of its rows
+    # (party, factors, (M, J, d, d) stack) of the corrections, built from cases
+    # unless handed in; the cases of a stack handed in are views of its rows
     _fix: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -436,7 +436,8 @@ class LocalInstrument:
             return None
         fixes = {lab: c[0]._stack for lab, c in self.cases if c}
         eye = np.eye(*first._stack.shape[1:])[None]
-        return first.factors, _join([fixes.get(lab, eye) for lab in self.instrument.labels])
+        stack = _join([fixes.get(lab, eye) for lab in self.instrument.labels])
+        return first.party, first.factors, stack
 
     def case_map(self) -> dict[str, tuple["Step", ...]]:
         return dict(self.cases)
@@ -528,7 +529,7 @@ def _validate_steps(
                 if s._fix is None:
                     _validate_steps(layout, cont, fixed)
             if s._fix is not None:
-                _check_local(layout, next(c[0].party for _, c in s.cases if c), *s._fix, fixed)
+                _check_local(layout, *s._fix, fixed)
         elif isinstance(s, RegisterControlled):
             if not 0 <= s.register < len(layout):
                 raise LayoutMismatchError(f"register index {s.register} out of range")
@@ -763,7 +764,7 @@ def _remap_steps(steps: Sequence[Step], fmap: Sequence[int]) -> tuple[Step, ...]
                           factors=tuple(fmap[i] for i in s.factors))
         elif isinstance(s, LocalInstrument):
             cases = tuple((lab, _remap_steps(cont, fmap)) for lab, cont in s.cases)
-            fix = s._fix and (tuple(fmap[i] for i in s._fix[0]), s._fix[1])
+            fix = s._fix and (s._fix[0], tuple(fmap[i] for i in s._fix[1]), s._fix[2])
             out.append(LocalInstrument(
                 s.party, tuple(fmap[i] for i in s.factors), s.instrument, cases, fix
             ))
@@ -775,23 +776,6 @@ def _remap_steps(steps: Sequence[Step], fmap: Sequence[int]) -> tuple[Step, ...]
 
 # ---------------------------------------------------------------------------
 # step executor
-
-
-@functools.lru_cache(maxsize=1024)
-def _contraction_plan(
-    shape: tuple[int, ...], axes: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """How ``_contract`` lays out a density tensor of ``shape`` for ``axes``.
-
-    Returns the axis order (the row axes ``axes``, every untouched axis,
-    the column axes ``axes``), its inverse and the shape in that order.
-    """
-    n = len(shape) // 2
-    cols = tuple(n + a for a in axes)
-    rest = tuple(i for i in range(2 * n) if i not in axes and i not in cols)
-    order = axes + rest + cols
-    inverse = tuple(int(i) for i in np.argsort(order))
-    return order, inverse, tuple(shape[i] for i in order)
 
 
 _NO_FIX = np.ones((1, 1, 1, 1))
@@ -810,7 +794,11 @@ def _contract(t: np.ndarray, a: np.ndarray, a_axes: Sequence[int],
     ``_BATCH_ELEMS`` runs as its (k, j) pairs, each a one-operator outcome
     of operator-sized copies of the stacks.
     """
-    order, inverse, shape = _contraction_plan(t.shape, tuple(a_axes) + tuple(b_axes))
+    # axis order: the touched row axes, every untouched axis, the touched column axes
+    n, axes = t.ndim // 2, tuple(a_axes) + tuple(b_axes)
+    cols = tuple(n + i for i in axes)
+    order = axes + tuple(i for i in range(2 * n) if i not in axes and i not in cols) + cols
+    inverse, shape = np.argsort(order), tuple(t.shape[i] for i in order)
     (m, k, e, da), (_, j, db, _) = a.shape, b.shape
     size = t.size // da * max(e, da)  # entries of one operator's state-sized intermediate
     if k * j > 1 and max(k, j) * size > _BATCH_ELEMS:
@@ -834,7 +822,7 @@ def _contract(t: np.ndarray, a: np.ndarray, a_axes: Sequence[int],
         else:  # no correction: B is the 1 x 1 one, so the B half only sums the outcomes
             y = y.sum(0)
         acc = acc + y if lo else y
-    # acc is laid out (Db, E, R, E', Db'); the plan's order is (E, Db, R, E', Db')
+    # acc is laid out (Db, E, R, E', Db'); ``order`` is (E, Db, R, E', Db')
     shape = (e, *shape[1:-1], e) if e != da else shape
     return acc.reshape(db, e, -1).transpose(1, 0, 2).reshape(shape).transpose(inverse)
 
@@ -851,7 +839,7 @@ def _run_steps(steps: Sequence[Step], t: np.ndarray) -> np.ndarray:
         if isinstance(s, LocalChannel):
             t = _contract(t, s._stack[None], s.factors)
         elif isinstance(s, LocalInstrument) and s._fix is not None:
-            t = _contract(t, s.instrument._stack, s.factors, s._fix[1], s._fix[0])
+            t = _contract(t, s.instrument._stack, s.factors, s._fix[2], s._fix[1])
         elif isinstance(s, LocalInstrument):
             cases = s.case_map()
             t = sum(
@@ -1009,12 +997,10 @@ def _decode_step(doc: dict, layout: SystemLayout) -> Step:
     with _io.parsing("protocol step"):
         kind = doc["type"]
         if kind == "channel":
-            party = int(doc["party"])
-            factors = tuple(int(i) for i in doc["factors"])
+            (party,), factors = _io.integers([doc["party"]]), _io.integers(doc["factors"])
             kraus = tuple(_io.decode_matrix(k) for k in doc["kraus"])
         elif kind == "instrument":
-            party = int(doc["party"])
-            factors = tuple(int(i) for i in doc["factors"])
+            (party,), factors = _io.integers([doc["party"]]), _io.integers(doc["factors"])
             outcomes = [
                 (str(o["label"]), tuple(_io.decode_matrix(k) for k in o["kraus"]))
                 for o in doc["outcomes"]
@@ -1025,9 +1011,9 @@ def _decode_step(doc: dict, layout: SystemLayout) -> Step:
                 if o.get("then") is not None
             ]
         elif kind == "controlled":
-            register = int(doc["register"])
+            (register,) = _io.integers([doc["register"]])
             branches = [list(b) for b in doc["branches"]]
-            updates = tuple(int(u) for u in doc["updates"])
+            updates = _io.integers(doc["updates"])
         else:
             raise DocumentError(f"unknown step type {kind!r}")
     if kind == "channel":
@@ -1061,11 +1047,11 @@ def protocol_to_dict(protocol: LoccProtocol) -> dict:
 def protocol_from_dict(doc: dict) -> LoccProtocol:
     _io.check_format(doc, PROTOCOL_FORMAT, "protocol")
     with _io.parsing("protocol"):
-        layout = SystemLayout([(int(p), int(d)) for p, d in doc["factors"]])
+        layout = SystemLayout(map(_io.integers, doc["factors"]))
         step_docs = list(doc["steps"])
-        discard = {int(i) for i in doc.get("discard") or ()}
-        relabel = doc.get("relabel")
-        relabel = tuple(int(i) for i in relabel) if relabel is not None else None
+        discard, relabel = doc.get("discard"), doc.get("relabel")
+        discard = set(_io.integers(discard)) if discard is not None else set()
+        relabel = _io.integers(relabel) if relabel is not None else None
     steps = tuple(_decode_step(s, layout) for s in step_docs)
     # ``relabel`` orders the factors ``discard`` leaves; keeping none is an empty ``keep``
     if not discard <= set(range(len(layout))):

@@ -240,7 +240,7 @@ def synthesize_pure_protocol(
         instrument = Instrument._from_stack(labels, kraus, layout.subset(a_factors))
         fixes = _views(LocalChannel, corrs, party=1, factors=b_factors)
         cases = tuple(zip(labels, ((c,) for c in fixes)))
-        step = LocalInstrument(0, a_factors, instrument, cases, (b_factors, corrs))
+        step = LocalInstrument(0, a_factors, instrument, cases, (1, b_factors, corrs))
         return LoccProtocol(layout, (step,))
     finally:
         if enabled:

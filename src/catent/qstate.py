@@ -431,8 +431,6 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 def _entropy_from_probs(probs: np.ndarray) -> float:
     p = probs[probs > EIG_CUTOFF]
-    if p.size == 0:
-        return 0.0
     return float(max(0.0, -(p * np.log2(p)).sum()))
 
 
@@ -576,7 +574,7 @@ def state_to_dict(state: QState) -> dict:
 def state_from_dict(doc: dict) -> QState:
     _io.check_format(doc, STATE_FORMAT, "state")
     with _io.parsing("state"):
-        layout = SystemLayout([(int(p), int(d)) for p, d in doc["factors"]])
+        layout = SystemLayout(map(_io.integers, doc["factors"]))
         matrix = _io.decode_matrix(doc["matrix"])
     return QState(layout, matrix)
 

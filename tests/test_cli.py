@@ -30,7 +30,7 @@ from catent.locc import (
     protocol_to_dict,
     save_protocol,
 )
-from catent.qstate import SystemLayout, save_state, singlet, state_to_dict
+from catent.qstate import SystemLayout, save_state, singlet, state_from_dict, state_to_dict
 
 
 def _write(tmp_path, name, text):
@@ -89,11 +89,31 @@ def test_parse_scenario_rejects_malformed_lines(text):
          "max_rounds must be >= 1, got 0"),
         ({"command": "reduce", "rho": "singlet", "sigma": "singlet", "n": "2", "m": "0"},
          "m must be >= 1, got 0"),
+        # each value parser and the checks made when the command runs
+        ({"command": "distill", "f_initial": "ten", "f_target": "0.9"},
+         "f_initial must be a number, got 'ten'"),
+        ({"command": "pure-rate", "source": "1", "target": "1", "expect_plain": "yes"},
+         "expect_plain must be true or false, got 'yes'"),
+        ({"command": "pure-rate", "source": "a,b", "target": "1"},
+         "source must be a spectrum or jp-\\* name, got 'a,b'"),
+        ({"command": "catalyze", "rho": "singlet", "n": "2", "protocol": "magic"},
+         "unknown protocol 'magic'"),
+        ({"command": "distill", "f_initial": "0.75", "f_target": "0.9", "sweep_points": "3",
+          "sweep_lo": "0.9", "sweep_hi": "0.8"},
+         "sweep needs points >= 2 and 0.25 < lo < hi <= 1, got 3, 0.9, 0.8"),
     ],
 )
 def test_run_rejects_bad_scenarios(scen, message):
     with pytest.raises(ScenarioError, match=message):
         cli.run(scen)
+
+
+def test_jp_names_are_state_families():
+    # the module docstring lists jp-source as a state: the pure state of that spectrum
+    rep = cli.run({"command": "bounds", "state": "jp-source", "budget": "0"})
+    h = -sum(p * math.log2(p) for p in (0.4, 0.4, 0.1, 0.1))
+    assert rep["results"]["mutual_information"] == pytest.approx(2 * h, abs=1e-12)
+    assert rep["results"]["hashing"] == pytest.approx({"lower": h, "upper": h}, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -273,6 +293,59 @@ def test_malformed_discard_or_relabel_keeps_its_error_type(tmp_path, keys, error
     path = _write(tmp_path, "p.json", json.dumps(doc))
     scn = _write(tmp_path, "c.scn", f"rho: singlet\nn: 2\nprotocol: file:{path}\n")
     assert cli.main(["catalyze", "--scenario", scn]) == code
+
+
+def _x_on_factor_0_doc():
+    # party 0 flips factor 0 of two singlets, through a JSON round trip
+    lay = SystemLayout([(0, 2), (1, 2)]).power(2)
+    flip = local_channel(lay, 0, (0,), [[[0.0, 1.0], [1.0, 0.0]]])
+    return json.loads(json.dumps(protocol_to_dict(LoccProtocol(lay, [flip]))))
+
+
+@pytest.mark.parametrize(
+    "kind,fields",
+    [
+        ("protocol", {("discard",): [1.9]}),
+        ("protocol", {("discard",): 0}),
+        ("protocol", {("discard",): [True]}),
+        ("protocol", {("discard",): ["1"]}),
+        ("protocol", {("discard",): [2, 3], ("relabel",): [1.0, 0.0]}),
+        ("protocol", {("factors", 0, 1): 2.7}),
+        ("protocol", {("factors", 0, 0): 0.9}),
+        ("protocol", {("steps", 0, "party"): 0.5}),
+        ("protocol", {("steps", 0, "factors"): [0.2]}),
+        ("protocol", {("steps", 0, "kraus", 0, "shape"): [2.0, 2.9]}),
+        ("state", {("factors", 0): [1.7, 2]}),
+    ],
+    ids=["discard-float", "discard-int", "discard-bool", "discard-str", "relabel-floats",
+         "factor-dim-float", "factor-party-float", "step-party-float", "step-factor-float",
+         "kraus-shape-floats", "state-factor-floats"],
+)
+def test_integer_fields_must_be_json_integers(kind, fields):
+    # each of these used to load, its floats truncated and its bools and strings read by int()
+    if kind == "state":
+        doc, load = json.loads(json.dumps(state_to_dict(singlet()))), state_from_dict
+    else:
+        doc, load = _x_on_factor_0_doc(), protocol_from_dict
+    load(doc)  # as written, it loads
+    for path, value in fields.items():
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    with pytest.raises(DocumentError, match="expected a list of JSON integers"):
+        load(doc)
+
+
+def test_catalyze_refuses_a_protocol_file_with_a_float_party(tmp_path, capsys):
+    doc = _x_on_factor_0_doc()
+    path = _write(tmp_path, "p.json", json.dumps(doc))
+    scn = _write(tmp_path, "c.scn", f"rho: singlet\nn: 2\nprotocol: file:{path}\n")
+    assert cli.main(["catalyze", "--scenario", scn, "--out", str(tmp_path / "r.json")]) == 0
+    doc["steps"][0]["party"] = 0.5
+    _write(tmp_path, "p.json", json.dumps(doc))
+    assert cli.main(["catalyze", "--scenario", scn, "--out", str(tmp_path / "r.json")]) == 2
+    assert "expected a list of JSON integers, got [0.5]" in capsys.readouterr().err
 
 
 def test_lemma1_report(tmp_path):

@@ -142,6 +142,8 @@ def test_expected_copies_monte_carlo():
     run = distill_to(0.9, 0.8)
     mc = expected_copies_mc(run, samples=4000, seed=7)
     assert abs(mc - run.copies_consumed) / run.copies_consumed < 0.1
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        expected_copies_mc(run, samples=0)
 
 
 def test_copies_consumed_is_the_product_of_the_round_costs():

@@ -368,7 +368,7 @@ def test_pair_path_matches_outcome_loop_on_synthesis(n, src, tgt):
     # the catalyst joint: the last pair copy first, then the others, then the register
     fmap = [i if j == n - 1 else (j + 1) * 2 + i for j in range(n) for i in range(2)]
     emb = embed_protocol(proto, pair.power(n) + SystemLayout([(0, n)]), fmap)
-    assert emb.steps[0]._fix[1] is proto.steps[0]._fix[1]
+    assert emb.steps[0]._fix[2] is proto.steps[0]._fix[2]
     for p in (proto, emb):
         _assert_pair_path_matches_loop(p, random_state(p.input_layout, "ginibre_mixed", seed=n).matrix)
 
@@ -409,8 +409,8 @@ def test_pair_path_matches_outcome_loop_on_random_instruments(data):
             cases.append((lab, ()))
     assume(any(cont for _, cont in cases))
     step = LocalInstrument(0, a_factors, inst, tuple(cases))
-    assert step._fix[0] == fix_factors
-    assert step._fix[1].dtype == stack.dtype
+    assert step._fix[:2] == (fix_party, fix_factors)
+    assert step._fix[2].dtype == stack.dtype
     rho = random_state(_MIXED, "ginibre_mixed", seed=data.draw(st.integers(0, 2**16)))
     _assert_pair_path_matches_loop(LoccProtocol(_MIXED, [step]), rho.matrix)
 

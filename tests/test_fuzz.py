@@ -196,7 +196,7 @@ class _Tree:
             cparty = 1 - off[0] if cfault == "party" else off[0]
             views = locc._views(LocalChannel, stack, party=cparty, factors=off[1])
             cases = [(lab, (v,)) for lab, v in zip(labels, views)]
-            fix = (off[1], stack)
+            fix = (cparty, off[1], stack)
         if fault == "label":
             cases.append(("x", ()))
         elif fault == "repeat_label":
@@ -336,10 +336,11 @@ def _mutate(doc, data, kinds=_PROTOCOL_MUTATIONS):
         if path is None:
             return False
         n = len(doc["factors"])
+        # a float, a bool or a string holding an integer is refused, not truncated
         if kind == "party":
-            value = data.draw(st.sampled_from([0, 1, 2, -1]))
+            value = data.draw(st.sampled_from([0, 1, 2, -1, 1.0, True, "1"]))
         else:
-            value = data.draw(st.sampled_from([n, -1, 2**70, n - 1, 0]))
+            value = data.draw(st.sampled_from([n, -1, 2**70, n - 1, 0, 0.0, False, "0"]))
         if isinstance(_at(doc, path), list):
             _at(doc, path).append(value)
         else:

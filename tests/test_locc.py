@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -275,6 +276,41 @@ def test_apply_checks():
         apply(leaky, maximally_mixed(Q0))
 
 
+
+_LEAKY = Channel((0.5 * X,), Q0, Q0)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: Channel((), Q0, Q0), ValueError, "channel needs at least one Kraus operator"),
+        (lambda: Channel.identity(Q0).then(Channel.identity(PAIR)), LayoutMismatchError,
+         "channel composition dims do not chain"),
+        (lambda: apply_to_factors(Channel.identity(Q0), singlet(), (0, 1)), LayoutMismatchError,
+         "channel dims (2,) do not match factors (0, 1)"),
+        (lambda: apply_to_factors(_LEAKY, singlet(), (0,)), ValueError,
+         "apply_to_factors() requires a trace-preserving channel"),
+        (lambda: teleport_channel(0.9, 1), ValueError, "dim must be >= 2, got 1"),
+        (lambda: Instrument(()), ValueError, "instrument needs at least one outcome"),
+        (lambda: controlled_on_register(0, []), ValueError, "need at least one branch"),
+        (lambda: controlled_on_register(0, [identity_protocol(PAIR), identity_protocol(Q0)]),
+         LayoutMismatchError, "all branches must share the control layout"),
+        (lambda: controlled_on_register(0, [LoccProtocol(PAIR, keep=(1, 0))] * 2), ValueError,
+         "branch protocols must keep every factor in place"),
+        (lambda: embed_protocol(identity_protocol(Q0), PAIR, (2,)), LayoutMismatchError,
+         "target index 2 out of range"),
+        (lambda: run_protocol(identity_protocol(PAIR), maximally_mixed(Q0)), LayoutMismatchError,
+         "protocol input SystemLayout(0:2, 1:2) != state layout SystemLayout(0:2)"),
+    ],
+    ids=["channel-empty", "then-dims", "apply_to_factors-dims", "apply_to_factors-non-tp",
+         "teleport-dim", "instrument-empty", "controlled-none", "controlled-layouts",
+         "controlled-keep", "embed-range", "run-layout"],
+)
+def test_malformed_channels_and_protocols_are_refused(call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as err:
+        call()
+    assert type(err.value) is error
+
 def test_apply_to_factors_any_order():
     s = tensor(
         basis_state(Q0, (0,)),
@@ -521,7 +557,7 @@ def _real_correction_step(*kraus_sets):
     stack.setflags(write=False)
     views = locc._views(LocalChannel, stack, party=1, factors=(1,))
     cases = tuple(zip(("0", "1"), ((v,) for v in views)))
-    return LocalInstrument(0, (0,), _z_measurement(), cases, ((1,), stack))
+    return LocalInstrument(0, (0,), _z_measurement(), cases, (1, (1,), stack))
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -587,6 +623,19 @@ def test_correction_stack_structure_is_checked():
         with pytest.raises(err):
             LoccProtocol(PAIR, [step])
 
+
+
+def test_correction_stack_handed_in_names_its_party():
+    # with every case empty the check once took the stack's party from the
+    # first non-empty case, and raised a bare StopIteration
+    stack = np.broadcast_to(np.eye(2), (2, 1, 2, 2)).copy()
+    stack.setflags(write=False)
+    z, empty = _z_measurement(), (("0", ()), ("1", ()))
+    proto = LoccProtocol(PAIR, [LocalInstrument(0, (0,), z, empty, (1, (1,), stack))])
+    rho = random_state(PAIR, "ginibre_mixed", seed=2)
+    assert np.max(np.abs(run_protocol(proto, rho).matrix - apply(flatten(proto), rho).matrix)) < 1e-12
+    with pytest.raises(LocalityError, match="party 0 cannot act on factor 1"):
+        LoccProtocol(PAIR, [LocalInstrument(0, (0,), z, empty, (0, (1,), stack))])
 
 def test_instrument_that_changes_its_factor_dims_is_refused():
     # outcomes that map the 2-dim factor to 1 dim used to construct, and the
@@ -1199,8 +1248,8 @@ def test_remapped_corrections_are_one_view_of_the_stack(kind):
     assert step._fix is not None
     fmap = (4, 1, 0, 5)
     (moved,) = embed_protocol(proto, PAIR.power(3), fmap).steps
-    stack = step._fix[1]
-    assert moved._fix[1] is stack and moved._fix[0] == tuple(fmap[i] for i in step._fix[0])
+    party, factors, stack = step._fix
+    assert moved._fix[2] is stack and moved._fix[:2] == (party, tuple(fmap[i] for i in factors))
     for (lab, cont), (lab0, cont0) in zip(moved.cases, step.cases):
         (c,), want = cont, _per_item_remap(cont0, fmap)
         assert lab == lab0 and (c.party, c.factors) == (want.party, want.factors)

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from catent.errors import (
     NotPureError,
     StateInvariantError,
 )
-from catent.locc import Channel, apply, identity_protocol
+from catent.locc import Channel, LoccProtocol, apply, identity_protocol
 from catent.measures import (
     _channel_extension,
     _cqmi,
@@ -517,6 +518,37 @@ def test_compose_validation():
             eps=0.3,
         )
 
+
+
+_MU = tensor(singlet(), singlet())
+Q0 = SystemLayout([(0, 2)])
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: squashed_upper(singlet(), decomposition=[(1.0, maximally_mixed(Q0))]),
+         LayoutMismatchError, "decomposition member has wrong dims"),
+        (lambda: compose_superadditive(identity_protocol(SystemLayout([(1, 2), (0, 2)])),
+                                       identity_protocol(PAIR), _MU, singlet(), eps=0.3),
+         LayoutMismatchError, "first protocol does not match the leading factor block"),
+        (lambda: compose_superadditive(identity_protocol(PAIR),
+                                       identity_protocol(SystemLayout([(0, 3), (1, 2)])),
+                                       _MU, singlet(), eps=0.3),
+         LayoutMismatchError, "second protocol does not match the trailing factor block"),
+        (lambda: compose_superadditive(LoccProtocol(PAIR, keep=(0,)), identity_protocol(PAIR),
+                                       _MU, singlet(), eps=0.3),
+         LayoutMismatchError, "SystemLayout(0:2) is not a copy power of SystemLayout(0:2, 1:2)"),
+        (lambda: compose_superadditive(identity_protocol(PAIR), identity_protocol(PAIR), _MU,
+                                       singlet(), eps=0.3, n=0),
+         ValueError, "n must be >= 1, got 0"),
+    ],
+    ids=["decomposition-dims", "first-block", "second-block", "copy-power", "n-zero"],
+)
+def test_mismatched_inputs_are_refused(call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as err:
+        call()
+    assert type(err.value) is error
 
 def test_compose_combined_bound_holds_generally():
     # the chain guarantees the combined error stays below eps whenever the

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -84,6 +85,35 @@ def test_layout_basics():
     with pytest.raises(ValueError):
         SystemLayout([(0, 0)])
 
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: SystemLayout([(-1, 2)]), ValueError, "party id must be >= 0, got -1"),
+        (lambda: QUBIT_PAIR.power(0), ValueError, "tensor power needs n >= 1"),
+        (lambda: pure_state(QUBIT_PAIR, [1.0, 0.0]), LayoutMismatchError,
+         "vector length 2 != layout dim 4"),
+        (lambda: basis_state(QUBIT_PAIR, (0,)), LayoutMismatchError,
+         "need one basis index per factor"),
+        (lambda: tensor_all([]), ValueError, "need at least one state"),
+        (lambda: permute_factors(singlet(), (0, 0)), LayoutMismatchError,
+         "order (0, 0) is not a permutation of 0..1"),
+        (lambda: fidelity(singlet(), maximally_mixed(SystemLayout([(0, 2)]))),
+         LayoutMismatchError, "dims (2, 2) vs (2,)"),
+        (lambda: SchmidtVector(()), ValueError, "empty Schmidt vector"),
+        (lambda: SchmidtVector.of([0.5, math.nan]), ValueError,
+         "Schmidt probability 1 is not finite: nan"),
+        (lambda: SchmidtVector.of([0.5, 0.5]).padded(1), ValueError,
+         "cannot pad length 2 down to 1"),
+    ],
+    ids=["negative-party", "power-0", "pure-length", "basis-count", "tensor-none",
+         "permute-order", "fidelity-dims", "schmidt-empty", "schmidt-nan", "pad-shorter"],
+)
+def test_malformed_layouts_states_and_spectra_are_refused(call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as err:
+        call()
+    assert type(err.value) is error
 
 def test_layout_total_dim_is_exact():
     # a fixed-width product wraps to 0 here and would slip past the cap
@@ -368,6 +398,9 @@ def test_entropy_frozen_binary_value():
 def test_entropy_edge_cases():
     assert von_neumann_entropy(singlet()) < 1e-10
     assert abs(von_neumann_entropy(maximally_mixed(SystemLayout([(0, 4)]))) - 2.0) < 1e-12
+    # nothing above the cutoff: +0.0, not the -0.0 of an empty sum negated
+    for probs in ([], [1e-13, 0.0]):
+        assert math.copysign(1.0, _entropy_from_probs(np.array(probs))) == 1.0
 
 
 @settings(max_examples=40, deadline=None)
