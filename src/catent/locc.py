@@ -285,7 +285,7 @@ def apply_to_factors(channel: Channel, state: QState, factors: Sequence[int]) ->
     certify locality.
     """
     factors = tuple(int(i) for i in factors)
-    sub_dims = tuple(state.layout.dims[i] for i in factors)
+    sub_dims = state.layout.subset(factors).dims
     if channel.input_layout.dims != sub_dims or channel.output_layout.dims != sub_dims:
         raise LayoutMismatchError(
             f"channel dims {channel.input_layout.dims} do not match factors {factors}"
@@ -460,27 +460,22 @@ Step = LocalChannel | LocalInstrument | RegisterControlled
 
 def _check_factors(
     layout: SystemLayout, party: int, factors: tuple[int, ...], fixed: frozenset = frozenset()
-) -> None:
-    """``party`` owns each of the distinct ``factors``, none an enclosing register (``fixed``)."""
-    if len(set(factors)) != len(factors):
-        raise ValueError(f"repeated factor indices {factors}")
-    for i in factors:
-        if not 0 <= i < len(layout):
-            raise LayoutMismatchError(f"factor index {i} out of range")
-        if layout[i].party != party:
-            raise LocalityError(
-                f"party {party} cannot act on factor {i} owned by party {layout[i].party}"
-            )
+) -> SystemLayout:
+    """The layout of ``factors``: all ``party``'s own, none an enclosing register (``fixed``)."""
+    sub = layout.subset(factors)
+    for i, f in zip(factors, sub):
+        if f.party != party:
+            raise LocalityError(f"party {party} cannot act on factor {i} owned by party {f.party}")
         if i in fixed:
             raise LocalityError("controlled branches must not touch the register")
+    return sub
 
 
 def _check_local(layout: SystemLayout, party: int, factors: tuple, stack: np.ndarray,
                  fixed: frozenset) -> None:
     """Check an (M, K, d, d) stack of local channels of ``party`` on ``factors``: their
     place and shape once, trace preservation in ``_batches`` slices."""
-    _check_factors(layout, party, factors, fixed)
-    d = math.prod(layout[i].dim for i in factors)
+    d = _check_factors(layout, party, factors, fixed).total_dim
     if not stack.shape[1]:  # the zero map: refused before any d x d check is built
         raise ValueError("local channel step must be trace-preserving")
     if stack.shape[2:] != (d, d):
@@ -513,8 +508,7 @@ def _validate_steps(
         if isinstance(s, LocalChannel):
             _check_local(layout, s.party, s.factors, s._stack[None], fixed)
         elif isinstance(s, LocalInstrument):
-            _check_factors(layout, s.party, s.factors, fixed)
-            sub_dims = tuple(layout[i].dim for i in s.factors)
+            sub_dims = _check_factors(layout, s.party, s.factors, fixed).dims
             # every outcome shares one layout (Instrument checks it), so one comparison
             first = s.instrument.outcomes[0][1]
             dims = (first.input_layout.dims, first.output_layout.dims)
@@ -531,11 +525,9 @@ def _validate_steps(
             if s._fix is not None:
                 _check_local(layout, *s._fix, fixed)
         elif isinstance(s, RegisterControlled):
-            if not 0 <= s.register < len(layout):
-                raise LayoutMismatchError(f"register index {s.register} out of range")
+            reg_dim = layout.subset((s.register,)).total_dim
             if s.register in fixed:
                 raise LocalityError("controlled branches must not touch the register")
-            reg_dim = layout[s.register].dim
             if len(s.branches) != reg_dim:
                 raise LayoutMismatchError(
                     f"register dim {reg_dim} needs {reg_dim} branches, got {len(s.branches)}"
@@ -575,10 +567,7 @@ class LoccProtocol:
         _validate_steps(input_layout, self.steps)
         if keep is not None:
             keep = tuple(int(i) for i in keep)
-            if not keep or len(set(keep)) != len(keep):
-                raise ValueError(f"a protocol keeps at least one factor, each once: keep={keep}")
-            if not set(keep) <= set(range(len(input_layout))):
-                raise LayoutMismatchError(f"keep {keep} out of range for {input_layout!r}")
+            input_layout.subset(keep)  # refuses an empty, repeated or out-of-range keep
         self.keep = None if keep == tuple(range(len(input_layout))) else keep
 
     def output_layout(self) -> SystemLayout:
@@ -619,7 +608,6 @@ def local_instrument(
     cases: Mapping[str, Sequence[Step]] | None = None,
 ) -> LocalInstrument:
     factors = tuple(factors)
-    _check_factors(layout, party, factors)
     if isinstance(outcomes, Instrument):
         inst = outcomes
     else:
@@ -631,28 +619,18 @@ def local_instrument(
 
 
 def perm_unitary(dims: Sequence[int], src: Sequence[int]) -> np.ndarray:
-    """Permutation unitary: after applying, factor t holds what factor src[t] held."""
-    dims = tuple(int(d) for d in dims)
-    src = tuple(int(i) for i in src)
-    if sorted(src) != list(range(len(dims))):
-        raise ValueError(f"src {src} is not a permutation")
-    for t, s in enumerate(src):
-        if dims[t] != dims[s]:
-            raise LayoutMismatchError(f"cannot move dim {dims[s]} into slot of dim {dims[t]}")
-    return _reorder_matrix(dims, src)
+    """Permutation unitary: after applying, factor t holds what factor src[t] held.
 
-
-def _reorder_matrix(dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """Permutation matrix sending factor order[t] of ``dims`` into slot t.
-
-    Raises ``DimensionCapError`` before allocating past ``DIM_CAP``.
+    ``dims`` is read as a layout, so more than ``MAX_FACTORS`` factors or a dimension
+    past ``DIM_CAP`` raises ``DimensionCapError`` before anything is allocated.
     """
-    dims = tuple(int(d) for d in dims)
-    d = math.prod(dims)
-    if d > DIM_CAP:
-        raise DimensionCapError(f"permutation dimension {d} exceeds cap {DIM_CAP}")
+    layout = SystemLayout((0, d) for d in dims)
+    src = tuple(int(i) for i in src)
+    if layout.subset(src) != layout:
+        raise LayoutMismatchError(f"src {src} does not map {layout!r} onto itself")
+    d = layout.total_dim
     p = np.zeros((d, d), dtype=complex)
-    p[_positions(dims, order), np.arange(d)] = 1.0
+    p[_positions(layout.dims, src), np.arange(d)] = 1.0
     return p
 
 
@@ -672,13 +650,8 @@ def permute_protocol(layout: SystemLayout, src: Sequence[int]) -> LoccProtocol:
     Factors move only onto equal (party, dim) slots, so each party permutes its own.
     """
     src = tuple(int(i) for i in src)
-    if sorted(src) != list(range(len(layout))):
-        raise ValueError(f"src {src} is not a permutation")
-    for t, s in enumerate(src):
-        if layout[t] != layout[s]:
-            raise LayoutMismatchError(
-                f"factor {t} {layout[t]} does not match factor {s} {layout[s]}"
-            )
+    if layout.subset(src) != layout:
+        raise LayoutMismatchError(f"src {src} does not map {layout!r} onto itself")
     steps = []
     for party in layout.parties:
         pos = [q for q in layout.party_factors(party) if src[q] != q]
@@ -721,16 +694,10 @@ def embed_protocol(
 ) -> LoccProtocol:
     """Re-index a protocol onto a larger layout via an injective factor map."""
     fmap = tuple(int(i) for i in factor_map)
-    if len(fmap) != len(protocol.input_layout) or len(set(fmap)) != len(fmap):
-        raise LayoutMismatchError("factor map must assign each factor a distinct target")
-    for old, new in enumerate(fmap):
-        if not 0 <= new < len(target_layout):
-            raise LayoutMismatchError(f"target index {new} out of range")
-        if protocol.input_layout[old] != target_layout[new]:
-            raise LayoutMismatchError(
-                f"factor {old} {protocol.input_layout[old]} cannot map onto "
-                f"{new} {target_layout[new]}"
-            )
+    if (image := target_layout.subset(fmap)) != protocol.input_layout:
+        raise LayoutMismatchError(
+            f"factor map {fmap} takes {protocol.input_layout!r} onto {image!r}"
+        )
     if protocol.keep is not None:
         raise ValueError("cannot embed a protocol whose keep drops or moves factors")
     return LoccProtocol(target_layout, _remap_steps(protocol.steps, fmap))
@@ -1001,15 +968,13 @@ def _decode_step(doc: dict, layout: SystemLayout) -> Step:
             kraus = tuple(_io.decode_matrix(k) for k in doc["kraus"])
         elif kind == "instrument":
             (party,), factors = _io.integers([doc["party"]]), _io.integers(doc["factors"])
-            outcomes = [
-                (str(o["label"]), tuple(_io.decode_matrix(k) for k in o["kraus"]))
-                for o in doc["outcomes"]
-            ]
-            then = [
-                (str(o["label"]), list(o["then"]))
-                for o in doc["outcomes"]
-                if o.get("then") is not None
-            ]
+            outcomes, then = [], []
+            for o in doc["outcomes"]:
+                if type(lab := o["label"]) is not str:
+                    raise DocumentError(f"outcome label must be a JSON string, got {lab!r}")
+                outcomes.append((lab, tuple(_io.decode_matrix(k) for k in o["kraus"])))
+                if o.get("then") is not None:
+                    then.append((lab, list(o["then"])))
         elif kind == "controlled":
             (register,) = _io.integers([doc["register"]])
             branches = [list(b) for b in doc["branches"]]
@@ -1025,7 +990,6 @@ def _decode_step(doc: dict, layout: SystemLayout) -> Step:
             updates,
         )
     cases = tuple((lab, tuple(_decode_step(t, layout) for t in steps)) for lab, steps in then)
-    _check_factors(layout, party, factors)
     inst = Instrument.from_kraus(layout.subset(factors), outcomes)
     return LocalInstrument(party, factors, inst, cases)
 

@@ -203,7 +203,7 @@ def squashed_upper(
             if st.layout.dims != layout.dims:
                 raise LayoutMismatchError("decomposition member has wrong dims")
             recon = recon + w * st.matrix
-        if np.max(np.abs(recon - rho.matrix)) > 1e-8:
+        if not np.max(np.abs(recon - rho.matrix)) <= 1e-8:
             raise ValueError("decomposition does not reconstruct the input state")
         flags = _flag_extension([(w, st.matrix) for w, st in decomposition])
         dim_e = len(decomposition)

@@ -121,7 +121,18 @@ class SystemLayout:
         return tuple(i for i, f in enumerate(self.factors) if f.party == party)
 
     def subset(self, indices: Sequence[int]) -> "SystemLayout":
-        return SystemLayout(self.factors[i] for i in indices)
+        """The factors at ``indices``, in that order.
+
+        The one check of a list of factor indices: ``LayoutMismatchError`` for
+        an index out of range (negative too) or repeated.
+        """
+        idx, n = tuple(indices), len(self.factors)
+        for i in idx:
+            if not 0 <= i < n:
+                raise LayoutMismatchError(f"factor index {i} out of range for {self!r}")
+        if len(set(idx)) != len(idx):
+            raise LayoutMismatchError(f"repeated factor indices {idx}")
+        return SystemLayout(self.factors[i] for i in idx)
 
     def power(self, n: int) -> "SystemLayout":
         """``n`` copies; refused before the factors are repeated, for any ``n``."""
@@ -258,7 +269,7 @@ def pure_state(layout: SystemLayout, amplitudes: Sequence[complex]) -> QState:
     if v.size != layout.total_dim:
         raise LayoutMismatchError(f"vector length {v.size} != layout dim {layout.total_dim}")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:
         raise StateInvariantError(f"amplitude vector has norm {norm!r}")
     v = v / norm
     return QState(layout, np.outer(v, v.conj()))
@@ -349,16 +360,13 @@ def n_copies(state: QState, n: int) -> QState:
 
 def partial_trace(state: QState, keep: Sequence[int]) -> QState:
     """Reduce to the factors in ``keep`` (set semantics, original order kept)."""
-    n = len(state.layout)
     keep = sorted(set(int(i) for i in keep))
     if not keep:
         raise ValueError("cannot trace out every factor")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise LayoutMismatchError(f"keep indices {keep} out of range for {n} factors")
-    if len(keep) == n:
+    layout = state.layout.subset(keep)
+    if len(layout) == len(state.layout):
         return state
-    reduced = _reduce_matrix(state.matrix, state.layout.dims, keep)
-    return QState(state.layout.subset(keep), reduced)
+    return QState(layout, _reduce_matrix(state.matrix, state.layout.dims, keep))
 
 
 def permute_factors(state: QState, order: Sequence[int]) -> QState:

@@ -26,6 +26,7 @@ from catent.locc import (
     LoccProtocol,
     identity_protocol,
     local_channel,
+    local_instrument,
     protocol_from_dict,
     protocol_to_dict,
     save_protocol,
@@ -346,6 +347,38 @@ def test_catalyze_refuses_a_protocol_file_with_a_float_party(tmp_path, capsys):
     _write(tmp_path, "p.json", json.dumps(doc))
     assert cli.main(["catalyze", "--scenario", scn, "--out", str(tmp_path / "r.json")]) == 2
     assert "expected a list of JSON integers, got [0.5]" in capsys.readouterr().err
+
+
+def _measure_factor_0_doc():
+    # party 0 measures factor 0 of two singlets and flips it on "m1", through a JSON round trip
+    lay = SystemLayout([(0, 2), (1, 2)]).power(2)
+    flip = local_channel(lay, 0, (0,), [[[0.0, 1.0], [1.0, 0.0]]])
+    z = [("m0", [[[1.0, 0.0], [0.0, 0.0]]]), ("m1", [[[0.0, 0.0], [0.0, 1.0]]])]
+    step = local_instrument(lay, 0, (0,), z, {"m1": [flip]})
+    return json.loads(json.dumps(protocol_to_dict(LoccProtocol(lay, [step]))))
+
+
+@pytest.mark.parametrize("label", [None, 1, [1.5], True, {"x": 1}],
+                         ids=["null", "int", "list", "bool", "object"])
+def test_outcome_labels_must_be_json_strings(label):
+    # each used to load, read by str() as 'None', '1', '[1.5]', 'True' and "{'x': 1}"
+    doc = _measure_factor_0_doc()
+    assert protocol_to_dict(protocol_from_dict(doc)) == doc
+    doc["steps"][0]["outcomes"][1]["label"] = label
+    with pytest.raises(DocumentError, match=re.escape(
+            f"outcome label must be a JSON string, got {label!r}")):
+        protocol_from_dict(doc)
+
+
+def test_catalyze_refuses_a_protocol_file_with_a_non_string_label(tmp_path, capsys):
+    doc = _measure_factor_0_doc()
+    path = _write(tmp_path, "p.json", json.dumps(doc))
+    scn = _write(tmp_path, "c.scn", f"rho: singlet\nn: 2\nprotocol: file:{path}\n")
+    assert cli.main(["catalyze", "--scenario", scn, "--out", str(tmp_path / "r.json")]) == 0
+    doc["steps"][0]["outcomes"][0]["label"] = None
+    _write(tmp_path, "p.json", json.dumps(doc))
+    assert cli.main(["catalyze", "--scenario", scn, "--out", str(tmp_path / "r.json")]) == 2
+    assert "outcome label must be a JSON string, got None" in capsys.readouterr().err
 
 
 def test_lemma1_report(tmp_path):

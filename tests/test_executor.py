@@ -31,7 +31,6 @@ from catent.locc import (
     _contract,
     _run_matrix,
     _embed_operator,
-    _reorder_matrix,
     _steps_kraus,
     apply,
     apply_to_factors,
@@ -40,6 +39,7 @@ from catent.locc import (
     local_channel,
     local_instrument,
     local_unitary,
+    perm_unitary,
     protocol_from_dict,
     protocol_to_dict,
     run_protocol,
@@ -180,7 +180,7 @@ def test_apply_to_factors_matches_lifted_kraus(layout, data):
     assert np.max(np.abs(got.matrix - want)) <= TOL
 
 
-# the index maps ``_embed_operator``, ``_reorder_matrix`` and ``flatten``
+# the index maps ``_embed_operator``, ``perm_unitary`` and ``flatten``
 # used before they shared one position helper, kept as byte-level oracles
 
 
@@ -245,9 +245,14 @@ def test_embed_and_reorder_match_old_index_maps(layout, data):
     k = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     got = _embed_operator(layout, factors, k)
     assert got.tobytes() == _index_map_embed(layout, factors, k).tobytes()
-    order = data.draw(st.permutations(range(n)))
-    got = _reorder_matrix(layout.dims, order)
-    assert got.tobytes() == _index_map_reorder(layout.dims, order).tobytes()
+    # perm_unitary moves a factor only onto an equal dim: permute within each class
+    dims, order = layout.dims, list(range(n))
+    for dim in sorted(set(dims)):
+        slots = [i for i in range(n) if dims[i] == dim]
+        for t, s in zip(slots, data.draw(st.permutations(slots))):
+            order[t] = s
+    got = perm_unitary(dims, order)
+    assert got.tobytes() == _index_map_reorder(dims, order).tobytes()
 
 
 @SETTINGS

@@ -47,9 +47,15 @@ from catent.locc import (
     LoccProtocol,
     RegisterControlled,
     apply,
+    apply_to_factors,
+    controlled_on_register,
+    embed_protocol,
     flatten,
+    identity_protocol,
     local_channel,
     local_instrument,
+    perm_unitary,
+    permute_protocol,
     protocol_from_dict,
     protocol_to_dict,
     run_protocol,
@@ -60,6 +66,8 @@ from catent.qstate import (
     SchmidtVector,
     SystemLayout,
     maximally_entangled,
+    maximally_mixed,
+    partial_trace,
     random_state,
     state_from_dict,
     state_to_dict,
@@ -694,6 +702,33 @@ def test_local_instrument_checks_its_factors_first():
         local_instrument(PAIR, 0, (5,), z)
     with pytest.raises(ValueError, match=r"repeated factor indices \(0, 0\)"):
         local_instrument(PAIR, 0, (0, 0), z)
+
+
+@SETTINGS
+@given(_layouts, st.data())
+def test_every_list_of_factor_indices_finishes_or_is_refused_typed(layout, data):
+    n = len(layout)
+    idx = tuple(data.draw(st.lists(st.integers(-n - 1, 2 * n - 1), max_size=n + 1)))
+    # the other arguments fit the factors ``idx`` names, each index read modulo n
+    sub = SystemLayout(layout[i % n] for i in idx) if idx else layout
+    eye, reg, rho = np.eye(sub.total_dim), (idx or (0,))[0], maximally_mixed(layout)
+    calls = [
+        lambda: layout.subset(idx),
+        lambda: partial_trace(rho, idx),
+        lambda: apply_to_factors(Channel.identity(sub), rho, idx),
+        lambda: LoccProtocol(layout, keep=idx),
+        lambda: local_channel(layout, sub[0].party, idx, (eye,)),
+        lambda: local_instrument(layout, sub[0].party, idx, [("0", [eye])]),
+        lambda: embed_protocol(identity_protocol(sub), layout, idx),
+        lambda: permute_protocol(layout, idx),
+        lambda: perm_unitary(layout.dims, idx),
+        lambda: controlled_on_register(reg, [identity_protocol(layout)] * layout[reg % n].dim),
+    ]
+    for call in calls:
+        try:
+            call()
+        except Exception as exc:
+            _assert_typed(exc)
 
 
 def test_local_channel_without_kraus_is_refused_before_allocating():

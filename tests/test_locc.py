@@ -298,7 +298,7 @@ _LEAKY = Channel((0.5 * X,), Q0, Q0)
         (lambda: controlled_on_register(0, [LoccProtocol(PAIR, keep=(1, 0))] * 2), ValueError,
          "branch protocols must keep every factor in place"),
         (lambda: embed_protocol(identity_protocol(Q0), PAIR, (2,)), LayoutMismatchError,
-         "target index 2 out of range"),
+         "factor index 2 out of range for SystemLayout(0:2, 1:2)"),
         (lambda: run_protocol(identity_protocol(PAIR), maximally_mixed(Q0)), LayoutMismatchError,
          "protocol input SystemLayout(0:2, 1:2) != state layout SystemLayout(0:2)"),
     ],
@@ -310,6 +310,42 @@ def test_malformed_channels_and_protocols_are_refused(call, error, message):
     with pytest.raises(error, match=re.escape(message)) as err:
         call()
     assert type(err.value) is error
+
+
+# each entry point that takes a list of factor indices of PAIR (perm_unitary: of
+# its dims); the bad index comes first, so the register reads it alone
+_INDEXED = {
+    "subset": lambda idx: PAIR.subset(idx),
+    "partial_trace": lambda idx: partial_trace(singlet(), idx),
+    "apply_to_factors": lambda idx: apply_to_factors(Channel.identity(PAIR), singlet(), idx),
+    "keep": lambda idx: LoccProtocol(PAIR, keep=idx),
+    "local_channel": lambda idx: local_channel(PAIR, 0, idx, (np.eye(4),)),
+    "local_instrument": lambda idx: local_instrument(PAIR, 0, idx, [("0", [np.eye(4)])]),
+    "embed_protocol": lambda idx: embed_protocol(identity_protocol(PAIR), PAIR, idx),
+    "permute_protocol": lambda idx: permute_protocol(PAIR, idx),
+    "perm_unitary": lambda idx: perm_unitary((2, 2), idx),
+    "register": lambda idx: controlled_on_register(idx[0], [identity_protocol(PAIR)] * 2),
+}
+_BAD_INDICES = {
+    "range": ((2, 0), "factor index 2 out of range for {!r}"),
+    "negative": ((-1, 0), "factor index -1 out of range for {!r}"),
+    "repeated": ((1, 1), "repeated factor indices (1, 1)"),
+}
+
+
+@pytest.mark.parametrize("entry,case", [
+    (entry, case) for entry in _INDEXED for case in _BAD_INDICES
+    # partial_trace reads a set, and a register is one index
+    if case != "repeated" or entry not in ("partial_trace", "register")
+])
+def test_factor_indices_are_checked_by_subset(entry, case):
+    # apply_to_factors raised IndexError or numpy's "axes don't match array",
+    # and it and subset read -1 as the last factor
+    idx, message = _BAD_INDICES[case]
+    lay = SystemLayout([(0, 2), (0, 2)]) if entry == "perm_unitary" else PAIR
+    with pytest.raises(LayoutMismatchError, match=re.escape(message.format(lay))) as err:
+        _INDEXED[entry](idx)
+    assert type(err.value) is LayoutMismatchError
 
 def test_apply_to_factors_any_order():
     s = tensor(
@@ -812,9 +848,9 @@ def test_swap_factor_groups_is_local():
 
 def test_swap_factors_errors():
     lay = SystemLayout([(0, 2), (1, 2)])
-    with pytest.raises(LayoutMismatchError, match="does not match"):
+    with pytest.raises(LayoutMismatchError, match="does not map SystemLayout"):
         permute_protocol(lay, (1, 0))  # different parties
-    with pytest.raises(ValueError, match="not a permutation"):
+    with pytest.raises(LayoutMismatchError, match=r"repeated factor indices \(2, 2, 0, 1\)"):
         permute_protocol(PAIR + PAIR, (2, 2, 0, 1))
 
 
@@ -860,6 +896,9 @@ def test_perm_unitary_caps_dimension_before_allocating():
         perm_unitary([2**32, 2**32], [1, 0])
     with pytest.raises(DimensionCapError):
         perm_unitary([65, 65], [1, 0])
+    # numpy's "maximum supported dimension" past 64 factors, and 33 to 64 were accepted
+    with pytest.raises(DimensionCapError, match="layout has more than 32 factors"):
+        perm_unitary((1,) * 70, range(70))
 
 
 # ---------------------------------------------------------------------------
@@ -985,9 +1024,9 @@ def test_relabel_reorders_output():
     want = permute_factors(s, (1, 0))
     assert out.layout == want.layout
     assert np.max(np.abs(out.matrix - want.matrix)) < 1e-13
-    with pytest.raises(ValueError, match=r"each once: keep=\(0, 0\)"):
+    with pytest.raises(LayoutMismatchError, match=r"repeated factor indices \(0, 0\)"):
         LoccProtocol(lay, keep=(0, 0))
-    with pytest.raises(ValueError, match=r"at least one factor, each once: keep=\(\)"):
+    with pytest.raises(ValueError, match="layout needs at least one factor"):
         LoccProtocol(lay, keep=())
     for bad in [(2,), (0, -1)]:
         with pytest.raises(LayoutMismatchError, match="out of range for SystemLayout"):

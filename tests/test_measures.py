@@ -529,6 +529,9 @@ Q0 = SystemLayout([(0, 2)])
     [
         (lambda: squashed_upper(singlet(), decomposition=[(1.0, maximally_mixed(Q0))]),
          LayoutMismatchError, "decomposition member has wrong dims"),
+        # a NaN weight passed the reconstruction test
+        (lambda: squashed_upper(singlet(), decomposition=[(math.nan, singlet())]),
+         ValueError, "decomposition does not reconstruct the input state"),
         (lambda: compose_superadditive(identity_protocol(SystemLayout([(1, 2), (0, 2)])),
                                        identity_protocol(PAIR), _MU, singlet(), eps=0.3),
          LayoutMismatchError, "first protocol does not match the leading factor block"),
@@ -543,7 +546,8 @@ Q0 = SystemLayout([(0, 2)])
                                        singlet(), eps=0.3, n=0),
          ValueError, "n must be >= 1, got 0"),
     ],
-    ids=["decomposition-dims", "first-block", "second-block", "copy-power", "n-zero"],
+    ids=["decomposition-dims", "decomposition-nan", "first-block", "second-block", "copy-power",
+         "n-zero"],
 )
 def test_mismatched_inputs_are_refused(call, error, message):
     with pytest.raises(error, match=re.escape(message)) as err:

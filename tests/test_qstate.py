@@ -94,6 +94,9 @@ def test_layout_basics():
         (lambda: QUBIT_PAIR.power(0), ValueError, "tensor power needs n >= 1"),
         (lambda: pure_state(QUBIT_PAIR, [1.0, 0.0]), LayoutMismatchError,
          "vector length 2 != layout dim 4"),
+        # passed the norm test and divided by NaN, warning, before validation refused it
+        (lambda: pure_state(QUBIT_PAIR, [math.nan] * 4), StateInvariantError,
+         "amplitude vector has norm nan"),
         (lambda: basis_state(QUBIT_PAIR, (0,)), LayoutMismatchError,
          "need one basis index per factor"),
         (lambda: tensor_all([]), ValueError, "need at least one state"),
@@ -107,7 +110,7 @@ def test_layout_basics():
         (lambda: SchmidtVector.of([0.5, 0.5]).padded(1), ValueError,
          "cannot pad length 2 down to 1"),
     ],
-    ids=["negative-party", "power-0", "pure-length", "basis-count", "tensor-none",
+    ids=["negative-party", "power-0", "pure-length", "pure-nan", "basis-count", "tensor-none",
          "permute-order", "fidelity-dims", "schmidt-empty", "schmidt-nan", "pad-shorter"],
 )
 def test_malformed_layouts_states_and_spectra_are_refused(call, error, message):
