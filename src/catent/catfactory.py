@@ -26,6 +26,7 @@ and an assembly keeps the run its exactness checks read, so
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -138,7 +139,7 @@ def build_catalyst(lambda_n: LoccProtocol, rho: QState, n: int) -> CatalystAssem
     equal to the per-copy average) are checked before returning, on the
     embedding's run on rho tensor tau that the assembly keeps as ``_run``.
     """
-    n = int(n)
+    n = operator.index(n)
     if n < 2:
         raise ValueError(f"need n >= 2 copies, got {n}")
     copies = rho.layout.power(n)
@@ -263,7 +264,7 @@ def _fixed_point(lam: LoccProtocol, rho: QState, start: np.ndarray) -> np.ndarra
 
 def _reuse_checks(lam: LoccProtocol, tau_eps: QState, rho: QState, copies: int):
     """The checks of both reuse drivers; returns ``copies`` and their layout."""
-    copies = int(copies)
+    copies = operator.index(copies)
     if copies < 1:
         raise ValueError(f"need at least one copy, got {copies}")
     if lam.input_layout != rho.layout + tau_eps.layout:
@@ -367,8 +368,7 @@ def verify_marginal_reduction(
     The certificate lists each kept copy's distance to sigma and the
     achieved rate m/n.
     """
-    n = int(n)
-    m = int(m)
+    n, m = operator.index(n), operator.index(m)
     if m < 1:
         raise ValueError(f"need at least one kept copy, got m={m}")
     if m > n:

@@ -5,8 +5,8 @@ A protocol is an ordered list of steps on a fixed layout:
 * ``LocalChannel``: a trace-preserving channel applied by one party to
   factors it owns.
 * ``LocalInstrument``: a local instrument whose outcome label is
-  broadcast; optional per-outcome continuation steps model the other
-  party reacting to the message.
+  broadcast; one case of continuation steps per outcome, in outcome
+  order, models the other party reacting to the message.
 * ``RegisterControlled``: classically reads a register factor, runs the
   branch for its value, then writes the branch's register update back.
   The read decoheres the register; that is all that makes it classical,
@@ -39,13 +39,12 @@ no correction, and other instrument steps run outcome by outcome, the
 general path and the oracle.  Outcomes run in ``_batches``; one outcome
 too wide for ``_BATCH_ELEMS`` runs as its (k, j) operator pairs, each a
 one-operator outcome.  Validation reads the stacks: an instrument checks
-the top eigenvalue of its total K^dag K, which bounds every outcome's,
-and single outcomes only past that bound.  A protocol's steps are
-checked in one walk of the tree, each where the walk meets it; a
-correction stack is checked as one, in slices within ``_BATCH_ELEMS``.
-A failed check names a non-finite entry.  ``_remap_steps`` remaps an
-instrument step's cases like any other steps and passes its correction
-stack on unchanged.
+its total K^dag K against I in operator norm, which bounds every
+outcome's.  A protocol's steps are checked in one walk of the tree, each
+where the walk meets it; a correction stack is checked as one, in slices
+within ``_BATCH_ELEMS``.  A failed check names a non-finite entry.
+``_remap_steps`` remaps an instrument step's cases like any other steps
+and passes its correction stack on unchanged.
 
 ``flatten`` composes a protocol into a single :class:`Channel` (Kraus
 form).  It is the Kraus-form export and the reference oracle the
@@ -57,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Mapping, Sequence
@@ -284,7 +284,7 @@ def apply_to_factors(channel: Channel, state: QState, factors: Sequence[int]) ->
     This is raw CP-map plumbing with dimension checks only; it does not
     certify locality.
     """
-    factors = tuple(int(i) for i in factors)
+    factors = tuple(map(operator.index, factors))
     sub_dims = state.layout.subset(factors).dims
     if channel.input_layout.dims != sub_dims or channel.output_layout.dims != sub_dims:
         raise LayoutMismatchError(
@@ -355,23 +355,16 @@ class Instrument:
         runs = _batches(m, (2 * k * r + din) * din)
         with np.errstate(invalid="ignore", over="ignore"):
             total = sum(a.conj().T @ a for a in (stack[lo:hi].reshape(-1, din) for lo, hi in runs))
-        # each outcome's sum of K^dag K is PSD and so at most the total:
-        # a total whose top eigenvalue is within TP_TOL of 1 clears every
-        # outcome.  Only otherwise is each outcome checked, to name it.  A
-        # sum that overflowed has a diagonal past 1, so its top reads inf.
-        if not (np.isfinite(total).all() and np.linalg.eigvalsh(total)[-1] <= 1.0 + TP_TOL):
-            for lo, hi in runs:
-                _refuse_non_finite(stack[lo:hi], [f"outcome {lab!r}" for lab in labels[lo:hi]])
-                comps = _completeness(stack[lo:hi], din)
-                finite = np.isfinite(comps).all(axis=(1, 2))
-                tops = np.full(hi - lo, np.inf)
-                tops[finite] = np.linalg.eigvalsh(comps[finite])[:, -1]
-                bad = np.flatnonzero(~(tops <= 1.0 + TP_TOL))
-                if bad.size:
-                    lab, top = labels[lo + bad[0]], float(tops[bad[0]])
-                    raise ValueError(f"outcome {lab!r} is not trace-non-increasing ({top})")
-        if not np.max(np.abs(total - np.eye(din))) <= TP_TOL:
-            raise ValueError("instrument outcomes do not sum to a trace-preserving map")
+        # each outcome's sum of K^dag K is PSD and so at most the total: a
+        # total within TP_TOL of I in operator norm bounds every outcome's
+        # top eigenvalue by 1 + TP_TOL.  A sum that overflowed reads inf.
+        dist = math.inf
+        if np.isfinite(total).all():
+            dist = float(np.abs(np.linalg.eigvalsh(total - np.eye(din))).max())
+        else:
+            _refuse_non_finite(stack, [f"outcome {lab!r}" for lab in labels])
+        if not dist <= TP_TOL:
+            raise ValueError(f"instrument outcomes do not sum to a trace-preserving map ({dist})")
 
     @classmethod
     def from_kraus(
@@ -400,7 +393,7 @@ class LocalChannel:
     _stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(int(i) for i in self.factors))
+        object.__setattr__(self, "factors", tuple(map(operator.index, self.factors)))
         _keep_kraus(self, self.kraus)
 
 
@@ -409,38 +402,38 @@ class LocalInstrument:
     party: int
     factors: tuple[int, ...]
     instrument: Instrument
-    # continuation steps per outcome label, run before the next top-level step
-    cases: tuple[tuple[str, tuple["Step", ...]], ...] = ()
+    # continuation steps per outcome, in outcome order, each run before the
+    # next top-level step; () leaves every outcome's case empty
+    cases: tuple[tuple["Step", ...], ...] = ()
     # (party, factors, (M, J, d, d) stack) of the corrections, built from cases
     # unless handed in; the cases of a stack handed in are views of its rows
     _fix: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(int(i) for i in self.factors))
-        cases = tuple((str(lab), tuple(steps)) for lab, steps in self.cases)
+        object.__setattr__(self, "factors", tuple(map(operator.index, self.factors)))
+        m = len(self.instrument.outcomes)
+        cases = tuple(map(tuple, self.cases)) or ((),) * m
+        if len(cases) != m:
+            raise ValueError(f"{len(cases)} cases for {m} outcomes")
         object.__setattr__(self, "cases", cases)
-        if len(dict(cases)) != len(cases):
-            raise ValueError(f"case labels repeat in {[lab for lab, _ in cases]}")
         if self._fix is None:
             object.__setattr__(self, "_fix", self._stack_corrections())
 
     def _stack_corrections(self) -> tuple | None:
         """``_fix``, the identity for an empty case, if every case is empty or one
         ``LocalChannel`` with operators on one (party, factors) apart from the instrument's."""
-        first = next((c[0] for _, c in self.cases if c), None)
+        first = next((c[0] for c in self.cases if c), None)
         if not isinstance(first, LocalChannel) or not first.kraus or any(
             len(c) > 1 or not isinstance(c[0], LocalChannel) or c[0].party != first.party
             or c[0].factors != first.factors or c[0]._stack.shape[1:] != first._stack.shape[1:]
-            for _, c in self.cases if c
+            for c in self.cases if c
         ) or set(first.factors) & set(self.factors):
             return None
-        fixes = {lab: c[0]._stack for lab, c in self.cases if c}
         eye = np.eye(*first._stack.shape[1:])[None]
-        stack = _join([fixes.get(lab, eye) for lab in self.instrument.labels])
-        return first.party, first.factors, stack
+        return first.party, first.factors, _join([c[0]._stack if c else eye for c in self.cases])
 
     def case_map(self) -> dict[str, tuple["Step", ...]]:
-        return dict(self.cases)
+        return dict(zip(self.instrument.labels, self.cases))
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,9 +443,9 @@ class RegisterControlled:
     updates: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "register", int(self.register))
+        object.__setattr__(self, "register", operator.index(self.register))
         object.__setattr__(self, "branches", tuple(tuple(b) for b in self.branches))
-        object.__setattr__(self, "updates", tuple(int(u) for u in self.updates))
+        object.__setattr__(self, "updates", tuple(map(operator.index, self.updates)))
 
 
 Step = LocalChannel | LocalInstrument | RegisterControlled
@@ -516,14 +509,11 @@ def _validate_steps(
                 raise LayoutMismatchError(
                     f"instrument maps dims {dims[0]} -> {dims[1]}, factors are {sub_dims}"
                 )
-            labels = set(s.instrument.labels)
-            for lab, cont in s.cases:
-                if lab not in labels:
-                    raise ValueError(f"case label {lab!r} is not an instrument outcome")
-                if s._fix is None:
-                    _validate_steps(layout, cont, fixed)
             if s._fix is not None:
                 _check_local(layout, *s._fix, fixed)
+            else:
+                for cont in s.cases:
+                    _validate_steps(layout, cont, fixed)
         elif isinstance(s, RegisterControlled):
             reg_dim = layout.subset((s.register,)).total_dim
             if s.register in fixed:
@@ -566,7 +556,7 @@ class LoccProtocol:
         self.steps = tuple(steps)
         _validate_steps(input_layout, self.steps)
         if keep is not None:
-            keep = tuple(int(i) for i in keep)
+            keep = tuple(map(operator.index, keep))
             input_layout.subset(keep)  # refuses an empty, repeated or out-of-range keep
         self.keep = None if keep == tuple(range(len(input_layout))) else keep
 
@@ -607,13 +597,18 @@ def local_instrument(
     outcomes: Instrument | Sequence[tuple[str, Sequence[np.ndarray]]],
     cases: Mapping[str, Sequence[Step]] | None = None,
 ) -> LocalInstrument:
+    """A local instrument; ``cases`` maps labels, read through ``str``, to continuations."""
     factors = tuple(factors)
     if isinstance(outcomes, Instrument):
         inst = outcomes
     else:
         inst = Instrument.from_kraus(layout.subset(factors), outcomes)
-    case_items = tuple((lab, tuple(steps)) for lab, steps in (cases or {}).items())
-    step = LocalInstrument(party, factors, inst, case_items)
+    by_label = {str(key): steps for key, steps in (cases or {}).items()}
+    if len(by_label) < len(cases or ()):
+        raise ValueError(f"case keys {list(cases)} name one outcome twice")
+    if unknown := by_label.keys() - set(inst.labels):
+        raise ValueError(f"case label {min(unknown)!r} is not an instrument outcome")
+    step = LocalInstrument(party, factors, inst, [by_label.get(lab, ()) for lab in inst.labels])
     _validate_steps(layout, (step,))
     return step
 
@@ -625,7 +620,7 @@ def perm_unitary(dims: Sequence[int], src: Sequence[int]) -> np.ndarray:
     past ``DIM_CAP`` raises ``DimensionCapError`` before anything is allocated.
     """
     layout = SystemLayout((0, d) for d in dims)
-    src = tuple(int(i) for i in src)
+    src = tuple(map(operator.index, src))
     if layout.subset(src) != layout:
         raise LayoutMismatchError(f"src {src} does not map {layout!r} onto itself")
     d = layout.total_dim
@@ -649,7 +644,7 @@ def permute_protocol(layout: SystemLayout, src: Sequence[int]) -> LoccProtocol:
 
     Factors move only onto equal (party, dim) slots, so each party permutes its own.
     """
-    src = tuple(int(i) for i in src)
+    src = tuple(map(operator.index, src))
     if layout.subset(src) != layout:
         raise LayoutMismatchError(f"src {src} does not map {layout!r} onto itself")
     steps = []
@@ -693,7 +688,7 @@ def embed_protocol(
     protocol: LoccProtocol, target_layout: SystemLayout, factor_map: Sequence[int]
 ) -> LoccProtocol:
     """Re-index a protocol onto a larger layout via an injective factor map."""
-    fmap = tuple(int(i) for i in factor_map)
+    fmap = tuple(map(operator.index, factor_map))
     if (image := target_layout.subset(fmap)) != protocol.input_layout:
         raise LayoutMismatchError(
             f"factor map {fmap} takes {protocol.input_layout!r} onto {image!r}"
@@ -730,7 +725,7 @@ def _remap_steps(steps: Sequence[Step], fmap: Sequence[int]) -> tuple[Step, ...]
             out += _views(LocalChannel, s._stack[None], party=s.party,
                           factors=tuple(fmap[i] for i in s.factors))
         elif isinstance(s, LocalInstrument):
-            cases = tuple((lab, _remap_steps(cont, fmap)) for lab, cont in s.cases)
+            cases = tuple(_remap_steps(cont, fmap) for cont in s.cases)
             fix = s._fix and (s._fix[0], tuple(fmap[i] for i in s._fix[1]), s._fix[2])
             out.append(LocalInstrument(
                 s.party, tuple(fmap[i] for i in s.factors), s.instrument, cases, fix
@@ -808,10 +803,9 @@ def _run_steps(steps: Sequence[Step], t: np.ndarray) -> np.ndarray:
         elif isinstance(s, LocalInstrument) and s._fix is not None:
             t = _contract(t, s.instrument._stack, s.factors, s._fix[2], s._fix[1])
         elif isinstance(s, LocalInstrument):
-            cases = s.case_map()
             t = sum(
-                _run_steps(cases.get(lab, ()), _contract(t, ch._stack[None], s.factors))
-                for lab, ch in s.instrument.outcomes
+                _run_steps(cont, _contract(t, ch._stack[None], s.factors))
+                for (_, ch), cont in zip(s.instrument.outcomes, s.cases)
             )
         elif isinstance(s, RegisterControlled):
             # branches never touch the register, so a size-1 slice of its
@@ -873,9 +867,8 @@ def _steps_kraus(layout: SystemLayout, steps: Sequence[Step]) -> list[np.ndarray
                 ke = _embed_operator(layout, s.factors, k)
                 new.extend(ke @ op for op in ops)
         elif isinstance(s, LocalInstrument):
-            cases = s.case_map()
-            for lab, ch in s.instrument.outcomes:
-                cont_ops = _steps_kraus(layout, cases.get(lab, ()))
+            for (_, ch), cont in zip(s.instrument.outcomes, s.cases):
+                cont_ops = _steps_kraus(layout, cont)
                 for m in ch.kraus:
                     me = _embed_operator(layout, s.factors, m)
                     for b in cont_ops:
@@ -934,7 +927,6 @@ def _encode_step(step: Step) -> dict:
             "kraus": [_io.encode_matrix(k) for k in step.kraus],
         }
     if isinstance(step, LocalInstrument):
-        cases = step.case_map()
         return {
             "type": "instrument",
             "party": step.party,
@@ -943,9 +935,9 @@ def _encode_step(step: Step) -> dict:
                 {
                     "label": lab,
                     "kraus": [_io.encode_matrix(k) for k in ch.kraus],
-                    "then": [_encode_step(t) for t in cases[lab]] if lab in cases else None,
+                    "then": [_encode_step(t) for t in cont] if cont else None,
                 }
-                for lab, ch in step.instrument.outcomes
+                for (lab, ch), cont in zip(step.instrument.outcomes, step.cases)
             ],
         }
     if isinstance(step, RegisterControlled):
@@ -973,8 +965,7 @@ def _decode_step(doc: dict, layout: SystemLayout) -> Step:
                 if type(lab := o["label"]) is not str:
                     raise DocumentError(f"outcome label must be a JSON string, got {lab!r}")
                 outcomes.append((lab, tuple(_io.decode_matrix(k) for k in o["kraus"])))
-                if o.get("then") is not None:
-                    then.append((lab, list(o["then"])))
+                then.append([] if o.get("then") is None else list(o["then"]))
         elif kind == "controlled":
             (register,) = _io.integers([doc["register"]])
             branches = [list(b) for b in doc["branches"]]
@@ -989,7 +980,7 @@ def _decode_step(doc: dict, layout: SystemLayout) -> Step:
             tuple(tuple(_decode_step(t, layout) for t in b) for b in branches),
             updates,
         )
-    cases = tuple((lab, tuple(_decode_step(t, layout) for t in steps)) for lab, steps in then)
+    cases = tuple(tuple(_decode_step(t, layout) for t in steps) for steps in then)
     inst = Instrument.from_kraus(layout.subset(factors), outcomes)
     return LocalInstrument(party, factors, inst, cases)
 

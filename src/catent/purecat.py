@@ -239,7 +239,7 @@ def synthesize_pure_protocol(
         labels = [f"m{m}" for m in range(len(wts))]
         instrument = Instrument._from_stack(labels, kraus, layout.subset(a_factors))
         fixes = _views(LocalChannel, corrs, party=1, factors=b_factors)
-        cases = tuple(zip(labels, ((c,) for c in fixes)))
+        cases = tuple((c,) for c in fixes)
         step = LocalInstrument(0, a_factors, instrument, cases, (1, b_factors, corrs))
         return LoccProtocol(layout, (step,))
     finally:

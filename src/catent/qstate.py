@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
@@ -91,7 +92,8 @@ class SystemLayout:
     __slots__ = ("factors", "total_dim")
 
     def __init__(self, factors: Iterable[tuple[int, int] | Factor]):
-        fs = tuple(Factor(int(p), int(d)) for p, d in itertools.islice(factors, MAX_FACTORS + 1))
+        fs = tuple(Factor(operator.index(p), operator.index(d))
+                   for p, d in itertools.islice(factors, MAX_FACTORS + 1))
         if not fs:
             raise ValueError("layout needs at least one factor")
         if len(fs) > MAX_FACTORS:
@@ -279,6 +281,9 @@ def basis_state(layout: SystemLayout, indices: Sequence[int]) -> QState:
     """Computational basis state |i_0 i_1 ...><...| on the layout."""
     if len(indices) != len(layout):
         raise LayoutMismatchError("need one basis index per factor")
+    for i, (b, f) in enumerate(zip(indices, layout)):
+        if not 0 <= b < f.dim:
+            raise LayoutMismatchError(f"basis index {b} out of range for factor {i} of dim {f.dim}")
     flat = int(np.ravel_multi_index(tuple(indices), layout.dims))
     v = np.zeros(layout.total_dim, dtype=complex)
     v[flat] = 1.0
@@ -360,7 +365,7 @@ def n_copies(state: QState, n: int) -> QState:
 
 def partial_trace(state: QState, keep: Sequence[int]) -> QState:
     """Reduce to the factors in ``keep`` (set semantics, original order kept)."""
-    keep = sorted(set(int(i) for i in keep))
+    keep = sorted(set(map(operator.index, keep)))
     if not keep:
         raise ValueError("cannot trace out every factor")
     layout = state.layout.subset(keep)
@@ -372,12 +377,12 @@ def partial_trace(state: QState, keep: Sequence[int]) -> QState:
 def permute_factors(state: QState, order: Sequence[int]) -> QState:
     """Relabel factors so new factor t is old factor order[t] (bookkeeping only)."""
     n = len(state.layout)
-    order = tuple(int(i) for i in order)
+    order = tuple(map(operator.index, order))
     if sorted(order) != list(range(n)):
         raise LayoutMismatchError(f"order {order} is not a permutation of 0..{n - 1}")
     return QState(
         state.layout.subset(order),
-        _permute_matrix(state.matrix, state.layout.dims, order),
+        _reduce_matrix(state.matrix, state.layout.dims, order),
         _spectrum=state.spectrum,
     )
 
@@ -393,14 +398,6 @@ def _reduce_matrix(matrix: np.ndarray, dims: Sequence[int], keep: Sequence[int])
     dk = int(np.prod([dims[i] for i in keep]))
     dd = int(np.prod([dims[i] for i in drop]))
     return np.einsum("abcb->ac", t.reshape(dk, dd, dk, dd))
-
-
-def _permute_matrix(matrix: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """Raw factor permutation: new factor t is old factor order[t]; no validation."""
-    dims = tuple(dims)
-    n = len(dims)
-    t = matrix.reshape(dims + dims).transpose(list(order) + [i + n for i in order])
-    return t.reshape(matrix.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +452,7 @@ def _check_bipartition(
     layout: SystemLayout, parties_a: Sequence[int]
 ) -> tuple[list[int], list[int]]:
     """Factor indices of the two sides of a party cut, each in layout order."""
-    pa = set(int(p) for p in parties_a)
+    pa = set(map(operator.index, parties_a))
     if not pa or not pa < set(layout.parties):
         raise LayoutMismatchError(
             f"parties_a={tuple(sorted(pa))} must be a nonempty proper subset of parties "

@@ -67,10 +67,9 @@ def _kraus_count(steps, count=1):
         if isinstance(s, RegisterControlled):
             count *= sum(_kraus_count(b) for b in s.branches)
         elif hasattr(s, "instrument"):
-            cases = s.case_map()
             count *= sum(
-                len(ch.kraus) * _kraus_count(cases.get(lab, ()))
-                for lab, ch in s.instrument.outcomes
+                len(ch.kraus) * _kraus_count(cont)
+                for (_, ch), cont in zip(s.instrument.outcomes, s.cases)
             )
         else:
             count *= len(s.kraus)
@@ -386,7 +385,7 @@ _MIXED = SystemLayout([(0, 2), (1, 3), (0, 2)])
 @given(st.data())
 def test_pair_path_matches_outcome_loop_on_random_instruments(data):
     # 1-3 Kraus operators an outcome, in a zero-padded stack handed in;
-    # cases absent, empty or one channel of 1-2 operators; real or complex
+    # cases empty or one channel of 1-2 operators; real or complex
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     real = data.draw(st.booleans())
     a_factors = data.draw(st.sampled_from([(0,), (2, 0), (0, 2)]))
@@ -404,15 +403,14 @@ def test_pair_path_matches_outcome_loop_on_random_instruments(data):
     labels = [f"o{m}" for m in range(len(counts))]
     inst = Instrument._from_stack(labels, stack, _MIXED.subset(a_factors))
     cases = []
-    for lab in labels:
-        kind = data.draw(st.sampled_from(["absent", "empty", "channel"]))
-        if kind == "channel":
+    for _ in labels:
+        if data.draw(st.booleans()):
             fix = np.array(_kraus(rng, db, data.draw(st.integers(1, 2)), real))[None]
             fix.setflags(write=False)
-            cases.append((lab, tuple(locc._views(LocalChannel, fix, party=fix_party, factors=fix_factors))))
-        elif kind == "empty":
-            cases.append((lab, ()))
-    assume(any(cont for _, cont in cases))
+            cases.append(tuple(locc._views(LocalChannel, fix, party=fix_party, factors=fix_factors)))
+        else:
+            cases.append(())
+    assume(any(cases))
     step = LocalInstrument(0, a_factors, inst, tuple(cases))
     assert step._fix[:2] == (fix_party, fix_factors)
     assert step._fix[2].dtype == stack.dtype

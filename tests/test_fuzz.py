@@ -187,11 +187,10 @@ class _Tree:
         event(f"instrument: {mode}")
         fix = None
         if mode == "loop":
-            cases = [(lab, tuple(self.steps(free, depth - 1))) for lab in labels
-                     if depth > 0 and self.draw(st.booleans())]
+            cases = [tuple(self.steps(free, depth - 1)) if depth > 0 and self.draw(st.booleans())
+                     else () for _ in labels]
         elif mode == "derived":  # one channel a case, all at one place: a correction stack
-            cases = [(lab, (self.channel(*off),) if self.draw(st.booleans()) else ())
-                     for lab in labels if self.draw(st.booleans())]
+            cases = [(self.channel(*off),) if self.draw(st.booleans()) else () for _ in labels]
         else:  # the stack handed in, its corrections views of it, as the synthesis does
             dc = self.dim(off[1])
             stack = np.array([_kraus(self.rng, dc, 2) for _ in labels])
@@ -203,16 +202,20 @@ class _Tree:
             stack.setflags(write=False)
             cparty = 1 - off[0] if cfault == "party" else off[0]
             views = locc._views(LocalChannel, stack, party=cparty, factors=off[1])
-            cases = [(lab, (v,)) for lab, v in zip(labels, views)]
+            cases = [(v,) for v in views]
             fix = (cparty, off[1], stack)
-        if fault == "label":
-            cases.append(("x", ()))
-        elif fault == "repeat_label":
-            cases += [(labels[0], ()), (labels[0], ())]
         sub = self.layout.subset(factors)
         factors = self.misplace(party, factors, fault)
-        if fix is None and fault != "repeat_label" and self.draw(st.booleans()):
-            return local_instrument(self.layout, party, factors, outcomes, dict(cases))
+        # by label: a key for no outcome, or a second key for outcome 0 (its int)
+        keyed = dict(zip(labels, cases))
+        if fault == "label":
+            keyed["x"] = ()
+        elif fault == "repeat_label":
+            keyed[0] = ()
+        if fix is None and self.draw(st.booleans()) or fault == "repeat_label":
+            return local_instrument(self.layout, party, factors, outcomes, keyed)
+        # by position: one case too many
+        cases += [()] * (fault == "label")
         return LocalInstrument(party, factors, Instrument.from_kraus(sub, outcomes), tuple(cases), fix)
 
     def controlled(self, free, depth):
@@ -815,8 +818,36 @@ def test_instrument_with_a_non_finite_total_is_refused_by_name(d):
     layout = SystemLayout([(0, d)])
     k = np.eye(d) / math.sqrt(2)
     for entry, match in ((math.nan, r"outcome 'a': Kraus operator 0 has a non-finite entry"),
-                         (1e200, r"outcome 'a' is not trace-non-increasing \(inf\)")):
+                         (1e200, r"do not sum to a trace-preserving map \(inf\)")):
         bad = k.copy()
         bad[0, 0] = entry
         with pytest.raises(ValueError, match=match):
             Instrument.from_kraus(layout, [("a", [bad]), ("b", [k])])
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.sampled_from([0.0, 1e-10, 1e-9, 3e-9]), st.booleans())
+def test_an_accepted_instrument_bounds_every_outcome(seed, d, counts, noise, one):
+    # the total's operator-norm check is the only one: C_m <= total, each
+    # outcome's C_m = sum_k K^dag K being PSD, so no accepted outcome passes
+    # 1 + TP_TOL.  A complete set is perturbed on the scale of TP_TOL, in
+    # every outcome or in one only.
+    rng = np.random.default_rng(seed)
+    ks = np.array(_kraus(rng, d, sum(counts)))
+    if one:
+        ks[0] *= 1.0 + noise * rng.uniform(-1.0, 3.0)
+    else:
+        ks *= 1.0 + noise * rng.standard_normal(ks.shape)
+    edges = np.cumsum([0] + counts)
+    outcomes = [(str(m), ks[edges[m] : edges[m + 1]]) for m in range(len(counts))]
+    try:
+        inst = Instrument.from_kraus(SystemLayout([(0, d)]), outcomes)
+    except ValueError as exc:
+        assert "do not sum to a trace-preserving map" in str(exc)
+        event("refused")
+        return
+    event("accepted")
+    for _, ch in inst.outcomes:
+        assert np.linalg.eigvalsh(ch.completeness())[-1] <= 1.0 + locc.TP_TOL

@@ -347,6 +347,49 @@ def test_factor_indices_are_checked_by_subset(entry, case):
         _INDEXED[entry](idx)
     assert type(err.value) is LayoutMismatchError
 
+
+def _integer_args():
+    """Each library integer argument: a call with value ``v`` there, and a ``v`` it accepts."""
+    from catent.catfactory import build_catalyst, reuse_joint, verify_marginal_reduction
+    from catent.qstate import entanglement_entropy
+
+    same = SystemLayout([(0, 2), (0, 2)])
+    two, one = identity_protocol(PAIR.power(2)), LoccProtocol(PAIR.power(2), keep=(0, 1))
+    reuse = (identity_protocol(PAIR + Q0), maximally_mixed(Q0), singlet())
+    return {
+        "layout-party": (lambda v: SystemLayout([(v, 2)]), 1),
+        "layout-dim": (lambda v: SystemLayout([(0, v)]), 3),
+        "partial_trace": (lambda v: partial_trace(singlet(), [v]), 1),
+        "permute_factors": (lambda v: permute_factors(singlet(), [v, 0]), 1),
+        "parties_a": (lambda v: entanglement_entropy(singlet(), [v]), 1),
+        "apply_to_factors": (lambda v: apply_to_factors(Channel.identity(Q0), singlet(), [v]), 1),
+        "channel-factors": (lambda v: LocalChannel(0, (v,), (X,)), 1),
+        "instrument-factors": (lambda v: LocalInstrument(0, (v,), _z_measurement()), 1),
+        "register": (lambda v: RegisterControlled(v, ((), ()), (0, 1)), 1),
+        "updates": (lambda v: RegisterControlled(0, ((), ()), (v, 0)), 1),
+        "keep": (lambda v: LoccProtocol(PAIR, keep=[v, 0]), 1),
+        "perm_unitary": (lambda v: perm_unitary((2, 2), (v, 0)), 1),
+        "permute_protocol": (lambda v: permute_protocol(same, (v, 0)), 1),
+        "embed_protocol": (lambda v: embed_protocol(identity_protocol(same), same, (v, 0)), 1),
+        "build_catalyst": (lambda v: build_catalyst(two, singlet(), v), 2),
+        "reuse-copies": (lambda v: reuse_joint(*reuse, v), 1),
+        "reduction-n": (lambda v: verify_marginal_reduction(one, singlet(), singlet(), v, 1), 2),
+        "reduction-m": (lambda v: verify_marginal_reduction(one, singlet(), singlet(), 2, v), 1),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_integer_args()))
+def test_integer_arguments_refuse_floats_and_strings(entry):
+    # int() read 2.7 as 2, 0.9 as 0 and "1" as 1; operator.index refuses
+    # them as Python's own indexing does, and takes numpy integers
+    call, good = _integer_args()[entry]
+    for bad in (float(good), good + 0.7, str(good)):
+        with pytest.raises(TypeError):
+            call(bad)
+    call(np.int64(good))
+    call(good)
+
+
 def test_apply_to_factors_any_order():
     s = tensor(
         basis_state(Q0, (0,)),
@@ -403,7 +446,7 @@ def test_instrument_validation():
         Instrument.from_kraus(
             Q0, [("a", [np.diag([1.0, 0.0])]), ("a", [np.diag([0.0, 1.0])])]
         )
-    with pytest.raises(ValueError, match="trace-non-increasing"):
+    with pytest.raises(ValueError, match=r"do not sum to a trace-preserving map \(0.21"):
         Instrument.from_kraus(
             Q0, [("a", [1.1 * np.eye(2)]), ("b", [np.zeros((2, 2))])]
         )
@@ -411,8 +454,7 @@ def test_instrument_validation():
         Instrument.from_kraus(
             Q0, [("a", [0.5 * np.eye(2)]), ("b", [0.5 * np.eye(2)])]
         )
-    # each outcome is fine alone, but their total's top eigenvalue is 1.125:
-    # the per-outcome pass finds nothing and the total check fails
+    # each outcome is fine alone, but their total is 1.125 I
     with pytest.raises(ValueError, match="do not sum to a trace-preserving map"):
         Instrument.from_kraus(Q0, [("a", [0.75 * np.eye(2)]), ("b", [0.75 * np.eye(2)])])
     # outcomes on equal but distinct layout objects share one layout; mixed ones do not
@@ -427,11 +469,11 @@ def test_instrument_validation():
         Instrument((("a", Channel((p0,), Q0, Q0)), ("b", Channel((p1,), Q0, q1))))
 
 
-def test_instrument_names_bad_outcome_beyond_first_batch():
-    # outcomes are validated in batches; the bad ones sit in the second
+def test_instrument_total_sums_every_batch():
+    # the total is summed in batches; the bad outcomes sit in the second
     ks = [math.sqrt(1 / 400) * np.eye(2) for _ in range(400)]
     ks[300] = ks[350] = 1.1 * np.eye(2)
-    with pytest.raises(ValueError, match="'o300' is not trace-non-increasing"):
+    with pytest.raises(ValueError, match=r"do not sum to a trace-preserving map \(2.41"):
         Instrument.from_kraus(Q0, [(f"o{m}", [k]) for m, k in enumerate(ks)])
 
 
@@ -440,9 +482,9 @@ def test_instrument_mixed_kraus_counts():
     w = math.sqrt(1 / 450)
     outcomes = [(f"o{m}", [w * np.eye(2)] * (1 + m % 2)) for m in range(300)]
     assert len(Instrument.from_kraus(Q0, outcomes).outcomes) == 300
-    # each operator alone is fine; only their sum within o289 exceeds 1
+    # each operator alone is fine; their sum within o289 lifts the total past I
     outcomes[289] = ("o289", [math.sqrt(0.6) * np.eye(2)] * 2)
-    with pytest.raises(ValueError, match="'o289' is not trace-non-increasing"):
+    with pytest.raises(ValueError, match=r"do not sum to a trace-preserving map \(1.19"):
         Instrument.from_kraus(Q0, outcomes)
 
 
@@ -453,7 +495,7 @@ def test_instrument_batches_bound_memory():
     d64 = SystemLayout([(0, 64)])
     ks = [math.sqrt(1 / 200) * np.eye(64) for _ in range(200)]
     ks[150] = 1.1 * np.eye(64)
-    with pytest.raises(ValueError, match="'o150' is not trace-non-increasing"):
+    with pytest.raises(ValueError, match=r"do not sum to a trace-preserving map \(1.20"):
         Instrument.from_kraus(d64, [(f"o{m}", [k]) for m, k in enumerate(ks)])
 
 
@@ -475,27 +517,43 @@ def test_many_kraus_outcome_needs_no_per_operator_square():
     assert peak < 1_000_000
 
 
-def test_instrument_checks_outcomes_one_by_one_only_past_the_total_bound(eigvalsh_calls):
-    # 600 outcomes; the total's top eigenvalue clears them
+def test_instrument_checks_one_eigendecomposition_of_its_total(eigvalsh_calls):
+    # 600 outcomes; one eigendecomposition of the total clears them
     w = math.sqrt(1 / 600)
     outcomes = [(f"o{m}", [w * np.eye(2)]) for m in range(600)]
     Instrument.from_kraus(Q0, outcomes)
     assert eigvalsh_calls == [(2, 2)]
-    # a bad outcome lifts the total past 1 + TP_TOL, so the per-outcome pass
-    # runs and names it; 600 2x2 outcomes fit the element budget in one batch
+    # a bad outcome lifts the total past I + TP_TOL: refused on that one
+    # decomposition, with no pass over the outcomes
     eigvalsh_calls.clear()
     outcomes[560] = ("o560", [1.01 * np.eye(2)])
-    with pytest.raises(ValueError, match="'o560' is not trace-non-increasing"):
+    with pytest.raises(ValueError, match="do not sum to a trace-preserving map"):
         Instrument.from_kraus(Q0, outcomes)
-    assert eigvalsh_calls == [(2, 2), (600, 2, 2)]
-    # at d=64 a batch holds 85 outcomes: the pass runs batch by batch up to
-    # the one that holds the bad outcome
+    assert eigvalsh_calls == [(2, 2)]
+    # at d=64 the total is summed over three batches and decomposed once
     eigvalsh_calls.clear()
     ks = [math.sqrt(1 / 200) * np.eye(64) for _ in range(200)]
     ks[180] = 1.1 * np.eye(64)
-    with pytest.raises(ValueError, match="'o180' is not trace-non-increasing"):
+    with pytest.raises(ValueError, match="do not sum to a trace-preserving map"):
         Instrument.from_kraus(SystemLayout([(0, 64)]), [(f"o{m}", [k]) for m, k in enumerate(ks)])
-    assert eigvalsh_calls == [(64, 64), (85, 64, 64), (85, 64, 64), (30, 64, 64)]
+    assert eigvalsh_calls == [(64, 64)]
+
+
+def test_instrument_total_is_checked_in_operator_norm():
+    # total I - cJ (J the all-ones matrix) at c = 0.9e-9, d = 4: every entry of
+    # total - I is within TP_TOL and its top eigenvalue is below 1, but its
+    # operator norm is 4c = 3.6e-9
+    d, c = 4, 0.9e-9
+    total = np.eye(d) - c * np.ones((d, d))
+    assert np.max(np.abs(total - np.eye(d))) <= locc.TP_TOL
+    assert np.linalg.eigvalsh(total)[-1] <= 1.0 + locc.TP_TOL
+    root = np.linalg.cholesky(total).conj().T  # root^dag root = total
+    with pytest.raises(ValueError, match=r"do not sum to a trace-preserving map \(3.6"):
+        Instrument.from_kraus(SystemLayout([(0, d)]), [("a", [root])])
+    # split over two outcomes, each alone fine, the same total is refused
+    with pytest.raises(ValueError, match="do not sum to a trace-preserving map"):
+        Instrument.from_kraus(SystemLayout([(0, d)]),
+                              [("a", [root / math.sqrt(2)]), ("b", [root / math.sqrt(2)])])
 
 
 def test_kraus_items_are_views_of_one_read_only_stack():
@@ -560,7 +618,7 @@ def test_pair_contraction_stays_within_the_batch_budget(dims, count, outcomes):
     inst = Instrument.from_kraus(SystemLayout([(0, 4)]),
                                  [(f"o{m}", [qa[4 * m : 4 * m + 4]]) for m in range(outcomes)])
     fix = LocalChannel(1, (1,), [qb[4 * j : 4 * j + 4] for j in range(count)])
-    step = LocalInstrument(0, (0,), inst, tuple((lab, (fix,)) for lab in inst.labels))
+    step = LocalInstrument(0, (0,), inst, ((fix,),) * outcomes)
     proto = LoccProtocol(layout, [step])
     rho = random_state(layout, "ginibre_mixed", seed=1).matrix
     tracemalloc.start()
@@ -592,7 +650,7 @@ def _real_correction_step(*kraus_sets):
     stack = np.stack([np.real(ks) for ks in kraus_sets])
     stack.setflags(write=False)
     views = locc._views(LocalChannel, stack, party=1, factors=(1,))
-    cases = tuple(zip(("0", "1"), ((v,) for v in views)))
+    cases = tuple((v,) for v in views)
     return LocalInstrument(0, (0,), _z_measurement(), cases, (1, (1,), stack))
 
 
@@ -605,7 +663,7 @@ def test_non_tp_local_channel_rejected_anywhere(where, count):
         flip = LocalChannel(1, (1,), (X / math.sqrt(count),) * count)
         if where == "instrument_case":
             inst = _z_measurement()
-            return PAIR, [LocalInstrument(0, (0,), inst, (("0", (flip,)), ("1", (last,))))]
+            return PAIR, [LocalInstrument(0, (0,), inst, ((flip,), (last,)))]
         if where == "float64_stack":
             return PAIR, [_real_correction_step(flip.kraus, last.kraus)]
         if where == "register_branch":
@@ -654,7 +712,7 @@ def test_correction_stack_structure_is_checked():
         (LocalChannel(1, (2,), (X,)), LayoutMismatchError),
         (LocalChannel(1, (1,), (np.eye(3),)), LayoutMismatchError),
     ):
-        step = LocalInstrument(0, (0,), z, (("0", (fix,)), ("1", (fix,))))
+        step = LocalInstrument(0, (0,), z, ((fix,), (fix,)))
         assert step._fix is not None
         with pytest.raises(err):
             LoccProtocol(PAIR, [step])
@@ -666,7 +724,7 @@ def test_correction_stack_handed_in_names_its_party():
     # first non-empty case, and raised a bare StopIteration
     stack = np.broadcast_to(np.eye(2), (2, 1, 2, 2)).copy()
     stack.setflags(write=False)
-    z, empty = _z_measurement(), (("0", ()), ("1", ()))
+    z, empty = _z_measurement(), ((), ())
     proto = LoccProtocol(PAIR, [LocalInstrument(0, (0,), z, empty, (1, (1,), stack))])
     rho = random_state(PAIR, "ginibre_mixed", seed=2)
     assert np.max(np.abs(run_protocol(proto, rho).matrix - apply(flatten(proto), rho).matrix)) < 1e-12
@@ -685,11 +743,11 @@ def test_instrument_that_changes_its_factor_dims_is_refused():
         LoccProtocol(PAIR, [LocalInstrument(0, (0,), shrink)])
     fix = LocalChannel(1, (1,), (X,))
     with pytest.raises(LayoutMismatchError, match=r"\(2,\) -> \(1,\)"):
-        LoccProtocol(PAIR, [LocalInstrument(0, (0,), shrink, (("1", (fix,)),))])
+        LoccProtocol(PAIR, [LocalInstrument(0, (0,), shrink, ((), (fix,)))])
 
 
 def test_case_label_must_exist():
-    with pytest.raises(ValueError, match="not an instrument outcome"):
+    with pytest.raises(ValueError, match="case label '2' is not an instrument outcome"):
         local_instrument(
             PAIR,
             0,
@@ -699,14 +757,25 @@ def test_case_label_must_exist():
         )
 
 
-def test_case_labels_must_not_repeat():
-    # the executor reads one continuation per label, so a second case with
-    # the same label used to be dropped without a word
-    fix, keep = LocalChannel(1, (1,), (X,)), LocalChannel(1, (1,), (np.eye(2),))
-    with pytest.raises(ValueError, match=r"case labels repeat in \[.a., .a.\]"):
-        LocalInstrument(0, (0,), _z_measurement(), (("a", (fix,)), ("a", (keep,))))
-    with pytest.raises(ValueError, match=r"case labels repeat in \[.1., .0., .1.\]"):
-        LocalInstrument(0, (0,), _z_measurement(), (("1", (fix,)), ("0", ()), ("1", ())))
+def test_cases_are_one_per_outcome_in_outcome_order():
+    z, fix = _z_measurement(), LocalChannel(1, (1,), (X,))
+    for cases in (((fix,),), ((fix,), (), ())):
+        with pytest.raises(ValueError, match=f"{len(cases)} cases for 2 outcomes"):
+            LocalInstrument(0, (0,), z, cases)
+    assert LocalInstrument(0, (0,), z).cases == ((), ())
+    step = LocalInstrument(0, (0,), z, [[], [fix]])
+    assert step.cases == ((), (fix,)) and step.case_map() == {"0": (), "1": (fix,)}
+
+
+def test_local_instrument_reads_case_keys_as_labels():
+    # keys are read through str, as Instrument.from_kraus reads labels, so
+    # two keys may name one outcome
+    outcomes = [(0, [np.diag([1.0, 0.0])]), (1, [np.diag([0.0, 1.0])])]
+    flip = local_unitary(PAIR, 1, (1,), X)
+    step = local_instrument(PAIR, 0, (0,), outcomes, {1: [flip]})
+    assert step.instrument.labels == ("0", "1") and step.cases == ((), (flip,))
+    with pytest.raises(ValueError, match=r"case keys \[1, .1.\] name one outcome twice"):
+        local_instrument(PAIR, 0, (0,), outcomes, {1: [flip], "1": []})
 
 
 @pytest.mark.filterwarnings("error")
@@ -727,7 +796,7 @@ def test_non_finite_kraus_entry_is_named(bad, pos):
         Instrument.from_kraus(Q0, [(f"o{m}", [k if m == 300 else X / 20]) for m in range(400)])
     # a correction stack names the entry too
     with pytest.raises(ValueError, match="local channel step: Kraus operator 0 " + where):
-        LoccProtocol(PAIR, [LocalInstrument(0, (0,), _z_measurement(), (("1", (LocalChannel(1, (1,), (k,)),)),))])
+        LoccProtocol(PAIR, [LocalInstrument(0, (0,), _z_measurement(), ((), (LocalChannel(1, (1,), (k,)),)))])
     # and a float64 one handed in, as the synthesis's is
     with pytest.raises(ValueError, match="local channel step: Kraus operator 0 " + where):
         LoccProtocol(PAIR, [_real_correction_step([X], [k])])
@@ -755,7 +824,7 @@ def test_padded_instrument_stack_checks_like_its_outcomes():
         lambda: Instrument.from_kraus(Q0, [("a", bad[0, :1]), ("b", bad[1, :2]), ("c", bad[2])]),
         lambda: Instrument._from_stack(inst.labels, bad, Q0),
     ):
-        with pytest.raises(ValueError, match="'b' is not trace-non-increasing"):
+        with pytest.raises(ValueError, match="do not sum to a trace-preserving map"):
             build()
 
 
@@ -1077,6 +1146,19 @@ def test_protocol_dict_roundtrip_bit_exact():
     assert protocol_to_dict(old) == doc and "classical_factors" not in doc
 
 
+def test_empty_then_loads_and_reencodes_as_null():
+    flip = [local_unitary(PAIR, 1, (1,), X)]
+    proto = LoccProtocol(PAIR, [local_instrument(PAIR, 0, (0,), _z_measurement(), {"1": flip})])
+    doc = protocol_to_dict(proto)
+    outcomes = doc["steps"][0]["outcomes"]
+    assert outcomes[0]["then"] is None and len(outcomes[1]["then"]) == 1
+    outcomes[0]["then"] = []
+    back = protocol_from_dict(doc)
+    assert back.steps[0].cases[0] == ()
+    outcomes[0]["then"] = None
+    assert protocol_to_dict(back) == doc
+
+
 def test_protocol_file_roundtrip(tmp_path):
     proto = _rich_protocol()
     path = tmp_path / "proto.json"
@@ -1289,9 +1371,9 @@ def test_remapped_corrections_are_one_view_of_the_stack(kind):
     (moved,) = embed_protocol(proto, PAIR.power(3), fmap).steps
     party, factors, stack = step._fix
     assert moved._fix[2] is stack and moved._fix[:2] == (party, tuple(fmap[i] for i in factors))
-    for (lab, cont), (lab0, cont0) in zip(moved.cases, step.cases):
+    for cont, cont0 in zip(moved.cases, step.cases):
         (c,), want = cont, _per_item_remap(cont0, fmap)
-        assert lab == lab0 and (c.party, c.factors) == (want.party, want.factors)
+        assert (c.party, c.factors) == (want.party, want.factors)
         assert c._stack.tobytes() == want._stack.tobytes()
         assert [k.tobytes() for k in c.kraus] == [k.tobytes() for k in want.kraus]
         assert np.shares_memory(c._stack, cont0[0]._stack)

@@ -466,13 +466,11 @@ def _complex_rebuild(proto):
     """A synthesized protocol with every outcome and correction rebuilt as
     complex128 by the public constructors."""
     (step,) = proto.steps
-    cases = step.case_map()
     inst = Instrument.from_kraus(
         step.instrument.input_layout, [(lab, ch.kraus) for lab, ch in step.instrument.outcomes]
     )
     fixes = tuple(
-        (lab, tuple(LocalChannel(c.party, c.factors, c.kraus) for c in cases[lab]))
-        for lab in step.instrument.labels
+        tuple(LocalChannel(c.party, c.factors, c.kraus) for c in cont) for cont in step.cases
     )
     return LoccProtocol(
         proto.input_layout, (LocalInstrument(step.party, step.factors, inst, fixes),)
@@ -489,7 +487,7 @@ def test_real_stacks_run_like_complex_ones(n, src, tgt):
     ref = _complex_rebuild(proto)
     inst = ref.steps[0].instrument
     assert step.instrument.outcomes[0][1]._stack.dtype == np.float64
-    assert inst.outcomes[0][1]._stack.dtype == ref.steps[0].cases[0][1][0]._stack.dtype == complex
+    assert inst.outcomes[0][1]._stack.dtype == ref.steps[0].cases[0][0]._stack.dtype == complex
     for rho in (
         n_copies(canonical_pure(SchmidtVector.of(src)), n),
         random_state(layout, "ginibre_mixed", seed=5),
@@ -524,14 +522,15 @@ def test_embedding_shares_the_synthesis_stacks():
     assert peak < 50 * 2**20
     fmap = _catalyst_fmap(4)
     (step,) = proto.steps
-    base = step.cases[0][1][0]._stack.base
+    base = step.cases[0][0]._stack.base
     (moved,) = emb.steps
     assert moved.factors == tuple(fmap[i] for i in step.factors)
-    for (lab, cont), (lab0, cont0) in zip(moved.cases, step.cases):
+    assert moved.instrument is step.instrument
+    for cont, cont0 in zip(moved.cases, step.cases):
         (c,), (c0,) = cont, cont0
-        assert lab == lab0 and c.factors == tuple(fmap[i] for i in c0.factors)
+        assert c.factors == tuple(fmap[i] for i in c0.factors)
         assert c._stack.base is base and c.kraus[0].base is base
-    assert np.shares_memory(moved.cases[-1][1][0]._stack, step.cases[-1][1][0]._stack)
+    assert np.shares_memory(moved.cases[-1][0]._stack, step.cases[-1][0]._stack)
 
 
 def test_embedding_runs_like_complex_rebuild():
@@ -541,8 +540,8 @@ def test_embedding_runs_like_complex_rebuild():
         layout=SystemLayout([(0, 2), (1, 2)]).power(n),
     )
     emb, ref = _catalyst_embedding(proto, n), _catalyst_embedding(_complex_rebuild(proto), n)
-    assert emb.steps[0].cases[0][1][0]._stack.dtype == np.float64
-    assert ref.steps[0].cases[0][1][0]._stack.dtype == complex
+    assert emb.steps[0].cases[0][0]._stack.dtype == np.float64
+    assert ref.steps[0].cases[0][0]._stack.dtype == complex
     rho = random_state(emb.input_layout, "ginibre_mixed", seed=8)
     got, want = _run_matrix(emb, rho.matrix), _run_matrix(ref, rho.matrix)
     assert got.dtype == complex and got.tobytes() == want.tobytes()

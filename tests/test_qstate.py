@@ -48,7 +48,7 @@ from catent.qstate import (
     trace_norm_dist,
     von_neumann_entropy,
 )
-from catent.qstate import _entropy_from_probs, _permute_matrix, _validate_density
+from catent.qstate import _entropy_from_probs, _reduce_matrix, _validate_density
 
 QUBIT_PAIR = SystemLayout([(0, 2), (1, 2)])
 
@@ -99,6 +99,11 @@ def test_layout_basics():
          "amplitude vector has norm nan"),
         (lambda: basis_state(QUBIT_PAIR, (0,)), LayoutMismatchError,
          "need one basis index per factor"),
+        # numpy's untyped "invalid entry in coordinates array"
+        (lambda: basis_state(QUBIT_PAIR, (0, 5)), LayoutMismatchError,
+         "basis index 5 out of range for factor 1 of dim 2"),
+        (lambda: basis_state(QUBIT_PAIR, (-1, 0)), LayoutMismatchError,
+         "basis index -1 out of range for factor 0 of dim 2"),
         (lambda: tensor_all([]), ValueError, "need at least one state"),
         (lambda: permute_factors(singlet(), (0, 0)), LayoutMismatchError,
          "order (0, 0) is not a permutation of 0..1"),
@@ -110,7 +115,8 @@ def test_layout_basics():
         (lambda: SchmidtVector.of([0.5, 0.5]).padded(1), ValueError,
          "cannot pad length 2 down to 1"),
     ],
-    ids=["negative-party", "power-0", "pure-length", "pure-nan", "basis-count", "tensor-none",
+    ids=["negative-party", "power-0", "pure-length", "pure-nan", "basis-count", "basis-range",
+         "basis-negative", "tensor-none",
          "permute-order", "fidelity-dims", "schmidt-empty", "schmidt-nan", "pad-shorter"],
 )
 def test_malformed_layouts_states_and_spectra_are_refused(call, error, message):
@@ -723,7 +729,7 @@ def test_derived_spectra_match_full_validation(factors, data):
 
     order = data.draw(st.permutations(range(len(states))))
     perm = permute_factors(out, order)
-    expect = _full_path(_permute_matrix(out.matrix, out.layout.dims, order))
+    expect = _full_path(_reduce_matrix(out.matrix, out.layout.dims, order))
     assert perm.matrix.tobytes() == expect.tobytes()
     _assert_spectrum_is_the_matrix_spectrum(perm)
 

@@ -1,7 +1,7 @@
-"""Lines of ``src/catent`` that the Tier-1 tests, or one benchmark pass, never run.
+"""Lines of ``src/catent`` that the Tier-1 tests, or seed-0 benchmark passes, never run.
 
     python tools/line_trace.py [PYTEST_ARGS ...]   # pytest in process, by default on tests bench
-    python tools/line_trace.py --workload NAME     # one seed-0 pass of a benchmark workload
+    python tools/line_trace.py --workload NAME ... # seed-0 passes of benchmark workloads
 
 A ``sys.settrace`` hook, set before catent is imported, records the lines
 executed in files under this checkout's ``src/catent/``.  Afterwards one
@@ -20,7 +20,9 @@ without the hook.
 ``--workload NAME`` builds that workload's seed-0 operations through the
 checkout's ``bench/workloads.py`` and runs each once, with its inputs in
 a temporary directory outside the checkout.  Both the build and the run
-are traced.  The exit status is 1 if an operation's check fails.
+are traced.  The option may repeat: every named workload runs in this one
+traced process, so the list is of the lines that none of them ran.  The
+exit status is 1 if an operation's check fails.
 
 Nothing is written into the checkout: bytecode writing is off (for child
 processes too), pytest's cache is off, and Hypothesis keeps its example
@@ -94,17 +96,18 @@ def report(seen: dict[str, set[int]]) -> None:
             print(f"src/catent/{name}: {len(unrun)}" + (f": {_ranges(unrun)}" if unrun else ""))
 
 
-def _run_workload(name: str) -> int:
+def _run_workloads(names: list[str]) -> int:
     sys.path[:0] = [SRC, os.path.join(ROOT, "bench")]
     import workloads
 
     failed = 0
-    with tempfile.TemporaryDirectory(prefix="line_trace-") as inputs:
-        for op in workloads.WORKLOADS[name](0, inputs):
-            problems = op.check(op.call())
-            failed += bool(problems)
-            for problem in problems:
-                print(f"{name}.{op.name}: {problem}")
+    for name in names:
+        with tempfile.TemporaryDirectory(prefix="line_trace-") as inputs:
+            for op in workloads.WORKLOADS[name](0, inputs):
+                problems = op.check(op.call())
+                failed += bool(problems)
+                for problem in problems:
+                    print(f"{name}.{op.name}: {problem}")
     return 1 if failed else 0
 
 
@@ -120,8 +123,8 @@ def _run_pytest(args: list[str], home: str) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=("factory", "ensemble", "search"),
-                        help="trace one seed-0 pass of this benchmark workload")
+    parser.add_argument("--workload", action="append", choices=("factory", "ensemble", "search"),
+                        help="trace one seed-0 pass of this benchmark workload (may repeat)")
     args, rest = parser.parse_known_args(argv)
     if args.workload and rest:
         parser.error(f"--workload takes no pytest arguments: {rest}")
@@ -132,7 +135,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="line_trace-") as home:
         sys.settrace(_trace(seen))
         try:
-            code = _run_workload(args.workload) if args.workload else _run_pytest(rest, home)
+            code = _run_workloads(args.workload) if args.workload else _run_pytest(rest, home)
         finally:
             sys.settrace(None)
     report(seen)
