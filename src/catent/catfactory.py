@@ -32,13 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import _io
-from .errors import (
-    BoundViolationError,
-    DocumentError,
-    LayoutMismatchError,
-    NotPureError,
-)
+from .errors import LayoutMismatchError
 from .locc import (  # noqa: F401  (apply is re-exported as catfactory.apply)
     LoccProtocol,
     _run_matrix,
@@ -46,22 +40,10 @@ from .locc import (  # noqa: F401  (apply is re-exported as catfactory.apply)
     controlled_on_register,
     embed_protocol,
     permute_protocol,
-    protocol_from_dict,
-    protocol_to_dict,
 )
-from .measures import _decoupling_bound
-from .qstate import (
-    QState,
-    SystemLayout,
-    _herm_dist,
-    _reduce_matrix,
-    is_pure,
-    state_from_dict,
-    state_to_dict,
-)
+from .qstate import QState, SystemLayout, _herm_dist, _reduce_matrix
 
 EXACTNESS_TOL = 1e-9
-ASSEMBLY_FORMAT = "catent-assembly-v1"
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,14 +56,13 @@ class CatalystAssembly:
     reduced to its first n-1-r copies; each phase has weight 1/n.
     ``gamma_marginals[k]`` is the n-copy output reduced to copy k, so
     ``n`` is their count.  ``_run`` is the embedding's raw run on rho
-    tensor tau that ``build_catalyst`` checked, ``(mu, [mu_S, mu_C])``; an
-    assembly read from a document has none.
+    tensor tau that ``build_catalyst`` checked, ``(mu, [mu_S, mu_C])``.
     """
 
     tau: QState
     embedding: LoccProtocol
     gamma_marginals: tuple[QState, ...]
-    _run: tuple[np.ndarray, list[np.ndarray]] | None = field(default=None, repr=False)
+    _run: tuple[np.ndarray, list[np.ndarray]] = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -386,60 +367,3 @@ def verify_marginal_reduction(
     _, outs = _catalytic_step(lam, [rho.matrix] * n, blocks)
     return ReductionCertificate(n, m, tuple(_herm_dist(o, sigma.matrix) for o in outs))
 
-
-def decoupled_catalysis_check(
-    lam: LoccProtocol, tau: QState, rho: QState, phi_pure: QState
-) -> CatalysisCertificate:
-    """Catalysis certificate plus the pure-target decoupling assertion.
-
-    For a pure target the joint output must be nearly product: with
-    e = epsilon_achieved, correlation may not exceed e + 6*sqrt(e/2).
-    """
-    if not is_pure(phi_pure):
-        raise NotPureError("decoupling check needs a pure target")
-    cert = verify_catalysis(lam, tau, rho, phi_pure)
-    e = cert.epsilon_achieved
-    bound = _decoupling_bound(e)
-    if cert.correlation > bound + 1e-12:
-        raise BoundViolationError(
-            f"correlation {cert.correlation:.6g} exceeds decoupling bound {bound:.6g}"
-        )
-    return cert
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def assembly_to_dict(assembly: CatalystAssembly) -> dict:
-    return {
-        "format": ASSEMBLY_FORMAT,
-        "n": assembly.n,
-        "tau": state_to_dict(assembly.tau),
-        "embedding": protocol_to_dict(assembly.embedding),
-        "gamma_marginals": [state_to_dict(g) for g in assembly.gamma_marginals],
-    }
-
-
-def assembly_from_dict(doc: dict) -> CatalystAssembly:
-    _io.check_format(doc, ASSEMBLY_FORMAT, "assembly")
-    with _io.parsing("assembly"):
-        tau, embedding = doc["tau"], doc["embedding"]
-        marginals = list(doc["gamma_marginals"])
-    tau = state_from_dict(tau)
-    # the register's last factor counts the phases, one per copy
-    n = len(marginals)
-    if n != tau.layout[-1].dim:
-        raise DocumentError(
-            f"assembly with a {tau.layout[-1].dim}-phase register has {n} per-copy marginals"
-        )
-    embedding = protocol_from_dict(embedding)
-    gammas = tuple(state_from_dict(g) for g in marginals)
-    # every copy on one layout L, tau on n-1 copies of L and party 0's register
-    lay = gammas[0].layout
-    want = lay.factors * (n - 1) + ((0, n),)
-    if any(g.layout != lay for g in gammas) or tau.layout.factors != want:
-        raise DocumentError(
-            f"assembly marginals on {[g.layout for g in gammas]} do not fit tau on {tau.layout!r}"
-        )
-    return CatalystAssembly(tau, embedding, gammas)

@@ -44,6 +44,7 @@ import numpy as np
 
 from . import __version__, _io
 from .catfactory import (
+    EXACTNESS_TOL,
     build_catalyst,
     iterate_reuse,
     verify_catalysis,
@@ -253,7 +254,7 @@ def _cmd_catalyze(p):
         "certificate": cert._asdict(),
         "copy_errors": [trace_norm_dist(g, sigma) for g in asm.gamma_marginals],
     }
-    passed = cert.catalyst_drift < 1e-9
+    passed = cert.catalyst_drift < EXACTNESS_TOL
     if p["max_epsilon"] is not None:
         passed = passed and cert.epsilon_achieved <= p["max_epsilon"]
     return results, passed

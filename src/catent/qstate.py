@@ -366,8 +366,6 @@ def n_copies(state: QState, n: int) -> QState:
 def partial_trace(state: QState, keep: Sequence[int]) -> QState:
     """Reduce to the factors in ``keep`` (set semantics, original order kept)."""
     keep = sorted(set(map(operator.index, keep)))
-    if not keep:
-        raise ValueError("cannot trace out every factor")
     layout = state.layout.subset(keep)
     if len(layout) == len(state.layout):
         return state

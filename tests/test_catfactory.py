@@ -8,20 +8,13 @@ from catent.catfactory import (
     _catalytic_step,
     _fixed_point,
     _herm_dist,
-    assembly_from_dict,
-    assembly_to_dict,
     build_catalyst,
-    decoupled_catalysis_check,
     iterate_reuse,
     reuse_joint,
     verify_catalysis,
     verify_marginal_reduction,
 )
-from catent.errors import (
-    DimensionCapError,
-    LayoutMismatchError,
-    NotPureError,
-)
+from catent.errors import DimensionCapError, LayoutMismatchError
 from catent.locc import (
     Channel,
     LoccProtocol,
@@ -772,7 +765,7 @@ def test_decoupled_check_exact_pure_target():
     rho = canonical_pure((0.5, 0.5))
     sigma = canonical_pure((0.75, 0.25))
     asm = build_catalyst(_synth_lambda(2), rho, 2)
-    cert = decoupled_catalysis_check(asm.embedding, asm.tau, rho, sigma)
+    cert = verify_catalysis(asm.embedding, asm.tau, rho, sigma)
     assert cert.correlation < 1e-9
 
 
@@ -780,32 +773,8 @@ def test_decoupled_check_noisy_instance():
     rho = canonical_pure((0.5, 0.5))
     sigma = canonical_pure((0.75, 0.25))
     asm = build_catalyst(_noisy_lambda(2, 0.9), rho, 2)
-    cert = decoupled_catalysis_check(asm.embedding, asm.tau, rho, sigma)
+    cert = verify_catalysis(asm.embedding, asm.tau, rho, sigma)
     e = cert.epsilon_achieved
     assert e > 0.01
     assert cert.correlation <= e + 6 * (e / 2) ** 0.5 + 1e-12
 
-
-def test_decoupled_check_rejects_mixed_target():
-    rho = canonical_pure((0.5, 0.5))
-    asm = build_catalyst(_synth_lambda(2), rho, 2)
-    with pytest.raises(NotPureError):
-        decoupled_catalysis_check(asm.embedding, asm.tau, rho, maximally_mixed(PAIR))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_assembly_serialization_roundtrip():
-    rho = canonical_pure((0.5, 0.5))
-    asm = build_catalyst(_synth_lambda(2), rho, 2)
-    back = assembly_from_dict(assembly_to_dict(asm))
-    assert back.n == asm.n
-    assert np.array_equal(back.tau.matrix, asm.tau.matrix)
-    assert len(back.gamma_marginals) == 2
-    a = flatten(asm.embedding).choi()
-    b = flatten(back.embedding).choi()
-    assert np.max(np.abs(a - b)) < 1e-12
-    with pytest.raises(ValueError):
-        assembly_from_dict({"format": "other"})

@@ -10,7 +10,7 @@ without a fault must construct, run on a random state and match
 never with an error from inside numpy or Python.  Protocol documents of
 every step kind are mutated the same way: each one loads, or raises
 ``DocumentError`` (CLI exit 2) or a typed domain error (exit 1).  So are
-state and assembly documents.  Scenarios are drawn from the CLI's key
+state documents.  Scenarios are drawn from the CLI's key
 table, ``cli._COMMANDS``, and run through ``cli.main``: each ends in a
 report, in exit 2, or in exit 1 from a typed error, with no numpy warning.
 Scenario text, line by line, parses to the dict a model of its grammar
@@ -31,12 +31,6 @@ from hypothesis import HealthCheck, assume, event, given, settings, strategies a
 
 import catent
 from catent import cli, errors, locc
-from catent.catfactory import (
-    assembly_from_dict,
-    assembly_to_dict,
-    build_catalyst,
-    verify_catalysis,
-)
 from catent.errors import BudgetError, DocumentError, LayoutMismatchError
 from catent.locc import (
     KRAUS_CAP,
@@ -60,10 +54,8 @@ from catent.locc import (
     protocol_to_dict,
     run_protocol,
 )
-from catent.purecat import canonical_pure, synthesize_pure_protocol
 from catent.qstate import (
     DIM_CAP,
-    SchmidtVector,
     SystemLayout,
     maximally_entangled,
     maximally_mixed,
@@ -381,14 +373,6 @@ def _mutate(doc, data, kinds=_PROTOCOL_MUTATIONS):
         paths = [p for p, v in nodes if isinstance(v, dict) and "format" in v]
         node = _at(doc, data.draw(st.sampled_from(paths)))
         node["format"] = data.draw(st.sampled_from([f for f in _FORMATS if f != node["format"]]))
-    elif kind == "n":  # an assembly's written copy count, off by one: not read
-        doc["n"] += data.draw(st.sampled_from([-1, 1]))
-    elif kind == "marginal":  # one per-copy marginal replaced by a state on another layout
-        marginals = doc["gamma_marginals"]
-        i = data.draw(st.integers(0, len(marginals) - 1))
-        old = SystemLayout(marginals[i]["factors"])
-        layout = data.draw(_layouts.filter(lambda lay: lay != old))
-        marginals[i] = state_to_dict(random_state(layout, "ginibre_mixed", seed=i))
     else:
         path = pick(lambda p, v: p[-1] == "branches" and isinstance(v, list))
         if path is None:
@@ -431,55 +415,23 @@ def test_protocol_documents_of_every_step_kind(layout, seed, data):
 
 
 # ---------------------------------------------------------------------------
-# state and assembly documents
-
-HALF, SKEW = SchmidtVector.of((0.5, 0.5)), SchmidtVector.of((0.75, 0.25))
-
-
-@functools.lru_cache(maxsize=None)
-def _built_assembly():
-    # the n=2 catalyst of the synthesized conversion HALF -> SKEW
-    lam = synthesize_pure_protocol(HALF.tensor(HALF), SKEW.tensor(SKEW), layout=PAIR.power(2))
-    return build_catalyst(lam, canonical_pure(HALF), 2)
-
+# state documents
 
 _DOCUMENT_MUTATIONS = ["drop", "type", "shape", "square", "nan", "hex", "format"]
 
 
 @SETTINGS
-@given(st.sampled_from(["state", "assembly"]), st.data())
-def test_state_and_assembly_documents(kind, data):
-    if kind == "state":
-        seed = data.draw(st.integers(0, 99))
-        doc = state_to_dict(random_state(data.draw(_layouts), "ginibre_mixed", seed=seed))
-        load, kinds = state_from_dict, _DOCUMENT_MUTATIONS
-    else:
-        doc, load = assembly_to_dict(_built_assembly()), assembly_from_dict
-        kinds = _DOCUMENT_MUTATIONS + ["n", "marginal"]
-    doc = json.loads(json.dumps(doc))
-    assume(_mutate(doc, data, kinds))
+@given(_layouts, st.integers(0, 99), st.data())
+def test_state_documents(layout, seed, data):
+    doc = json.loads(json.dumps(state_to_dict(random_state(layout, "ginibre_mixed", seed=seed))))
+    assume(_mutate(doc, data, _DOCUMENT_MUTATIONS))
     try:
-        back = load(doc)
+        state_from_dict(doc)
     except Exception as exc:
         _assert_typed(exc)
         event(f"refused: {type(exc).__name__}")
         return
     event("loaded")
-    if kind == "assembly":
-        # an assembly that loads is whole: one marginal a copy, and their average a state
-        assert back._run is None and len(back.gamma_marginals) == back.n
-        back.expected_output()
-
-
-def test_assembly_read_back_verifies_as_built():
-    asm = _built_assembly()
-    back = assembly_from_dict(json.loads(json.dumps(assembly_to_dict(asm))))
-    assert asm._run is not None and back._run is None
-    rho, sigma = canonical_pure(HALF), canonical_pure(SKEW)
-    want = verify_catalysis(asm.embedding, asm.tau, rho, sigma, _run=asm._run)
-    got = verify_catalysis(back.embedding, back.tau, rho, sigma)  # runs its own step
-    assert np.max(np.abs(np.subtract(got, want))) < 1e-12
-    assert want.epsilon_achieved < 1e-9 and want.catalyst_drift < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -662,39 +614,6 @@ def test_distill_round_budget_is_a_typed_error():
     scen = {"command": "distill", "f_initial": "0.75", "f_target": "0.9", "max_rounds": "1"}
     with pytest.raises(BudgetError, match="no convergence within 1 rounds"):
         cli.run(scen)
-
-
-def test_assembly_copy_count_is_its_number_of_marginals():
-    # a document's own n is not read.  One whose n said 3 of its 2 marginals
-    # once loaded with an expected output of trace 2/3, and was then refused
-    doc = assembly_to_dict(_built_assembly())
-    assert doc["n"] == 2
-    doc["n"] = 3
-    back = assembly_from_dict(doc)
-    assert back.n == 2
-    assert abs(np.trace(back.expected_output().matrix) - 1.0) < 1e-12
-    # the register still counts the copies: a marginal too many or too few
-    # is refused
-    marginals = doc["gamma_marginals"]
-    for wrong in (marginals + marginals[:1], marginals[:1], []):
-        with pytest.raises(DocumentError, match=f"2-phase register has {len(wrong)} per-copy"):
-            assembly_from_dict({**doc, "gamma_marginals": wrong})
-
-
-def test_assembly_marginals_share_one_layout_with_the_catalyst():
-    # a second marginal on a 9-dim state once loaded, and its expected output
-    # raised numpy's untyped "operands could not be broadcast together"
-    doc = assembly_to_dict(_built_assembly())
-    first = doc["gamma_marginals"][0]
-    nine = state_to_dict(random_state(SystemLayout([(0, 3), (1, 3)]), "ginibre_mixed", seed=0))
-    swapped = state_to_dict(random_state(SystemLayout([(1, 2), (0, 2)]), "ginibre_mixed", seed=0))
-    for wrong in ([first, nine], [swapped, first], [swapped, swapped]):
-        with pytest.raises(DocumentError, match="marginals on .* do not fit tau"):
-            assembly_from_dict({**doc, "gamma_marginals": wrong})
-    # the register is party 0's
-    tau = {**doc["tau"], "factors": doc["tau"]["factors"][:-1] + [[1, 2]]}
-    with pytest.raises(DocumentError, match=r"do not fit tau on SystemLayout\(0:2, 1:2, 1:2\)"):
-        assembly_from_dict({**doc, "tau": tau})
 
 
 def test_local_instrument_checks_its_factors_first():

@@ -1,11 +1,16 @@
 """Document I/O: the matrix codec against its per-element oracle, and the writers."""
 
+import importlib
 import json
+import os
+import pkgutil
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import catent
 from catent import _io
 from catent.errors import DocumentError
 from catent.locc import flatten, load_protocol, protocol_to_dict, save_protocol
@@ -147,3 +152,16 @@ def test_failed_encode_leaves_the_file_untouched(tmp_path):
     with pytest.raises(ValueError):
         _io.write_document({"format": "x", "value": float("inf")}, path)
     assert path.read_text(encoding="utf-8") == "before\n"
+
+
+def test_readme_lists_every_document_format():
+    # the bullets under "## File formats" name exactly the package's *_FORMAT tags
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"^- `(catent-[a-z]+-v\d+)`", section, re.M))
+    tags = set()
+    for info in pkgutil.iter_modules(catent.__path__, "catent."):
+        module = importlib.import_module(info.name)
+        tags |= {v for k, v in vars(module).items() if k.endswith("_FORMAT")}
+    assert listed == tags == {"catent-state-v1", "catent-protocol-v1"}

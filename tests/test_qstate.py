@@ -109,7 +109,13 @@ def test_layout_basics():
          "order (0, 0) is not a permutation of 0..1"),
         (lambda: fidelity(singlet(), maximally_mixed(SystemLayout([(0, 2)]))),
          LayoutMismatchError, "dims (2, 2) vs (2,)"),
+        (lambda: partial_trace(singlet(), []), ValueError, "layout needs at least one factor"),
         (lambda: SchmidtVector(()), ValueError, "empty Schmidt vector"),
+        # descending and summing to 1, so only the sign check refuses it
+        (lambda: SchmidtVector((1.5, -0.5)), ValueError,
+         "Schmidt probabilities must be nonnegative"),
+        # without its own check numpy's untyped "zero-size array" error escapes
+        (lambda: SchmidtVector.of([]), ValueError, "empty Schmidt vector"),
         (lambda: SchmidtVector.of([0.5, math.nan]), ValueError,
          "Schmidt probability 1 is not finite: nan"),
         (lambda: SchmidtVector.of([0.5, 0.5]).padded(1), ValueError,
@@ -117,7 +123,8 @@ def test_layout_basics():
     ],
     ids=["negative-party", "power-0", "pure-length", "pure-nan", "basis-count", "basis-range",
          "basis-negative", "tensor-none",
-         "permute-order", "fidelity-dims", "schmidt-empty", "schmidt-nan", "pad-shorter"],
+         "permute-order", "fidelity-dims", "trace-every-factor", "schmidt-empty",
+         "schmidt-negative", "schmidt-of-empty", "schmidt-nan", "pad-shorter"],
 )
 def test_malformed_layouts_states_and_spectra_are_refused(call, error, message):
     with pytest.raises(error, match=re.escape(message)) as err:
