@@ -246,8 +246,6 @@ def _fixed_point(lam: LoccProtocol, rho: QState, start: np.ndarray) -> np.ndarra
 def _reuse_checks(lam: LoccProtocol, tau_eps: QState, rho: QState, copies: int):
     """The checks of both reuse drivers; returns ``copies`` and their layout."""
     copies = operator.index(copies)
-    if copies < 1:
-        raise ValueError(f"need at least one copy, got {copies}")
     if lam.input_layout != rho.layout + tau_eps.layout:
         raise LayoutMismatchError("protocol input must be one copy plus the catalyst")
     if lam.keep is not None:
@@ -350,15 +348,14 @@ def verify_marginal_reduction(
     achieved rate m/n.
     """
     n, m = operator.index(n), operator.index(m)
-    if m < 1:
-        raise ValueError(f"need at least one kept copy, got m={m}")
+    copies_in, copies_out = rho.layout.power(n), sigma.layout.power(m)  # refuse counts < 1
     if m > n:
         raise ValueError(f"cannot keep m={m} copies out of n={n}")
-    if lam.input_layout != rho.layout.power(n):
+    if lam.input_layout != copies_in:
         raise LayoutMismatchError(
             f"protocol input {lam.input_layout!r} is not {n} copies of {rho.layout!r}"
         )
-    if lam.output_layout() != sigma.layout.power(m):
+    if lam.output_layout() != copies_out:
         raise LayoutMismatchError(
             f"protocol output {lam.output_layout()!r} is not {m} copies of {sigma.layout!r}"
         )

@@ -807,7 +807,7 @@ def _run_steps(steps: Sequence[Step], t: np.ndarray) -> np.ndarray:
                 _run_steps(cont, _contract(t, ch._stack[None], s.factors))
                 for (_, ch), cont in zip(s.instrument.outcomes, s.cases)
             )
-        elif isinstance(s, RegisterControlled):
+        else:  # RegisterControlled; validation refused any other step
             # branches never touch the register, so a size-1 slice of its
             # axis keeps every factor index of the branch valid
             n = t.ndim // 2
@@ -816,8 +816,6 @@ def _run_steps(steps: Sequence[Step], t: np.ndarray) -> np.ndarray:
                 block = _run_steps(branch, t[_register_block(n, s.register, k)])
                 out[_register_block(n, s.register, s.updates[k])] += block
             t = out
-        else:
-            raise TypeError(f"unknown step {type(s).__name__}")
     return t
 
 
@@ -873,19 +871,16 @@ def _steps_kraus(layout: SystemLayout, steps: Sequence[Step]) -> list[np.ndarray
                     me = _embed_operator(layout, s.factors, m)
                     for b in cont_ops:
                         new.extend(b @ me @ op for op in ops)
-        elif isinstance(s, RegisterControlled):
+        else:  # RegisterControlled
             reg_dim = layout[s.register].dim
             for k, branch in enumerate(s.branches):
                 sel = np.zeros((reg_dim, reg_dim), dtype=complex)
                 sel[s.updates[k], k] = 1.0
                 sele = _embed_operator(layout, (s.register,), sel)
-                branch_ops = _steps_kraus(layout, branch)
-                for b in branch_ops:
+                for b in _steps_kraus(layout, branch):
                     new.extend(b @ sele @ op for op in ops)
-        else:
-            raise TypeError(f"unknown step {type(s).__name__}")
         if len(new) > KRAUS_CAP:
-            raise RuntimeError(f"flattened Kraus count exceeds {KRAUS_CAP}")
+            raise DimensionCapError(f"flattened Kraus count exceeds {KRAUS_CAP}")
         ops = new
     return ops
 
@@ -940,14 +935,12 @@ def _encode_step(step: Step) -> dict:
                 for (lab, ch), cont in zip(step.instrument.outcomes, step.cases)
             ],
         }
-    if isinstance(step, RegisterControlled):
-        return {
-            "type": "controlled",
-            "register": step.register,
-            "updates": list(step.updates),
-            "branches": [[_encode_step(t) for t in b] for b in step.branches],
-        }
-    raise TypeError(f"unknown step {type(step).__name__}")
+    return {  # RegisterControlled
+        "type": "controlled",
+        "register": step.register,
+        "updates": list(step.updates),
+        "branches": [[_encode_step(t) for t in b] for b in step.branches],
+    }
 
 
 def _decode_step(doc: dict, layout: SystemLayout) -> Step:
@@ -971,7 +964,7 @@ def _decode_step(doc: dict, layout: SystemLayout) -> Step:
             branches = [list(b) for b in doc["branches"]]
             updates = _io.integers(doc["updates"])
         else:
-            raise DocumentError(f"unknown step type {kind!r}")
+            raise DocumentError(f"step type {kind!r} is not channel, instrument or controlled")
     if kind == "channel":
         return LocalChannel(party, factors, kraus)
     if kind == "controlled":

@@ -139,7 +139,7 @@ class SystemLayout:
     def power(self, n: int) -> "SystemLayout":
         """``n`` copies; refused before the factors are repeated, for any ``n``."""
         if n < 1:
-            raise ValueError("tensor power needs n >= 1")
+            raise ValueError(f"tensor power needs n >= 1, got {n}")
         # any dimension >= 2 to the power DIM_CAP.bit_length() is past the cap
         if self.total_dim ** min(n, DIM_CAP.bit_length()) > DIM_CAP:
             raise DimensionCapError(

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -315,7 +316,7 @@ def test_iterate_validations():
     rho = canonical_pure((0.5, 0.5))
     asm = build_catalyst(_synth_lambda(2), rho, 2)
     for fn in (iterate_reuse, reuse_joint):
-        with pytest.raises(ValueError, match="need at least one copy, got 0"):
+        with pytest.raises(ValueError, match="tensor power needs n >= 1, got 0"):
             fn(asm.embedding, asm.tau, rho, 0)
         with pytest.raises(LayoutMismatchError, match="one copy plus the catalyst"):
             fn(identity_protocol(PAIR), asm.tau, rho, 1)
@@ -365,6 +366,32 @@ def test_marginal_reduction_validations():
     lam = LoccProtocol(PAIR.power(3), (), keep=range(4))
     with pytest.raises(LayoutMismatchError):
         verify_marginal_reduction(lam, rho, rho, 3, 1)
+
+
+_RHO = canonical_pure((0.5, 0.5))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        # past the check, the one-copy protocol ran and power(0) refused the catalyst
+        (lambda: build_catalyst(identity_protocol(PAIR), _RHO, 1), ValueError,
+         "need n >= 2 copies, got 1"),
+        (lambda: verify_marginal_reduction(identity_protocol(PAIR.power(2)), _RHO, _RHO, 2, 3),
+         ValueError, "cannot keep m=3 copies out of n=2"),
+        # past the check, numpy's reshape error escaped
+        (lambda: verify_marginal_reduction(identity_protocol(PAIR), _RHO, _RHO, 2, 1),
+         LayoutMismatchError, "protocol input SystemLayout(0:2, 1:2) is not 2 copies of"),
+        (lambda: verify_marginal_reduction(identity_protocol(PAIR.power(2)), _RHO, _RHO, 2, 0),
+         ValueError, "tensor power needs n >= 1, got 0"),
+    ],
+    ids=["catalyst-one-copy", "reduction-m-past-n", "reduction-one-copy-protocol",
+         "reduction-m-zero"],
+)
+def test_copy_counts_and_layouts_are_refused(call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as err:
+        call()
+    assert type(err.value) is error
 
 
 # ---------------------------------------------------------------------------

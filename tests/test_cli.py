@@ -620,6 +620,29 @@ def test_domain_error_exits_1(tmp_path, capsys):
     assert "catent: failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,text,message",
+    [
+        # past the check: NotPureError, exit 1
+        ("catalyze", "rho: werner:0.8\nn: 2\nprotocol: synth\n",
+         "synth protocol needs pure rho and sigma"),
+        # past the check: the reduction's own ValueError, exit 1
+        ("reduce", "rho: singlet\nsigma: singlet\nn: 2\nm: 3\n",
+         "need 1 <= m <= n, got m=3, n=2"),
+        # past the check: a passing report that never read expect_catalytic, exit 0
+        ("pure-rate", "source: 0.5,0.5\ntarget: 1\nexpect_catalytic: true\n",
+         "expect_catalytic needs a catalyst key"),
+    ],
+    ids=["synth-mixed-rho", "reduce-m-past-n", "expect-catalytic-alone"],
+)
+def test_scenario_outside_its_command_domain_exits_2(command, text, message, tmp_path, capsys):
+    scn = _write(tmp_path, "s.scn", text)
+    out = tmp_path / "r.json"
+    assert cli.main([command, "--scenario", scn, "--out", str(out)]) == 2
+    assert f"catent: error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_non_finite_state_file_exits_1(bad, tmp_path, capsys):
     # a well-formed document whose matrix is not a state: a domain error

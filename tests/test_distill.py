@@ -138,6 +138,13 @@ def test_distill_errors():
         distill_to(1.0, 0.8)
 
 
+def test_unit_target_is_refused_before_any_round():
+    # past the check, a BudgetError came after 200 rounds
+    with pytest.raises(ValueError, match="target 1.0 must be < 1") as err:
+        distill_to(1.0, 0.8)
+    assert type(err.value) is ValueError
+
+
 def test_expected_copies_monte_carlo():
     run = distill_to(0.9, 0.8)
     mc = expected_copies_mc(run, samples=4000, seed=7)

@@ -278,6 +278,7 @@ def test_apply_checks():
 
 
 _LEAKY = Channel((0.5 * X,), Q0, Q0)
+_DEPHASE = local_channel(Q0, 0, (0,), (np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * Z))
 
 
 @pytest.mark.parametrize(
@@ -301,10 +302,19 @@ _LEAKY = Channel((0.5 * X,), Q0, Q0)
          "factor index 2 out of range for SystemLayout(0:2, 1:2)"),
         (lambda: run_protocol(identity_protocol(PAIR), maximally_mixed(Q0)), LayoutMismatchError,
          "protocol input SystemLayout(0:2, 1:2) != state layout SystemLayout(0:2)"),
+        # validation is the one place an unknown step is refused
+        (lambda: LoccProtocol(PAIR, [object()]), TypeError, "unknown step object"),
+        # trace-decreasing, yet its output on |0><0| is a valid state
+        (lambda: apply(Channel((np.diag([1, 0]),), Q0, Q0), basis_state(Q0, [0])), ValueError,
+         "apply() requires a trace-preserving channel"),
+        # 2^17 one-qubit operators, about 40 MB at the peak: a bad input, not a bug
+        (lambda: flatten(LoccProtocol(Q0, [_DEPHASE] * 17)), DimensionCapError,
+         "flattened Kraus count exceeds 65536"),
     ],
     ids=["channel-empty", "then-dims", "apply_to_factors-dims", "apply_to_factors-non-tp",
          "teleport-dim", "instrument-empty", "controlled-none", "controlled-layouts",
-         "controlled-keep", "embed-range", "run-layout"],
+         "controlled-keep", "embed-range", "run-layout", "unknown-step", "apply-non-tp",
+         "flatten-cap"],
 )
 def test_malformed_channels_and_protocols_are_refused(call, error, message):
     with pytest.raises(error, match=re.escape(message)) as err:

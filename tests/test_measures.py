@@ -545,9 +545,16 @@ Q0 = SystemLayout([(0, 2)])
         (lambda: compose_superadditive(identity_protocol(PAIR), identity_protocol(PAIR), _MU,
                                        singlet(), eps=0.3, n=0),
          ValueError, "n must be >= 1, got 0"),
+        # past the check, both sides and the joint pass and eps = 2.5 is accepted
+        (lambda: compose_superadditive(identity_protocol(PAIR), identity_protocol(PAIR), _MU,
+                                       singlet(), eps=2.5),
+         ValueError, "eps must be in (0, 2], got 2.5"),
+        (lambda: compose_superadditive(identity_protocol(PAIR), identity_protocol(PAIR),
+                                       tensor(_MU, singlet()), singlet(), eps=0.3),
+         LayoutMismatchError, "protocol inputs (2, 2) do not split 6 joint factors into n=1"),
     ],
     ids=["decomposition-dims", "decomposition-nan", "first-block", "second-block", "copy-power",
-         "n-zero"],
+         "n-zero", "eps-past-2", "split"],
 )
 def test_mismatched_inputs_are_refused(call, error, message):
     with pytest.raises(error, match=re.escape(message)) as err:

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -205,6 +206,26 @@ def test_synthesize_layout_validation():
     # 2**128-dim layout is refused where it is built, before any protocol
     with pytest.raises(DimensionCapError, match=f"^layout dimension {2**128} exceeds cap 4096$"):
         SystemLayout([(0, 2**32), (0, 2**32), (1, 2**32), (1, 2**32)])
+
+
+@pytest.mark.parametrize(
+    "src,tgt,layout,error,message",
+    [
+        # past the check, the mixing chain's internal consistency checks fired
+        ((0.9, 0.1), (0.5, 0.5), None, NotConvertibleError,
+         "target does not dominate source (first violation at prefix 1)"),
+        # past the check, the party-2 factor was left out of a silently built protocol
+        ((0.5, 0.5), (1.0,), SystemLayout([(0, 2), (1, 2), (2, 2)]), ValueError,
+         "layout must contain exactly parties 0 and 1"),
+        ((0.5, 0.5), (1.0,), SystemLayout([(0, 2), (1, 4)]), ValueError,
+         "party dimensions (2, 4) cannot hold a length-2 spectrum"),
+    ],
+    ids=["not-dominated", "third-party", "unequal-parties"],
+)
+def test_synthesis_refuses_inputs_outside_its_domain(src, tgt, layout, error, message):
+    with pytest.raises(error, match=re.escape(message)) as err:
+        synthesize_pure_protocol(SchmidtVector.of(src), SchmidtVector.of(tgt), layout=layout)
+    assert type(err.value) is error
 
 
 def _dict_mixing_chain(target, source):
