@@ -32,19 +32,20 @@ zero-padded (M, K, rows, cols) for an instrument.  Constructed sets are
 complex128; the pure-conversion synthesis hands in float64 stacks.  One
 kernel, ``_contract``, runs them all, as outcomes that each apply a
 Kraus set A on some factors and a correction B on others.  A
-measure-and-correct step (each case empty or one ``LocalChannel`` on one
-place off the measured factors) keeps its corrections as one (M, J, d,
-d) stack and runs as one call; any other Kraus set is one outcome with
-no correction, and other instrument steps run outcome by outcome, the
-general path and the oracle.  Outcomes run in ``_batches``; one outcome
-too wide for ``_BATCH_ELEMS`` runs as its (k, j) operator pairs, each a
-one-operator outcome.  Validation reads the stacks: an instrument checks
-its total K^dag K against I in operator norm, which bounds every
-outcome's.  A protocol's steps are checked in one walk of the tree, each
-where the walk meets it; a correction stack is checked as one, in slices
-within ``_BATCH_ELEMS``.  A failed check names a non-finite entry.
-``_remap_steps`` remaps an instrument step's cases like any other steps
-and passes its correction stack on unchanged.
+measure-and-correct step is handed its corrections as one (M, J, d, d)
+stack by the synthesis, never inferred from cases; its cases are views
+of the stack's rows, and it runs as one call.  Any other Kraus set is
+one outcome with no correction, and a step built from cases runs outcome
+by outcome, the general path and the oracle.  Outcomes run in
+``_batches``; one outcome too wide for ``_BATCH_ELEMS`` runs as its
+(k, j) operator pairs, each a one-operator outcome.  Validation reads
+the stacks: an instrument checks its total K^dag K against I in operator
+norm, which bounds every outcome's.  A protocol's steps are checked in
+one walk of the tree, each where the walk meets it; a correction stack
+is checked as one, in slices within ``_BATCH_ELEMS``.  A failed check
+names a non-finite entry.  ``_remap_steps`` remaps the cases of a step
+built from cases, and hands a step with a correction stack that stack,
+from which it makes its cases.
 
 ``flatten`` composes a protocol into a single :class:`Channel` (Kraus
 form).  It is the Kraus-form export and the reference oracle the
@@ -405,32 +406,21 @@ class LocalInstrument:
     # continuation steps per outcome, in outcome order, each run before the
     # next top-level step; () leaves every outcome's case empty
     cases: tuple[tuple["Step", ...], ...] = ()
-    # (party, factors, (M, J, d, d) stack) of the corrections, built from cases
-    # unless handed in; the cases of a stack handed in are views of its rows
+    # (party, factors, read-only (M, J, d, d) stack) of the corrections, only
+    # handed in, never inferred; case m is then made here as a view of row m
     _fix: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(map(operator.index, self.factors)))
         m = len(self.instrument.outcomes)
-        cases = tuple(map(tuple, self.cases)) or ((),) * m
+        if self._fix is not None:
+            party, factors, stack = self._fix
+            cases = tuple((c,) for c in _views(LocalChannel, stack, party=party, factors=factors))
+        else:
+            cases = tuple(map(tuple, self.cases)) or ((),) * m
         if len(cases) != m:
             raise ValueError(f"{len(cases)} cases for {m} outcomes")
         object.__setattr__(self, "cases", cases)
-        if self._fix is None:
-            object.__setattr__(self, "_fix", self._stack_corrections())
-
-    def _stack_corrections(self) -> tuple | None:
-        """``_fix``, the identity for an empty case, if every case is empty or one
-        ``LocalChannel`` with operators on one (party, factors) apart from the instrument's."""
-        first = next((c[0] for c in self.cases if c), None)
-        if not isinstance(first, LocalChannel) or not first.kraus or any(
-            len(c) > 1 or not isinstance(c[0], LocalChannel) or c[0].party != first.party
-            or c[0].factors != first.factors or c[0]._stack.shape[1:] != first._stack.shape[1:]
-            for c in self.cases if c
-        ) or set(first.factors) & set(self.factors):
-            return None
-        eye = np.eye(*first._stack.shape[1:])[None]
-        return first.party, first.factors, _join([c[0]._stack if c else eye for c in self.cases])
 
     def case_map(self) -> dict[str, tuple["Step", ...]]:
         return dict(zip(self.instrument.labels, self.cases))
@@ -716,8 +706,9 @@ def _remap_steps(steps: Sequence[Step], fmap: Sequence[int]) -> tuple[Step, ...]
     """Re-index steps through ``fmap`` (old factor index -> new index).
 
     Channels become views of the original read-only stacks.  An instrument
-    step keeps its instrument; its cases are remapped like any other steps
-    and its correction stack is passed on unchanged.
+    step keeps its instrument.  A step with a correction stack is handed it
+    on remapped factors, with ``()`` for cases, and makes its cases in one
+    ``_views`` call; any other step's cases are remapped like other steps.
     """
     out = []
     for s in steps:
@@ -725,8 +716,8 @@ def _remap_steps(steps: Sequence[Step], fmap: Sequence[int]) -> tuple[Step, ...]
             out += _views(LocalChannel, s._stack[None], party=s.party,
                           factors=tuple(fmap[i] for i in s.factors))
         elif isinstance(s, LocalInstrument):
-            cases = tuple(_remap_steps(cont, fmap) for cont in s.cases)
             fix = s._fix and (s._fix[0], tuple(fmap[i] for i in s._fix[1]), s._fix[2])
+            cases = () if fix else tuple(_remap_steps(cont, fmap) for cont in s.cases)
             out.append(LocalInstrument(
                 s.party, tuple(fmap[i] for i in s.factors), s.instrument, cases, fix
             ))

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionCapError, DivergingRateError, NotConvertibleError
-from .locc import Instrument, LocalChannel, LocalInstrument, LoccProtocol, _views
+from .locc import Instrument, LocalInstrument, LoccProtocol
 from .measures import hashing_bounds
 from .qstate import DIM_CAP, QState, SchmidtVector, SystemLayout, pure_state
 
@@ -238,9 +238,7 @@ def synthesize_pure_protocol(
         # the instrument and the step keep; they are checked and run as stacks
         labels = [f"m{m}" for m in range(len(wts))]
         instrument = Instrument._from_stack(labels, kraus, layout.subset(a_factors))
-        fixes = _views(LocalChannel, corrs, party=1, factors=b_factors)
-        cases = tuple((c,) for c in fixes)
-        step = LocalInstrument(0, a_factors, instrument, cases, (1, b_factors, corrs))
+        step = LocalInstrument(0, a_factors, instrument, (), (1, b_factors, corrs))
         return LoccProtocol(layout, (step,))
     finally:
         if enabled:

@@ -41,6 +41,7 @@ from catent.qstate import (
     tensor,
     trace_norm_dist,
 )
+from test_locc import assert_cases_are_rows
 
 PAIR = SystemLayout([(0, 2), (1, 2)])
 HALF = SchmidtVector.of((0.5, 0.5))
@@ -287,6 +288,37 @@ def test_reuse_refuses_a_protocol_whose_keep_is_set(keep):
             reuse(lam, asm.tau, rho, 2)
 
 
+def _stack_steps(steps):
+    """The steps of a tree, register branches included, that hold a correction stack."""
+    found = []
+    for s in steps:
+        found += [s] if getattr(s, "_fix", None) is not None else []
+        for b in getattr(s, "branches", ()):
+            found += _stack_steps(b)
+    return found
+
+
+def test_reuse_joint_hands_each_copy_the_correction_stack(monkeypatch):
+    # each copy's embedding of the synthesized step hands it the one stack on
+    # that copy's factors, and the step's cases are views of the stack's rows
+    rho = canonical_pure((0.5, 0.5))
+    asm = build_catalyst(_synth_lambda(2), rho, 2)
+    made = []
+
+    def recording(*args):
+        made.append(embed_protocol(*args))
+        return made[-1]
+
+    monkeypatch.setattr(catfactory, "embed_protocol", recording)
+    reuse_joint(asm.embedding, asm.tau, rho, 3)
+    (step,) = _stack_steps(asm.embedding.steps)
+    moved = [s for p in made for s in _stack_steps(p.steps)]
+    assert len(moved) == 3 and len({s._fix[1] for s in moved}) == 3
+    for s in moved:
+        assert s._fix[2] is step._fix[2]
+        assert_cases_are_rows(s)
+
+
 def test_track_joint_dimension_cap():
     rho = canonical_pure((0.5, 0.5))
     asm = build_catalyst(_synth_lambda(2), rho, 2)
@@ -357,15 +389,18 @@ def test_marginal_reduction_converted_slots():
 def test_marginal_reduction_validations():
     rho = canonical_pure((0.5, 0.5))
     ident3 = identity_protocol(PAIR.power(3))
-    with pytest.raises(ValueError):
-        verify_marginal_reduction(ident3, rho, rho, 3, 0)
-    with pytest.raises(ValueError):
-        verify_marginal_reduction(ident3, rho, rho, 3, 4)
-    with pytest.raises(LayoutMismatchError):
-        verify_marginal_reduction(ident3, rho, rho, 2, 2)
     lam = LoccProtocol(PAIR.power(3), (), keep=range(4))
-    with pytest.raises(LayoutMismatchError):
-        verify_marginal_reduction(lam, rho, rho, 3, 1)
+    for args, error, message in (
+        ((ident3, 3, 0), ValueError, "tensor power needs n >= 1, got 0"),
+        ((ident3, 3, 4), ValueError, "cannot keep m=4 copies out of n=3"),
+        ((ident3, 2, 2), LayoutMismatchError,
+         "protocol input SystemLayout(0:2, 1:2, 0:2, 1:2, 0:2, 1:2) is not 2 copies of"),
+        ((lam, 3, 1), LayoutMismatchError,
+         "protocol output SystemLayout(0:2, 1:2, 0:2, 1:2) is not 1 copies of"),
+    ):
+        with pytest.raises(error, match=re.escape(message)) as err:
+            verify_marginal_reduction(args[0], rho, rho, *args[1:])
+        assert type(err.value) is error
 
 
 _RHO = canonical_pure((0.5, 0.5))

@@ -130,12 +130,15 @@ def test_distill_terminates_from_barely_distillable():
 
 
 def test_distill_errors():
-    with pytest.raises(ValueError, match="1/2"):
-        distill_to(0.9, 0.5)
-    with pytest.raises(ValueError):
-        distill_to(0.6, 0.8)
-    with pytest.raises(ValueError):
-        distill_to(1.0, 0.8)
+    # BudgetError is a ValueError too, so each refusal's type is checked exactly;
+    # a unit target is test_unit_target_is_refused_before_any_round's case
+    for target, initial, message in (
+        (0.9, 0.5, "recurrence distillation needs initial fidelity > 1/2, got 0.5"),
+        (0.6, 0.8, "target 0.6 must exceed the initial fidelity 0.8"),
+    ):
+        with pytest.raises(ValueError, match=message) as err:
+            distill_to(target, initial)
+        assert type(err.value) is ValueError
 
 
 def test_unit_target_is_refused_before_any_round():

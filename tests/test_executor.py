@@ -5,11 +5,11 @@ composition, on random small protocols; ``apply_to_factors`` is compared
 with Kraus sums of operators lifted to the full space by
 ``_embed_operator``; the contraction kernel ``_contract`` is compared with
 a per-operator ``tensordot`` loop, with and without a correction stack.  A
-measure-and-correct step runs as one pair contraction; it is compared with
-the same step run outcome by outcome, the general path.
+measure-and-correct step, handed its correction stack, runs as one pair
+contraction; it is compared with the same step built from its cases, which
+runs outcome by outcome, the general path.
 """
 
-import copy
 import functools
 import json
 import math
@@ -24,7 +24,6 @@ from catent.errors import DocumentError
 from catent.locc import (
     Channel,
     Instrument,
-    LocalChannel,
     LocalInstrument,
     LoccProtocol,
     RegisterControlled,
@@ -43,10 +42,13 @@ from catent.locc import (
     protocol_from_dict,
     protocol_to_dict,
     run_protocol,
+    load_protocol,
+    save_protocol,
     tensor_protocols,
 )
 from catent.purecat import synthesize_pure_protocol
 from catent.qstate import SchmidtVector, SystemLayout, random_state
+from test_locc import assert_cases_are_rows
 
 TOL = 1e-12
 SETTINGS = settings(
@@ -346,13 +348,13 @@ def test_contract_matches_tensordot_loop(data):
 
 
 def _outcome_loop(protocol):
-    """``protocol`` with the correction stacks of its top-level instrument
-    steps dropped, so the executor runs those outcome by outcome."""
+    """``protocol`` with its top-level instrument steps rebuilt from their
+    cases, so the executor runs those outcome by outcome."""
     steps = []
     for s in protocol.steps:
         if isinstance(s, LocalInstrument):
-            s = copy.copy(s)
-            object.__setattr__(s, "_fix", None)
+            s = LocalInstrument(s.party, s.factors, s.instrument, s.cases)
+            assert s._fix is None
         steps.append(s)
     return LoccProtocol(protocol.input_layout, steps, keep=protocol.keep)
 
@@ -384,8 +386,9 @@ _MIXED = SystemLayout([(0, 2), (1, 3), (0, 2)])
 @SETTINGS
 @given(st.data())
 def test_pair_path_matches_outcome_loop_on_random_instruments(data):
-    # 1-3 Kraus operators an outcome, in a zero-padded stack handed in;
-    # cases empty or one channel of 1-2 operators; real or complex
+    # 1-3 Kraus operators an outcome, in a zero-padded stack handed in; a
+    # correction stack handed in, each row the identity or a channel of 1-2
+    # operators padded to 2; real or complex
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     real = data.draw(st.booleans())
     a_factors = data.draw(st.sampled_from([(0,), (2, 0), (0, 2)]))
@@ -402,18 +405,16 @@ def test_pair_path_matches_outcome_loop_on_random_instruments(data):
     stack.setflags(write=False)
     labels = [f"o{m}" for m in range(len(counts))]
     inst = Instrument._from_stack(labels, stack, _MIXED.subset(a_factors))
-    cases = []
-    for _ in labels:
+    fix = np.zeros((len(labels), 2, db, db), dtype=stack.dtype)
+    for m in range(len(labels)):
         if data.draw(st.booleans()):
-            fix = np.array(_kraus(rng, db, data.draw(st.integers(1, 2)), real))[None]
-            fix.setflags(write=False)
-            cases.append(tuple(locc._views(LocalChannel, fix, party=fix_party, factors=fix_factors)))
+            ks = _kraus(rng, db, data.draw(st.integers(1, 2)), real)
+            fix[m, : len(ks)] = ks
         else:
-            cases.append(())
-    assume(any(cases))
-    step = LocalInstrument(0, a_factors, inst, tuple(cases))
-    assert step._fix[:2] == (fix_party, fix_factors)
-    assert step._fix[2].dtype == stack.dtype
+            fix[m, 0] = np.eye(db)
+    fix.setflags(write=False)
+    step = LocalInstrument(0, a_factors, inst, (), (fix_party, fix_factors, fix))
+    assert_cases_are_rows(step)
     rho = random_state(_MIXED, "ginibre_mixed", seed=data.draw(st.integers(0, 2**16)))
     _assert_pair_path_matches_loop(LoccProtocol(_MIXED, [step]), rho.matrix)
 
@@ -448,21 +449,22 @@ def test_contract_pairs_matches_outcome_loop_in_chunks(data):
 
 
 def test_other_instrument_steps_run_outcome_by_outcome():
-    # continuations of two steps, a register branch, a correction on the
-    # measured factor, or corrections on two places keep no correction stack
+    # a step built from cases keeps no correction stack, whatever its cases
+    # hold: continuations of two steps, a register branch, a correction on
+    # the measured factor, corrections on two places, or one correction
     lay = SystemLayout([(0, 2), (1, 2), (1, 2)])
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     z = [("0", [np.diag([1.0, 0.0])]), ("1", [np.diag([0.0, 1.0])])]
     x1, x2, x0 = (local_unitary(lay, p, (f,), x) for p, f in ((1, 1), (1, 2), (0, 0)))
     ctrl = RegisterControlled(2, ((x1,), ()), (0, 1))
-    for cases in ({"1": [x1, x1]}, {"1": [ctrl]}, {"1": [x0]}, {"0": [x1], "1": [x2]}, {}):
+    for cases in ({"1": [x1, x1]}, {"1": [ctrl]}, {"1": [x0]}, {"0": [x1], "1": [x2]}, {},
+                  {"1": [x1]}):
         step = local_instrument(lay, 0, (0,), z, cases)
         assert step._fix is None
         proto = LoccProtocol(lay, [step])
         rho = random_state(lay, "ginibre_mixed", seed=len(cases))
         want = apply(flatten(proto), rho)
         assert np.max(np.abs(run_protocol(proto, rho).matrix - want.matrix)) <= TOL
-    assert local_instrument(lay, 0, (0,), z, {"1": [x1]})._fix is not None
 
 
 @st.composite
@@ -489,15 +491,52 @@ def _measure_and_correct(draw):
     return LoccProtocol(_MIXED, [local_instrument(_MIXED, 0, a_factors, outcomes, cases)])
 
 
+def test_measure_and_correct_documents_through_both_paths(tmp_path):
+    # the synthesized n=3 protocol with a depolarizing step appended, saved
+    # and reloaded as a ``file:`` protocol is: the reloaded step is built from
+    # its cases, so in the catalyst joint it runs outcome by outcome, and
+    # gives what the synthesized step's stack run gives
+    pair, n = SystemLayout([(0, 2), (1, 2)]), 3
+    s, t = (functools.reduce(SchmidtVector.tensor, [SchmidtVector.of(p)] * n)
+            for p in ((0.5, 0.5), (0.7731, 0.2269)))
+    base = synthesize_pure_protocol(s, t, layout=pair.power(n))
+    dep = Channel.depolarizing(SystemLayout([(0, 2)]), 0.9)
+    proto = LoccProtocol(base.input_layout,
+                         base.steps + (local_channel(base.input_layout, 0, (0,), dep.kraus),))
+    save_protocol(proto, tmp_path / "noisy_synth.json")
+    back = load_protocol(tmp_path / "noisy_synth.json")
+    assert proto.steps[0]._fix is not None and back.steps[0]._fix is None
+    joint = pair.power(n) + SystemLayout([(0, n)])
+    fmap = [i if j == n - 1 else (j + 1) * 2 + i for j in range(n) for i in range(2)]
+    stacked, looped = (embed_protocol(p, joint, fmap) for p in (proto, back))
+    assert looped.steps[0]._fix is None
+    rho = random_state(joint, "ginibre_mixed", seed=n).matrix
+    assert np.max(np.abs(_run_matrix(looped, rho) - _run_matrix(stacked, rho))) <= TOL
+    # cases that each hold one correction at one place keep no stack either,
+    # and run as the same corrections handed in as a stack do
+    rng = np.random.default_rng(0)
+    outcomes = [(lab, [k]) for lab, k in zip("ab", _kraus(rng, 2, 2))]
+    fixes = [_kraus(rng, 3, 2) for _ in outcomes]
+    cases = {lab: [local_channel(_MIXED, 1, (1,), f)] for (lab, _), f in zip(outcomes, fixes)}
+    step = local_instrument(_MIXED, 0, (0,), outcomes, cases)
+    assert step._fix is None
+    stack = np.array(fixes)
+    stack.setflags(write=False)
+    handed = LocalInstrument(0, (0,), step.instrument, (), (1, (1,), stack))
+    rho = random_state(_MIXED, "ginibre_mixed", seed=1).matrix
+    got = _run_matrix(LoccProtocol(_MIXED, [step]), rho)
+    assert np.max(np.abs(got - _run_matrix(LoccProtocol(_MIXED, [handed]), rho))) <= TOL
+
+
 @SETTINGS
 @given(_measure_and_correct(), st.integers(0, 2**16), st.data())
-def test_measure_and_correct_documents_through_both_paths(protocol, seed, data):
+def test_instrument_documents_reload_and_refuse_mutations(protocol, seed, data):
     doc = protocol_to_dict(protocol)
     back = protocol_from_dict(doc)
     assert protocol_to_dict(back) == doc
+    assert protocol.steps[0]._fix is None and back.steps[0]._fix is None
     rho = random_state(_MIXED, "ginibre_mixed", seed=seed).matrix
     assert _run_matrix(back, rho).tobytes() == _run_matrix(protocol, rho).tobytes()
-    _assert_pair_path_matches_loop(back, rho)
     # a NaN entry, a shape the factors cannot take, a dropped outcome
     outcomes = doc["steps"][0]["outcomes"]
     m = data.draw(st.integers(0, len(outcomes) - 1))

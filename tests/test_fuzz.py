@@ -1,13 +1,14 @@
 """Robustness: a protocol that constructs runs, and malformed inputs raise typed errors.
 
 Random step trees over small layouts cover every step kind: local
-channels, instruments with and without a correction stack (derived from
-the cases or handed in), nested cases, register branches and the
-terminal ``keep``.  Faults are injected at random.  A tree
-without a fault must construct, run on a random state and match
-``flatten``; a tree with one must be refused at construction with a
-``catent.errors`` type or a ``ValueError`` that catent raises itself,
-never with an error from inside numpy or Python.  Protocol documents of
+channels, instruments with and without a correction stack (only ever
+handed in, its cases views of its rows; cases of one correction each
+keep none), nested cases, register branches and the terminal ``keep``.
+Faults are injected at random.  A tree without a fault must construct,
+run on a random state and match ``flatten``; a tree with one must be
+refused at construction with a ``catent.errors`` type or a
+``ValueError`` that catent raises itself, never with an error from
+inside numpy or Python.  Protocol documents of
 every step kind are mutated the same way: each one loads, or raises
 ``DocumentError`` (CLI exit 2) or a typed domain error (exit 1).  So are
 state documents.  Scenarios are drawn from the CLI's key
@@ -172,7 +173,7 @@ class _Tree:
         if fault in ("non_tp", "nan", "shape"):
             m = self.draw(st.integers(0, len(outcomes) - 1))
             outcomes[m] = (outcomes[m][0], self.damage(list(outcomes[m][1]), fault))
-        mode = self.draw(st.sampled_from(["loop", "derived", "handed"]))
+        mode = self.draw(st.sampled_from(["loop", "corrected", "handed"]))
         off = self.place([i for i in free if i not in factors])
         if mode != "loop" and off is None:
             mode = "loop"
@@ -181,11 +182,12 @@ class _Tree:
         if mode == "loop":
             cases = [tuple(self.steps(free, depth - 1)) if depth > 0 and self.draw(st.booleans())
                      else () for _ in labels]
-        elif mode == "derived":  # one channel a case, all at one place: a correction stack
+        elif mode == "corrected":  # one channel a case, all at one place: still no stack
             cases = [(self.channel(*off),) if self.draw(st.booleans()) else () for _ in labels]
-        else:  # the stack handed in, its corrections views of it, as the synthesis does
+        else:  # the stack handed in, as the synthesis does; the step makes its cases from it
             dc = self.dim(off[1])
-            stack = np.array([_kraus(self.rng, dc, 2) for _ in labels])
+            rows = len(labels) + (fault == "label")  # a label fault's case too many: a row
+            stack = np.array([_kraus(self.rng, dc, 2) for _ in range(rows)])
             cfault = self.fault("non_tp", "nan", "party")
             if cfault == "non_tp":
                 stack[-1] *= 1.1
@@ -193,8 +195,7 @@ class _Tree:
                 stack[0, 1, 0, 0] = math.nan
             stack.setflags(write=False)
             cparty = 1 - off[0] if cfault == "party" else off[0]
-            views = locc._views(LocalChannel, stack, party=cparty, factors=off[1])
-            cases = [(v,) for v in views]
+            cases = [()] * len(labels)
             fix = (cparty, off[1], stack)
         sub = self.layout.subset(factors)
         factors = self.misplace(party, factors, fault)
@@ -205,10 +206,13 @@ class _Tree:
         elif fault == "repeat_label":
             keyed[0] = ()
         if fix is None and self.draw(st.booleans()) or fault == "repeat_label":
-            return local_instrument(self.layout, party, factors, outcomes, keyed)
-        # by position: one case too many
-        cases += [()] * (fault == "label")
-        return LocalInstrument(party, factors, Instrument.from_kraus(sub, outcomes), tuple(cases), fix)
+            step = local_instrument(self.layout, party, factors, outcomes, keyed)
+        else:  # by position: one case too many
+            cases += [()] * (fault == "label")
+            inst = Instrument.from_kraus(sub, outcomes)
+            step = LocalInstrument(party, factors, inst, () if fix else tuple(cases), fix)
+        assert (step._fix is None) == (fix is None)
+        return step
 
     def controlled(self, free, depth):
         reg = self.draw(st.sampled_from(free))

@@ -31,6 +31,7 @@ from catent.locc import (
     save_protocol,
     load_protocol,
     teleport_channel,
+    tensor_protocols,
 )
 from catent.qstate import (
     SystemLayout,
@@ -269,11 +270,13 @@ def test_channel_then_and_tensor():
 
 def test_apply_checks():
     ch = Channel.from_unitary(X, Q0)
-    with pytest.raises(LayoutMismatchError):
+    with pytest.raises(LayoutMismatchError,
+                       match=re.escape("channel input SystemLayout(0:2) != state layout")):
         apply(ch, singlet())
     leaky = Channel((0.5 * np.eye(2, dtype=complex),), Q0, Q0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("apply() requires a trace-preserving")) as err:
         apply(leaky, maximally_mixed(Q0))
+    assert type(err.value) is ValueError
 
 
 
@@ -628,8 +631,8 @@ def test_pair_contraction_stays_within_the_batch_budget(dims, count, outcomes):
     inst = Instrument.from_kraus(SystemLayout([(0, 4)]),
                                  [(f"o{m}", [qa[4 * m : 4 * m + 4]]) for m in range(outcomes)])
     fix = LocalChannel(1, (1,), [qb[4 * j : 4 * j + 4] for j in range(count)])
-    step = LocalInstrument(0, (0,), inst, ((fix,),) * outcomes)
-    proto = LoccProtocol(layout, [step])
+    stack = np.broadcast_to(fix._stack, (outcomes, *fix._stack.shape))  # read-only
+    proto = LoccProtocol(layout, [LocalInstrument(0, (0,), inst, (), (1, (1,), stack))])
     rho = random_state(layout, "ginibre_mixed", seed=1).matrix
     tracemalloc.start()
     try:
@@ -637,7 +640,6 @@ def test_pair_contraction_stays_within_the_batch_budget(dims, count, outcomes):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert step._fix is not None
     assert peak < 2 * locc._BATCH_ELEMS * 16 + 8 * rho.nbytes
     want = sum(
         locc._contract(
@@ -655,13 +657,11 @@ def test_local_channel_without_kraus_is_not_tp():
 
 
 def _real_correction_step(*kraus_sets):
-    """Z measurement whose corrections on factor 1 are views of a float64 stack handed in,
+    """Z measurement whose corrections on factor 1 are a float64 stack handed in,
     as the synthesis builds its step."""
     stack = np.stack([np.real(ks) for ks in kraus_sets])
     stack.setflags(write=False)
-    views = locc._views(LocalChannel, stack, party=1, factors=(1,))
-    cases = tuple((v,) for v in views)
-    return LocalInstrument(0, (0,), _z_measurement(), cases, (1, (1,), stack))
+    return LocalInstrument(0, (0,), _z_measurement(), (), (1, (1,), stack))
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -717,16 +717,16 @@ def test_correction_stack_structure_is_checked():
     # shape, checked once: party 0 may not act on party 1's factor, and the
     # operators must fit the factor
     z = _z_measurement()
-    for fix, err in (
-        (LocalChannel(0, (1,), (X,)), LocalityError),
-        (LocalChannel(1, (2,), (X,)), LayoutMismatchError),
-        (LocalChannel(1, (1,), (np.eye(3),)), LayoutMismatchError),
+    for party, factors, k, err, text in (
+        (0, (1,), X, LocalityError, "party 0 cannot act on factor 1"),
+        (1, (2,), X, LayoutMismatchError, "out of range"),
+        (1, (1,), np.eye(3), LayoutMismatchError, r"\(3, 3\) != \(2, 2\)"),
     ):
-        step = LocalInstrument(0, (0,), z, ((fix,), (fix,)))
-        assert step._fix is not None
-        with pytest.raises(err):
+        stack = np.array([[k], [k]], dtype=complex)
+        stack.setflags(write=False)
+        step = LocalInstrument(0, (0,), z, (), (party, factors, stack))
+        with pytest.raises(err, match=text):
             LoccProtocol(PAIR, [step])
-
 
 
 def test_correction_stack_handed_in_names_its_party():
@@ -804,7 +804,7 @@ def test_non_finite_kraus_entry_is_named(bad, pos):
         local_instrument(PAIR, 0, (0,), [("0", [X / 2]), ("1", [X / 2, k])])
     with pytest.raises(ValueError, match="outcome 'o300': Kraus operator 0 " + where):
         Instrument.from_kraus(Q0, [(f"o{m}", [k if m == 300 else X / 20]) for m in range(400)])
-    # a correction stack names the entry too
+    # a case's correction names the entry too
     with pytest.raises(ValueError, match="local channel step: Kraus operator 0 " + where):
         LoccProtocol(PAIR, [LocalInstrument(0, (0,), _z_measurement(), ((), (LocalChannel(1, (1,), (k,)),)))])
     # and a float64 one handed in, as the synthesis's is
@@ -1347,22 +1347,28 @@ def test_channel_tensor_is_the_kron_loop(shapes):
 
 
 def _measure_and_correct(pad):
-    # party 0 measures its first qubit; party 1 corrects its second, every
-    # correction with 2 operators, or one case with 1 (padded in the stack)
+    # party 0 measures its first qubit; party 1 corrects its second from a
+    # stack handed in, every correction with 2 operators, or one with 1 and a
+    # zero operator (a padded row)
     lay = PAIR.power(2)
     m0, m1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
-    fix1 = (X,) if pad else (X / math.sqrt(2), Z / math.sqrt(2))
-    cases = {"a": (local_channel(lay, 1, (3,), (Y / math.sqrt(2), Z / math.sqrt(2))),),
-             "b": (local_channel(lay, 1, (3,), fix1),)}
-    step = local_instrument(lay, 0, (0,), [("a", [m0]), ("b", [m1])], cases)
-    return LoccProtocol(lay, (step,))
+    fix1 = (X, 0 * X) if pad else (X / math.sqrt(2), Z / math.sqrt(2))
+    stack = np.array([(Y / math.sqrt(2), Z / math.sqrt(2)), fix1])
+    stack.setflags(write=False)
+    inst = Instrument.from_kraus(Q0, [("a", [m0]), ("b", [m1])])
+    return LoccProtocol(lay, (LocalInstrument(0, (0,), inst, (), (1, (3,), stack)),))
 
 
-def _per_item_remap(case, fmap):
-    # the remap of one correction on its own: a single-item view of its stack
-    (c,) = case
-    return locc._views(LocalChannel, c._stack[None], party=c.party,
-                       factors=tuple(fmap[i] for i in c.factors))[0]
+def assert_cases_are_rows(step):
+    """Case m of a step with a correction stack is one channel on the stack's
+    place whose operators are row m of the stack, sharing its memory."""
+    party, factors, stack = step._fix
+    assert len(step.cases) == len(stack)
+    for m, (c, *rest) in enumerate(step.cases):
+        assert not rest and isinstance(c, LocalChannel)
+        assert (c.party, c.factors) == (party, factors)
+        assert np.shares_memory(c._stack, stack[m]) and c._stack.tobytes() == stack[m].tobytes()
+        assert [k.tobytes() for k in c.kraus] == [k.tobytes() for k in stack[m]]
 
 
 @pytest.mark.parametrize("kind", ["synth", "joined", "padded"])
@@ -1376,20 +1382,16 @@ def test_remapped_corrections_are_one_view_of_the_stack(kind):
     else:
         proto = _measure_and_correct(kind == "padded")
     (step,) = proto.steps
-    assert step._fix is not None
-    fmap = (4, 1, 0, 5)
-    (moved,) = embed_protocol(proto, PAIR.power(3), fmap).steps
+    assert_cases_are_rows(step)
     party, factors, stack = step._fix
-    assert moved._fix[2] is stack and moved._fix[:2] == (party, tuple(fmap[i] for i in factors))
-    for cont, cont0 in zip(moved.cases, step.cases):
-        (c,), want = cont, _per_item_remap(cont0, fmap)
-        assert (c.party, c.factors) == (want.party, want.factors)
-        assert c._stack.tobytes() == want._stack.tobytes()
-        assert [k.tobytes() for k in c.kraus] == [k.tobytes() for k in want.kraus]
-        assert np.shares_memory(c._stack, cont0[0]._stack)
-        # the synthesis's corrections are views of its correction stack
-        assert np.shares_memory(c._stack, stack) == (kind == "synth")
     s = random_state(PAIR.power(3), "ginibre_mixed", seed=1)
-    moved_proto = LoccProtocol(PAIR.power(3), (moved,))
-    assert np.max(np.abs(run_protocol(moved_proto, s).matrix
-                         - apply(flatten(moved_proto), s).matrix)) < 1e-12
+    for fmap, moved_proto in (
+        ((4, 1, 0, 5), embed_protocol(proto, PAIR.power(3), (4, 1, 0, 5))),
+        ((2, 3, 4, 5), tensor_protocols(identity_protocol(PAIR), proto)),
+    ):
+        (moved,) = moved_proto.steps
+        assert moved._fix[2] is stack and moved._fix[:2] == (party, tuple(fmap[i] for i in factors))
+        assert moved.instrument is step.instrument
+        assert_cases_are_rows(moved)
+        assert np.max(np.abs(run_protocol(moved_proto, s).matrix
+                             - apply(flatten(moved_proto), s).matrix)) < 1e-12

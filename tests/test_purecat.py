@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from catent.errors import DimensionCapError, DivergingRateError, NotConvertibleError
 from catent.locc import (
     Instrument,
-    LocalChannel,
     LocalInstrument,
     LoccProtocol,
     _run_matrix,
@@ -198,10 +197,13 @@ def test_synthesize_on_copy_layout():
 def test_synthesize_layout_validation():
     src = SchmidtVector.of((0.5, 0.5))
     tgt = SchmidtVector.of((1.0,))
-    with pytest.raises(ValueError):
-        synthesize_pure_protocol(src, tgt, layout=SystemLayout([(0, 2), (1, 3)]))
-    with pytest.raises(ValueError):
-        synthesize_pure_protocol(src, tgt, layout=SystemLayout([(0, 2), (2, 2)]))
+    for layout, message in (
+        (SystemLayout([(0, 2), (1, 3)]), "party dimensions (2, 3) cannot hold a length-2 spectrum"),
+        (SystemLayout([(0, 2), (2, 2)]), "layout must contain exactly parties 0 and 1"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)) as err:
+            synthesize_pure_protocol(src, tgt, layout=layout)
+        assert type(err.value) is ValueError
     # party dimension 2**64: an int64 product wraps to 0 here; the whole
     # 2**128-dim layout is refused where it is built, before any protocol
     with pytest.raises(DimensionCapError, match=f"^layout dimension {2**128} exceeds cap 4096$"):
@@ -484,18 +486,17 @@ def test_synthesis_digest_is_unchanged(n, count, digest):
 
 
 def _complex_rebuild(proto):
-    """A synthesized protocol with every outcome and correction rebuilt as
-    complex128 by the public constructors."""
+    """A synthesized protocol with every outcome rebuilt as complex128 by the
+    public constructors, and its correction stack handed in as complex128."""
     (step,) = proto.steps
     inst = Instrument.from_kraus(
         step.instrument.input_layout, [(lab, ch.kraus) for lab, ch in step.instrument.outcomes]
     )
-    fixes = tuple(
-        tuple(LocalChannel(c.party, c.factors, c.kraus) for c in cont) for cont in step.cases
-    )
-    return LoccProtocol(
-        proto.input_layout, (LocalInstrument(step.party, step.factors, inst, fixes),)
-    )
+    party, factors, corrs = step._fix
+    corrs = corrs.astype(complex)
+    corrs.setflags(write=False)
+    step = LocalInstrument(step.party, step.factors, inst, (), (party, factors, corrs))
+    return LoccProtocol(proto.input_layout, (step,))
 
 
 @pytest.mark.parametrize("n", [2, 3])
