@@ -73,7 +73,7 @@ KRAUS_CAP = 65536
 # the kernel and the batched checks: stacked entries per batch
 _BATCH_ELEMS = 1 << 20
 
-PROTOCOL_FORMAT = "catent-protocol-v1"
+PROTOCOL_FORMAT = "catent-protocol-v2"
 
 
 def _batches(n: int, item_elems: int) -> list[tuple[int, int]]:
@@ -483,9 +483,9 @@ def _validate_steps(
 
     A local channel is checked for its place, shape and trace
     preservation.  The corrections of a measure-and-correct step share
-    one party, place and shape, so their stack is checked as one; without
-    a correction stack every case is walked.  ``fixed`` holds the
-    registers of the enclosing branches, which no step may touch.
+    one party, shape and place, apart from the measured factors, so their
+    stack is checked as one; without a stack every case is walked.  ``fixed``
+    holds the registers of the enclosing branches, which no step may touch.
     """
     for s in steps:
         if isinstance(s, LocalChannel):
@@ -501,6 +501,10 @@ def _validate_steps(
                 )
             if s._fix is not None:
                 _check_local(layout, *s._fix, fixed)
+                if not set(s._fix[1]).isdisjoint(s.factors):
+                    raise LayoutMismatchError(
+                        f"correction factors {s._fix[1]} meet measured factors {s.factors}"
+                    )
             else:
                 for cont in s.cases:
                     _validate_steps(layout, cont, fixed)
@@ -970,16 +974,11 @@ def _decode_step(doc: dict, layout: SystemLayout) -> Step:
 
 
 def protocol_to_dict(protocol: LoccProtocol) -> dict:
-    # ``keep`` as the factors it drops and, unless in order, the order of the rest
-    n = len(protocol.input_layout)
-    keep = list(protocol.keep or range(n))
-    kept = sorted(keep)
     return {
         "format": PROTOCOL_FORMAT,
         "factors": [[f.party, f.dim] for f in protocol.input_layout],
         "steps": [_encode_step(s) for s in protocol.steps],
-        "discard": [i for i in range(n) if i not in keep],
-        "relabel": None if keep == kept else [kept.index(i) for i in keep],
+        "keep": None if protocol.keep is None else list(protocol.keep),
     }
 
 
@@ -988,17 +987,9 @@ def protocol_from_dict(doc: dict) -> LoccProtocol:
     with _io.parsing("protocol"):
         layout = SystemLayout(map(_io.integers, doc["factors"]))
         step_docs = list(doc["steps"])
-        discard, relabel = doc.get("discard"), doc.get("relabel")
-        discard = set(_io.integers(discard)) if discard is not None else set()
-        relabel = _io.integers(relabel) if relabel is not None else None
+        keep = None if doc.get("keep") is None else _io.integers(doc["keep"])
     steps = tuple(_decode_step(s, layout) for s in step_docs)
-    # ``relabel`` orders the factors ``discard`` leaves; keeping none is an empty ``keep``
-    if not discard <= set(range(len(layout))):
-        raise LayoutMismatchError(f"discard {sorted(discard)} out of range for {layout!r}")
-    kept = [i for i in range(len(layout)) if i not in discard]
-    if relabel is not None and sorted(relabel) != list(range(len(kept))):
-        raise ValueError(f"relabel {relabel} is not a permutation of kept factors")
-    return LoccProtocol(layout, steps, keep=[kept[j] for j in relabel or range(len(kept))])
+    return LoccProtocol(layout, steps, keep=keep)
 
 
 def save_protocol(protocol: LoccProtocol, path) -> None:

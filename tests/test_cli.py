@@ -269,31 +269,31 @@ def test_reduce_refuses_a_file_protocol_that_keeps_fewer_than_m_copies(tmp_path,
 
 
 @pytest.mark.parametrize(
-    "keys,error,code",
+    "keys,error,text,code",
     [
-        ({"discard": [4]}, LayoutMismatchError, 1),
-        ({"discard": [-1, 0]}, LayoutMismatchError, 1),
-        ({"discard": [0, 1, 2, 3]}, ValueError, 1),
-        ({"discard": [0, 1, 2, 3], "relabel": []}, ValueError, 1),
-        ({"relabel": [0, 0, 1, 2]}, ValueError, 1),
-        ({"discard": [3], "relabel": [0, 1]}, ValueError, 1),
-        ({"discard": [3], "relabel": [0, 1, 3]}, ValueError, 1),
-        ({"discard": ["x"]}, DocumentError, 2),
-        ({"relabel": [0, None, 1, 2]}, DocumentError, 2),
-        ({"relabel": 7}, DocumentError, 2),
+        ({"keep": [4]}, LayoutMismatchError, "factor index 4 out of range for", 1),
+        ({"keep": [-1, 0]}, LayoutMismatchError, "factor index -1 out of range for", 1),
+        ({"keep": [0, 2, 0]}, LayoutMismatchError, r"repeated factor indices \(0, 2, 0\)", 1),
+        ({"keep": []}, ValueError, "layout needs at least one factor", 1),
+        ({"keep": [0, "1"]}, DocumentError, r"expected a list of JSON integers, got \[0, '1'\]", 2),
+        ({"keep": 7}, DocumentError, "expected a list of JSON integers, got 7", 2),
+        ({"keep": {"0": 1}}, DocumentError, r"expected a list of JSON integers, got \{'0': 1\}", 2),
+        ({"format": "catent-protocol-v1", "discard": [3]}, DocumentError,
+         "unsupported protocol format 'catent-protocol-v1'", 2),
     ],
-    ids=["discard-past", "discard-negative", "discard-all", "discard-all-relabel-empty",
-         "relabel-repeat", "relabel-short", "relabel-past", "discard-str", "relabel-none",
-         "relabel-int"],
+    ids=["keep-past", "keep-negative", "keep-repeat", "keep-empty", "keep-str-entry",
+         "keep-int", "keep-object", "v1-document"],
 )
-def test_malformed_discard_or_relabel_keeps_its_error_type(tmp_path, keys, error, code):
+def test_malformed_keep_keeps_its_error_type(tmp_path, capsys, keys, error, text, code):
     doc = {**protocol_to_dict(identity_protocol(SystemLayout([(0, 2), (1, 2)]).power(2))), **keys}
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ValueError, match=text) as err:
         protocol_from_dict(doc)
     assert type(err.value) is error
     path = _write(tmp_path, "p.json", json.dumps(doc))
     scn = _write(tmp_path, "c.scn", f"rho: singlet\nn: 2\nprotocol: file:{path}\n")
     assert cli.main(["catalyze", "--scenario", scn]) == code
+    prefix = {1: "failed", 2: "error"}[code]
+    assert re.search(f"^catent: {prefix}: .*{text}", capsys.readouterr().err)
 
 
 def _x_on_factor_0_doc():
@@ -306,11 +306,9 @@ def _x_on_factor_0_doc():
 @pytest.mark.parametrize(
     "kind,fields",
     [
-        ("protocol", {("discard",): [1.9]}),
-        ("protocol", {("discard",): 0}),
-        ("protocol", {("discard",): [True]}),
-        ("protocol", {("discard",): ["1"]}),
-        ("protocol", {("discard",): [2, 3], ("relabel",): [1.0, 0.0]}),
+        ("protocol", {("keep",): [1.0, 0]}),
+        ("protocol", {("keep",): [True, 0]}),
+        ("protocol", {("keep",): ["1", 0]}),
         ("protocol", {("factors", 0, 1): 2.7}),
         ("protocol", {("factors", 0, 0): 0.9}),
         ("protocol", {("steps", 0, "party"): 0.5}),
@@ -318,9 +316,8 @@ def _x_on_factor_0_doc():
         ("protocol", {("steps", 0, "kraus", 0, "shape"): [2.0, 2.9]}),
         ("state", {("factors", 0): [1.7, 2]}),
     ],
-    ids=["discard-float", "discard-int", "discard-bool", "discard-str", "relabel-floats",
-         "factor-dim-float", "factor-party-float", "step-party-float", "step-factor-float",
-         "kraus-shape-floats", "state-factor-floats"],
+    ids=["keep-float", "keep-bool", "keep-str", "factor-dim-float", "factor-party-float",
+         "step-party-float", "step-factor-float", "kraus-shape-floats", "state-factor-floats"],
 )
 def test_integer_fields_must_be_json_integers(kind, fields):
     # each of these used to load, its floats truncated and its bools and strings read by int()
@@ -741,7 +738,7 @@ _DEEP = "[" * 10**5 + "]" * 10**5
     "argv,doc",
     [
         (["bounds"], '{"format": "catent-state-v1", "factors": %s}' % _DEEP),
-        (["catalyze"], '{"format": "catent-protocol-v1", "steps": %s}' % _DEEP),
+        (["catalyze"], '{"format": "catent-protocol-v2", "steps": %s}' % _DEEP),
         (["plotdata", "--kind", "distill", "--report"], _DEEP),
     ],
     ids=["state", "protocol", "report"],

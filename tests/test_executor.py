@@ -271,24 +271,21 @@ def test_flatten_matches_old_index_maps(layout, data):
 
 @SETTINGS
 @given(_layouts(), st.data())
-def test_discard_relabel_documents_reencode_byte_identically(layout, data):
-    # a document writes ``keep`` as ``discard`` and a ``relabel`` of the
-    # factors ``discard`` leaves; every pair of them decodes and re-encodes
+def test_keep_documents_reencode_byte_identically(layout, data):
+    # every drawn ``keep`` decodes and re-encodes to the same JSON, and one
+    # that lists every factor in order is written as null
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     steps = data.draw(_steps(layout, rng, depth=1))
     n = len(layout)
-    discard = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
-    kept = [i for i in range(n) if i not in discard]
-    relabel = data.draw(st.none() | st.permutations(range(len(kept))))
-    doc = {**protocol_to_dict(LoccProtocol(layout, steps)), "discard": discard, "relabel": relabel}
-    back = protocol_from_dict(doc)
-    keep = [kept[j] for j in relabel or range(len(kept))]
-    assert list(back.keep or range(n)) == keep
-    assert back.output_layout() == layout.subset(keep)
-    # a relabel that leaves every kept factor in place is written as null
-    if relabel == list(range(len(kept))):
-        doc["relabel"] = None
+    keep = data.draw(_keeps(n))
+    doc = {**protocol_to_dict(LoccProtocol(layout, steps)), "keep": keep}
+    back = protocol_from_dict(json.loads(json.dumps(doc)))
+    assert list(back.keep or range(n)) == list(keep or range(n))
+    assert back.output_layout() == layout.subset(keep or range(n))
+    if keep == list(range(n)):
+        doc["keep"] = None
     assert json.dumps(protocol_to_dict(back)) == json.dumps(doc)
+    assert protocol_to_dict(LoccProtocol(layout, steps, keep=range(n)))["keep"] is None
 
 
 def _tensordot_contract(t, kraus, axes):

@@ -314,9 +314,12 @@ _WRONG = ["x", 3, -1, 2**70, 1.5, math.inf, math.nan, None, True, [], {}, [[0]],
 
 _PROTOCOL_MUTATIONS = [
     "drop", "type", "factor", "register", "party", "shape", "square", "nan", "hex",
-    "label", "repeat_label", "branches",
+    "label", "repeat_label", "branches", "keep",
 ]
-_FORMATS = ["catent-state-v1", "catent-protocol-v1", "catent-assembly-v1", "catent-state-v9"]
+_FORMATS = [
+    "catent-state-v1", "catent-protocol-v1", "catent-protocol-v2", "catent-assembly-v1",
+    "catent-state-v9",
+]
 
 
 def _mutate(doc, data, kinds=_PROTOCOL_MUTATIONS):
@@ -373,6 +376,9 @@ def _mutate(doc, data, kinds=_PROTOCOL_MUTATIONS):
         outs = _at(doc, path)
         outs[1]["label"] = outs[0]["label"] if kind == "repeat_label" else data.draw(
             st.sampled_from(["x", 7, None]))
+    elif kind == "keep":  # a repeated, past-the-range or negative index, none, or a non-integer
+        n = len(doc["factors"])
+        doc["keep"] = data.draw(st.sampled_from([[0, 0], [n], [-1], [], [1.5], [True], ["0"]]))
     elif kind == "format":  # any document's, the outer one or one it holds
         paths = [p for p, v in nodes if isinstance(v, dict) and "format" in v]
         node = _at(doc, data.draw(st.sampled_from(paths)))

@@ -164,4 +164,4 @@ def test_readme_lists_every_document_format():
     for info in pkgutil.iter_modules(catent.__path__, "catent."):
         module = importlib.import_module(info.name)
         tags |= {v for k, v in vars(module).items() if k.endswith("_FORMAT")}
-    assert listed == tags == {"catent-state-v1", "catent-protocol-v1"}
+    assert listed == tags == {"catent-state-v1", "catent-protocol-v2"}

@@ -714,19 +714,30 @@ def test_structure_checks_differ_from_a_checked_channel_by_party_or_shape():
 
 def test_correction_stack_structure_is_checked():
     # the corrections of a measure-and-correct step share one place and
-    # shape, checked once: party 0 may not act on party 1's factor, and the
-    # operators must fit the factor
+    # shape, checked once: party 0 may not act on party 1's factor, the
+    # operators must fit the factor, and the place must be apart from the
+    # measured factors, since the kernel contracts the two separately
     z = _z_measurement()
     for party, factors, k, err, text in (
         (0, (1,), X, LocalityError, "party 0 cannot act on factor 1"),
         (1, (2,), X, LayoutMismatchError, "out of range"),
         (1, (1,), np.eye(3), LayoutMismatchError, r"\(3, 3\) != \(2, 2\)"),
+        (0, (0,), X, LayoutMismatchError,
+         r"correction factors \(0,\) meet measured factors \(0,\)"),
     ):
         stack = np.array([[k], [k]], dtype=complex)
         stack.setflags(write=False)
         step = LocalInstrument(0, (0,), z, (), (party, factors, stack))
-        with pytest.raises(err, match=text):
+        with pytest.raises(err, match=text) as info:
             LoccProtocol(PAIR, [step])
+        assert type(info.value) is err
+    # the measuring party may correct its other factor
+    lay = SystemLayout([(0, 2), (0, 2), (1, 2)])
+    stack = np.array([[np.eye(2)], [X]], dtype=complex)
+    stack.setflags(write=False)
+    proto = LoccProtocol(lay, [LocalInstrument(0, (0,), z, (), (0, (1,), stack))])
+    rho = random_state(lay, "ginibre_mixed", seed=3)
+    assert np.max(np.abs(run_protocol(proto, rho).matrix - apply(flatten(proto), rho).matrix)) < 1e-12
 
 
 def test_correction_stack_handed_in_names_its_party():
@@ -1216,8 +1227,8 @@ def _step_doc(doc, *path):
     [
         lambda d: d.pop("steps"),
         lambda d: d.update(factors=[[0, 2], [0]]),
-        lambda d: d.update(discard=["x"]),
-        lambda d: d.update(relabel=7),
+        lambda d: d.update(keep=["x"]),
+        lambda d: d.update(keep=7),
         lambda d: _step_doc(d).pop("type"),
         lambda d: _step_doc(d).update(type="teleport"),
         lambda d: _step_doc(d).update(updates=["a", 0]),
@@ -1229,7 +1240,7 @@ def _step_doc(doc, *path):
         lambda d: d.update(format="catent-state-v1"),
     ],
     ids=[
-        "no-steps", "short-factor", "discard-str", "relabel-int", "no-type",
+        "no-steps", "short-factor", "keep-str", "keep-int", "no-type",
         "unknown-type", "update-str", "branches-int", "no-outcomes", "then-int",
         "kraus-str", "nested-no-kraus", "state-format",
     ],

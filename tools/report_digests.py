@@ -10,8 +10,9 @@ seed 0 once.  Each report is hashed as sorted-key JSON without its
 ``versions`` block, and each input document a workload writes (the four
 protocol files of each ``factory`` seed) as its bytes.  One line per digest is
 printed, ``<workload>.<seed>.<operation> <sha256>``; given a second
-checkout, the lines are this checkout's and the names that differ follow,
-and the exit status is 1 if any do (2 if a run fails).  A report that
+checkout, the lines are this checkout's, then a count of the digests
+and of those that differ, each with how many are reports, then the names
+that differ; the exit status is 1 if any do (2 if a run fails).  A report that
 differs is shown with its largest numeric difference: the field's path and
 its value in each checkout (a field whose type, keys or length differ
 counts as an infinite difference).
@@ -110,8 +111,9 @@ def main(argv=None) -> int:
         print(name, sha)
     differ = sorted(n for n in mine.keys() | theirs.keys() if mine.get(n) != theirs.get(n))
     if args.other:
-        reports = sum(".input." not in n for n in mine)
-        print(f"{len(mine)} digests ({reports} reports); {len(differ)} differ from {args.other}")
+        reports, differing = (sum(".input." not in n for n in names) for names in (mine, differ))
+        print(f"{len(mine)} digests ({reports} reports); {len(differ)} differ "
+              f"({differing} reports) from {args.other}")
         for name in differ:
             if name in my_reports and name in their_reports:
                 gap, path, a, b = _largest_difference(my_reports[name], their_reports[name])
