@@ -106,8 +106,9 @@ _JP = {
 # distill.MC_COPY_BUDGET, each lets the largest accepted input run at most
 # about 30 s on a 2-core box (numpy 2.4, OpenBLAS 0.3.31), where one item
 # cost 0.6 ms in verify-lemma1, 1.5 ms in superadd and 0.25 ms in a
-# squashed search at the default max_ext_dim: the largest bounds input,
-# 35543 rounds there, runs in about 15 s.  The sweep is bounded by memory:
+# squashed search at the default max_ext_dim.  A search item now costs
+# about 0.07 ms: the largest bounds input, 35543 rounds there, runs in 3
+# to 4 s.  The sweep is bounded by memory:
 # its report takes about 1.4 kB a point, 0.7 GB at 5e5 points (about 7 s).
 LEMMA1_SAMPLE_BUDGET = 5e4
 SUPERADD_SAMPLE_BUDGET = 2e4

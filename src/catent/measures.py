@@ -8,6 +8,7 @@ it against an inequality that must hold unconditionally.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -131,15 +132,38 @@ def _flag_extension(parts: Sequence[tuple[float, np.ndarray]]) -> np.ndarray:
     return acc.reshape(d * dim_e, d * dim_e)
 
 
-def _channel_extension(psi: np.ndarray, w: np.ndarray, out_dim: int) -> np.ndarray:
-    """Raw Z Z^dag = sum_k (I (x) W_k)|psi><psi|(I (x) W_k)^dag; no validation.
+def _extension_factor(psi: np.ndarray, w: np.ndarray, out_dim: int) -> np.ndarray:
+    """Raw Z with Z Z^dag = sum_k (I (x) W_k)|psi><psi|(I (x) W_k)^dag; no validation.
 
     W_k is the k-th block of ``out_dim`` rows of ``w``, ``psi`` a (d_AB, ref_dim)
     coefficient matrix, and column k of Z is (I (x) W_k)|psi>.
     """
     d_ab = len(psi)
-    z = (psi @ w.T).reshape(d_ab, -1, out_dim).transpose(0, 2, 1).reshape(d_ab * out_dim, -1)
-    return z @ z.conj().T
+    return (psi @ w.T).reshape(d_ab, -1, out_dim).transpose(0, 2, 1).reshape(d_ab * out_dim, -1)
+
+
+def _factor_entropy(x: np.ndarray) -> float:
+    """S(X X^dag) from the smaller of X X^dag and X^dag X: one nonzero spectrum."""
+    g = x.conj().T @ x if x.shape[1] < x.shape[0] else x @ x.conj().T
+    return _entropy_from_probs(np.linalg.eigvalsh(g))
+
+
+def _factor_cqmi(z: np.ndarray, layout: SystemLayout) -> float:
+    """``_cqmi`` of Z Z^dag from the factor Z, whose rows are on ``layout``.
+
+    A marginal's factor is Z with the traced factors and Z's columns moved
+    into its columns, grouped by party: a party may hold interleaved factors.
+    """
+    dims = layout.dims
+    t = z.reshape(dims + (-1,))
+
+    def s(keep: tuple[int, ...]) -> float:
+        rest = [i for i in range(t.ndim) if i not in keep]
+        d_keep = math.prod(dims[i] for i in keep)
+        return _factor_entropy(t.transpose(list(keep) + rest).reshape(d_keep, -1))
+
+    a, b, e = (layout.party_factors(p) for p in (0, 1, 2))
+    return s(a + e) + s(b + e) - _factor_entropy(z) - s(e)
 
 
 def squashed_upper(
@@ -160,8 +184,10 @@ def squashed_upper(
     steps on the purifying factor; a round replaces the best only when it
     is lower by more than ``EIG_CUTOFF``, the entropies' resolution, so
     exact ties keep the earlier, smaller extension.  Candidates are scored
-    as raw matrices (a round's is Z Z^dag, see ``_channel_extension``);
-    only the returned extension and the flag extension of a user
+    raw, with no validation: the deterministic ones as dense matrices, a
+    round from the factor Z of its extension Z Z^dag (``_factor_cqmi``),
+    whose Z Z^dag is formed only when the round becomes the best.  Only
+    the returned extension and the flag extension of a user
     ``decomposition``, which is outside input, are validated, so a
     negative weight raises ``StateInvariantError``.  ``DimensionCapError``
     is raised before any candidate if the widest extension a candidate
@@ -188,6 +214,7 @@ def squashed_upper(
             f"exceeds cap {DIM_CAP}"
         )
 
+    @functools.cache  # one layout per dimension of E, not one per round
     def ext_layout(dim_e: int) -> SystemLayout:
         return layout + SystemLayout([(2, dim_e)])
 
@@ -246,10 +273,10 @@ def squashed_upper(
             g = best_stack + 0.3 * 0.85**n_refine * g
             n_refine += 1
         w = np.linalg.qr(g)[0]  # (rows, ref_dim): an isometry
-        m = _channel_extension(psi, w, out_dim)
-        val = 0.5 * _cqmi(m, ext_layout(out_dim))
+        z = _extension_factor(psi, w, out_dim)
+        val = 0.5 * _factor_cqmi(z, ext_layout(out_dim))
         if val < best_val - EIG_CUTOFF:
-            best_val, best, best_stack = val, (m, out_dim), w
+            best_val, best, best_stack = val, (z @ z.conj().T, out_dim), w
 
     m, dim_e = best
     return SquashedBound(

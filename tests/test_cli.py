@@ -417,6 +417,77 @@ def test_superadd_mix_outside_budget_fails(tmp_path):
     assert code == 1 and rep["passed"] is False
 
 
+# ---------------------------------------------------------------------------
+# verdicts: each branch of a command's ``passed`` is seen false
+
+
+@pytest.mark.parametrize(
+    "name,fake",
+    [
+        ("squashed_upper",
+         lambda sq, state: sq._replace(value=0.5 * cli.mutual_information(state) + 2e-9)),
+        ("squashed_upper", lambda sq, state: sq._replace(value=-2e-12)),
+        ("hashing_bounds", lambda hb, state: hb._replace(lower=hb.upper + 2e-9)),
+    ],
+    ids=["squashed-above-half-mi", "squashed-negative", "hashing-lower-above-upper"],
+)
+def test_bounds_verdict_fails_outside_the_sandwich(monkeypatch, tmp_path, name, fake):
+    # no true input leaves the sandwich, so the runner's measure is replaced
+    # by fake(real result, state); each fake is past its margin by twice
+    # that margin, not ten times
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda state, *a, **k: fake(real(state, *a, **k), state))
+    code, rep = _report(tmp_path, "bounds", "command: bounds\nstate: werner:0.9\nbudget: 3\n")
+    assert code == 1 and rep["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "command,text,error",
+    [
+        ("catalyze",
+         "command: catalyze\nrho: werner:0.85\nsigma: werner:0.9\nn: 2\nmax_epsilon: {!r}\n",
+         lambda res: res["certificate"]["epsilon_achieved"]),
+        ("reduce",
+         "command: reduce\nrho: pure:0.5,0.5\nsigma: pure:0.75,0.25\nn: 2\nm: 1\n"
+         "max_error: {!r}\n",
+         lambda res: res["epsilon"]),
+    ],
+    ids=["catalyze", "reduce"],
+)
+def test_error_bound_verdict_is_the_achieved_error(tmp_path, command, text, error):
+    # the identity protocol leaves rho, so its error is ||rho - sigma||_1 > 0:
+    # a bound at that error passes and one just below it fails
+    code, rep = _report(tmp_path, command, text.format(1.0))
+    eps = error(rep["results"])
+    assert code == 0 and rep["passed"] is True and 0.01 < eps < 1.0
+    code, rep = _report(tmp_path, command, text.format(eps))
+    assert code == 0 and rep["passed"] is True and error(rep["results"]) == eps
+    code, rep = _report(tmp_path, command, text.format(math.nextafter(eps, 0.0)))
+    assert code == 1 and rep["passed"] is False and error(rep["results"]) == eps
+
+
+@pytest.mark.parametrize(
+    "expect,convertible",
+    [
+        ("expect_plain: true\n", ("plain", False)),
+        ("expect_plain: false\ntarget: 0.75,0.25\n", ("plain", True)),
+        ("expect_catalytic: false\ncatalyst: jp-catalyst\n", ("catalytic", True)),
+        ("expect_catalytic: true\ncatalyst: 0.5,0.5\n", ("catalytic", False)),
+    ],
+    ids=["plain-true", "plain-false", "catalytic-false", "catalytic-true"],
+)
+def test_pure_rate_verdict_fails_on_the_wrong_expectation(tmp_path, expect, convertible):
+    # jp-source is 0.4,0.4,0.1,0.1; a key given twice would be refused, so
+    # the default target jp-target is replaced only where the case names one
+    target = "" if "target:" in expect else "target: jp-target\n"
+    code, rep = _report(
+        tmp_path, "pure-rate", f"command: pure-rate\nsource: jp-source\n{target}{expect}"
+    )
+    kind, want = convertible
+    assert rep["results"][kind]["convertible"] is want
+    assert code == 1 and rep["passed"] is False
+
+
 def test_distill_report(tmp_path):
     code, rep = _report(
         tmp_path,

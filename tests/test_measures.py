@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import catent
 
@@ -20,8 +21,9 @@ from catent.errors import (
 )
 from catent.locc import Channel, LoccProtocol, apply, identity_protocol
 from catent.measures import (
-    _channel_extension,
     _cqmi,
+    _extension_factor,
+    _factor_cqmi,
     compose_superadditive,
     cqmi,
     decoupling_check,
@@ -229,7 +231,7 @@ def _old_chain_extension(rho, w, out_dim):
 
 @pytest.mark.parametrize("ref_dim", [1, 2, 3, 4])
 def test_channel_extension_matches_channel_chain(ref_dim):
-    # Z Z^dag against apply(id (x) channel, purify(rho)) for every output
+    # Z Z^dag of the factor against apply(id (x) channel, purify(rho)) for every output
     # dimension the search uses; ref_dim is the rank of rho
     rng = np.random.default_rng(ref_dim)
     g = rng.standard_normal((4, ref_dim)) + 1j * rng.standard_normal((4, ref_dim))
@@ -241,11 +243,83 @@ def test_channel_extension_matches_channel_chain(ref_dim):
         n_kraus = max(1, -(-ref_dim // out_dim))
         h = rng.standard_normal((out_dim * n_kraus, ref_dim))
         w, _ = np.linalg.qr(h + 1j * rng.standard_normal(h.shape))
-        got = _channel_extension(psi, w, out_dim)
+        z = _extension_factor(psi, w, out_dim)
+        got = z @ z.conj().T
         want = _old_chain_extension(rho, w, out_dim)
         assert got.shape == want.matrix.shape
         assert np.max(np.abs(got - want.matrix)) < 1e-12
         assert abs(0.5 * cqmi(want) - 0.5 * _cqmi(got, want.layout)) < 1e-12
+
+
+def _rank_r_state(layout, rank, seed):
+    """A Ginibre state G G^dag / tr with G of shape (total_dim, rank)."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((layout.total_dim, rank))
+    g = g + 1j * rng.standard_normal(g.shape)
+    m = g @ g.conj().T
+    return QState(layout, m / np.trace(m))
+
+
+@pytest.mark.parametrize("layout", [PAIR, PAIR.power(2)], ids=["pair", "interleaved"])
+@pytest.mark.parametrize("ref_dim", [1, 2, 3, 4])
+def test_factor_cqmi_matches_dense_cqmi(layout, ref_dim):
+    # the round score from Z against the dense I(A;B|E) of Z Z^dag.  On
+    # PAIR.power(2) each party holds factors 0 and 2 or 1 and 3, so reading
+    # Z as (d_A, d_B, out_dim, columns) puts both of copy 0's factors in "A"
+    rng = np.random.default_rng(10 * ref_dim + len(layout))
+    psi = _purification_vector(_rank_r_state(layout, ref_dim, ref_dim))
+    psi = psi / np.linalg.norm(psi)
+    assert psi.shape == (layout.total_dim, ref_dim)
+    for out_dim in range(1, 9):
+        n_kraus = max(1, -(-ref_dim // out_dim))
+        h = rng.standard_normal((out_dim * n_kraus, ref_dim))
+        w, _ = np.linalg.qr(h + 1j * rng.standard_normal(h.shape))
+        z = _extension_factor(psi, w, out_dim)
+        ext = layout + SystemLayout([(2, out_dim)])
+        want = 0.5 * _cqmi(z @ z.conj().T, ext)
+        assert abs(0.5 * _factor_cqmi(z, ext) - want) < 1e-12, out_dim
+
+
+def _check_squashed_rounds(state, max_ext_dim, seed, budgets):
+    """The value of every budget is half the CQMI of its extension, that
+    extension's AB marginal is the input, and the values never rise."""
+    ab = range(len(state.layout))
+    vals = []
+    for b in budgets:
+        got = squashed_upper(state, max_ext_dim=max_ext_dim, search_budget=b, seed=seed)
+        assert abs(got.value - 0.5 * cqmi(got.extension_state)) <= 1e-12
+        marginal = partial_trace(got.extension_state, ab)
+        assert np.max(np.abs(marginal.matrix - state.matrix)) < 1e-8
+        vals.append(got.value)
+    assert all(a >= b for a, b in zip(vals, vals[1:])), vals
+    return vals
+
+
+_ROUND_BUDGETS = (0, 100, 200, 300)
+
+
+@pytest.mark.parametrize("max_ext_dim", range(1, 9))
+@pytest.mark.parametrize("interleaved", [False, True], ids=["pair", "interleaved"])
+def test_squashed_rounds_win_on_rank_3_states(interleaved, max_ext_dim):
+    # a rank-3 Ginibre state on PAIR, alone or next to a Haar pure state on
+    # PAIR.power(2): the pure copy adds 2 S(A) to every candidate, so the
+    # same search wins there, on a layout whose parties interleave.  At an
+    # E of dimension 1 every round is the trivial extension and none wins
+    state = _rank_r_state(PAIR, 3, 0)
+    if interleaved:
+        state = tensor(state, random_state(PAIR, "haar_pure", seed=0))
+        assert state.layout == PAIR.power(2)
+    vals = _check_squashed_rounds(state, max_ext_dim, 0, _ROUND_BUDGETS)
+    assert (vals[-1] < vals[0] - 1e-12) == (max_ext_dim > 1)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**16), max_ext_dim=st.integers(1, 8), interleaved=st.booleans())
+def test_squashed_rounds_property(seed, max_ext_dim, interleaved):
+    state = _rank_r_state(PAIR, 3, seed)
+    if interleaved:
+        state = tensor(state, random_state(PAIR, "haar_pure", seed=seed))
+    _check_squashed_rounds(state, max_ext_dim, seed, _ROUND_BUDGETS)
 
 
 def test_squashed_pure_inputs_tie_at_the_trivial_extension():
