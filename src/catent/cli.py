@@ -13,8 +13,11 @@ keys are rejected.  State-valued keys accept the named families
     file:PATH                  a serialized state document
 
 Spectrum-valued keys (pure-rate) accept ``jp-*`` names or comma lists.
-Protocol-valued keys accept ``identity``, ``synth`` (Schmidt synthesis
-from the scenario's rho to its sigma, both pure) or ``file:PATH``.
+Protocol-valued keys accept ``identity``, ``file:PATH`` or ``synth``: a
+protocol from the scenario's pure rho to its pure sigma, built in each
+state's Schmidt bases.  It is exact at n = 1, and at n = 2 with at most
+two Schmidt terms per copy; elsewhere the synthesis reads the n-copy
+spectra in sorted order, not the copies' order, and is approximate.
 
 Each command's keys, with their parsers, defaults and lower bounds, are
 declared once, in ``_COMMANDS``; every key is parsed once, before the
@@ -66,7 +69,7 @@ from .errors import (
     MissingSeriesError,
     ScenarioError,
 )
-from .locc import LoccProtocol, identity_protocol, load_protocol
+from .locc import LoccProtocol, identity_protocol, load_protocol, local_unitary
 from .measures import (
     compose_superadditive,
     decoupling_check,
@@ -220,6 +223,21 @@ def _parse_state(spec: str, what: str) -> QState:
     raise ScenarioError(f"unknown state family for {what}: {spec!r}")
 
 
+def _schmidt_steps(state: QState, n: int, undo: bool) -> list:
+    """Local unitaries on n copies taking sum_i sqrt(p_i)|ii> to the pure
+    ``state``, p descending, or back with ``undo``.
+
+    A party's basis is on the joint space of its factors, in layout order.
+    """
+    layout, sides = state.layout, [state.layout.party_factors(p) for p in (0, 1)]
+    vec = np.linalg.eigh(state.matrix)[1][:, -1].reshape(layout.dims)
+    amps = vec.transpose(sides[0] + sides[1]).reshape(layout.subset(sides[0]).total_dim, -1)
+    u, _, vh = np.linalg.svd(amps)
+    bases = (u.conj().T, vh.conj()) if undo else (u, vh.T)
+    return [local_unitary(layout.power(n), p, [c * len(layout) + i for i in sides[p]], bases[p])
+            for c in range(n) for p in (0, 1)]
+
+
 def _build_protocol(spec: str, rho: QState, sigma: QState, n: int) -> LoccProtocol:
     # refuses n past a limit before any n-copy spectrum is built
     layout = rho.layout.power(n)
@@ -231,7 +249,11 @@ def _build_protocol(spec: str, rho: QState, sigma: QState, n: int) -> LoccProtoc
         s, t = (
             functools.reduce(SchmidtVector.tensor, [schmidt_decompose(x)] * n) for x in (rho, sigma)
         )
-        return synthesize_pure_protocol(s, t, layout=layout)
+        core = synthesize_pure_protocol(s, t, layout=layout)
+        # the synthesis converts sum_i sqrt(p_i)|ii>: rho and sigma up to local unitaries
+        steps = [*_schmidt_steps(rho, n, undo=True), *core.steps,
+                 *_schmidt_steps(sigma, n, undo=False)]
+        return LoccProtocol(layout, steps, keep=core.keep)
     if spec.startswith("file:"):
         return load_protocol(spec[5:].strip())
     raise ScenarioError(f"unknown protocol {spec!r}")

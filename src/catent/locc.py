@@ -50,7 +50,8 @@ from which it makes its cases.
 ``flatten`` composes a protocol into a single :class:`Channel` (Kraus
 form).  It is the Kraus-form export and the reference oracle the
 executor is tested against; its Kraus count grows as the product of the
-step counts and is bounded by ``KRAUS_CAP``.
+step counts and is bounded by ``KRAUS_CAP``.  ``flatten`` and ``apply``
+stay public because the benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations

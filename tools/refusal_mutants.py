@@ -12,6 +12,11 @@ underscore) runs with ``-x``.  A mutant it does not kill then runs against
 all of ``tests/``.  The survivors of both are printed with their line and
 text, and the exit status is 1 if there are any.
 
+When ``cli`` is mutated, each verdict of a command runner (a ``_cmd_``
+function) is also forced to ``True``, one at a time, and run the same way:
+the value of each ``passed = ...`` and the second item of each ``return
+a, b``.  A verdict that already reads ``True`` is skipped.
+
 Each pytest run is a child process with ``OPENBLAS_NUM_THREADS=1``, an
 address-space ceiling of ``CEILING_MB`` and a timeout of ``TIMEOUT_S``: a
 mutant without a cap check may otherwise allocate without bound.  A child
@@ -74,15 +79,30 @@ def refusals(path: str, lines: list[str], bug_checks: set[str]) -> list[ast.Rais
     return sorted(found, key=lambda n: n.lineno)
 
 
-def mutate(lines: list[str], node: ast.Raise) -> list[str]:
-    """``lines`` with the statement ``node`` replaced by ``pass``; line numbers stay."""
+def verdicts(path: str, lines: list[str]) -> list[ast.expr]:
+    """The verdicts of the ``_cmd_`` runners that do not read ``True``, in line order."""
+    found = []
+    for func in ast.parse("".join(lines), path).body:
+        if not (isinstance(func, ast.FunctionDef) and func.name.startswith("_cmd_")):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "passed":
+                found.append(node.value)
+            elif isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple) \
+                    and len(node.value.elts) == 2:
+                found.append(node.value.elts[1])
+    return sorted((n for n in found if ast.unparse(n) != "True"), key=lambda n: n.lineno)
+
+
+def mutate(lines: list[str], node: ast.AST, text: str = "pass") -> list[str]:
+    """``lines`` with ``node`` replaced by ``text``; line numbers stay."""
     first, last = node.lineno - 1, node.end_lineno - 1
     out = list(lines)
     tail = lines[last][node.end_col_offset:]
     if first == last:
-        out[first] = lines[first][: node.col_offset] + "pass" + tail
+        out[first] = lines[first][: node.col_offset] + text + tail
     else:
-        out[first] = lines[first][: node.col_offset] + "pass\n"
+        out[first] = lines[first][: node.col_offset] + text + "\n"
         out[first + 1 : last] = ["\n"] * (last - first - 1)
         out[last] = tail if tail.strip() else "\n"
     return out
@@ -106,7 +126,7 @@ def passes(copy: str, targets: list[str]) -> bool:
     return proc.returncode == 0
 
 
-def _text(lines: list[str], node: ast.Raise) -> str:
+def _text(lines: list[str], node: ast.AST) -> str:
     return " ".join(s.strip() for s in lines[node.lineno - 1 : node.end_lineno])
 
 
@@ -118,7 +138,7 @@ def main(argv=None) -> int:
     names = args.modules or sorted(n[:-3] for n in os.listdir(os.path.join(ROOT, PACKAGE))
                                    if n.endswith(".py"))
     bug_checks = _bug_checks()
-    survivors, count, full_runs = [], 0, 0
+    survivors, counts, full_runs = [], {"refusal": 0, "verdict": 0}, 0
     with tempfile.TemporaryDirectory(prefix="refusal_mutants-") as tmp:
         copy = os.path.join(tmp, "checkout")
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -128,11 +148,14 @@ def main(argv=None) -> int:
             with open(path, encoding="utf-8") as fh:
                 lines = fh.readlines()
             own = os.path.join("tests", f"test_{name.lstrip('_')}.py")
-            for node in refusals(path, lines, bug_checks):
-                count += 1
+            mutants = [("refusal", node, "pass") for node in refusals(path, lines, bug_checks)]
+            if name == "cli":
+                mutants += [("verdict", node, "True") for node in verdicts(path, lines)]
+            for kind, node, text in mutants:
+                counts[kind] += 1
                 where = f"{PACKAGE}/{name}.py:{node.lineno}"
                 with open(path, "w", encoding="utf-8") as fh:
-                    fh.writelines(mutate(lines, node))
+                    fh.writelines(mutate(lines, node, text))
                 try:
                     alive = not os.path.exists(os.path.join(copy, own)) or passes(copy, [own])
                     full_runs += alive
@@ -140,11 +163,12 @@ def main(argv=None) -> int:
                 finally:
                     with open(path, "w", encoding="utf-8") as fh:
                         fh.writelines(lines)
-                print(f"{where}: {'SURVIVED' if alive else 'killed'}", file=sys.stderr, flush=True)
+                print(f"{where}: {kind} {'SURVIVED' if alive else 'killed'}", file=sys.stderr,
+                      flush=True)
                 if alive:
-                    survivors.append(f"{where}: {_text(lines, node)}")
-    print(f"{count} refusals mutated, {full_runs} survived their module's tests, "
-          f"{len(survivors)} survived all tests")
+                    survivors.append(f"{where}: {kind}: {_text(lines, node)}")
+    print(f"{counts['refusal']} refusals mutated, {counts['verdict']} verdicts forced True, "
+          f"{full_runs} survived their module's tests, {len(survivors)} survived all tests")
     for line in survivors:
         print(line)
     return 1 if survivors else 0
